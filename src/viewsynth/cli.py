@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-x", type=float, default=0.1, help="per-frame camera x translation")
     p.add_argument("--step-z", type=float, default=0.0, help="per-frame camera z translation")
     p.add_argument("--noise", type=float, default=0.0, help="additive Gaussian sigma")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("fit", help="optimize depth, poses, and masks on a snippet")
     p.add_argument("--in", dest="indir", required=True, help="sequence directory")
@@ -47,20 +46,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.0002)
     p.add_argument("--max-iters", type=int, default=3000)
     p.add_argument("--depth-prior", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("warp", help="inverse-warp sources to the target with ground truth")
     p.add_argument("--in", dest="indir", required=True, help="sequence directory with ground truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--seed", type=int, default=0, help="offset added to the screened seed set")
-    p.add_argument("--instances", type=int, default=5)
+    p.add_argument("--instances", type=int, default=5,
+                   help="number of screened instances to check")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--inject-grad-bug", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("eval-depth", help="median-scaled depth metrics")
     p.add_argument("--in", dest="pred", required=True, help="predicted depth (WF01)")
@@ -105,7 +100,7 @@ def cmd_fit(args) -> int:
         num_levels=args.levels,
         use_explainability=not args.no_explainability,
     )
-    adam_cfg = model.AdamConfig(lr=args.lr, max_iters=args.max_iters, seed=args.seed)
+    adam_cfg = model.AdamConfig(lr=args.lr, max_iters=args.max_iters)
     result = model.fit_snippet(
         seq.frames, seq.target_index, seq.intrinsics, loss_cfg, adam_cfg,
         depth_prior=args.depth_prior,
@@ -163,8 +158,8 @@ def cmd_warp(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seeds = [s + args.seed for s in gradcheck.DEFAULT_SEEDS[: args.instances]]
-    worst = gradcheck.run(seeds, inject_bug=args.inject_grad_bug)
+    worst = gradcheck.run(gradcheck.DEFAULT_SEEDS[: args.instances],
+                          inject_bug=args.inject_grad_bug)
     ok = True
     for name in sorted(worst):
         status = "ok" if worst[name] <= args.tolerance else "FAIL"

@@ -55,13 +55,16 @@ class SnippetGrads:
 
     depth_logits: np.ndarray
     poses: np.ndarray                      # (S, 6)
-    mask_logits: list | None = None        # [level] -> (S, H_l, W_l, 2)
+    mask_logits: list | None = None        # [level] -> (S, H_l, W_l)
 
 
 def mask_probability(logits: np.ndarray) -> np.ndarray:
-    """Softmax channel 1 of (..., 2) logits, i.e. sigmoid of the logit gap."""
-    gap = logits[..., 1] - logits[..., 0]
-    return 1.0 / (1.0 + np.exp(-gap))
+    """Sigmoid of one logit per pixel.
+
+    This is channel 1 of the paper's 2-channel softmax, whose value depends
+    only on the gap between the two channels; the logit is that gap.
+    """
+    return 1.0 / (1.0 + np.exp(-logits))
 
 
 def build_pyramid(img, levels: int) -> list:
@@ -100,8 +103,8 @@ def view_synthesis_loss(target, warps: list, mask_logits=None,
                         want_grads: bool = True):
     """Mean L1 photometric error over valid pixels, summed over source views.
 
-    mask_logits, when given, is one (H, W, 2) logit grid per source; the
-    softmax channel-1 probability weights each pixel's error.
+    mask_logits, when given, is one (H, W) logit grid per source; its
+    mask_probability weights each pixel's error.
 
     Returns (loss, grad_warped, grad_mask_logits, n_valid) where grad_warped
     is a list of (H, W, C) arrays, grad_mask_logits a matching list (None
@@ -144,31 +147,22 @@ def view_synthesis_loss(target, warps: list, mask_logits=None,
         grad_warped.append(gw)
         if mask_logits is not None:
             ge = valid * e / n
-            dprob = prob * (1 - prob)
-            gm = np.zeros_like(mask_logits[s])
-            gm[..., 1] = ge * dprob
-            gm[..., 0] = -ge * dprob
-            grad_mask.append(gm)
+            grad_mask.append(ge * (prob * (1 - prob)))
         else:
             grad_mask.append(None)
     return loss, grad_warped, grad_mask, n_valid
 
 
 def explainability_regularizer(logits):
-    """Cross-entropy toward constant label 1: mean of -log(softmax channel 1).
+    """Cross-entropy toward constant label 1: mean of -log(mask_probability).
 
     Returns (loss, grad_logits).
     """
     logits = np.asarray(logits, dtype=float)
     prob = mask_probability(logits)
-    n = prob.size
     loss = float(-np.log(prob).mean())
-    # d(-log sigmoid(gap))/dgap = -(1 - prob)
-    g_gap = -(1 - prob) / n
-    grad = np.zeros_like(logits)
-    grad[..., 1] = g_gap
-    grad[..., 0] = -g_gap
-    return loss, grad
+    # d(-log sigmoid(x))/dx = -(1 - prob)
+    return loss, -(1 - prob) / prob.size
 
 
 def smoothness_loss(depth):
@@ -252,50 +246,41 @@ def total_loss(state, config: LossConfig, want_grads: bool = True):
         valid_per_level.append(n_valid)
         any_valid = any_valid or any(n > 0 for n in n_valid)
 
-        regs = []
-        for s in range(S):
-            w = warps[s]
-            if not want_grads:
-                if use_masks:
-                    reg, _ = explainability_regularizer(state.mask_logits[l][s])
-                    regs.append(reg)
-                    prob = mask_probability(state.mask_logits[l][s])
-                    mask_prob_sum += float(prob.sum())
-                    mask_prob_n += prob.size
-                else:
-                    regs.append(0.0)
-                continue
-            gw = g_warped[s]
-            gu = (gw * w.d_du).sum(axis=2)
-            gv = (gw * w.d_dv).sum(axis=2)
-
-            z = w.src_points[..., 2]
-            safe_z = np.where(w.valid, z, 1.0)
-            fx, fy = Kl.fx, Kl.fy
-            gx = gu * fx / safe_z
-            gy = gv * fy / safe_z
-            gz = -(gu * fx * w.src_points[..., 0] + gv * fy * w.src_points[..., 1]) / safe_z ** 2
-            gX = np.stack([gx, gy, gz], axis=-1)
-            gX[~w.valid] = 0.0
-
-            g_pose[s, 3:] += gX.sum(axis=(0, 1))
-            R = transforms[s][:3, :3]
-            g_depth_lv[l] += (gX * (w.rays @ R.T)).sum(axis=-1)
-            P = Dl[..., None] * w.rays
-            for i in range(3):
-                g_pose[s, i] += float((gX * (P @ rot_jacs[s][i].T)).sum())
-
-            if use_masks:
-                g_mask[l][s] += g_mask_vs[s]
-                reg, g_reg = explainability_regularizer(state.mask_logits[l][s])
-                regs.append(reg)
-                g_mask[l][s] += config.lambda_e * g_reg
-                prob = mask_probability(state.mask_logits[l][s])
+        regs = [0.0] * S
+        if use_masks:
+            for s in range(S):
+                logits = state.mask_logits[l][s]
+                regs[s], g_reg = explainability_regularizer(logits)
+                prob = mask_probability(logits)
                 mask_prob_sum += float(prob.sum())
                 mask_prob_n += prob.size
-            else:
-                regs.append(0.0)
+                if want_grads:
+                    g_mask[l][s] += g_mask_vs[s]
+                    g_mask[l][s] += config.lambda_e * g_reg
         reg_per_level.append(regs)
+
+        if want_grads:
+            for s in range(S):
+                w = warps[s]
+                gw = g_warped[s]
+                gu = (gw * w.d_du).sum(axis=2)
+                gv = (gw * w.d_dv).sum(axis=2)
+
+                z = w.src_points[..., 2]
+                safe_z = np.where(w.valid, z, 1.0)
+                fx, fy = Kl.fx, Kl.fy
+                gx = gu * fx / safe_z
+                gy = gv * fy / safe_z
+                gz = -(gu * fx * w.src_points[..., 0] + gv * fy * w.src_points[..., 1]) / safe_z ** 2
+                gX = np.stack([gx, gy, gz], axis=-1)
+                gX[~w.valid] = 0.0
+
+                g_pose[s, 3:] += gX.sum(axis=(0, 1))
+                R = transforms[s][:3, :3]
+                g_depth_lv[l] += (gX * (w.rays @ R.T)).sum(axis=-1)
+                P = Dl[..., None] * w.rays
+                for i in range(3):
+                    g_pose[s, i] += float((gX * (P @ rot_jacs[s][i].T)).sum())
 
         smooth_l, g_sm = smoothness_loss(Dl)
         smooth_per_level.append(smooth_l)

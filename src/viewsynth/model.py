@@ -2,8 +2,8 @@
 
 Trainable parameters: per-pixel depth logits for the target view (activated
 as 1 / (alpha * sigmoid(x) + beta), alpha=10, beta=0.01, so positivity is
-structural), one 6-DoF pose per source view, and per-level per-source
-explainability logits.
+structural), one 6-DoF pose per source view, and one explainability logit
+per pixel, per pyramid level and source view.
 """
 
 from __future__ import annotations
@@ -21,6 +21,14 @@ DEPTH_ALPHA = 10.0
 DEPTH_BETA = 0.01
 
 CHECKPOINT_MAGIC = b"VSCK"
+CHECKPOINT_VERSION = 2
+
+# The paper's mask is a 2-channel softmax; a mask logit is the gap l1 - l0
+# between those channels. Adam moves each channel of the pair by lr per step
+# (their gradients are exact negatives), so the gap moves by 2 * lr. Mask
+# logits therefore step by this multiple of lr to follow the paper's
+# optimization exactly.
+MASK_LR_SCALE = 2.0
 
 
 class FitDiverged(RuntimeError):
@@ -66,7 +74,6 @@ class AdamConfig:
     # below tol.
     tol: float = 1e-7
     window: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -83,7 +90,7 @@ class SnippetState:
     sources: list                    # S arrays of (H, W, C)
     depth_logits: np.ndarray         # (H, W)
     poses: np.ndarray                # (S, 6): rx ry rz tx ty tz
-    mask_logits: list | None         # [level] -> (S, H_l, W_l, 2)
+    mask_logits: list | None         # [level] -> (S, H_l, W_l)
     intrinsics: Intrinsics
 
     def depth(self) -> np.ndarray:
@@ -101,7 +108,7 @@ def init_state(
     depth_prior: float = 1.0,
 ) -> SnippetState:
     """Deterministic initial state: constant depth prior, zero poses,
-    symmetric mask logits (probability 0.5 everywhere)."""
+    zero mask logits (probability 0.5 everywhere)."""
     if len(images) < 2:
         raise ValueError("need at least 2 images")
     images = [sampler._as_image(im) for im in images]
@@ -125,7 +132,7 @@ def init_state(
     mask_logits = None
     if loss_config.use_explainability:
         level_shapes = [p.shape[:2] for p in losses.build_pyramid(np.zeros((H, W)), loss_config.num_levels)]
-        mask_logits = [np.zeros((S, h, w, 2)) for h, w in level_shapes]
+        mask_logits = [np.zeros((S, h, w)) for h, w in level_shapes]
 
     return SnippetState(
         target=target,
@@ -177,7 +184,8 @@ def adam_step(state: SnippetState, grads, moments: AdamMoments, config: AdamConf
         v[...] = config.beta2 * v + (1 - config.beta2) * g * g
         mhat = m / (1 - config.beta1 ** t)
         vhat = v / (1 - config.beta2 ** t)
-        p -= config.lr * mhat / (np.sqrt(vhat) + config.epsilon)
+        lr = config.lr * MASK_LR_SCALE if name.startswith("mask_logits") else config.lr
+        p -= lr * mhat / (np.sqrt(vhat) + config.epsilon)
 
 
 @dataclass
@@ -234,13 +242,13 @@ def fit_snippet(
 # Layout (all integers little-endian uint32, parameters little-endian
 # float64, row-major):
 #   magic   4 bytes  "VSCK"
-#   version u32      = 1
+#   version u32      = 2
 #   H, W, C u32 x 3  image dims
 #   S       u32      number of source views
 #   L       u32      number of pyramid levels with mask logits (0 = no masks)
 #   depth logits     H*W float64
 #   poses            S*6 float64
-#   per level l:     H_l u32, W_l u32, then S*H_l*W_l*2 float64 mask logits
+#   per level l:     H_l u32, W_l u32, then S*H_l*W_l float64 mask logits
 # ---------------------------------------------------------------------------
 
 
@@ -254,7 +262,7 @@ def save_checkpoint(path, state: SnippetState) -> None:
     levels = state.mask_logits or []
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<6I", 1, H, W, C, S, len(levels)))
+        f.write(struct.pack("<6I", CHECKPOINT_VERSION, H, W, C, S, len(levels)))
         f.write(state.depth_logits.astype("<f8").tobytes())
         f.write(np.asarray(state.poses).astype("<f8").tobytes())
         for m in levels:
@@ -269,9 +277,11 @@ def load_checkpoint(path, images, target_index, K: Intrinsics) -> SnippetState:
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic at offset 0: {data[:4]!r}")
     off = 4
+    if len(data) < off + 24:
+        raise CheckpointError(f"truncated checkpoint at offset {off}")
     version, H, W, C, S, L = struct.unpack_from("<6I", data, off)
     off += 24
-    if version != 1:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
 
     def take(n):
@@ -291,7 +301,9 @@ def load_checkpoint(path, images, target_index, K: Intrinsics) -> SnippetState:
             raise CheckpointError(f"truncated checkpoint at offset {off}")
         h, w = struct.unpack_from("<2I", data, off)
         off += 8
-        mask_logits.append(take(S * h * w * 2).reshape(S, h, w, 2))
+        mask_logits.append(take(S * h * w).reshape(S, h, w))
+    if off != len(data):
+        raise CheckpointError(f"{len(data) - off} trailing bytes at offset {off}")
 
     images = [sampler._as_image(im) for im in images]
     if images[target_index].shape != (H, W, C):

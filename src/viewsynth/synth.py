@@ -35,8 +35,6 @@ class SceneSpec:
     trajectory: tuple = ()
     intrinsics: Intrinsics = None
     noise_sigma: float = 0.0
-    # High-frequency texture mode demonstrates the gradient-locality failure.
-    high_frequency: bool = False
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -64,11 +62,10 @@ class SnippetSequence:
             raise ValueError("target index out of range")
 
 
-def _texture_params(seed: int, high_frequency: bool):
+def _texture_params(seed: int):
     rng = np.random.default_rng(seed)
     n = 6
-    base = 2.0 if high_frequency else 0.25
-    freqs = base * (0.5 + rng.random((n, 2)))
+    freqs = 0.25 * (0.5 + rng.random((n, 2)))
     signs = rng.choice([-1.0, 1.0], size=(n, 2))
     phases = rng.random(n) * 2 * np.pi
     amps = 0.5 + 0.5 * rng.random(n)
@@ -127,7 +124,7 @@ def render_scene(spec: SceneSpec) -> SnippetSequence:
     K = spec.intrinsics
     if K is None:
         raise ValueError("scene spec needs intrinsics")
-    freqs, phases, amps = _texture_params(spec.texture_seed, spec.high_frequency)
+    freqs, phases, amps = _texture_params(spec.texture_seed)
     noise_rng = np.random.default_rng(spec.texture_seed + 1)
 
     jj, ii = np.meshgrid(np.arange(K.width, dtype=float), np.arange(K.height, dtype=float))
@@ -188,13 +185,20 @@ def save_sequence(seq: SnippetSequence, outdir) -> None:
 def load_sequence(indir) -> SnippetSequence:
     names, target = fileio.load_manifest(os.path.join(indir, "sequence.txt"))
     K = fileio.load_intrinsics(os.path.join(indir, "intrinsics.txt"))
-    frames = [fileio.load_wf01(os.path.join(indir, n)) for n in names]
-    for fr in frames:
+    frames = []
+    for name in names:
+        path = os.path.join(indir, name)
+        fr = fileio.load_wf01(path)
         if fr.shape[:2] != (K.height, K.width):
             raise fileio.FileFormatError(
-                f"frame size {fr.shape[:2]} does not match intrinsics "
+                f"{path}: frame size {fr.shape[:2]} does not match intrinsics "
                 f"({K.height}, {K.width})"
             )
+        # Comparisons with NaN are false, so this also rejects NaN pixels.
+        if not np.all((fr >= 0.0) & (fr <= 1.0)):
+            raise fileio.FileFormatError(
+                f"{path}: pixel values must be finite and within [0, 1]")
+        frames.append(fr)
     gt_depths = None
     if os.path.exists(os.path.join(indir, "depth_000.wf01")):
         gt_depths = [

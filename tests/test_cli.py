@@ -77,7 +77,7 @@ def test_fit_runs_and_is_byte_deterministic(tmp_path):
     seq_dir = tmp_path / "seq"
     _synth(seq_dir)
     fit_argv = ["fit", "--in", str(seq_dir), "--levels", "2",
-                "--lr", "0.01", "--max-iters", "40", "--threads", "1"]
+                "--lr", "0.01", "--max-iters", "40"]
     assert _run(fit_argv + ["--out", str(tmp_path / "f1")]) == 0
     assert _run(fit_argv + ["--out", str(tmp_path / "f2")]) == 0
     assert _dir_bytes(tmp_path / "f1") == _dir_bytes(tmp_path / "f2")
@@ -111,6 +111,20 @@ def test_fit_identical_frames_keeps_identity_poses(tmp_path):
 def test_fit_missing_input_dir_is_runtime_error(tmp_path):
     assert _run(["fit", "--in", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.25])
+def test_fit_bad_frame_pixel_names_the_file(tmp_path, capsys, bad):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    frame = seq_dir / "frame_002.wf01"
+    img = fileio.load_wf01(frame)
+    img[3, 4, 0] = bad
+    fileio.save_wf01(frame, img)
+    assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+                 "--max-iters", "5"]) == 1
+    err = capsys.readouterr().err
+    assert str(frame) in err and "non-finite" not in err
 
 
 def test_gradcheck_passes_and_detects_injected_bug(capsys):

@@ -35,7 +35,7 @@ def test_constant_field_algebra():
     # target 0, warped 1, mask 0.5 everywhere -> 0.5 per pixel
     t = np.zeros((3, 5, 1))
     w = _warp_of(np.ones((3, 5, 1)))
-    logits = np.zeros((3, 5, 2))  # softmax -> 0.5
+    logits = np.zeros((3, 5))  # sigmoid -> 0.5
     loss, _, _, _ = losses.view_synthesis_loss(t, [w], [logits])
     assert abs(loss - 0.5) < 1e-15
 
@@ -48,7 +48,7 @@ def test_matches_scalar_loop_oracle():
     for _ in range(2):
         valid = rng.random((4, 4)) > 0.2
         warps.append(_warp_of(rng.random((4, 4, 3)), valid))
-        masks.append(rng.normal(0, 1, (4, 4, 2)))
+        masks.append(rng.normal(0, 1, (4, 4)))
 
     expected = 0.0
     for s in range(2):
@@ -59,8 +59,9 @@ def test_matches_scalar_loop_oracle():
                     continue
                 n += 1
                 e = sum(abs(warps[s].warped[i, j, c] - t[i, j, c]) for c in range(3)) / 3
-                num = np.exp(masks[s][i, j, 1])
-                prob = num / (np.exp(masks[s][i, j, 0]) + num)
+                # Softmax channel 1 of the logit pair (0, x).
+                num = np.exp(masks[s][i, j])
+                prob = num / (np.exp(0.0) + num)
                 acc += prob * e
         expected += acc / n
 
@@ -77,13 +78,12 @@ def test_zero_valid_pixels_reports_zero():
 
 
 def test_unit_mask_bitwise_equals_unmasked():
-    # A logit gap of 50 makes the softmax probability exactly 1.0 in double
+    # A logit of 50 makes the mask probability exactly 1.0 in double
     # precision, so the masked path must be bit-identical to the plain one.
     rng = np.random.default_rng(5)
     t = rng.random((5, 6, 2))
     w = _warp_of(rng.random((5, 6, 2)))
-    logits = np.zeros((5, 6, 2))
-    logits[..., 1] = 50.0
+    logits = np.full((5, 6), 50.0)
     assert losses.mask_probability(logits).min() == 1.0
     plain, _, _, _ = losses.view_synthesis_loss(t, [w])
     masked, _, _, _ = losses.view_synthesis_loss(t, [w], [logits])
@@ -91,25 +91,24 @@ def test_unit_mask_bitwise_equals_unmasked():
 
 
 def test_regularizer_symmetric_logits():
-    loss, _ = losses.explainability_regularizer(np.zeros((4, 4, 2)))
+    loss, _ = losses.explainability_regularizer(np.zeros((4, 4)))
     assert abs(loss - np.log(2.0)) < 1e-12
 
 
 def test_regularizer_monotone_in_logit_gap():
-    def at(gap):
-        l = np.zeros((2, 2, 2))
-        l[..., 1] = gap
-        return losses.explainability_regularizer(l)[0]
+    def at(x):
+        return losses.explainability_regularizer(np.full((2, 2), x))[0]
     assert at(10.0) < at(1.0) < at(0.0)
 
 
 def test_regularizer_matches_scalar_oracle():
     rng = np.random.default_rng(9)
-    logits = rng.normal(0, 2, (3, 4, 2))
+    logits = rng.normal(0, 2, (3, 4))
     expected = 0.0
     for i in range(3):
         for j in range(4):
-            e0, e1 = np.exp(logits[i, j, 0]), np.exp(logits[i, j, 1])
+            # Softmax channel 1 of the logit pair (0, x).
+            e0, e1 = np.exp(0.0), np.exp(logits[i, j])
             expected += -np.log(e1 / (e0 + e1))
     expected /= 12
     loss, _ = losses.explainability_regularizer(logits)
@@ -118,10 +117,10 @@ def test_regularizer_matches_scalar_oracle():
 
 def test_regularizer_gradient_fd():
     rng = np.random.default_rng(13)
-    logits = rng.normal(0, 1, (3, 3, 2))
+    logits = rng.normal(0, 1, (3, 3))
     _, g = losses.explainability_regularizer(logits)
     h = 1e-6
-    for idx in [(0, 0, 0), (1, 2, 1), (2, 1, 0)]:
+    for idx in [(0, 0), (1, 2), (2, 1)]:
         lp, lm = logits.copy(), logits.copy()
         lp[idx] += h
         lm[idx] -= h
@@ -225,8 +224,7 @@ def test_mask_gradient_pushes_mask_down_without_regularizer():
     cfg = LossConfig(num_levels=2, lambda_e=0.0, use_explainability=True)
     _, grads = losses.total_loss(state, cfg)
     for g in grads.mask_logits:
-        assert np.all(g[..., 1] >= 0.0)  # positive gradient lowers the logit
-        assert np.all(g[..., 0] <= 0.0)
+        assert np.all(g >= 0.0)  # positive gradient lowers the logit
 
 
 def test_loss_config_validation():

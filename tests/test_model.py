@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,7 @@ def test_init_state_defaults():
     state = model.init_state(_images(), 1, K, CFG, depth_prior=1.0)
     assert np.max(np.abs(state.depth() - 1.0)) < 1e-12
     assert np.all(state.poses == 0.0)
+    assert [m.shape for m in state.mask_logits] == [(2, 8, 10), (2, 4, 5)]
     for m in state.mask_logits:
         assert np.all(losses.mask_probability(m) == 0.5)
 
@@ -196,7 +199,18 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     with pytest.raises(model.CheckpointError, match="magic"):
         model.load_checkpoint(bad, imgs, 1, K)
 
-    trunc = tmp_path / "trunc.bin"
-    trunc.write_bytes(data[: len(data) // 2])
-    with pytest.raises(model.CheckpointError, match="truncated"):
-        model.load_checkpoint(trunc, imgs, 1, K)
+    for cut in (len(data) // 2, 20):  # 20 bytes end inside the header
+        trunc = tmp_path / "trunc.bin"
+        trunc.write_bytes(data[:cut])
+        with pytest.raises(model.CheckpointError, match="truncated"):
+            model.load_checkpoint(trunc, imgs, 1, K)
+
+    trailing = tmp_path / "trailing.bin"
+    trailing.write_bytes(data + b"\0" * 8)
+    with pytest.raises(model.CheckpointError, match="trailing"):
+        model.load_checkpoint(trailing, imgs, 1, K)
+
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+    with pytest.raises(model.CheckpointError, match="unsupported checkpoint version 1"):
+        model.load_checkpoint(v1, imgs, 1, K)
