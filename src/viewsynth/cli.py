@@ -158,6 +158,11 @@ def cmd_warp(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    n_seeds = len(gradcheck.DEFAULT_SEEDS)
+    if not 1 <= args.instances <= n_seeds:
+        print(f"gradcheck: --instances must be in 1..{n_seeds} (the screened "
+              f"instances), got {args.instances}", file=sys.stderr)
+        return 2
     worst = gradcheck.run(gradcheck.DEFAULT_SEEDS[: args.instances],
                           inject_bug=args.inject_grad_bug)
     ok = True

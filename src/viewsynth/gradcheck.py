@@ -60,7 +60,8 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
     max(||analytic||_inf, ||fd||_inf). inject_bug perturbs the analytic
     gradient (negative-control hook for the CLI).
     """
-    _, grads = losses.total_loss(state, config)
+    pyramids = losses.build_snippet_pyramids(state, config)
+    _, grads = losses.total_loss(state, config, pyramids=pyramids)
     analytic = dict(model._grad_items(grads))
     if inject_bug:
         analytic["poses"] = analytic["poses"] * 1.01
@@ -73,9 +74,9 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi, _ = losses.total_loss(state, config, want_grads=False)
+            hi, _ = losses.total_loss(state, config, want_grads=False, pyramids=pyramids)
             flat[i] = orig - step
-            lo, _ = losses.total_loss(state, config, want_grads=False)
+            lo, _ = losses.total_loss(state, config, want_grads=False, pyramids=pyramids)
             flat[i] = orig
             fdflat[i] = (hi.total - lo.total) / (2 * step)
         a = analytic[name]

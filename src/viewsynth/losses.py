@@ -13,6 +13,7 @@ the regularizer) so weights behave uniformly across pyramid levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +59,20 @@ class SnippetGrads:
     mask_logits: list | None = None        # [level] -> (S, H_l, W_l)
 
 
+# Largest x with finite exp(x); below -_LOG_MAX_FLOAT, exp(-logit) overflows.
+_LOG_MAX_FLOAT = float(np.log(np.finfo(float).max))
+
+
 def mask_probability(logits: np.ndarray) -> np.ndarray:
     """Sigmoid of one logit per pixel.
 
     This is channel 1 of the paper's 2-channel softmax, whose value depends
     only on the gap between the two channels; the logit is that gap.
     """
-    return 1.0 / (1.0 + np.exp(-logits))
+    # exp(-x) overflows to inf below x = -_LOG_MAX_FLOAT. The result there,
+    # 1 / inf = 0, is the limit and within 1e-308 of the true probability.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
 
 
 def build_pyramid(img, levels: int) -> list:
@@ -89,6 +97,28 @@ def build_pyramid(img, levels: int) -> list:
             down = t.reshape(h2, 2, w2, 2).mean(axis=(1, 3))
         out.append(down)
     return out
+
+
+class SnippetPyramids(NamedTuple):
+    """The parts of the objective that stay constant for one snippet.
+
+    Only depth, poses and masks change between evaluations of total_loss,
+    so fits and gradient checks build this once with build_snippet_pyramids
+    and pass it to every call.
+    """
+
+    target: tuple        # [level] -> (H_l, W_l, C)
+    sources: tuple       # [source][level] -> (H_l, W_l, C)
+    intrinsics: tuple    # [level] -> Intrinsics
+
+
+def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
+    """Image pyramids of the target and every source, and per-level intrinsics."""
+    target = tuple(build_pyramid(state.target, config.num_levels))
+    sources = tuple(tuple(build_pyramid(src, config.num_levels)) for src in state.sources)
+    intrinsics = tuple(geometry.scale_intrinsics(state.intrinsics, l)
+                       for l in range(len(target)))
+    return SnippetPyramids(target=target, sources=sources, intrinsics=intrinsics)
 
 
 def _upsample_grad(g: np.ndarray, shape) -> np.ndarray:
@@ -160,7 +190,11 @@ def explainability_regularizer(logits):
     """
     logits = np.asarray(logits, dtype=float)
     prob = mask_probability(logits)
-    loss = float(-np.log(prob).mean())
+    # Where exp(-x) overflows, prob is subnormal or 0 and log(prob) is
+    # imprecise or -inf; log(sigmoid(x)) = x - log1p(exp(x)) rounds to x there.
+    with np.errstate(divide="ignore"):
+        log_prob = np.where(logits < -_LOG_MAX_FLOAT, logits, np.log(prob))
+    loss = float(-log_prob.mean())
     # d(-log sigmoid(x))/dx = -(1 - prob)
     return loss, -(1 - prob) / prob.size
 
@@ -192,20 +226,24 @@ def smoothness_loss(depth):
     return loss, grad
 
 
-def total_loss(state, config: LossConfig, want_grads: bool = True):
+def total_loss(state, config: LossConfig, want_grads: bool = True, *,
+               pyramids: SnippetPyramids | None = None):
     """Multi-scale objective over a snippet state, with gradients.
 
     `state` carries target/source images, depth logits, per-source pose
     parameters, optional per-level mask logits, and intrinsics (see
-    model.SnippetState). Returns (LossReport, SnippetGrads); the gradient
-    buffers are None when want_grads is off (cheaper forward pass, used by
-    the finite-difference harness).
+    model.SnippetState). `pyramids` is build_snippet_pyramids(state, config),
+    built here when not given. Returns (LossReport, SnippetGrads); the
+    gradient buffers are None when want_grads is off (cheaper forward pass,
+    used by the finite-difference harness).
     """
     from . import model  # local import; model builds on this module
 
     S = len(state.sources)
-    tgt_pyr = build_pyramid(state.target, config.num_levels)
-    src_pyrs = [build_pyramid(src, config.num_levels) for src in state.sources]
+    if pyramids is None:
+        pyramids = build_snippet_pyramids(state, config)
+    tgt_pyr = pyramids.target
+    src_pyrs = pyramids.sources
     L = len(tgt_pyr)
 
     depth0 = model.activate_depth(state.depth_logits)
@@ -222,7 +260,8 @@ def total_loss(state, config: LossConfig, want_grads: bool = True):
     for s in range(S):
         p = geometry.PoseParams.from_array(state.poses[s])
         transforms.append(geometry.pose_to_transform(p))
-        rot_jacs.append(geometry.rotation_jacobians(p.rx, p.ry, p.rz))
+        if want_grads:
+            rot_jacs.append(geometry.rotation_jacobians(p.rx, p.ry, p.rz))
 
     total = 0.0
     vs_per_level = []
@@ -234,7 +273,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True):
     any_valid = False
 
     for l in range(L):
-        Kl = geometry.scale_intrinsics(state.intrinsics, l)
+        Kl = pyramids.intrinsics[l]
         Dl = depth_pyr[l]
         warps = [sampler.inverse_warp(src_pyrs[s][l], Dl, transforms[s], Kl,
                                       want_grads=want_grads) for s in range(S)]
@@ -260,6 +299,8 @@ def total_loss(state, config: LossConfig, want_grads: bool = True):
         reg_per_level.append(regs)
 
         if want_grads:
+            # Every source warps the same target grid, so P is per level.
+            P = Dl[..., None] * warps[0].rays
             for s in range(S):
                 w = warps[s]
                 gw = g_warped[s]
@@ -278,7 +319,6 @@ def total_loss(state, config: LossConfig, want_grads: bool = True):
                 g_pose[s, 3:] += gX.sum(axis=(0, 1))
                 R = transforms[s][:3, :3]
                 g_depth_lv[l] += (gX * (w.rays @ R.T)).sum(axis=-1)
-                P = Dl[..., None] * w.rays
                 for i in range(3):
                     g_pose[s, i] += float((gX * (P @ rot_jacs[s][i].T)).sum())
 

@@ -80,6 +80,10 @@ class AdamConfig:
             raise ValueError("beta1, beta2 must be in [0, 1)")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -212,12 +216,12 @@ def fit_snippet(
     """
     if state is None:
         state = init_state(images, target_index, K, loss_config, depth_prior)
+    pyramids = losses.build_snippet_pyramids(state, loss_config)
     moments = AdamMoments()
     history: list[LossReport] = []
     converged = False
-    t = 0
     for t in range(1, adam_config.max_iters + 1):
-        report, grads = losses.total_loss(state, loss_config)
+        report, grads = losses.total_loss(state, loss_config, pyramids=pyramids)
         if not np.isfinite(report.total):
             raise FitDiverged(t)
         history.append(report)

@@ -7,6 +7,7 @@ are excluded from losses via the valid mask.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,9 @@ class WarpResult:
     valid:      (H, W) bool; in-bounds and in front of the source camera
     d_du, d_dv: (H, W, C) partials of each warped intensity w.r.t. (u_s, v_s)
     us, vs, zs: (H, W) projected source coordinates and source-frame depth
-    rays:       (H, W, 3) unit-depth target-frame ray K^-1 [u, v, 1]
+    rays:       (H, W, 3) unit-depth target-frame ray K^-1 [u, v, 1]; the
+                read-only array shared through pixel_grid (so are us, vs
+                when T is the identity)
     src_points: (H, W, 3) target points expressed in the source camera frame
     """
 
@@ -63,10 +66,14 @@ def bilinear_sample(img, u, v, want_grads: bool = True):
     v = np.asarray(v, dtype=float)
     valid = (u >= 0) & (u <= W - 1) & (v >= 0) & (v <= H - 1)
 
-    uc = np.clip(u, 0, W - 1)
-    vc = np.clip(v, 0, H - 1)
-    x0 = np.clip(np.floor(uc).astype(int), 0, max(W - 2, 0))
-    y0 = np.clip(np.floor(vc).astype(int), 0, max(H - 2, 0))
+    # np.minimum/np.maximum give np.clip's values without its Python-level
+    # dispatch, which costs more than the arithmetic at these sizes. The
+    # lower bound on x0/y0 only matters for NaN coordinates, whose integer
+    # cast is negative.
+    uc = np.minimum(np.maximum(u, 0), W - 1)
+    vc = np.minimum(np.maximum(v, 0), H - 1)
+    x0 = np.minimum(np.maximum(np.floor(uc).astype(int), 0), max(W - 2, 0))
+    y0 = np.minimum(np.maximum(np.floor(vc).astype(int), 0), max(H - 2, 0))
     x1 = np.minimum(x0 + 1, W - 1)
     y1 = np.minimum(y0 + 1, H - 1)
     du = uc - x0
@@ -91,6 +98,21 @@ def bilinear_sample(img, u, v, want_grads: bool = True):
     return np.where(m, value, 0.0), np.where(m, grad_u, 0.0), np.where(m, grad_v, 0.0), valid
 
 
+@functools.lru_cache(maxsize=16)
+def pixel_grid(K: Intrinsics):
+    """Target pixel coordinates (jj, ii), each (H, W), and the (H, W, 3)
+    unit-depth rays K^-1 [u, v, 1].
+
+    Memoized per Intrinsics, so the arrays are shared by every caller and
+    made read-only.
+    """
+    jj, ii = np.meshgrid(np.arange(K.width, dtype=float), np.arange(K.height, dtype=float))
+    rays = geometry.backproject(jj, ii, 1.0, K)
+    for a in (jj, ii, rays):
+        a.flags.writeable = False
+    return jj, ii, rays
+
+
 def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
                  want_grads: bool = True) -> WarpResult:
     """Warp a source image onto the target grid via depth and relative pose.
@@ -109,8 +131,7 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
     if np.any(depth <= 0):
         raise ValueError("depth must be positive")
 
-    jj, ii = np.meshgrid(np.arange(W, dtype=float), np.arange(H, dtype=float))
-    rays = geometry.backproject(jj, ii, 1.0, K)
+    jj, ii, rays = pixel_grid(K)
     pts = geometry.transform_points(T, depth[..., None] * rays)
     if np.array_equal(T, np.eye(4)):
         # Identity map is exact; skip the float round-trip through K so the

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from viewsynth import cli, fileio, geometry
+from viewsynth import cli, fileio, geometry, gradcheck
 
 
 def _run(argv):
@@ -125,6 +125,24 @@ def test_fit_bad_frame_pixel_names_the_file(tmp_path, capsys, bad):
                  "--max-iters", "5"]) == 1
     err = capsys.readouterr().err
     assert str(frame) in err and "non-finite" not in err
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_fit_nonpositive_max_iters_is_runtime_error(tmp_path, capsys, iters):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+                 "--max-iters", iters]) == 1
+    err = capsys.readouterr().err
+    assert "max_iters" in err and iters in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "30"])
+def test_gradcheck_instances_out_of_range_is_usage_error(capsys, n):
+    assert _run(["gradcheck", "--instances", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"1..{len(gradcheck.DEFAULT_SEEDS)}" in captured.err and n in captured.err
 
 
 def test_gradcheck_passes_and_detects_injected_bug(capsys):

@@ -98,7 +98,25 @@ def test_regularizer_symmetric_logits():
 def test_regularizer_monotone_in_logit_gap():
     def at(x):
         return losses.explainability_regularizer(np.full((2, 2), x))[0]
-    assert at(10.0) < at(1.0) < at(0.0)
+    assert at(1e6) <= at(800.0) <= at(10.0) < at(1.0) < at(0.0) < at(-800.0) < at(-1e6)
+
+
+@pytest.mark.parametrize("x", [800.0, -800.0, 1e6, -1e6])
+def test_regularizer_extreme_logits_are_finite(x):
+    # exp(-x) overflows below x = -709.78. RuntimeWarnings fail the suite,
+    # so this also checks that no overflow or log(0) warning is raised.
+    logits = np.full((2, 3), x)
+    loss, g = losses.explainability_regularizer(logits)
+    assert np.isfinite(loss) and np.all(np.isfinite(g))
+    if x < 0:
+        # -log sigmoid(x) = -x + log1p(exp(x)), which rounds to -x here.
+        assert abs(loss - np.mean(-logits)) <= 1e-15 * abs(x)
+        assert np.all(g == -1 / logits.size)
+        assert np.all(losses.mask_probability(logits) == 0.0)
+    else:
+        assert loss == 0.0
+        assert np.all(g == 0.0)
+        assert np.all(losses.mask_probability(logits) == 1.0)
 
 
 def test_regularizer_matches_scalar_oracle():
@@ -225,6 +243,37 @@ def test_mask_gradient_pushes_mask_down_without_regularizer():
     _, grads = losses.total_loss(state, cfg)
     for g in grads.mask_logits:
         assert np.all(g >= 0.0)  # positive gradient lowers the logit
+
+
+def test_total_loss_with_given_pyramids_is_bitwise_equal():
+    for use_masks in (True, False):
+        state, cfg = _small_state(seed=6, use_masks=use_masks)
+        if use_masks:
+            for m in state.mask_logits:
+                m += np.random.default_rng(7).normal(0, 0.5, m.shape)
+        ref_report, ref_grads = losses.total_loss(state, cfg)
+        pyramids = losses.build_snippet_pyramids(state, cfg)
+        report, grads = losses.total_loss(state, cfg, pyramids=pyramids)
+        assert report == ref_report
+        assert np.array_equal(grads.depth_logits, ref_grads.depth_logits)
+        assert np.array_equal(grads.poses, ref_grads.poses)
+        if use_masks:
+            for g, ref in zip(grads.mask_logits, ref_grads.mask_logits, strict=True):
+                assert np.array_equal(g, ref)
+        else:
+            assert grads.mask_logits is None and ref_grads.mask_logits is None
+
+
+def test_forward_only_total_loss_skips_rotation_jacobians(monkeypatch):
+    state, cfg = _small_state(seed=2)
+    calls = []
+    orig = geometry.rotation_jacobians
+    monkeypatch.setattr(geometry, "rotation_jacobians",
+                        lambda *a: calls.append(a) or orig(*a))
+    losses.total_loss(state, cfg, want_grads=False)
+    assert calls == []
+    losses.total_loss(state, cfg)
+    assert len(calls) == len(state.sources)
 
 
 def test_loss_config_validation():

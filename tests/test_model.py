@@ -132,6 +132,26 @@ def test_adam_quadratic_bowl_matches_scalar_reference():
     assert abs(ours[-1]) < 0.01
 
 
+@pytest.mark.parametrize("name, value", [("max_iters", 0), ("max_iters", -3), ("window", 0)])
+def test_adam_config_validation(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+        AdamConfig(**{name: value})
+
+
+def test_fit_builds_image_pyramids_once(monkeypatch):
+    # One depth pyramid per iteration; the target and source pyramids once.
+    imgs = _images(seed=4)
+    cfg = LossConfig(num_levels=2, use_explainability=False)
+    calls = []
+    orig = losses.build_pyramid
+    monkeypatch.setattr(losses, "build_pyramid",
+                        lambda *a: calls.append(a) or orig(*a))
+    n, n_sources = 7, len(imgs) - 1
+    res = model.fit_snippet(imgs, 1, K, cfg, AdamConfig(lr=0.01, max_iters=n, tol=0.0))
+    assert res.iterations == n
+    assert len(calls) == n + n_sources + 1
+
+
 def test_fit_identical_frames_keeps_zero_pose():
     img = np.random.default_rng(8).random((8, 10, 1))
     res = model.fit_snippet([img, img.copy(), img.copy()], 1, K, CFG,

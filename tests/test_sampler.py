@@ -107,3 +107,15 @@ def test_dimension_mismatch_raises():
         sampler.inverse_warp(np.ones((6, 6, 1)), np.ones((5, 6)), np.eye(4), K)
     with pytest.raises(ValueError):
         sampler.inverse_warp(np.ones((4, 4, 1)), np.ones((4, 4)), np.eye(4), K)
+
+
+def test_pixel_grid_is_shared_and_read_only():
+    rng = np.random.default_rng(5)
+    src = rng.random((8, 12, 1))
+    depth = rng.uniform(1.0, 2.0, (8, 12))
+    T = geometry.pose_to_transform(PoseParams(tx=0.05))
+    w1 = sampler.inverse_warp(src, depth, T, _camera(12, 8))
+    w2 = sampler.inverse_warp(src, depth, T, _camera(12, 8))  # equal, not the same object
+    assert w1.rays is w2.rays
+    with pytest.raises(ValueError):
+        w1.rays[0, 0, 0] = 1.0
