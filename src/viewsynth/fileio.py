@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from . import geometry
@@ -19,6 +21,23 @@ from .geometry import Intrinsics
 
 class FileFormatError(ValueError):
     pass
+
+
+def _read_lines(path):
+    """(line number, stripped line) for each line of a UTF-8 text file.
+
+    Lines split as in text mode (\n, \r\n or \r). Bytes that are not
+    UTF-8 raise FileFormatError naming the line.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        ln = data.count(b"\n", 0, e.start) + 1
+        raise FileFormatError(f"{path}:{ln}: not UTF-8 text: {e.reason}") from e
+    return [(ln, line.strip())
+            for ln, line in enumerate(io.StringIO(text, newline=None), start=1)]
 
 
 # -- WF01 float container ----------------------------------------------------
@@ -48,6 +67,8 @@ def load_wf01(path) -> np.ndarray:
         h, w, c = (int(x) for x in data[5:nl].split())
     except ValueError as e:
         raise FileFormatError(f"{path}: malformed dimension header: {e}") from e
+    if min(h, w, c) < 0:
+        raise FileFormatError(f"{path}: negative dimension in header {h} {w} {c}")
     expected = h * w * c * 4
     body = data[nl + 1 :]
     if len(body) != expected:
@@ -89,23 +110,24 @@ def save_intrinsics(path, K: Intrinsics) -> None:
 
 def load_intrinsics(path) -> Intrinsics:
     vals = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}: malformed line {line!r}")
-            vals[parts[0]] = parts[1]
+    for ln, line in _read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FileFormatError(f"{path}:{ln}: malformed line {line!r}")
+        vals[parts[0]] = parts[1]
     for k in _K_KEYS:
         if k not in vals:
             raise FileFormatError(f"{path}: missing key {k!r}")
-    return Intrinsics(
-        fx=float(vals["fx"]), fy=float(vals["fy"]),
-        cx=float(vals["cx"]), cy=float(vals["cy"]),
-        width=int(vals["width"]), height=int(vals["height"]),
-    )
+    try:
+        return Intrinsics(
+            fx=float(vals["fx"]), fy=float(vals["fy"]),
+            cx=float(vals["cx"]), cy=float(vals["cy"]),
+            width=int(vals["width"]), height=int(vals["height"]),
+        )
+    except ValueError as e:
+        raise FileFormatError(f"{path}: invalid intrinsics: {e}") from e
 
 
 # -- Sequence manifest -------------------------------------------------------
@@ -121,18 +143,16 @@ def load_manifest(path):
     """Returns (frame_paths, target_index)."""
     frames = []
     target = None
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("target "):
-                try:
-                    target = int(line.split()[1])
-                except (IndexError, ValueError) as e:
-                    raise FileFormatError(f"{path}: malformed target line {line!r}") from e
-            else:
-                frames.append(line)
+    for ln, line in _read_lines(path):
+        if not line:
+            continue
+        if line.startswith("target "):
+            try:
+                target = int(line.split()[1])
+            except (IndexError, ValueError) as e:
+                raise FileFormatError(f"{path}:{ln}: malformed target line {line!r}") from e
+        else:
+            frames.append(line)
     if target is None:
         raise FileFormatError(f"{path}: missing key 'target'")
     if not 0 <= target < len(frames):
@@ -151,16 +171,17 @@ def save_trajectory(path, transforms) -> None:
 
 def load_trajectory(path):
     out = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split()
-            if len(vals) != 12:
-                raise FileFormatError(f"{path}:{ln}: expected 12 values, got {len(vals)}")
-            T = np.eye(4)
+    for ln, line in _read_lines(path):
+        if not line:
+            continue
+        vals = line.split()
+        if len(vals) != 12:
+            raise FileFormatError(f"{path}:{ln}: expected 12 values, got {len(vals)}")
+        T = np.eye(4)
+        try:
             T[:3, :4] = np.array([float(v) for v in vals]).reshape(3, 4)
             geometry.check_rigid(T)
-            out.append(T)
+        except ValueError as e:
+            raise FileFormatError(f"{path}:{ln}: {e}") from e
+        out.append(T)
     return out

@@ -75,6 +75,9 @@ def check_rigid(T: np.ndarray, tol: float = _RIGID_TOL) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4):
         raise ValueError(f"expected 4x4 matrix, got {T.shape}")
+    # NaN fails every comparison below, so it would pass them all.
+    if not np.isfinite(T).all():
+        raise ValueError("matrix has non-finite entries")
     R = T[:3, :3]
     if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
         raise ValueError("rotation block is not orthonormal")

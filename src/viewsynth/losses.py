@@ -91,10 +91,12 @@ def build_pyramid(img, levels: int) -> list:
         if h2 < 2 or w2 < 2:
             break
         t = prev[: 2 * h2, : 2 * w2]
+        # sum / 4 is what ndarray.mean computes, without its Python-level
+        # dispatch; the same holds for every sum / count in this module.
         if t.ndim == 3:
-            down = t.reshape(h2, 2, w2, 2, t.shape[2]).mean(axis=(1, 3))
+            down = t.reshape(h2, 2, w2, 2, t.shape[2]).sum(axis=(1, 3)) / 4
         else:
-            down = t.reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+            down = t.reshape(h2, 2, w2, 2).sum(axis=(1, 3)) / 4
         out.append(down)
     return out
 
@@ -129,17 +131,19 @@ def _upsample_grad(g: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def view_synthesis_loss(target, warps: list, mask_logits=None,
+def view_synthesis_loss(target, warps: list, mask_probs=None,
                         want_grads: bool = True):
     """Mean L1 photometric error over valid pixels, summed over source views.
 
-    mask_logits, when given, is one (H, W) logit grid per source; its
-    mask_probability weights each pixel's error.
+    mask_probs, when given, holds one (H, W) grid of mask_probability values
+    per source (an (S, H, W) array or a list); it weights each pixel's error.
 
     Returns (loss, grad_warped, grad_mask_logits, n_valid) where grad_warped
-    is a list of (H, W, C) arrays, grad_mask_logits a matching list (None
-    entries when masks are off), and n_valid the per-source valid counts.
-    A source with zero valid pixels contributes 0 with zero gradients.
+    is a list of (H, W, C) arrays, grad_mask_logits a matching list of
+    gradients with respect to the mask logits (None entries when masks are
+    off), and n_valid the per-source valid counts. With want_grads off both
+    gradient lists hold None. A source with zero valid pixels contributes 0
+    with zero gradients.
     """
     target = sampler._as_image(target)
     if not warps:
@@ -157,72 +161,80 @@ def view_synthesis_loss(target, warps: list, mask_logits=None,
         n_valid.append(n)
         if n == 0:
             grad_warped.append(np.zeros_like(w.warped))
-            grad_mask.append(None if mask_logits is None else np.zeros_like(mask_logits[s]))
+            grad_mask.append(None if mask_probs is None else np.zeros_like(mask_probs[s]))
             loss += 0.0
             continue
         r = w.warped - target
-        e = np.abs(r).mean(axis=2)
-        if mask_logits is not None:
-            prob = mask_probability(mask_logits[s])
-            weight = prob
+        e = np.abs(r).sum(axis=2) / C
+        if mask_probs is not None:
+            prob = mask_probs[s]
+            loss += float((prob * e * valid).sum() / n)
         else:
-            weight = np.ones_like(e)
-        loss += float((weight * e * valid).sum() / n)
+            loss += float((e * valid).sum() / n)
 
         if not want_grads:
             grad_warped.append(None)
             grad_mask.append(None)
             continue
-        gw = valid[..., None] * weight[..., None] * np.sign(r) / (C * n)
-        grad_warped.append(gw)
-        if mask_logits is not None:
+        if mask_probs is not None:
+            gw = valid[..., None] * prob[..., None] * np.sign(r) / (C * n)
             ge = valid * e / n
             grad_mask.append(ge * (prob * (1 - prob)))
         else:
+            gw = valid[..., None] * np.sign(r) / (C * n)
             grad_mask.append(None)
+        grad_warped.append(gw)
     return loss, grad_warped, grad_mask, n_valid
 
 
-def explainability_regularizer(logits):
+def explainability_regularizer(logits, prob=None, want_grads: bool = True):
     """Cross-entropy toward constant label 1: mean of -log(mask_probability).
 
-    Returns (loss, grad_logits).
+    prob, when given, is mask_probability(logits), computed once by the
+    caller. Returns (loss, grad_logits); grad_logits is None with want_grads
+    off.
     """
     logits = np.asarray(logits, dtype=float)
-    prob = mask_probability(logits)
+    if prob is None:
+        prob = mask_probability(logits)
     # Where exp(-x) overflows, prob is subnormal or 0 and log(prob) is
     # imprecise or -inf; log(sigmoid(x)) = x - log1p(exp(x)) rounds to x there.
     with np.errstate(divide="ignore"):
         log_prob = np.where(logits < -_LOG_MAX_FLOAT, logits, np.log(prob))
-    loss = float(-log_prob.mean())
+    loss = float(-(log_prob.sum() / log_prob.size))
+    if not want_grads:
+        return loss, None
     # d(-log sigmoid(x))/dx = -(1 - prob)
     return loss, -(1 - prob) / prob.size
 
 
-def smoothness_loss(depth):
+def smoothness_loss(depth, want_grads: bool = True):
     """Mean absolute second difference of the depth map, per axis.
 
-    Axes shorter than 3 samples contribute 0. Returns (loss, grad_depth).
+    Axes shorter than 3 samples contribute 0. Returns (loss, grad_depth);
+    grad_depth is None with want_grads off.
     """
     D = np.asarray(depth, dtype=float)
     if D.ndim != 2:
         raise ValueError("depth must be 2-D")
     loss = 0.0
-    grad = np.zeros_like(D)
+    grad = np.zeros_like(D) if want_grads else None
     if D.shape[1] >= 3:
         duu = D[:, :-2] - 2 * D[:, 1:-1] + D[:, 2:]
-        loss += float(np.abs(duu).mean())
-        sg = np.sign(duu) / duu.size
-        grad[:, :-2] += sg
-        grad[:, 1:-1] -= 2 * sg
-        grad[:, 2:] += sg
+        loss += float(np.abs(duu).sum() / duu.size)
+        if want_grads:
+            sg = np.sign(duu) / duu.size
+            grad[:, :-2] += sg
+            grad[:, 1:-1] -= 2 * sg
+            grad[:, 2:] += sg
     if D.shape[0] >= 3:
         dvv = D[:-2, :] - 2 * D[1:-1, :] + D[2:, :]
-        loss += float(np.abs(dvv).mean())
-        sg = np.sign(dvv) / dvv.size
-        grad[:-2, :] += sg
-        grad[1:-1, :] -= 2 * sg
-        grad[2:, :] += sg
+        loss += float(np.abs(dvv).sum() / dvv.size)
+        if want_grads:
+            sg = np.sign(dvv) / dvv.size
+            grad[:-2, :] += sg
+            grad[1:-1, :] -= 2 * sg
+            grad[2:, :] += sg
     return loss, grad
 
 
@@ -251,9 +263,10 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
 
     use_masks = config.use_explainability and state.mask_logits is not None
 
-    g_depth_lv = [np.zeros_like(d) for d in depth_pyr]
-    g_pose = np.zeros((S, 6))
-    g_mask = [np.zeros_like(state.mask_logits[l]) for l in range(L)] if use_masks else None
+    if want_grads:
+        g_depth_lv = [np.zeros_like(d) for d in depth_pyr]
+        g_pose = np.zeros((S, 6))
+        g_mask = [np.zeros_like(state.mask_logits[l]) for l in range(L)] if use_masks else None
 
     transforms = []
     rot_jacs = []
@@ -277,10 +290,12 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         Dl = depth_pyr[l]
         warps = [sampler.inverse_warp(src_pyrs[s][l], Dl, transforms[s], Kl,
                                       want_grads=want_grads) for s in range(S)]
-        lvl_masks = [state.mask_logits[l][s] for s in range(S)] if use_masks else None
+        # One (S, H_l, W_l) probability array per level serves the
+        # photometric weights, the regularizer and mean_mask.
+        probs = mask_probability(state.mask_logits[l]) if use_masks else None
 
         vs_l, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
-            tgt_pyr[l], warps, lvl_masks, want_grads=want_grads)
+            tgt_pyr[l], warps, probs, want_grads=want_grads)
         vs_per_level.append(vs_l)
         valid_per_level.append(n_valid)
         any_valid = any_valid or any(n > 0 for n in n_valid)
@@ -288,9 +303,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         regs = [0.0] * S
         if use_masks:
             for s in range(S):
-                logits = state.mask_logits[l][s]
-                regs[s], g_reg = explainability_regularizer(logits)
-                prob = mask_probability(logits)
+                prob = probs[s]
+                regs[s], g_reg = explainability_regularizer(
+                    state.mask_logits[l][s], prob, want_grads=want_grads)
                 mask_prob_sum += float(prob.sum())
                 mask_prob_n += prob.size
                 if want_grads:
@@ -322,7 +337,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
                 for i in range(3):
                     g_pose[s, i] += float((gX * (P @ rot_jacs[s][i].T)).sum())
 
-        smooth_l, g_sm = smoothness_loss(Dl)
+        smooth_l, g_sm = smoothness_loss(Dl, want_grads=want_grads)
         smooth_per_level.append(smooth_l)
         w_s = config.smooth_weight(l)
         if want_grads:

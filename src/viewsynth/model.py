@@ -38,7 +38,10 @@ class FitDiverged(RuntimeError):
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    # exp(-x) overflows to inf below x = -709.78; 1 / inf = 0 is the limit,
+    # within 1e-308 of the true value, as in losses.mask_probability.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def activate_depth(logits):

@@ -15,6 +15,9 @@ import numpy as np
 from . import geometry
 from .geometry import BEHIND_EPS, Intrinsics
 
+_IDENTITY = np.eye(4)
+_IDENTITY.flags.writeable = False
+
 
 def _as_image(img) -> np.ndarray:
     img = np.asarray(img, dtype=float)
@@ -66,23 +69,27 @@ def bilinear_sample(img, u, v, want_grads: bool = True):
     v = np.asarray(v, dtype=float)
     valid = (u >= 0) & (u <= W - 1) & (v >= 0) & (v <= H - 1)
 
-    # np.minimum/np.maximum give np.clip's values without its Python-level
-    # dispatch, which costs more than the arithmetic at these sizes. The
-    # lower bound on x0/y0 only matters for NaN coordinates, whose integer
-    # cast is negative.
-    uc = np.minimum(np.maximum(u, 0), W - 1)
-    vc = np.minimum(np.maximum(v, 0), H - 1)
-    x0 = np.minimum(np.maximum(np.floor(uc).astype(int), 0), max(W - 2, 0))
-    y0 = np.minimum(np.maximum(np.floor(vc).astype(int), 0), max(H - 2, 0))
-    x1 = np.minimum(x0 + 1, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
+    # fmin/fmax map a NaN coordinate to 0 (its pixel is already invalid), so
+    # the integer cast below never sees NaN; finite values clamp as np.clip.
+    uc = np.fmin(np.fmax(u, 0), W - 1)
+    vc = np.fmin(np.fmax(v, 0), H - 1)
+    x0 = np.minimum(np.floor(uc).astype(int), max(W - 2, 0))
+    y0 = np.minimum(np.floor(vc).astype(int), max(H - 2, 0))
     du = uc - x0
     dv = vc - y0
 
-    Itl = img[y0, x0]
-    Itr = img[y0, x1]
-    Ibl = img[y1, x0]
-    Ibr = img[y1, x1]
+    # Gather the four corners from the flattened image: take on one axis is
+    # several times faster than 2-D fancy indexing. The right and lower
+    # neighbours are +1 and +W, or the same pixel in a 1-wide or 1-high image.
+    flat = img.reshape(H * W, img.shape[2])
+    tl = y0 * W + x0
+    tr = tl + 1 if W > 1 else tl
+    bl = tl + W if H > 1 else tl
+    br = bl + 1 if W > 1 else bl
+    Itl = flat.take(tl, axis=0)
+    Itr = flat.take(tr, axis=0)
+    Ibl = flat.take(bl, axis=0)
+    Ibr = flat.take(br, axis=0)
 
     du_ = du[..., None]
     dv_ = dv[..., None]
@@ -133,7 +140,7 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
 
     jj, ii, rays = pixel_grid(K)
     pts = geometry.transform_points(T, depth[..., None] * rays)
-    if np.array_equal(T, np.eye(4)):
+    if np.array_equal(T, _IDENTITY):
         # Identity map is exact; skip the float round-trip through K so the
         # warp reproduces the source bit-for-bit.
         us, vs, zs = jj, ii, depth

@@ -212,3 +212,17 @@ def test_eval_odom_hand_worked_example(tmp_path, capsys):
     assert _run(["eval-odom", "--in", str(tmp_path / "pred.txt"),
                  "--gt", str(tmp_path / "gt.txt"), "--snippet-len", "5"]) == 0
     assert capsys.readouterr().out.startswith("mean_ate 0\n")
+
+
+def test_eval_odom_nonfinite_row_names_the_line(tmp_path, capsys):
+    traj = [geometry.pose_to_transform(geometry.PoseParams(tx=0.1 * k)) for k in range(5)]
+    good = tmp_path / "gt.txt"
+    fileio.save_trajectory(good, traj)
+    bad = tmp_path / "pred.txt"
+    lines = good.read_text().splitlines()
+    lines[2] = " ".join(["nan"] * 12)
+    bad.write_text("\n".join(lines) + "\n")
+    assert _run(["eval-odom", "--in", str(bad), "--gt", str(good),
+                 "--snippet-len", "5"]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:3" in err and "non-finite" in err

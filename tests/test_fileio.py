@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from viewsynth import fileio, geometry
+from viewsynth import fileio, geometry, model
 from viewsynth.fileio import FileFormatError
 from viewsynth.geometry import Intrinsics, PoseParams
+from viewsynth.losses import LossConfig
 
 
 def test_wf01_roundtrip_bit_identical(tmp_path):
@@ -91,3 +95,95 @@ def test_pnm_preview(tmp_path):
     data = p.read_bytes()
     assert data.startswith(b"P5\n4 3\n255\n")
     assert len(data) == len(b"P5\n4 3\n255\n") + 12
+
+
+# -- Parser fuzz ---------------------------------------------------------------
+#
+# Every parser either loads cleanly or raises FileFormatError (CheckpointError
+# for checkpoints); any other exception escapes the CLI's error reporting
+# without naming the file.
+
+_KNOWN_ESCAPES = [
+    (fileio.load_wf01, b"WF01\n-1 -1 4\n" + b"\x00" * 16),
+    (fileio.load_trajectory, b"1 0 0 0 0 1 0 0 0 0 1 x\n"),
+    (fileio.load_trajectory, b"1 0 0 0 0 1 0 0 0 0 1 0\n\xff\xfe\n"),
+    (fileio.load_intrinsics, b"fx 10\nfy 10\ncx 5\ncy 4\nwidth 2.5\nheight 8\n"),
+]
+
+
+@pytest.mark.parametrize("load, data", _KNOWN_ESCAPES)
+def test_malformed_input_names_the_file(tmp_path, load, data):
+    p = tmp_path / "input"
+    p.write_bytes(data)
+    with pytest.raises(FileFormatError, match=re.escape(str(p))):
+        load(p)
+
+
+def _fuzz_bytes(tokens):
+    """Byte strings joined from format tokens and arbitrary bytes."""
+    piece = st.sampled_from(tokens) | st.binary(max_size=6)
+    return st.binary(max_size=64) | st.lists(piece, max_size=40).map(b"".join)
+
+
+_COMMON_TOKENS = [b"0", b"1", b"-1", b"2.5", b"1e400", b"nan", b"inf", b"-0", b"x",
+            b" ", b"\n", b"\r\n", b"\t", b"#", b"\xff"]
+_FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _load_or_format_error(load, path, data, error=FileFormatError):
+    path.write_bytes(data)
+    try:
+        load(path)
+    except error as e:
+        if error is FileFormatError:
+            assert str(path) in str(e)
+
+
+@_FUZZ
+@given(_fuzz_bytes([b"WF01\n", b"2 2 1\n", b"-1 -1 4\n", b"\x00" * 4] + _COMMON_TOKENS))
+def test_fuzz_load_wf01(tmp_path, data):
+    _load_or_format_error(fileio.load_wf01, tmp_path / "f.wf01", data)
+
+
+@_FUZZ
+@given(_fuzz_bytes([b"target ", b"a.wf01", b"target 0\n", b"target 1\n"] + _COMMON_TOKENS))
+def test_fuzz_load_manifest(tmp_path, data):
+    _load_or_format_error(fileio.load_manifest, tmp_path / "seq.txt", data)
+
+
+@_FUZZ
+@given(_fuzz_bytes([b"fx ", b"fy ", b"cx ", b"cy ", b"width ", b"height ",
+                    b"fx 10\nfy 10\ncx 5\ncy 4\nwidth 10\nheight 8\n"] + _COMMON_TOKENS))
+def test_fuzz_load_intrinsics(tmp_path, data):
+    _load_or_format_error(fileio.load_intrinsics, tmp_path / "K.txt", data)
+
+
+@_FUZZ
+@given(_fuzz_bytes([b"1 0 0 0 0 1 0 0 0 0 1 0\n", b"0 1 0 0 -1 0 0 0 0 0 1 0.5\n",
+                    b"1 0 0 0 ", b"0.5 "] + _COMMON_TOKENS))
+def test_fuzz_load_trajectory(tmp_path, data):
+    _load_or_format_error(fileio.load_trajectory, tmp_path / "traj.txt", data)
+
+
+def _checkpoint_problem():
+    imgs = [np.random.default_rng(k).random((6, 8, 1)) for k in range(3)]
+    K = Intrinsics(fx=8.0, fy=8.0, cx=4.0, cy=3.0, width=8, height=6)
+    state = model.init_state(imgs, 1, K, LossConfig(num_levels=2))
+    return imgs, K, state
+
+
+@_FUZZ
+@given(st.data())
+def test_fuzz_load_checkpoint(tmp_path, data):
+    imgs, K, state = _checkpoint_problem()
+    path = tmp_path / "ckpt.bin"
+    model.save_checkpoint(path, state)
+    good = path.read_bytes()
+    # Overwrite a random span with random bytes, then cut at a random length.
+    start = data.draw(st.integers(0, len(good)))
+    patch = data.draw(st.binary(max_size=12))
+    cut = data.draw(st.integers(0, len(good) + 16))
+    mutated = (good[:start] + patch + good[start + len(patch):])[:cut]
+    _load_or_format_error(lambda p: model.load_checkpoint(p, imgs, 1, K), path, mutated,
+                          error=model.CheckpointError)

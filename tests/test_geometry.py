@@ -43,6 +43,15 @@ def test_pose_rejects_nonfinite():
         PoseParams(rx=np.nan)
 
 
+@pytest.mark.parametrize("idx", [(0, 0), (1, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_rigid_rejects_nonfinite(idx, bad):
+    T = np.eye(4)
+    T[idx] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        geometry.check_rigid(T)
+
+
 @given(poses)
 @settings(max_examples=50)
 def test_pose_transform_is_rigid(p):

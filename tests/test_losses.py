@@ -35,8 +35,8 @@ def test_constant_field_algebra():
     # target 0, warped 1, mask 0.5 everywhere -> 0.5 per pixel
     t = np.zeros((3, 5, 1))
     w = _warp_of(np.ones((3, 5, 1)))
-    logits = np.zeros((3, 5))  # sigmoid -> 0.5
-    loss, _, _, _ = losses.view_synthesis_loss(t, [w], [logits])
+    prob = losses.mask_probability(np.zeros((3, 5)))  # sigmoid -> 0.5
+    loss, _, _, _ = losses.view_synthesis_loss(t, [w], [prob])
     assert abs(loss - 0.5) < 1e-15
 
 
@@ -65,7 +65,8 @@ def test_matches_scalar_loop_oracle():
                 acc += prob * e
         expected += acc / n
 
-    loss, _, _, _ = losses.view_synthesis_loss(t, warps, masks)
+    probs = [losses.mask_probability(m) for m in masks]
+    loss, _, _, _ = losses.view_synthesis_loss(t, warps, probs)
     assert abs(loss - expected) < 1e-12
 
 
@@ -86,7 +87,7 @@ def test_unit_mask_bitwise_equals_unmasked():
     logits = np.full((5, 6), 50.0)
     assert losses.mask_probability(logits).min() == 1.0
     plain, _, _, _ = losses.view_synthesis_loss(t, [w])
-    masked, _, _, _ = losses.view_synthesis_loss(t, [w], [logits])
+    masked, _, _, _ = losses.view_synthesis_loss(t, [w], [losses.mask_probability(logits)])
     assert plain == masked
 
 
@@ -174,6 +175,28 @@ def test_smoothness_affine_invariance(seed, a, b, c):
     assert abs(l0 - l1) < 1e-9
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_forward_only_terms_keep_the_loss_and_skip_gradients(seed):
+    rng = np.random.default_rng(seed)
+    D = rng.random((6, 7))
+    sm, g_sm = losses.smoothness_loss(D)
+    sm_fwd, g_none = losses.smoothness_loss(D, want_grads=False)
+    assert sm_fwd == sm and g_none is None and g_sm.shape == D.shape
+    # sum / count is bitwise the ndarray.mean it replaced.
+    duu = D[:, :-2] - 2 * D[:, 1:-1] + D[:, 2:]
+    dvv = D[:-2, :] - 2 * D[1:-1, :] + D[2:, :]
+    assert sm == float(np.abs(duu).mean()) + float(np.abs(dvv).mean())
+
+    logits = rng.normal(0, 2, (5, 4))
+    prob = losses.mask_probability(logits)
+    reg, g_reg = losses.explainability_regularizer(logits)
+    reg_fwd, g_none = losses.explainability_regularizer(logits, prob, want_grads=False)
+    assert reg_fwd == reg and g_none is None
+    assert reg == float(-np.log(prob).mean())
+    _, g_given = losses.explainability_regularizer(logits, prob)
+    assert np.array_equal(g_given, g_reg)
+
+
 def test_pyramid_single_level_is_input():
     img = np.random.default_rng(1).random((6, 6, 1))
     pyr = losses.build_pyramid(img, 1)
@@ -255,6 +278,8 @@ def test_total_loss_with_given_pyramids_is_bitwise_equal():
         pyramids = losses.build_snippet_pyramids(state, cfg)
         report, grads = losses.total_loss(state, cfg, pyramids=pyramids)
         assert report == ref_report
+        fwd_report, no_grads = losses.total_loss(state, cfg, False, pyramids=pyramids)
+        assert fwd_report == ref_report and no_grads is None
         assert np.array_equal(grads.depth_logits, ref_grads.depth_logits)
         assert np.array_equal(grads.poses, ref_grads.poses)
         if use_masks:
@@ -274,6 +299,18 @@ def test_forward_only_total_loss_skips_rotation_jacobians(monkeypatch):
     assert calls == []
     losses.total_loss(state, cfg)
     assert len(calls) == len(state.sources)
+
+
+def test_masked_total_loss_computes_mask_probability_once_per_level(monkeypatch):
+    state, cfg = _small_state(seed=5, levels=2)
+    calls = []
+    orig = losses.mask_probability
+    monkeypatch.setattr(losses, "mask_probability",
+                        lambda x: calls.append(np.shape(x)) or orig(x))
+    for want_grads in (True, False):
+        calls.clear()
+        losses.total_loss(state, cfg, want_grads)
+        assert calls == [m.shape for m in state.mask_logits]
 
 
 def test_loss_config_validation():

@@ -28,6 +28,15 @@ def test_activated_depth_stays_inside_open_interval(logit):
     assert lo < d < hi
 
 
+@pytest.mark.parametrize("logit", [-800.0, -1e6, 800.0, 1e6])
+def test_activated_depth_extreme_logits_are_finite(logit):
+    # exp(-x) overflows below x = -709.78; RuntimeWarnings fail the suite,
+    # so this also checks that no overflow warning is raised.
+    lim = 1.0 / model.DEPTH_BETA if logit < 0 else 1.0 / (model.DEPTH_ALPHA + model.DEPTH_BETA)
+    assert model.activate_depth(logit) == lim
+    assert model.activate_depth_grad(logit) == 0.0
+
+
 def test_depth_to_logit_roundtrip():
     for depth in (0.2, 1.0, 5.0, 50.0):
         assert abs(model.activate_depth(model.depth_to_logit(depth)) - depth) < 1e-9
@@ -185,12 +194,15 @@ def test_fit_depth_bounds_hold_after_every_step():
 
 
 def test_fit_diverged_raises_with_iteration():
+    # With tx != 0 the NaN depth reaches bilinear_sample as NaN coordinates.
     imgs = _images(seed=2)
-    state = model.init_state(imgs, 1, K, CFG)
-    state.depth_logits[0, 0] = np.nan
-    with pytest.raises(model.FitDiverged) as e:
-        model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=5), state=state)
-    assert e.value.iteration == 1
+    for tx in (0.0, 0.01):
+        state = model.init_state(imgs, 1, K, CFG)
+        state.depth_logits[0, 0] = np.nan
+        state.poses[:, 3] = tx
+        with pytest.raises(model.FitDiverged) as e:
+            model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=5), state=state)
+        assert e.value.iteration == 1
 
 
 def test_checkpoint_roundtrip(tmp_path):

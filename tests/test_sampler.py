@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +62,61 @@ def test_convexity_of_interpolation(seed):
     x0, y0 = min(int(u), 6), min(int(v), 4)
     corners = img[y0: y0 + 2, x0: x0 + 2, 0]
     assert corners.min() - 1e-12 <= val[0] <= corners.max() + 1e-12
+
+
+def _sample_2d_indexing(img, u, v):
+    """Reference bilinear_sample that gathers corners with 2-D indexing."""
+    H, W, _ = img.shape
+    valid = (u >= 0) & (u <= W - 1) & (v >= 0) & (v <= H - 1)
+    uc = np.clip(u, 0, W - 1)
+    vc = np.clip(v, 0, H - 1)
+    x0 = np.clip(np.floor(uc).astype(int), 0, max(W - 2, 0))
+    y0 = np.clip(np.floor(vc).astype(int), 0, max(H - 2, 0))
+    x1 = np.minimum(x0 + 1, W - 1)
+    y1 = np.minimum(y0 + 1, H - 1)
+    Itl, Itr, Ibl, Ibr = img[y0, x0], img[y0, x1], img[y1, x0], img[y1, x1]
+    du_ = (uc - x0)[..., None]
+    dv_ = (vc - y0)[..., None]
+    top = Itl + du_ * (Itr - Itl)
+    bot = Ibl + du_ * (Ibr - Ibl)
+    m = valid[..., None]
+    return (np.where(m, top + dv_ * (bot - top), 0.0),
+            np.where(m, (1 - dv_) * (Itr - Itl) + dv_ * (Ibr - Ibl), 0.0),
+            np.where(m, bot - top, 0.0), valid)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 6, 2), (5, 1, 3), (2, 2, 1),
+                                   (7, 9, 3), (48, 64, 1)])
+def test_flat_gather_equals_2d_indexing(shape):
+    H, W, _ = shape
+    rng = np.random.default_rng(H * 100 + W)
+    img = rng.random(shape)
+    u = rng.uniform(-1.5, W + 0.5, (9, 13))
+    v = rng.uniform(-1.5, H + 0.5, (9, 13))
+    # Edges and integer coordinates, where the cell assignment matters.
+    u[0, :6] = [0.0, W - 1, W, -0.0, 1.0, W - 2]
+    v[1, :6] = [0.0, H - 1, H, -0.0, 1.0, H - 2]
+    u[2] = np.round(u[2])
+    v[2] = np.round(v[2])
+    ref = _sample_2d_indexing(img, u, v)
+    got = sampler.bilinear_sample(img, u, v)
+    for a, b in zip(got, ref, strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(sampler.bilinear_sample(img, u, v, want_grads=False)[0], ref[0])
+
+
+def test_nonfinite_coordinates_are_invalid_without_warning():
+    img = np.random.default_rng(2).random((4, 5, 2))
+    bad = np.array([np.nan, np.inf, -np.inf, 2.0])
+    good = np.full(4, 1.5)
+    for u, v in ((bad, good), (good, bad), (bad, bad[::-1])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, gu, gv, valid = sampler.bilinear_sample(img, u, v)
+        nonfinite = ~(np.isfinite(u) & np.isfinite(v))
+        assert not valid[nonfinite].any()
+        for out in (val, gu, gv):
+            assert np.all(out[nonfinite] == 0.0)
 
 
 def _camera(w, h, f=30.0):
