@@ -16,7 +16,7 @@ import io
 import numpy as np
 
 from . import geometry
-from .geometry import Intrinsics
+from .geometry import Intrinsics, InvalidIntrinsics
 
 
 class FileFormatError(ValueError):
@@ -110,6 +110,7 @@ def save_intrinsics(path, K: Intrinsics) -> None:
 
 def load_intrinsics(path) -> Intrinsics:
     vals = {}
+    lines = {}
     for ln, line in _read_lines(path):
         if not line or line.startswith("#"):
             continue
@@ -117,17 +118,21 @@ def load_intrinsics(path) -> Intrinsics:
         if len(parts) != 2:
             raise FileFormatError(f"{path}:{ln}: malformed line {line!r}")
         vals[parts[0]] = parts[1]
+        lines[parts[0]] = ln
     for k in _K_KEYS:
         if k not in vals:
             raise FileFormatError(f"{path}: missing key {k!r}")
+    fields = {}
+    for k in _K_KEYS:
+        kind = int if k in ("width", "height") else float
+        try:
+            fields[k] = kind(vals[k])
+        except ValueError as e:
+            raise FileFormatError(f"{path}:{lines[k]}: invalid {k}: {e}") from e
     try:
-        return Intrinsics(
-            fx=float(vals["fx"]), fy=float(vals["fy"]),
-            cx=float(vals["cx"]), cy=float(vals["cy"]),
-            width=int(vals["width"]), height=int(vals["height"]),
-        )
-    except ValueError as e:
-        raise FileFormatError(f"{path}: invalid intrinsics: {e}") from e
+        return Intrinsics(**fields)
+    except InvalidIntrinsics as e:
+        raise FileFormatError(f"{path}:{lines[e.field]}: invalid intrinsics: {e}") from e
 
 
 # -- Sequence manifest -------------------------------------------------------

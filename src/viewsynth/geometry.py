@@ -12,6 +12,7 @@ Conventions (fixed for the whole package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,14 @@ import numpy as np
 BEHIND_EPS = 1e-6
 
 _RIGID_TOL = 1e-9
+
+
+class InvalidIntrinsics(ValueError):
+    """An Intrinsics field out of range; `field` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -34,10 +43,15 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
-        if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+        for name in ("fx", "fy"):
+            f = getattr(self, name)
+            if not (math.isfinite(f) and f > 0):
+                raise InvalidIntrinsics(name, f"{name} must be finite and positive, got {f}")
+        for name, size in (("cx", self.width), ("cy", self.height)):
+            c = getattr(self, name)
+            if not 0 < c < size:
+                raise InvalidIntrinsics(
+                    name, f"{name} {c} puts the principal point outside the image")
 
     def matrix(self) -> np.ndarray:
         return np.array(
@@ -156,7 +170,14 @@ def backproject(u, v, depth, K: Intrinsics) -> np.ndarray:
 
 
 def transform_points(T: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return pts @ T[:3, :3].T + T[:3, 3]
+    """Apply a 4x4 rigid transform to (..., 3) points.
+
+    A (B, 4, 4) stack of transforms maps an (H, W, 3) or (B, H, W, 3) grid of
+    points to (B, H, W, 3), with the per-slice arithmetic of the 4x4 case.
+    """
+    if T.ndim == 2:
+        return pts @ T[:3, :3].T + T[:3, 3]
+    return pts @ np.swapaxes(T[:, None, :3, :3], -1, -2) + T[:, None, None, :3, 3]
 
 
 def project_points(pts: np.ndarray, K: Intrinsics):

@@ -8,6 +8,11 @@ with weights lambda_s / 2^level and lambda_e.
 Normalization: every component is a mean (over valid pixels per source for
 the photometric term, over stencil positions for smoothness, over pixels for
 the regularizer) so weights behave uniformly across pyramid levels.
+
+Batch axis: the forward pass evaluates a batch of parameter sets in one call
+(see total_loss). Every layer then reduces only over its trailing axes, with
+the batch axis leading, and keeps the unbatched call's order of operations,
+so each batch element's value equals the unbatched call's bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import numpy as np
 
 from . import geometry, sampler
 from .geometry import Intrinsics
-from .sampler import WarpResult
 
 
 @dataclass(frozen=True)
@@ -75,29 +79,28 @@ def mask_probability(logits: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
-def build_pyramid(img, levels: int) -> list:
+def build_pyramid(img, levels: int, batched: bool = False) -> list:
     """Box-filtered 2x downsampling pyramid; level 0 is the input.
 
-    Odd trailing rows/columns are truncated. Stops early (returning fewer
-    levels) once a dimension would drop below 2.
+    img is (H, W) or (H, W, C); with batched it is a (B, H, W) stack of maps,
+    each filtered on its own. Odd trailing rows/columns are truncated. Stops
+    early (returning fewer levels) once a dimension would drop below 2.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     img = np.asarray(img, dtype=float)
+    lead = 1 if batched else 0
     out = [img]
     for _ in range(levels - 1):
         prev = out[-1]
-        h2, w2 = prev.shape[0] // 2, prev.shape[1] // 2
+        h2, w2 = prev.shape[lead] // 2, prev.shape[lead + 1] // 2
         if h2 < 2 or w2 < 2:
             break
-        t = prev[: 2 * h2, : 2 * w2]
+        t = prev[(slice(None),) * lead + (slice(2 * h2), slice(2 * w2))]
+        blocks = t.shape[:lead] + (h2, 2, w2, 2) + t.shape[lead + 2:]
         # sum / 4 is what ndarray.mean computes, without its Python-level
         # dispatch; the same holds for every sum / count in this module.
-        if t.ndim == 3:
-            down = t.reshape(h2, 2, w2, 2, t.shape[2]).sum(axis=(1, 3)) / 4
-        else:
-            down = t.reshape(h2, 2, w2, 2).sum(axis=(1, 3)) / 4
-        out.append(down)
+        out.append(t.reshape(blocks).sum(axis=(lead + 1, lead + 3)) / 4)
     return out
 
 
@@ -123,6 +126,43 @@ def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
     return SnippetPyramids(target=target, sources=sources, intrinsics=intrinsics)
 
 
+def _sum_hw(x) -> float | np.ndarray:
+    """x summed over its two trailing (spatial) axes: a float for one map,
+    one value per batch element for a stack of maps."""
+    total = x.sum(axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
+
+
+def _count_hw(mask) -> int | np.ndarray:
+    """True pixels of a boolean map: an int for one map, one count per map
+    of a stack. count_nonzero is several times faster than sum here."""
+    if mask.ndim == 2:
+        return int(np.count_nonzero(mask))
+    return np.count_nonzero(mask, axis=(-2, -1))
+
+
+def _mean_hw(x, count) -> float | np.ndarray:
+    """_sum_hw(x) / count; for a stack, 0.0 where its count is 0."""
+    total = x.sum(axis=(-2, -1))
+    if total.ndim == 0:
+        return float(total / count)
+    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
+
+
+def _sum_sources(values: list) -> float | np.ndarray:
+    """sum(values), per batch element when some values are stacks.
+
+    Each element goes through Python's own float sum, which is compensated
+    from Python 3.12 on, so a running NumPy sum could round differently from
+    the unbatched call.
+    """
+    if all(isinstance(v, float) for v in values):
+        return sum(values)
+    columns = [np.broadcast_to(v, np.broadcast_shapes(*map(np.shape, values))).tolist()
+               for v in values]
+    return np.array([sum(element) for element in zip(*columns)])
+
+
 def _upsample_grad(g: np.ndarray, shape) -> np.ndarray:
     """Adjoint of the 2x2 box downsampling used in build_pyramid."""
     h2, w2 = g.shape
@@ -144,6 +184,10 @@ def view_synthesis_loss(target, warps: list, mask_probs=None,
     off), and n_valid the per-source valid counts. With want_grads off both
     gradient lists hold None. A source with zero valid pixels contributes 0
     with zero gradients.
+
+    Warps and mask grids may carry a leading batch axis (batched warps of
+    inverse_warp); the loss and each valid count are then one value per batch
+    element, and want_grads must be off.
     """
     target = sampler._as_image(target)
     if not warps:
@@ -154,23 +198,24 @@ def view_synthesis_loss(target, warps: list, mask_probs=None,
     grad_mask = []
     n_valid = []
     for s, w in enumerate(warps):
-        if w.warped.shape != target.shape:
+        if w.warped.shape[-3:] != target.shape:
             raise ValueError("warp/target shape mismatch")
         valid = w.valid
-        n = int(valid.sum())
+        n = _count_hw(valid)
         n_valid.append(n)
-        if n == 0:
+        # In a batch, _mean_hw below gives the elements without valid pixels 0.
+        if isinstance(n, int) and n == 0:
             grad_warped.append(np.zeros_like(w.warped))
             grad_mask.append(None if mask_probs is None else np.zeros_like(mask_probs[s]))
             loss += 0.0
             continue
         r = w.warped - target
-        e = np.abs(r).sum(axis=2) / C
+        e = np.abs(r).sum(axis=-1) / C
         if mask_probs is not None:
             prob = mask_probs[s]
-            loss += float((prob * e * valid).sum() / n)
+            loss += _mean_hw(prob * e * valid, n)
         else:
-            loss += float((e * valid).sum() / n)
+            loss += _mean_hw(e * valid, n)
 
         if not want_grads:
             grad_warped.append(None)
@@ -192,7 +237,7 @@ def explainability_regularizer(logits, prob=None, want_grads: bool = True):
 
     prob, when given, is mask_probability(logits), computed once by the
     caller. Returns (loss, grad_logits); grad_logits is None with want_grads
-    off.
+    off. A (B, H, W) stack of logit grids gives one loss per grid.
     """
     logits = np.asarray(logits, dtype=float)
     if prob is None:
@@ -201,7 +246,7 @@ def explainability_regularizer(logits, prob=None, want_grads: bool = True):
     # imprecise or -inf; log(sigmoid(x)) = x - log1p(exp(x)) rounds to x there.
     with np.errstate(divide="ignore"):
         log_prob = np.where(logits < -_LOG_MAX_FLOAT, logits, np.log(prob))
-    loss = float(-(log_prob.sum() / log_prob.size))
+    loss = -_mean_hw(log_prob, log_prob.shape[-2] * log_prob.shape[-1])
     if not want_grads:
         return loss, None
     # d(-log sigmoid(x))/dx = -(1 - prob)
@@ -212,30 +257,53 @@ def smoothness_loss(depth, want_grads: bool = True):
     """Mean absolute second difference of the depth map, per axis.
 
     Axes shorter than 3 samples contribute 0. Returns (loss, grad_depth);
-    grad_depth is None with want_grads off.
+    grad_depth is None with want_grads off. A (B, H, W) stack of depth maps
+    gives one loss (and gradient map) per map.
     """
     D = np.asarray(depth, dtype=float)
-    if D.ndim != 2:
-        raise ValueError("depth must be 2-D")
+    if D.ndim not in (2, 3):
+        raise ValueError("depth must be (H, W) or a (B, H, W) stack")
     loss = 0.0
     grad = np.zeros_like(D) if want_grads else None
-    if D.shape[1] >= 3:
-        duu = D[:, :-2] - 2 * D[:, 1:-1] + D[:, 2:]
-        loss += float(np.abs(duu).sum() / duu.size)
+    if D.shape[-1] >= 3:
+        duu = D[..., :-2] - 2 * D[..., 1:-1] + D[..., 2:]
+        count = duu.shape[-2] * duu.shape[-1]
+        loss += _mean_hw(np.abs(duu), count)
         if want_grads:
-            sg = np.sign(duu) / duu.size
-            grad[:, :-2] += sg
-            grad[:, 1:-1] -= 2 * sg
-            grad[:, 2:] += sg
-    if D.shape[0] >= 3:
-        dvv = D[:-2, :] - 2 * D[1:-1, :] + D[2:, :]
-        loss += float(np.abs(dvv).sum() / dvv.size)
+            sg = np.sign(duu) / count
+            grad[..., :-2] += sg
+            grad[..., 1:-1] -= 2 * sg
+            grad[..., 2:] += sg
+    if D.shape[-2] >= 3:
+        dvv = D[..., :-2, :] - 2 * D[..., 1:-1, :] + D[..., 2:, :]
+        count = dvv.shape[-2] * dvv.shape[-1]
+        loss += _mean_hw(np.abs(dvv), count)
         if want_grads:
-            sg = np.sign(dvv) / dvv.size
-            grad[:-2, :] += sg
-            grad[1:-1, :] -= 2 * sg
-            grad[2:, :] += sg
+            sg = np.sign(dvv) / count
+            grad[..., :-2, :] += sg
+            grad[..., 1:-1, :] -= 2 * sg
+            grad[..., 2:, :] += sg
     return loss, grad
+
+
+def _pose_transforms(poses: np.ndarray) -> list:
+    """Target-to-source transform of every source: a 4x4 matrix for (S, 6)
+    poses, a (B, 4, 4) stack for a (B, S, 6) batch of them.
+
+    Each distinct pose row is converted once, by the scalar pose_to_transform.
+    """
+    cache = {}
+
+    def transform(row):
+        key = row.tobytes()
+        if key not in cache:
+            cache[key] = geometry.pose_to_transform(geometry.PoseParams.from_array(row))
+        return cache[key]
+
+    if poses.ndim == 2:
+        return [transform(row) for row in poses]
+    return [np.stack([transform(row) for row in poses[:, s]])
+            for s in range(poses.shape[1])]
 
 
 def total_loss(state, config: LossConfig, want_grads: bool = True, *,
@@ -248,6 +316,14 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     built here when not given. Returns (LossReport, SnippetGrads); the
     gradient buffers are None when want_grads is off (cheaper forward pass,
     used by the finite-difference harness).
+
+    Batch axis: the parameters may describe a batch of B parameter sets
+    instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
+    mask level (B, S, H_l, W_l); a parameter without the leading B axis is
+    shared by the whole batch. Each report value that depends on a batched
+    parameter then holds one entry per batch element, equal bit for bit to
+    the total_loss of that parameter set alone. Batches are forward-only:
+    want_grads must be off.
     """
     from . import model  # local import; model builds on this module
 
@@ -258,22 +334,25 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     src_pyrs = pyramids.sources
     L = len(tgt_pyr)
 
-    depth0 = model.activate_depth(state.depth_logits)
-    depth_pyr = build_pyramid(depth0, L)
-
     use_masks = config.use_explainability and state.mask_logits is not None
+    poses = np.asarray(state.poses, dtype=float)
+    depth0 = model.activate_depth(state.depth_logits)
+    batched = (depth0.ndim == 3 or poses.ndim == 3
+               or (use_masks and any(m.ndim == 4 for m in state.mask_logits)))
+    if batched and want_grads:
+        raise ValueError("gradients need a single parameter set, not a batch")
+    depth_pyr = build_pyramid(depth0, L, depth0.ndim == 3)  # batched
 
     if want_grads:
         g_depth_lv = [np.zeros_like(d) for d in depth_pyr]
         g_pose = np.zeros((S, 6))
         g_mask = [np.zeros_like(state.mask_logits[l]) for l in range(L)] if use_masks else None
 
-    transforms = []
+    transforms = _pose_transforms(poses)
     rot_jacs = []
-    for s in range(S):
-        p = geometry.PoseParams.from_array(state.poses[s])
-        transforms.append(geometry.pose_to_transform(p))
-        if want_grads:
+    if want_grads:
+        for s in range(S):
+            p = geometry.PoseParams.from_array(poses[s])
             rot_jacs.append(geometry.rotation_jacobians(p.rx, p.ry, p.rz))
 
     total = 0.0
@@ -283,31 +362,36 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     valid_per_level = []
     mask_prob_sum = 0.0
     mask_prob_n = 0
-    any_valid = False
+    valid_px = 0
 
     for l in range(L):
         Kl = pyramids.intrinsics[l]
         Dl = depth_pyr[l]
         warps = [sampler.inverse_warp(src_pyrs[s][l], Dl, transforms[s], Kl,
                                       want_grads=want_grads) for s in range(S)]
-        # One (S, H_l, W_l) probability array per level serves the
-        # photometric weights, the regularizer and mean_mask.
-        probs = mask_probability(state.mask_logits[l]) if use_masks else None
+        # One probability array per level serves the photometric weights,
+        # the regularizer and mean_mask. The source axis moves to the front,
+        # so probs[s] and logits[s] are one source's grids, batched or not.
+        if use_masks:
+            logits = np.moveaxis(state.mask_logits[l], -3, 0)
+            probs = np.moveaxis(mask_probability(state.mask_logits[l]), -3, 0)
+        else:
+            probs = None
 
         vs_l, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
             tgt_pyr[l], warps, probs, want_grads=want_grads)
         vs_per_level.append(vs_l)
         valid_per_level.append(n_valid)
-        any_valid = any_valid or any(n > 0 for n in n_valid)
+        valid_px += sum(n_valid)
 
         regs = [0.0] * S
         if use_masks:
             for s in range(S):
                 prob = probs[s]
                 regs[s], g_reg = explainability_regularizer(
-                    state.mask_logits[l][s], prob, want_grads=want_grads)
-                mask_prob_sum += float(prob.sum())
-                mask_prob_n += prob.size
+                    logits[s], prob, want_grads=want_grads)
+                mask_prob_sum += _sum_hw(prob)
+                mask_prob_n += prob.shape[-2] * prob.shape[-1]
                 if want_grads:
                     g_mask[l][s] += g_mask_vs[s]
                     g_mask[l][s] += config.lambda_e * g_reg
@@ -343,7 +427,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         if want_grads:
             g_depth_lv[l] += w_s * g_sm
 
-        total += vs_l + w_s * smooth_l + config.lambda_e * sum(regs)
+        total += vs_l + w_s * smooth_l + config.lambda_e * _sum_sources(regs)
 
     # Collapse the per-level depth gradients down the pyramid, then through
     # the activation to the logits.
@@ -362,6 +446,6 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         reg_per_level=reg_per_level,
         valid_per_level=valid_per_level,
         mean_mask=(mask_prob_sum / mask_prob_n) if mask_prob_n else None,
-        all_invalid=not any_valid,
+        all_invalid=valid_px == 0,
     )
     return report, grads

@@ -34,21 +34,20 @@ class WarpResult:
 
     warped:     (H, W, C) source resampled on the target grid, zero where invalid
     valid:      (H, W) bool; in-bounds and in front of the source camera
-    d_du, d_dv: (H, W, C) partials of each warped intensity w.r.t. (u_s, v_s)
-    us, vs, zs: (H, W) projected source coordinates and source-frame depth
+    d_du, d_dv: (H, W, C) partials of each warped intensity w.r.t. (u_s, v_s);
+                None for a forward-only warp
     rays:       (H, W, 3) unit-depth target-frame ray K^-1 [u, v, 1]; the
-                read-only array shared through pixel_grid (so are us, vs
-                when T is the identity)
+                read-only array shared through pixel_grid
     src_points: (H, W, 3) target points expressed in the source camera frame
+
+    A batched warp (see inverse_warp) puts a leading batch axis on warped,
+    valid and src_points.
     """
 
     warped: np.ndarray
     valid: np.ndarray
     d_du: np.ndarray
     d_dv: np.ndarray
-    us: np.ndarray
-    vs: np.ndarray
-    zs: np.ndarray
     rays: np.ndarray
     src_points: np.ndarray
 
@@ -127,11 +126,15 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
     For every target pixel, projects through `T` (target-to-source) at the
     given per-pixel depth and bilinearly samples `src` there. want_grads=False
     skips the per-pixel jacobian buffers (forward-only evaluation).
+
+    depth may be a (B, H, W) stack and T a (B, 4, 4) stack, one per parameter
+    set of a batch; an unbatched one is shared by the batch. The result then
+    carries the batch axis, and each slice equals the unbatched warp bitwise.
     """
     src = _as_image(src)
     depth = np.asarray(depth, dtype=float)
     H, W, _ = src.shape
-    if depth.shape != (H, W):
+    if depth.shape[-2:] != (H, W) or depth.ndim > 3:
         raise ValueError(f"depth shape {depth.shape} does not match image {(H, W)}")
     if (K.width, K.height) != (W, H):
         raise ValueError("intrinsics dimensions do not match image")
@@ -140,12 +143,19 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
 
     jj, ii, rays = pixel_grid(K)
     pts = geometry.transform_points(T, depth[..., None] * rays)
-    if np.array_equal(T, _IDENTITY):
+    identity = (T == _IDENTITY).all(axis=(-2, -1))   # one flag per transform
+    if (identity.all() if T.ndim == 3 else identity):
         # Identity map is exact; skip the float round-trip through K so the
         # warp reproduces the source bit-for-bit.
         us, vs, zs = jj, ii, depth
     else:
         us, vs, zs = geometry.project_points(pts, K)
+        if T.ndim == 3 and identity.any():
+            # A batch of transforms takes the same shortcut per element.
+            keep = identity[:, None, None]
+            us = np.where(keep, jj, us)
+            vs = np.where(keep, ii, vs)
+            zs = np.where(keep, depth, zs)
     in_front = zs > BEHIND_EPS
 
     warped, d_du, d_dv, in_bounds = bilinear_sample(src, us, vs, want_grads)
@@ -156,9 +166,6 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
         valid=valid,
         d_du=np.where(m, d_du, 0.0) if want_grads else None,
         d_dv=np.where(m, d_dv, 0.0) if want_grads else None,
-        us=us,
-        vs=vs,
-        zs=zs,
         rays=rays,
         src_points=pts,
     )

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ def test_fit_bad_frame_pixel_names_the_file(tmp_path, capsys, bad):
                  "--max-iters", "5"]) == 1
     err = capsys.readouterr().err
     assert str(frame) in err and "non-finite" not in err
+
+
+def test_fit_infinite_focal_length_names_the_file(tmp_path, capsys):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    K_path = seq_dir / "intrinsics.txt"
+    K_path.write_text(K_path.read_text().replace("fx 20\n", "fx inf\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+                     "--max-iters", "3"]) == 1
+    err = capsys.readouterr().err
+    assert f"{K_path}:1:" in err and "fx" in err
+    assert "RuntimeWarning" not in err and "pose parameters" not in err
 
 
 @pytest.mark.parametrize("iters", ["0", "-3"])

@@ -55,6 +55,18 @@ def test_intrinsics_missing_key_named(tmp_path):
         fileio.load_intrinsics(p)
 
 
+@pytest.mark.parametrize("key, value, line", [
+    ("fx", "inf", 1), ("fx", "-inf", 1), ("fy", "nan", 2), ("fy", "0", 2),
+    ("cx", "12", 3), ("cy", "nan", 4), ("width", "2.5", 5), ("height", "x", 6)])
+def test_intrinsics_bad_value_names_its_line(tmp_path, key, value, line):
+    good = {"fx": "10", "fy": "10", "cx": "5", "cy": "4", "width": "10", "height": "8"}
+    good[key] = value
+    p = tmp_path / "K.txt"
+    p.write_text("".join(f"{k} {v}\n" for k, v in good.items()))
+    with pytest.raises(FileFormatError, match=re.escape(f"{p}:{line}:") + ".*" + key):
+        fileio.load_intrinsics(p)
+
+
 def test_manifest_roundtrip(tmp_path):
     p = tmp_path / "seq.txt"
     fileio.save_manifest(p, ["a.wf01", "b.wf01", "c.wf01"], 1)
@@ -132,12 +144,14 @@ _FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
 
 
 def _load_or_format_error(load, path, data, error=FileFormatError):
+    """What load(path) returns for data, or None after the expected error."""
     path.write_bytes(data)
     try:
-        load(path)
+        return load(path)
     except error as e:
         if error is FileFormatError:
             assert str(path) in str(e)
+        return None
 
 
 @_FUZZ
@@ -154,9 +168,12 @@ def test_fuzz_load_manifest(tmp_path, data):
 
 @_FUZZ
 @given(_fuzz_bytes([b"fx ", b"fy ", b"cx ", b"cy ", b"width ", b"height ",
+                    b"inf\n", b"-inf\n", b"nan\n", b"0\n",
                     b"fx 10\nfy 10\ncx 5\ncy 4\nwidth 10\nheight 8\n"] + _COMMON_TOKENS))
 def test_fuzz_load_intrinsics(tmp_path, data):
-    _load_or_format_error(fileio.load_intrinsics, tmp_path / "K.txt", data)
+    K = _load_or_format_error(fileio.load_intrinsics, tmp_path / "K.txt", data)
+    if K is not None:
+        assert np.isfinite([K.fx, K.fy]).all() and K.fx > 0 and K.fy > 0
 
 
 @_FUZZ

@@ -151,3 +151,20 @@ def test_intrinsics_invariants():
         Intrinsics(fx=-1, fy=1, cx=5, cy=5, width=10, height=10)
     with pytest.raises(ValueError):
         Intrinsics(fx=1, fy=1, cx=20, cy=5, width=10, height=10)
+    # NaN fails every comparison and inf > 0 holds, so both need their own check.
+    for bad in (np.inf, -np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="fx"):
+            Intrinsics(fx=bad, fy=1, cx=5, cy=5, width=10, height=10)
+        with pytest.raises(ValueError, match="fy"):
+            Intrinsics(fx=1, fy=bad, cx=5, cy=5, width=10, height=10)
+
+
+@pytest.mark.parametrize("angles", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (-1.1, 0.7, 2.5)])
+def test_rotation_jacobians_match_central_differences(angles):
+    h = 1e-6
+    for i, J in enumerate(geometry.rotation_jacobians(*angles)):
+        hi, lo = list(angles), list(angles)
+        hi[i] += h
+        lo[i] -= h
+        fd = (geometry.euler_to_rotation(*hi) - geometry.euler_to_rotation(*lo)) / (2 * h)
+        assert np.max(np.abs(J - fd)) < 1e-9, i

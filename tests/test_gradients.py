@@ -1,5 +1,7 @@
 """Finite-difference verification of the full analytic gradient chain."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,3 +50,149 @@ def test_depth_gradient_through_pyramid():
         state.depth_logits[idx] = orig
         fd = (hi.total - lo.total) / (2 * h)
         assert abs(grads.depth_logits[idx] - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+# -- Batched forward pass -------------------------------------------------------
+
+def _parameter_sets(state, rng, n):
+    """n parameter sets around the state's: the state's own, all poses exactly
+    zero (identity warps), source 0 moved so far that none of its pixels is
+    valid, then random perturbations of every group."""
+    sets = []
+    for k in range(n):
+        depth, poses = state.depth_logits.copy(), state.poses.copy()
+        masks = state.mask_logits and [m.copy() for m in state.mask_logits]
+        if k == 1:
+            poses[:] = 0.0
+        elif k == 2:
+            poses[0, 3] = 50.0
+        elif k > 2:
+            depth += rng.normal(0.0, 0.2, depth.shape)
+            poses += rng.normal(0.0, 0.01, poses.shape)
+            for m in masks or []:
+                m += rng.normal(0.0, 0.5, m.shape)
+        sets.append((depth, poses, masks))
+    return sets
+
+
+def _batched_totals(state, cfg, sets, batched, chunk):
+    """Totals of `sets` from batched total_loss calls of up to `chunk` sets.
+    Only the groups named in `batched` get a batch axis; the others are the
+    state's own, shared by the batch."""
+    totals = []
+    for start in range(0, len(sets), chunk):
+        part = sets[start:start + chunk]
+        batch = replace(state)
+        if "depth" in batched:
+            batch.depth_logits = np.stack([d for d, _, _ in part])
+        if "poses" in batched:
+            batch.poses = np.stack([p for _, p, _ in part])
+        if "masks" in batched and state.mask_logits is not None:
+            batch.mask_logits = [np.stack([m[l] for _, _, m in part])
+                                 for l in range(len(state.mask_logits))]
+        report, grads = losses.total_loss(batch, cfg, want_grads=False)
+        assert grads is None
+        totals.extend(np.broadcast_to(report.total, (len(part),)).tolist())
+    return totals
+
+
+@pytest.mark.parametrize("use_masks", [True, False])
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize("n_sources", [1, 2, 3])
+def test_batched_totals_equal_per_call_totals(use_masks, levels, n_sources):
+    state, cfg = gradcheck.random_instance(40 + n_sources, n_sources=n_sources,
+                                           levels=levels, use_masks=use_masks)
+    rng = np.random.default_rng(levels)
+    for batched in (("depth", "poses", "masks"), ("depth",), ("poses",), ("masks",)):
+        if batched == ("masks",) and not use_masks:
+            continue
+        sets = _parameter_sets(state, rng, 9)
+        # Per-call reference: the state with exactly one parameter set.
+        expected = []
+        for depth, poses, masks in sets:
+            one = replace(state,
+                          depth_logits=depth if "depth" in batched else state.depth_logits,
+                          poses=poses if "poses" in batched else state.poses,
+                          mask_logits=masks if "masks" in batched else state.mask_logits)
+            report, _ = losses.total_loss(one, cfg, want_grads=False)
+            expected.append(report.total)
+            if "poses" in batched and poses[0, 3] == 50.0:
+                assert all(n[0] == 0 for n in report.valid_per_level)
+        for chunk in (1, 7, len(sets)):
+            assert _batched_totals(state, cfg, sets, batched, chunk) == expected, (batched, chunk)
+
+
+def test_batched_depth_with_identity_poses_equals_per_call():
+    # Fit iteration 1: every pose is zero, so the unbatched transform is the
+    # identity and takes the exact shortcut for the whole depth batch.
+    state, cfg = gradcheck.random_instance(6)
+    state.poses[:] = 0.0
+    sets = _parameter_sets(state, np.random.default_rng(1), 6)
+    expected = [losses.total_loss(replace(state, depth_logits=d), cfg, False)[0].total
+                for d, _, _ in sets]
+    assert _batched_totals(state, cfg, sets, ("depth",), 4) == expected
+
+
+def test_batched_report_holds_per_element_terms():
+    state, cfg = gradcheck.random_instance(7, n_sources=3)
+    sets = _parameter_sets(state, np.random.default_rng(2), 5)
+    batch = replace(state, depth_logits=np.stack([d for d, _, _ in sets]),
+                    poses=np.stack([p for _, p, _ in sets]),
+                    mask_logits=[np.stack([m[l] for _, _, m in sets]) for l in range(2)])
+    report, _ = losses.total_loss(batch, cfg, want_grads=False)
+    for k, (depth, poses, masks) in enumerate(sets):
+        one, _ = losses.total_loss(replace(state, depth_logits=depth, poses=poses,
+                                           mask_logits=masks), cfg, want_grads=False)
+        for l in range(2):
+            assert report.vs_per_level[l][k] == one.vs_per_level[l]
+            assert report.smooth_per_level[l][k] == one.smooth_per_level[l]
+            assert [r[k] for r in report.reg_per_level[l]] == one.reg_per_level[l]
+            assert [n[k] for n in report.valid_per_level[l]] == one.valid_per_level[l]
+        assert report.mean_mask[k] == one.mean_mask
+        assert report.all_invalid[k] == one.all_invalid
+
+
+def test_batched_total_loss_refuses_gradients():
+    state, cfg = gradcheck.random_instance(0)
+    batch = replace(state, depth_logits=np.stack([state.depth_logits] * 2))
+    with pytest.raises(ValueError, match="batch"):
+        losses.total_loss(batch, cfg)
+
+
+def _per_coordinate_check(state, config, step=1e-5):
+    """check_instance as one forward-only total_loss call per perturbation:
+    the reference the batched oracle must reproduce bit for bit."""
+    pyramids = losses.build_snippet_pyramids(state, config)
+    _, grads = losses.total_loss(state, config, pyramids=pyramids)
+    analytic = dict(model._grad_items(grads))
+    errors, fds = {}, {}
+    for name, param in model._param_items(state):
+        fd = np.zeros_like(param)
+        flat = param.reshape(-1)
+        fdflat = fd.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi, _ = losses.total_loss(state, config, want_grads=False, pyramids=pyramids)
+            flat[i] = orig - step
+            lo, _ = losses.total_loss(state, config, want_grads=False, pyramids=pyramids)
+            flat[i] = orig
+            fdflat[i] = (hi.total - lo.total) / (2 * step)
+        a = analytic[name]
+        scale = max(np.max(np.abs(a)), np.max(np.abs(fd)), 1e-12)
+        errors[name] = float(np.max(np.abs(a - fd)) / scale)
+        fds[name] = fd
+    return errors, fds
+
+
+@pytest.mark.parametrize("seed", gradcheck.DEFAULT_SEEDS[:3])
+def test_check_instance_equals_per_coordinate_loop(seed, monkeypatch):
+    state, cfg = gradcheck.random_instance(seed)
+    ref_errors, ref_fds = _per_coordinate_check(state, cfg)
+    pyramids = losses.build_snippet_pyramids(state, cfg)
+    for chunk in (1, 7, 10 ** 6):
+        monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
+        assert gradcheck.check_instance(state, cfg) == ref_errors
+        for name, param in model._param_items(state):
+            fd = gradcheck.central_differences(state, cfg, param, 1e-5, pyramids)
+            assert np.array_equal(fd, ref_fds[name]), (name, chunk)

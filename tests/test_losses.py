@@ -15,10 +15,9 @@ def _warp_of(img, valid=None):
     if valid is None:
         valid = np.ones(img.shape[:2], dtype=bool)
     z = np.zeros_like(img)
-    zz = np.zeros(img.shape[:2])
     return sampler.WarpResult(
         warped=img * valid[..., None], valid=valid, d_du=z, d_dv=z,
-        us=zz, vs=zz, zs=zz, rays=np.zeros(img.shape[:2] + (3,)),
+        rays=np.zeros(img.shape[:2] + (3,)),
         src_points=np.zeros(img.shape[:2] + (3,)),
     )
 
@@ -164,6 +163,24 @@ def test_smoothness_short_axes_contribute_zero():
     assert losses.smoothness_loss(np.random.default_rng(0).random((2, 2)))[0] == 0.0
 
 
+def test_smoothness_gradient_matches_central_differences():
+    D = np.random.default_rng(21).uniform(1.0, 3.0, (6, 7))
+    h = 1e-7
+    # A generic map: moving one entry by h moves a second difference by at
+    # most 2h, so no |.| kink lies between D - h and D + h.
+    duu = D[:, :-2] - 2 * D[:, 1:-1] + D[:, 2:]
+    dvv = D[:-2, :] - 2 * D[1:-1, :] + D[2:, :]
+    assert min(np.abs(duu).min(), np.abs(dvv).min()) > 4 * h
+    _, g = losses.smoothness_loss(D)
+    fd = np.zeros_like(D)
+    for idx in np.ndindex(D.shape):
+        hi, lo = D.copy(), D.copy()
+        hi[idx] += h
+        lo[idx] -= h
+        fd[idx] = (losses.smoothness_loss(hi)[0] - losses.smoothness_loss(lo)[0]) / (2 * h)
+    assert np.max(np.abs(g - fd)) < 1e-6
+
+
 @given(st.integers(0, 10 ** 6), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
 @settings(max_examples=40)
 def test_smoothness_affine_invariance(seed, a, b, c):
@@ -211,6 +228,30 @@ def test_pyramid_constant_and_block_mean():
     expected = np.array([[img[:2, :2].mean(), img[:2, 2:].mean()],
                          [img[2:, :2].mean(), img[2:, 2:].mean()]])
     assert np.array_equal(pyr[1], expected)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 12), (5, 7), (9, 13)])
+def test_upsample_grad_is_adjoint_of_box_downsample(shape):
+    # <A x, y> = <x, A^T y> for the 2x2 box downsampling A of build_pyramid,
+    # whose odd trailing row and column get no gradient.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    x = rng.normal(size=shape)
+    down = losses.build_pyramid(x, 2)[1]
+    y = rng.normal(size=down.shape)
+    lhs = float((down * y).sum())
+    rhs = float((x * losses._upsample_grad(y, shape)).sum())
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (9, 13), (17, 6)])
+def test_batched_pyramid_slices_equal_unbatched(shape):
+    maps = np.random.default_rng(4).random((5,) + shape)
+    batched = losses.build_pyramid(maps, 3, batched=True)
+    for k, m in enumerate(maps):
+        single = losses.build_pyramid(m, 3)
+        assert len(batched) == len(single)
+        for b, s in zip(batched, single):
+            assert np.array_equal(b[k], s)
 
 
 def test_pyramid_stops_early():

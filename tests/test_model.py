@@ -37,6 +37,13 @@ def test_activated_depth_extreme_logits_are_finite(logit):
     assert model.activate_depth_grad(logit) == 0.0
 
 
+def test_activate_depth_grad_matches_central_differences():
+    x = np.linspace(-8.0, 8.0, 33)
+    h = 1e-6
+    fd = (model.activate_depth(x + h) - model.activate_depth(x - h)) / (2 * h)
+    assert np.allclose(model.activate_depth_grad(x), fd, rtol=1e-6, atol=0.0)
+
+
 def test_depth_to_logit_roundtrip():
     for depth in (0.2, 1.0, 5.0, 50.0):
         assert abs(model.activate_depth(model.depth_to_logit(depth)) - depth) < 1e-9
