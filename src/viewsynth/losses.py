@@ -17,6 +17,9 @@ so each batch element's value equals the unbatched call's bit for bit.
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -163,6 +166,22 @@ def _sum_sources(values: list) -> float | np.ndarray:
     return np.array([sum(element) for element in zip(*columns)])
 
 
+def _sum_channels(x) -> np.ndarray:
+    """x summed over its short trailing axis as x[..., 0] + x[..., 1] + ...
+
+    NumPy's x.sum(axis=-1) adds a short axis in the same order, so the values
+    are the same at about a tenth of the cost. Only the sign of a zero sum can
+    differ (-0.0 here, +0.0 there). In total_loss such a zero is only ever
+    added to a gradient buffer that starts at +0.0, where the sign is lost.
+    """
+    if x.shape[-1] == 1:
+        return x[..., 0]
+    total = x[..., 0] + x[..., 1]
+    for c in range(2, x.shape[-1]):
+        total += x[..., c]
+    return total
+
+
 def _upsample_grad(g: np.ndarray, shape) -> np.ndarray:
     """Adjoint of the 2x2 box downsampling used in build_pyramid."""
     h2, w2 = g.shape
@@ -183,7 +202,7 @@ def view_synthesis_loss(target, warps: list, mask_probs=None,
     gradients with respect to the mask logits (None entries when masks are
     off), and n_valid the per-source valid counts. With want_grads off both
     gradient lists hold None. A source with zero valid pixels contributes 0
-    with zero gradients.
+    with zero gradients (None with want_grads off).
 
     Warps and mask grids may carry a leading batch axis (batched warps of
     inverse_warp); the loss and each valid count are then one value per batch
@@ -205,12 +224,13 @@ def view_synthesis_loss(target, warps: list, mask_probs=None,
         n_valid.append(n)
         # In a batch, _mean_hw below gives the elements without valid pixels 0.
         if isinstance(n, int) and n == 0:
-            grad_warped.append(np.zeros_like(w.warped))
-            grad_mask.append(None if mask_probs is None else np.zeros_like(mask_probs[s]))
+            zero_mask = want_grads and mask_probs is not None
+            grad_warped.append(np.zeros_like(w.warped) if want_grads else None)
+            grad_mask.append(np.zeros_like(mask_probs[s]) if zero_mask else None)
             loss += 0.0
             continue
         r = w.warped - target
-        e = np.abs(r).sum(axis=-1) / C
+        e = _sum_channels(np.abs(r)) / C
         if mask_probs is not None:
             prob = mask_probs[s]
             loss += _mean_hw(prob * e * valid, n)
@@ -306,6 +326,72 @@ def _pose_transforms(poses: np.ndarray) -> list:
             for s in range(poses.shape[1])]
 
 
+# Levels whose depth map has at least this many elements fit their sources
+# concurrently. On smaller levels, such as every level of a 64x48 fit, handing
+# a task to a thread costs more than running it on the caller.
+PARALLEL_MIN_ELEMENTS = 8192
+
+
+@functools.cache
+def _source_pool():
+    """(executor, workers): a thread pool created on first use, with one
+    worker per CPU this process may run on, minus the calling thread; no
+    executor on a single CPU. Threads start only when tasks need them."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None, 0
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(cpus - 1, thread_name_prefix="viewsynth-source"), cpus - 1
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads, and the parent's pool
+    # would queue its tasks forever: the child makes a pool of its own.
+    os.register_at_fork(after_in_child=_source_pool.cache_clear)
+
+
+def _in_source_order(task, n: int, parallel: bool):
+    """Yield task(0), ..., task(n - 1) in that order.
+
+    In parallel, k = min(workers, n - 1) pool threads take part: the caller
+    runs every (k + 1)-th source, starting with source 0, and the pool runs
+    the rest, each in a copy of the caller's context (so a caller's
+    np.errstate holds there). As in a serial loop, the first exception in
+    source order propagates; no task is left running when this generator
+    finishes or raises.
+    """
+    pool, workers = _source_pool() if parallel else (None, 0)
+    lanes = min(workers, n - 1) + 1
+    if lanes == 1:
+        for s in range(n):
+            yield task(s)
+        return
+    pending = {s: pool.submit(contextvars.copy_context().run, task, s)
+               for s in range(n) if s % lanes}
+    try:
+        for s in range(n):
+            yield pending[s].result() if s in pending else task(s)
+    finally:
+        for f in pending.values():
+            if not f.cancel():
+                f.exception()  # waits for a task that is still running
+
+
+class _SourceTerms(NamedTuple):
+    """One source's share of one pyramid level (see total_loss)."""
+
+    vs: float | np.ndarray          # photometric term
+    n_valid: int | np.ndarray
+    reg: float | np.ndarray         # mask regularizer; 0.0 without masks
+    prob_sum: float | np.ndarray    # sum of mask probabilities; 0.0 without masks
+    g_depth: np.ndarray | None      # (H_l, W_l) gradient of the level's depth
+    g_t: np.ndarray | None          # (3,) gradient of the translation
+    g_rot: list | None              # gradients of rx, ry, rz
+
+
 def total_loss(state, config: LossConfig, want_grads: bool = True, *,
                pyramids: SnippetPyramids | None = None):
     """Multi-scale objective over a snippet state, with gradients.
@@ -316,6 +402,14 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     built here when not given. Returns (LossReport, SnippetGrads); the
     gradient buffers are None when want_grads is off (cheaper forward pass,
     used by the finite-difference harness).
+
+    Per source: given the parameters, each source's share of a level (warp,
+    photometric term, mask regularizer and adjoint) depends only on the
+    level's depth, that source's pose and that source's mask. It runs as one
+    task, and the caller adds the tasks' results in source order, so every
+    sum is formed in the same order whether the tasks ran one after another
+    or, on levels of at least PARALLEL_MIN_ELEMENTS depth elements, on
+    several threads at once.
 
     Batch axis: the parameters may describe a batch of B parameter sets
     instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
@@ -367,8 +461,6 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     for l in range(L):
         Kl = pyramids.intrinsics[l]
         Dl = depth_pyr[l]
-        warps = [sampler.inverse_warp(src_pyrs[s][l], Dl, transforms[s], Kl,
-                                      want_grads=want_grads) for s in range(S)]
         # One probability array per level serves the photometric weights,
         # the regularizer and mean_mask. The source axis moves to the front,
         # so probs[s] and logits[s] are one source's grids, batched or not.
@@ -376,50 +468,67 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
             logits = np.moveaxis(state.mask_logits[l], -3, 0)
             probs = np.moveaxis(mask_probability(state.mask_logits[l]), -3, 0)
         else:
-            probs = None
+            logits = probs = None
+        # Every source warps the same target grid, so P is per level.
+        P = Dl[..., None] * sampler.pixel_grid(Kl)[2] if want_grads else None
 
-        vs_l, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
-            tgt_pyr[l], warps, probs, want_grads=want_grads)
+        def source_terms(s) -> _SourceTerms:
+            w = sampler.inverse_warp(src_pyrs[s][l], Dl, transforms[s], Kl,
+                                     want_grads=want_grads)
+            vs, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
+                tgt_pyr[l], [w], None if probs is None else [probs[s]],
+                want_grads=want_grads)
+            reg = prob_sum = 0.0
+            if use_masks:
+                reg, g_reg = explainability_regularizer(logits[s], probs[s],
+                                                        want_grads=want_grads)
+                prob_sum = _sum_hw(probs[s])
+                if want_grads:
+                    # This task's own slice of the level's mask gradient.
+                    g_mask[l][s] += g_mask_vs[0]
+                    g_mask[l][s] += config.lambda_e * g_reg
+            if not want_grads:
+                return _SourceTerms(vs, n_valid[0], reg, prob_sum, None, None, None)
+
+            gw = g_warped[0]
+            gu = _sum_channels(gw * w.d_du)
+            gv = _sum_channels(gw * w.d_dv)
+            z = w.src_points[..., 2]
+            safe_z = np.where(w.valid, z, 1.0)
+            fx, fy = Kl.fx, Kl.fy
+            gx = gu * fx / safe_z
+            gy = gv * fy / safe_z
+            gz = -(gu * fx * w.src_points[..., 0] + gv * fy * w.src_points[..., 1]) / safe_z ** 2
+            gX = np.stack([gx, gy, gz], axis=-1)
+            gX[~w.valid] = 0.0
+            R = transforms[s][:3, :3]
+            return _SourceTerms(
+                vs, n_valid[0], reg, prob_sum,
+                g_depth=_sum_channels(gX * (w.rays @ R.T)),
+                g_t=gX.sum(axis=(0, 1)),
+                g_rot=[float((gX * (P @ J.T)).sum()) for J in rot_jacs[s]],
+            )
+
+        vs_l = 0.0
+        n_valid = []
+        regs = []
+        parallel = S > 1 and Dl.size >= PARALLEL_MIN_ELEMENTS
+        for s, t in enumerate(_in_source_order(source_terms, S, parallel)):
+            vs_l += t.vs
+            n_valid.append(t.n_valid)
+            regs.append(t.reg)
+            mask_prob_sum += t.prob_sum
+            if want_grads:
+                g_pose[s, 3:] += t.g_t
+                g_depth_lv[l] += t.g_depth
+                for i in range(3):
+                    g_pose[s, i] += t.g_rot[i]
+        if use_masks:
+            mask_prob_n += S * probs.shape[-2] * probs.shape[-1]
         vs_per_level.append(vs_l)
         valid_per_level.append(n_valid)
         valid_px += sum(n_valid)
-
-        regs = [0.0] * S
-        if use_masks:
-            for s in range(S):
-                prob = probs[s]
-                regs[s], g_reg = explainability_regularizer(
-                    logits[s], prob, want_grads=want_grads)
-                mask_prob_sum += _sum_hw(prob)
-                mask_prob_n += prob.shape[-2] * prob.shape[-1]
-                if want_grads:
-                    g_mask[l][s] += g_mask_vs[s]
-                    g_mask[l][s] += config.lambda_e * g_reg
         reg_per_level.append(regs)
-
-        if want_grads:
-            # Every source warps the same target grid, so P is per level.
-            P = Dl[..., None] * warps[0].rays
-            for s in range(S):
-                w = warps[s]
-                gw = g_warped[s]
-                gu = (gw * w.d_du).sum(axis=2)
-                gv = (gw * w.d_dv).sum(axis=2)
-
-                z = w.src_points[..., 2]
-                safe_z = np.where(w.valid, z, 1.0)
-                fx, fy = Kl.fx, Kl.fy
-                gx = gu * fx / safe_z
-                gy = gv * fy / safe_z
-                gz = -(gu * fx * w.src_points[..., 0] + gv * fy * w.src_points[..., 1]) / safe_z ** 2
-                gX = np.stack([gx, gy, gz], axis=-1)
-                gX[~w.valid] = 0.0
-
-                g_pose[s, 3:] += gX.sum(axis=(0, 1))
-                R = transforms[s][:3, :3]
-                g_depth_lv[l] += (gX * (w.rays @ R.T)).sum(axis=-1)
-                for i in range(3):
-                    g_pose[s, i] += float((gX * (P @ rot_jacs[s][i].T)).sum())
 
         smooth_l, g_sm = smoothness_loss(Dl, want_grads=want_grads)
         smooth_per_level.append(smooth_l)

@@ -103,9 +103,6 @@ class SnippetState:
     def depth(self) -> np.ndarray:
         return activate_depth(self.depth_logits)
 
-    def num_sources(self) -> int:
-        return len(self.sources)
-
 
 def init_state(
     images: list,
@@ -265,7 +262,7 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, state: SnippetState) -> None:
     H, W, C = state.target.shape
-    S = state.num_sources()
+    S = len(state.sources)
     levels = state.mask_logits or []
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)

@@ -52,12 +52,14 @@ class WarpResult:
     src_points: np.ndarray
 
 
-def bilinear_sample(img, u, v, want_grads: bool = True):
+def bilinear_sample(img, u, v, want_grads: bool = True, keep=None):
     """Sample img at continuous coordinates with analytic gradients.
 
     Returns (value, d_du, d_dv, valid), each broadcast over the shape of
     u/v with a trailing channel axis on the first three. Coordinates outside
-    [0, W-1] x [0, H-1] are invalid: value 0, gradient 0.
+    [0, W-1] x [0, H-1] are invalid: value 0, gradient 0. keep, when given,
+    is a boolean map that invalidates more pixels the same way (inverse_warp
+    passes its in-front-of-camera test), so the outputs are masked once.
 
     The cell is assigned by floor (right-sided derivative at integer
     coordinates); the top edge u = W-1 / v = H-1 belongs to the last cell.
@@ -67,6 +69,8 @@ def bilinear_sample(img, u, v, want_grads: bool = True):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     valid = (u >= 0) & (u <= W - 1) & (v >= 0) & (v <= H - 1)
+    if keep is not None:
+        valid = valid & keep
 
     # fmin/fmax map a NaN coordinate to 0 (its pixel is already invalid), so
     # the integer cast below never sees NaN; finite values clamp as np.clip.
@@ -85,22 +89,31 @@ def bilinear_sample(img, u, v, want_grads: bool = True):
     tr = tl + 1 if W > 1 else tl
     bl = tl + W if H > 1 else tl
     br = bl + 1 if W > 1 else bl
+    # The differences and blends are built in place. They compute
+    # top = Itl + du (Itr - Itl), bot = Ibl + du (Ibr - Ibl) and
+    # value = top + dv (bot - top) bit for bit: a float sum or product does
+    # not depend on the order of its two operands.
     Itl = flat.take(tl, axis=0)
-    Itr = flat.take(tr, axis=0)
     Ibl = flat.take(bl, axis=0)
-    Ibr = flat.take(br, axis=0)
-
+    d_top = flat.take(tr, axis=0)
+    d_top -= Itl
+    d_bot = flat.take(br, axis=0)
+    d_bot -= Ibl
     du_ = du[..., None]
     dv_ = dv[..., None]
-    top = Itl + du_ * (Itr - Itl)
-    bot = Ibl + du_ * (Ibr - Ibl)
-    value = top + dv_ * (bot - top)
+    top = du_ * d_top
+    top += Itl
+    bot = du_ * d_bot
+    bot += Ibl
+    grad_v = bot - top
+    value = dv_ * grad_v
+    value += top
 
     m = valid[..., None]
     if not want_grads:
         return np.where(m, value, 0.0), None, None, valid
-    grad_u = (1 - dv_) * (Itr - Itl) + dv_ * (Ibr - Ibl)
-    grad_v = bot - top
+    grad_u = (1 - dv_) * d_top
+    grad_u += dv_ * d_bot
     return np.where(m, value, 0.0), np.where(m, grad_u, 0.0), np.where(m, grad_v, 0.0), valid
 
 
@@ -158,14 +171,6 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
             zs = np.where(keep, depth, zs)
     in_front = zs > BEHIND_EPS
 
-    warped, d_du, d_dv, in_bounds = bilinear_sample(src, us, vs, want_grads)
-    valid = in_front & in_bounds
-    m = valid[..., None]
-    return WarpResult(
-        warped=np.where(m, warped, 0.0),
-        valid=valid,
-        d_du=np.where(m, d_du, 0.0) if want_grads else None,
-        d_dv=np.where(m, d_dv, 0.0) if want_grads else None,
-        rays=rays,
-        src_points=pts,
-    )
+    warped, d_du, d_dv, valid = bilinear_sample(src, us, vs, want_grads, in_front)
+    return WarpResult(warped=warped, valid=valid, d_du=d_du, d_dv=d_dv,
+                      rays=rays, src_points=pts)

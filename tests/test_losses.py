@@ -77,6 +77,30 @@ def test_zero_valid_pixels_reports_zero():
     assert np.all(gw[0] == 0.0)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_zero_valid_pixels_forward_only_gives_no_gradients(masked):
+    t = np.ones((3, 3, 2))
+    w = _warp_of(np.zeros((3, 3, 2)), np.zeros((3, 3), dtype=bool))
+    probs = [np.full((3, 3), 0.5)] if masked else None
+    loss, gw, gm, n = losses.view_synthesis_loss(t, [w], probs, want_grads=False)
+    assert loss == 0.0 and n == [0]
+    assert gw == [None] and gm == [None]
+    _, gw, gm, _ = losses.view_synthesis_loss(t, [w], probs)
+    assert np.all(gw[0] == 0.0)
+    if masked:
+        assert np.all(gm[0] == 0.0)
+    else:
+        assert gm == [None]
+
+
+def test_sum_channels_equals_numpy_sum():
+    rng = np.random.default_rng(3)
+    for C in (1, 2, 3, 4):
+        x = rng.normal(0, 1, (2, 5, 7, C)) * 10.0 ** rng.integers(-8, 8, (2, 5, 7, C))
+        x[0, 0] = 0.0
+        assert np.array_equal(losses._sum_channels(x), x.sum(axis=-1))
+
+
 def test_unit_mask_bitwise_equals_unmasked():
     # A logit of 50 makes the mask probability exactly 1.0 in double
     # precision, so the masked path must be bit-identical to the plain one.

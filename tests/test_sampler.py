@@ -105,6 +105,20 @@ def test_flat_gather_equals_2d_indexing(shape):
     assert np.array_equal(sampler.bilinear_sample(img, u, v, want_grads=False)[0], ref[0])
 
 
+def test_keep_masks_like_an_invalid_coordinate():
+    rng = np.random.default_rng(4)
+    img = rng.random((6, 8, 3))
+    u = rng.uniform(-1, 8, (5, 7))
+    v = rng.uniform(-1, 6, (5, 7))
+    keep = rng.random((5, 7)) < 0.6
+    full = sampler.bilinear_sample(img, u, v)
+    got = sampler.bilinear_sample(img, u, v, keep=keep)
+    assert np.array_equal(got[3], full[3] & keep)
+    m = got[3][..., None]
+    for a, b in zip(got[:3], full[:3], strict=True):
+        assert np.array_equal(a, np.where(m, b, 0.0))
+
+
 def test_nonfinite_coordinates_are_invalid_without_warning():
     img = np.random.default_rng(2).random((4, 5, 2))
     bad = np.array([np.nan, np.inf, -np.inf, 2.0])
