@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, model.FitDiverged) as e:
+    except (ValueError, OSError, model.FitDiverged, model.NoValidPixels) as e:
         print(f"viewsynth {args.command}: {e}", file=sys.stderr)
         return 1
 

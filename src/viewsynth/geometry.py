@@ -169,6 +169,14 @@ def backproject(u, v, depth, K: Intrinsics) -> np.ndarray:
     return np.stack([x, y, z], axis=-1)
 
 
+def rotation_operand(R: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """R (a rotation's transpose, maybe a view) as the right operand of
+    pts @ R: a contiguous copy, which multiplies about three times faster.
+    A single point or a map one pixel wide multiplies as vectors, which
+    round differently with a copy, so it keeps the view."""
+    return np.ascontiguousarray(R) if pts.ndim > 1 and pts.shape[-2] > 1 else R
+
+
 def transform_points(T: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Apply a 4x4 rigid transform to (..., 3) points.
 
@@ -176,31 +184,37 @@ def transform_points(T: np.ndarray, pts: np.ndarray) -> np.ndarray:
     points to (B, H, W, 3), with the per-slice arithmetic of the 4x4 case.
     """
     if T.ndim == 2:
-        return pts @ T[:3, :3].T + T[:3, 3]
-    return pts @ np.swapaxes(T[:, None, :3, :3], -1, -2) + T[:, None, None, :3, 3]
+        out = pts @ rotation_operand(T[:3, :3].T, pts)
+        t = T[:3, 3]
+    else:
+        out = pts @ rotation_operand(np.swapaxes(T[:, None, :3, :3], -1, -2), pts)
+        t = T[:, None, None, :3, 3]
+    # One coordinate at a time: broadcasting t over the short last axis is
+    # several times slower.
+    for c in range(3):
+        out[..., c] += t[..., c]
+    return out
+
+
+def points_at_depth(depth: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """depth[..., None] * rays, one coordinate at a time (see transform_points)."""
+    out = np.empty(np.broadcast_shapes(depth.shape, rays.shape[:-1]) + (3,))
+    for c in range(3):
+        np.multiply(depth, rays[..., c], out=out[..., c])
+    return out
 
 
 def project_points(pts: np.ndarray, K: Intrinsics):
-    """Perspective projection; returns (u, v, z). Caller must mask z <= BEHIND_EPS."""
+    """Perspective projection; returns (u, v, z). Caller must mask z <= BEHIND_EPS.
+
+    K needs only fx, fy, cx and cy; a sampler.PixelGrid may give them per
+    point.
+    """
     z = pts[..., 2]
     safe_z = np.where(z > BEHIND_EPS, z, 1.0)
     u = K.fx * pts[..., 0] / safe_z + K.cx
     v = K.fy * pts[..., 1] / safe_z + K.cy
     return u, v, z
-
-
-def project(u, v, depth, K: Intrinsics, T: np.ndarray):
-    """Map target pixels to source pixels through depth and a rigid transform.
-
-    Back-projects (u, v) at the given depth, applies T, re-projects with K.
-    Returns (u_s, v_s, z_s); z_s <= BEHIND_EPS marks behind-camera pixels
-    (the returned u_s, v_s are meaningless there).
-    """
-    depth = np.asarray(depth, dtype=float)
-    if np.any(depth <= 0):
-        raise ValueError("depth must be positive")
-    pts = transform_points(T, backproject(u, v, depth, K))
-    return project_points(pts, K)
 
 
 def scale_intrinsics(K: Intrinsics, level: int) -> Intrinsics:

@@ -118,6 +118,7 @@ class SnippetPyramids(NamedTuple):
     target: tuple        # [level] -> (H_l, W_l, C)
     sources: tuple       # [source][level] -> (H_l, W_l, C)
     intrinsics: tuple    # [level] -> Intrinsics
+    groups: dict         # range of levels -> its _LevelGroup, made on first use
 
 
 def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
@@ -126,7 +127,63 @@ def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
     sources = tuple(tuple(build_pyramid(src, config.num_levels)) for src in state.sources)
     intrinsics = tuple(geometry.scale_intrinsics(state.intrinsics, l)
                        for l in range(len(target)))
-    return SnippetPyramids(target=target, sources=sources, intrinsics=intrinsics)
+    return SnippetPyramids(target=target, sources=sources, intrinsics=intrinsics, groups={})
+
+
+class _LevelGroup(NamedTuple):
+    """Consecutive pyramid levels that total_loss warps in one pass per
+    source: one level as it is, or several as one (1, N) row of their pixels
+    (see sampler.join_grids), with the target's and each source's levels
+    stacked in the same order."""
+
+    levels: range
+    spans: tuple | None     # [i] -> (start, stop) of levels[i] in the row; None for one level
+    grid: sampler.PixelGrid
+    target: np.ndarray      # (H, W, C) or (1, N, C)
+    sources: tuple          # [source] -> (H, W, C), or its (rows, C) stack
+
+
+def _level_group(pyramids: SnippetPyramids, levels: range) -> _LevelGroup:
+    """The _LevelGroup of the given levels, made once per snippet."""
+    group = pyramids.groups.get(levels)
+    if group is None:
+        grids = [sampler.pixel_grid(pyramids.intrinsics[l]) for l in levels]
+        if len(levels) == 1:
+            group = _LevelGroup(levels, None, grids[0], pyramids.target[levels[0]],
+                                tuple(pyr[levels[0]] for pyr in pyramids.sources))
+        else:
+            stops = np.cumsum([g.u.size for g in grids]).tolist()
+
+            def stack(images):
+                return np.concatenate([images[l].reshape(-1, images[l].shape[-1]) for l in levels])
+
+            group = _LevelGroup(levels, tuple(zip([0] + stops[:-1], stops)),
+                                sampler.join_grids(grids), stack(pyramids.target)[None],
+                                tuple(map(stack, pyramids.sources)))
+        pyramids.groups[levels] = group
+    return group
+
+
+def _as_row(x: np.ndarray) -> np.ndarray:
+    """x with its two trailing (spatial) axes as one row: (..., 1, H * W)."""
+    return x.reshape(x.shape[:-2] + (1, -1))
+
+
+def _group_map(group: _LevelGroup, maps: list) -> np.ndarray:
+    """The group's levels of a per-level map, as one map of the group."""
+    if group.spans is None:
+        return maps[0]
+    return np.concatenate([_as_row(m) for m in maps], axis=-1)
+
+
+def _split(x: np.ndarray, spans, channels: bool = False) -> list:
+    """Each level's part of a group's map x: [x] for one level, else views
+    of the spans of x's row. With channels, x has a trailing channel axis."""
+    if spans is None:
+        return [x]
+    if channels:
+        return [x[..., a:b, :] for a, b in spans]
+    return [x[..., a:b] for a, b in spans]
 
 
 def _sum_hw(x) -> float | np.ndarray:
@@ -145,10 +202,10 @@ def _count_hw(mask) -> int | np.ndarray:
 
 
 def _mean_hw(x, count) -> float | np.ndarray:
-    """_sum_hw(x) / count; for a stack, 0.0 where its count is 0."""
+    """_sum_hw(x) / count, or 0.0 where the count is 0."""
     total = x.sum(axis=(-2, -1))
     if total.ndim == 0:
-        return float(total / count)
+        return float(total / count) if count else 0.0
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
@@ -191,7 +248,7 @@ def _upsample_grad(g: np.ndarray, shape) -> np.ndarray:
 
 
 def view_synthesis_loss(target, warps: list, mask_probs=None,
-                        want_grads: bool = True):
+                        want_grads: bool = True, spans=None):
     """Mean L1 photometric error over valid pixels, summed over source views.
 
     mask_probs, when given, holds one (H, W) grid of mask_probability values
@@ -204,6 +261,13 @@ def view_synthesis_loss(target, warps: list, mask_probs=None,
     gradient lists hold None. A source with zero valid pixels contributes 0
     with zero gradients (None with want_grads off).
 
+    spans, when given, are the (start, stop) pixel ranges of the levels of a
+    level group's (1, N) maps (see total_loss). Each level then counts as a
+    warp of its own: the loss and each source's valid count are lists with
+    one entry per level, and each pixel's gradient divides by its own
+    level's count. A source's mask probabilities are then a list with each
+    level's (..., 1, n_l) row.
+
     Warps and mask grids may carry a leading batch axis (batched warps of
     inverse_warp); the loss and each valid count are then one value per batch
     element, and want_grads must be off.
@@ -212,7 +276,7 @@ def view_synthesis_loss(target, warps: list, mask_probs=None,
     if not warps:
         raise ValueError("need at least one warp")
     C = target.shape[2]
-    loss = 0.0
+    loss = [0.0] * (1 if spans is None else len(spans))
     grad_warped = []
     grad_mask = []
     n_valid = []
@@ -220,36 +284,41 @@ def view_synthesis_loss(target, warps: list, mask_probs=None,
         if w.warped.shape[-3:] != target.shape:
             raise ValueError("warp/target shape mismatch")
         valid = w.valid
-        n = _count_hw(valid)
-        n_valid.append(n)
+        counts = [_count_hw(part) for part in _split(valid, spans)]
+        n_valid.append(counts[0] if spans is None else counts)
+        probs = None if mask_probs is None else [mask_probs[s]] if spans is None else mask_probs[s]
         # In a batch, _mean_hw below gives the elements without valid pixels 0.
-        if isinstance(n, int) and n == 0:
-            zero_mask = want_grads and mask_probs is not None
+        if all(isinstance(n, int) and n == 0 for n in counts):
             grad_warped.append(np.zeros_like(w.warped) if want_grads else None)
-            grad_mask.append(np.zeros_like(mask_probs[s]) if zero_mask else None)
-            loss += 0.0
+            grad_mask.append(np.zeros(valid.shape) if want_grads and probs is not None else None)
             continue
         r = w.warped - target
         e = _sum_channels(np.abs(r)) / C
-        if mask_probs is not None:
-            prob = mask_probs[s]
-            loss += _mean_hw(prob * e * valid, n)
-        else:
-            loss += _mean_hw(e * valid, n)
-
+        # Per level with masks: a level's mask may have a batch axis of its own.
+        for i, x in enumerate(_split(e * valid, spans) if probs is None else
+                              [p * e_l * v for p, e_l, v in
+                               zip(probs, _split(e, spans), _split(valid, spans))]):
+            loss[i] += _mean_hw(x, counts[i])
         if not want_grads:
             grad_warped.append(None)
             grad_mask.append(None)
             continue
-        if mask_probs is not None:
-            gw = valid[..., None] * prob[..., None] * np.sign(r) / (C * n)
-            ge = valid * e / n
-            grad_mask.append(ge * (prob * (1 - prob)))
-        else:
-            gw = valid[..., None] * np.sign(r) / (C * n)
-            grad_mask.append(None)
+        # Each pixel divides by its own level's count; a level without valid
+        # pixels has only zero numerators.
+        n = counts[0] if spans is None else np.repeat(
+            np.maximum(counts, 1), [b - a for a, b in spans]).reshape(valid.shape)
+        weight = valid
+        grad_mask.append(None)
+        if probs is not None:
+            prob = probs[0] if spans is None else np.concatenate(probs, axis=-1)
+            weight = valid * prob
+            grad_mask[-1] = valid * e / n * (prob * (1 - prob))
+        # sign(r) * (weight / (C n)) is weight * sign(r) / (C n) bit for bit,
+        # as sign(r) is -1, 0 or 1, with one product over the channels.
+        gw = np.sign(r)
+        gw *= (weight / (C * n))[..., None]
         grad_warped.append(gw)
-    return loss, grad_warped, grad_mask, n_valid
+    return (loss[0] if spans is None else loss), grad_warped, grad_mask, n_valid
 
 
 def explainability_regularizer(logits, prob=None, want_grads: bool = True):
@@ -326,10 +395,25 @@ def _pose_transforms(poses: np.ndarray) -> list:
             for s in range(poses.shape[1])]
 
 
-# Levels whose depth map has at least this many elements fit their sources
-# concurrently. On smaller levels, such as every level of a 64x48 fit, handing
-# a task to a thread costs more than running it on the caller.
+# Levels whose depth map has at least this many elements (batch axis
+# included) fit their sources concurrently, and the coarsest levels whose
+# sizes add up to less are warped together (see total_loss). On small levels,
+# such as every level of a 64x48 fit, a thread hand-off or a separate pass
+# per level costs more than the arithmetic.
 PARALLEL_MIN_ELEMENTS = 8192
+
+
+def _level_groups(sizes: list) -> list:
+    """Levels 0..L-1, of sizes[l] depth elements each, as total_loss's groups
+    (ranges of levels, finest first): the coarsest levels whose sizes add up
+    to less than PARALLEL_MIN_ELEMENTS form one group, and every other level
+    is a group of its own."""
+    first, joined = len(sizes), 0
+    while first > 0 and joined + sizes[first - 1] < PARALLEL_MIN_ELEMENTS:
+        first -= 1
+        joined += sizes[first]
+    singles = [range(l, l + 1) for l in range(first)]
+    return singles + [range(first, len(sizes))] if first < len(sizes) else singles
 
 
 @functools.cache
@@ -380,16 +464,63 @@ def _in_source_order(task, n: int, parallel: bool):
                 f.exception()  # waits for a task that is still running
 
 
-class _SourceTerms(NamedTuple):
-    """One source's share of one pyramid level (see total_loss)."""
+def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarray,
+                       spans=None):
+    """Backpropagate gradients of the source coordinates to depth and pose.
 
-    vs: float | np.ndarray          # photometric term
-    n_valid: int | np.ndarray
-    reg: float | np.ndarray         # mask regularizer; 0.0 without masks
-    prob_sum: float | np.ndarray    # sum of mask probabilities; 0.0 without masks
-    g_depth: np.ndarray | None      # (H_l, W_l) gradient of the level's depth
-    g_t: np.ndarray | None          # (3,) gradient of the translation
-    g_rot: list | None              # gradients of rx, ry, rz
+    gu, gv are an objective's gradients with respect to the source
+    coordinates (u_s, v_s) of each target pixel of `warp`, an unbatched
+    inverse_warp on the sampler.PixelGrid `grid` through a transform with
+    rotation block R and rotation Jacobians rot_jacs
+    (geometry.rotation_jacobians). P = depth * rays are the target-frame
+    points it transformed. Pixels outside warp.valid contribute nothing.
+
+    Returns (g_depth, g_pose): the gradient with respect to each pixel's
+    depth, shaped like gu, and for each level (spans as in
+    view_synthesis_loss) the (6,) gradient with respect to the pose
+    (rx, ry, rz, tx, ty, tz), summed over that level's pixels.
+    """
+    valid = warp.valid
+    safe_z = np.where(valid, warp.src_points[..., 2], 1.0)
+    gu = gu * grid.fx
+    gv = gv * grid.fy
+    gz = -(gu * warp.src_points[..., 0] + gv * warp.src_points[..., 1]) / safe_z ** 2
+    gX = np.zeros(valid.shape + (3,))   # 0.0 outside the valid pixels
+    np.copyto(gX[..., 0], gu / safe_z, where=valid)
+    np.copyto(gX[..., 1], gv / safe_z, where=valid)
+    np.copyto(gX[..., 2], gz, where=valid)
+    # Products are formed in their operands' memory: every fresh array of
+    # this size costs an allocation, and on large levels, peak memory.
+    dX = warp.rays @ geometry.rotation_operand(R.T, gX)
+    dX *= gX
+    g_depth = _sum_channels(dX)
+    rot = []
+    for J in rot_jacs:   # one at a time: a stacked product is slower
+        prod = P @ geometry.rotation_operand(J.T, P)
+        prod *= gX
+        rot.append([float(part.sum()) for part in _split(prod, spans, channels=True)])
+    g_pose = []
+    for i, (g, buf) in enumerate(zip(_split(gX, spans, channels=True),
+                                     _split(dX, spans, channels=True))):
+        # gX.sum(axis=(0, 1)) adds each component's values one after
+        # another, starting from 0.0. A running sum (into dX, read no more)
+        # does the same several times faster but starts from the first
+        # value; + 0.0 turns the -0.0 total that only it can give into 0.0.
+        t = np.add.accumulate(g.reshape(-1, 3), axis=0, out=buf.reshape(-1, 3))[-1] + 0.0
+        g_pose.append(np.concatenate(([r[i] for r in rot], t)))
+    return g_depth, g_pose
+
+
+class _SourceTerms(NamedTuple):
+    """One source's share of one level group, one entry per level (see
+    total_loss)."""
+
+    vs: list                        # photometric terms
+    n_valid: list
+    reg: list                       # mask regularizers; 0.0 without masks
+    prob_sum: list                  # sums of mask probabilities; 0.0 without masks
+    g_depth: np.ndarray | None      # gradient of the group's depth map
+    g_pose: list | None             # (6,) pose gradients
 
 
 def total_loss(state, config: LossConfig, want_grads: bool = True, *,
@@ -403,9 +534,17 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     gradient buffers are None when want_grads is off (cheaper forward pass,
     used by the finite-difference harness).
 
-    Per source: given the parameters, each source's share of a level (warp,
+    Level groups: the coarsest levels whose depth maps have fewer than
+    PARALLEL_MIN_ELEMENTS elements together (batch axis included) form one
+    group, and every other level is a group of its own. A group of several
+    levels lays their pixels out along one row, so each source warps them
+    in one pass, with each pixel's own level constants. Every per-level sum
+    still runs over that level's pixels alone, in the same order as for a
+    level on its own, so the grouping changes no result.
+
+    Per source: given the parameters, each source's share of a group (warp,
     photometric term, mask regularizer and adjoint) depends only on the
-    level's depth, that source's pose and that source's mask. It runs as one
+    group's depth, that source's pose and that source's mask. It runs as one
     task, and the caller adds the tasks' results in source order, so every
     sum is formed in the same order whether the tasks ran one after another
     or, on levels of at least PARALLEL_MIN_ELEMENTS depth elements, on
@@ -424,9 +563,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     S = len(state.sources)
     if pyramids is None:
         pyramids = build_snippet_pyramids(state, config)
-    tgt_pyr = pyramids.target
-    src_pyrs = pyramids.sources
-    L = len(tgt_pyr)
+    L = len(pyramids.target)
 
     use_masks = config.use_explainability and state.mask_logits is not None
     poses = np.asarray(state.poses, dtype=float)
@@ -443,11 +580,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         g_mask = [np.zeros_like(state.mask_logits[l]) for l in range(L)] if use_masks else None
 
     transforms = _pose_transforms(poses)
-    rot_jacs = []
+    rot_jacs = []   # _pose_transforms has checked that the poses are finite
     if want_grads:
-        for s in range(S):
-            p = geometry.PoseParams.from_array(poses[s])
-            rot_jacs.append(geometry.rotation_jacobians(p.rx, p.ry, p.rz))
+        rot_jacs = [geometry.rotation_jacobians(*poses[s, :3].tolist()) for s in range(S)]
 
     total = 0.0
     vs_per_level = []
@@ -458,85 +593,87 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     mask_prob_n = 0
     valid_px = 0
 
-    for l in range(L):
-        Kl = pyramids.intrinsics[l]
-        Dl = depth_pyr[l]
+    for levels in _level_groups([d.size for d in depth_pyr]):
+        group = _level_group(pyramids, levels)
+        spans = group.spans
+        depth = _group_map(group, [depth_pyr[l] for l in levels])
         # One probability array per level serves the photometric weights,
         # the regularizer and mean_mask. The source axis moves to the front,
-        # so probs[s] and logits[s] are one source's grids, batched or not.
+        # so probs[i][s] and logits[i][s] are one source's grids, batched or
+        # not.
         if use_masks:
-            logits = np.moveaxis(state.mask_logits[l], -3, 0)
-            probs = np.moveaxis(mask_probability(state.mask_logits[l]), -3, 0)
+            logits = [np.moveaxis(state.mask_logits[l], -3, 0) for l in levels]
+            probs = [np.moveaxis(mask_probability(state.mask_logits[l]), -3, 0) for l in levels]
         else:
             logits = probs = None
-        # Every source warps the same target grid, so P is per level.
-        P = Dl[..., None] * sampler.pixel_grid(Kl)[2] if want_grads else None
+        # Every source warps the same target grid, so P is per group.
+        P = geometry.points_at_depth(depth, group.grid.rays) if want_grads else None
 
         def source_terms(s) -> _SourceTerms:
-            w = sampler.inverse_warp(src_pyrs[s][l], Dl, transforms[s], Kl,
+            w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
                                      want_grads=want_grads)
-            vs, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
-                tgt_pyr[l], [w], None if probs is None else [probs[s]],
-                want_grads=want_grads)
-            reg = prob_sum = 0.0
+            src_probs = None
             if use_masks:
-                reg, g_reg = explainability_regularizer(logits[s], probs[s],
-                                                        want_grads=want_grads)
-                prob_sum = _sum_hw(probs[s])
-                if want_grads:
-                    # This task's own slice of the level's mask gradient.
-                    g_mask[l][s] += g_mask_vs[0]
-                    g_mask[l][s] += config.lambda_e * g_reg
+                src_probs = [probs[0][s] if spans is None else [_as_row(p[s]) for p in probs]]
+            vs, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
+                group.target, [w], src_probs, want_grads=want_grads, spans=spans)
+            if spans is None:
+                vs = [vs]
+            else:
+                n_valid = n_valid[0]
+            regs = prob_sums = [0.0] * len(levels)
+            if use_masks:
+                regs, prob_sums = [], []
+                for i, l in enumerate(levels):
+                    reg, g_reg = explainability_regularizer(logits[i][s], probs[i][s],
+                                                            want_grads=want_grads)
+                    regs.append(reg)
+                    prob_sums.append(_sum_hw(probs[i][s]))
+                    if want_grads:
+                        # This task's own slice of the level's mask gradient.
+                        g_mask[l][s] += _split(g_mask_vs[0], spans)[i].reshape(g_reg.shape)
+                        g_mask[l][s] += config.lambda_e * g_reg
             if not want_grads:
-                return _SourceTerms(vs, n_valid[0], reg, prob_sum, None, None, None)
+                return _SourceTerms(vs, n_valid, regs, prob_sums, None, None)
 
             gw = g_warped[0]
             gu = _sum_channels(gw * w.d_du)
             gv = _sum_channels(gw * w.d_dv)
-            z = w.src_points[..., 2]
-            safe_z = np.where(w.valid, z, 1.0)
-            fx, fy = Kl.fx, Kl.fy
-            gx = gu * fx / safe_z
-            gy = gv * fy / safe_z
-            gz = -(gu * fx * w.src_points[..., 0] + gv * fy * w.src_points[..., 1]) / safe_z ** 2
-            gX = np.stack([gx, gy, gz], axis=-1)
-            gX[~w.valid] = 0.0
-            R = transforms[s][:3, :3]
-            return _SourceTerms(
-                vs, n_valid[0], reg, prob_sum,
-                g_depth=_sum_channels(gX * (w.rays @ R.T)),
-                g_t=gX.sum(axis=(0, 1)),
-                g_rot=[float((gX * (P @ J.T)).sum()) for J in rot_jacs[s]],
-            )
+            g_depth, g_pose_lv = projection_adjoint(gu, gv, w, group.grid, transforms[s][:3, :3],
+                                                    rot_jacs[s], P, spans)
+            return _SourceTerms(vs, n_valid, regs, prob_sums, g_depth, g_pose_lv)
 
-        vs_l = 0.0
-        n_valid = []
-        regs = []
-        parallel = S > 1 and Dl.size >= PARALLEL_MIN_ELEMENTS
+        # Sources in order; per level, every sum then runs in level and
+        # source order, as for levels warped one at a time.
+        terms = []
+        parallel = S > 1 and depth.size >= PARALLEL_MIN_ELEMENTS
         for s, t in enumerate(_in_source_order(source_terms, S, parallel)):
-            vs_l += t.vs
-            n_valid.append(t.n_valid)
-            regs.append(t.reg)
-            mask_prob_sum += t.prob_sum
+            terms.append(t._replace(g_depth=None))
             if want_grads:
-                g_pose[s, 3:] += t.g_t
-                g_depth_lv[l] += t.g_depth
-                for i in range(3):
-                    g_pose[s, i] += t.g_rot[i]
-        if use_masks:
-            mask_prob_n += S * probs.shape[-2] * probs.shape[-1]
-        vs_per_level.append(vs_l)
-        valid_per_level.append(n_valid)
-        valid_px += sum(n_valid)
-        reg_per_level.append(regs)
+                for l, g_part, g_p in zip(levels, _split(t.g_depth, spans), t.g_pose):
+                    g_pose[s] += g_p
+                    g_depth_lv[l] += g_part.reshape(g_depth_lv[l].shape)
 
-        smooth_l, g_sm = smoothness_loss(Dl, want_grads=want_grads)
-        smooth_per_level.append(smooth_l)
-        w_s = config.smooth_weight(l)
-        if want_grads:
-            g_depth_lv[l] += w_s * g_sm
+        for i, l in enumerate(levels):
+            vs_l = 0.0
+            for t in terms:
+                vs_l += t.vs[i]
+                mask_prob_sum += t.prob_sum[i]
+            if use_masks:
+                mask_prob_n += S * probs[i].shape[-2] * probs[i].shape[-1]
+            vs_per_level.append(vs_l)
+            valid_per_level.append([t.n_valid[i] for t in terms])
+            valid_px += sum(valid_per_level[-1])
+            regs = [t.reg[i] for t in terms]
+            reg_per_level.append(regs)
 
-        total += vs_l + w_s * smooth_l + config.lambda_e * _sum_sources(regs)
+            smooth_l, g_sm = smoothness_loss(depth_pyr[l], want_grads=want_grads)
+            smooth_per_level.append(smooth_l)
+            w_s = config.smooth_weight(l)
+            if want_grads:
+                g_depth_lv[l] += w_s * g_sm
+
+            total += vs_l + w_s * smooth_l + config.lambda_e * _sum_sources(regs)
 
     # Collapse the per-level depth gradients down the pyramid, then through
     # the activation to the logits.

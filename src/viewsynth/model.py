@@ -37,6 +37,15 @@ class FitDiverged(RuntimeError):
         self.iteration = iteration
 
 
+class NoValidPixels(RuntimeError):
+    """No source pixel lands inside its image in front of the camera, so the
+    photometric term, and every gradient it gives, is 0."""
+
+    def __init__(self, iteration: int):
+        super().__init__(f"no valid pixels at iteration {iteration}")
+        self.iteration = iteration
+
+
 def sigmoid(x):
     # exp(-x) overflows to inf below x = -709.78; 1 / inf = 0 is the limit,
     # within 1e-308 of the true value, as in losses.mask_probability.
@@ -212,7 +221,8 @@ def fit_snippet(
     """Minimize the multi-scale objective over one snippet with Adam.
 
     Deterministic given the configs (the optimization itself draws no random
-    numbers). Raises FitDiverged if the loss becomes non-finite.
+    numbers). Raises FitDiverged if the loss becomes non-finite and
+    NoValidPixels if no source pixel is valid.
     """
     if state is None:
         state = init_state(images, target_index, K, loss_config, depth_prior)
@@ -224,6 +234,8 @@ def fit_snippet(
         report, grads = losses.total_loss(state, loss_config, pyramids=pyramids)
         if not np.isfinite(report.total):
             raise FitDiverged(t)
+        if report.all_invalid:
+            raise NoValidPixels(t)
         history.append(report)
         adam_step(state, grads, moments, adam_config, t)
         w = adam_config.window

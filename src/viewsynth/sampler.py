@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,11 @@ class WarpResult:
     d_du, d_dv: (H, W, C) partials of each warped intensity w.r.t. (u_s, v_s);
                 None for a forward-only warp
     rays:       (H, W, 3) unit-depth target-frame ray K^-1 [u, v, 1]; the
-                read-only array shared through pixel_grid
+                read-only array of the PixelGrid
     src_points: (H, W, 3) target points expressed in the source camera frame
+
+    A warp over a PixelGrid of several levels has the grid's (1, N) in place
+    of (H, W).
 
     A batched warp (see inverse_warp) puts a leading batch axis on warped,
     valid and src_points.
@@ -52,7 +56,28 @@ class WarpResult:
     src_points: np.ndarray
 
 
-def bilinear_sample(img, u, v, want_grads: bool = True, keep=None):
+class SampleLayout(NamedTuple):
+    """Where bilinear_sample finds each coordinate's image in a (rows, C)
+    stack of flattened images: Python numbers for one image (image_layout),
+    or one value per coordinate when they sample several (join_grids)."""
+
+    u_max: float | np.ndarray   # W - 1 and H - 1, the last column and row
+    v_max: float | np.ndarray
+    x0_max: int | np.ndarray    # max(W - 2, 0) and max(H - 2, 0), the last cell
+    y0_max: int | np.ndarray
+    right: int | np.ndarray     # stack rows to the right neighbour (0 if 1 wide)
+    down: int | np.ndarray      # and to the one below (0 if 1 high)
+    offset: int | np.ndarray    # stack row of the image's first pixel
+
+
+def image_layout(height: int, width: int) -> SampleLayout:
+    """The layout of one image alone in its stack. down doubles as the row
+    stride: with one row, the only cell row is 0."""
+    return SampleLayout(width - 1.0, height - 1.0, max(width - 2, 0), max(height - 2, 0),
+                        1 if width > 1 else 0, width if height > 1 else 0, 0)
+
+
+def bilinear_sample(img, u, v, want_grads: bool = True, keep=None, layout=None):
     """Sample img at continuous coordinates with analytic gradients.
 
     Returns (value, d_du, d_dv, valid), each broadcast over the shape of
@@ -61,34 +86,41 @@ def bilinear_sample(img, u, v, want_grads: bool = True, keep=None):
     is a boolean map that invalidates more pixels the same way (inverse_warp
     passes its in-front-of-camera test), so the outputs are masked once.
 
+    layout, when given, is img's SampleLayout: img may then be a (rows, C)
+    stack of flattened images, and each coordinate samples its own one.
+
     The cell is assigned by floor (right-sided derivative at integer
     coordinates); the top edge u = W-1 / v = H-1 belongs to the last cell.
     """
-    img = _as_image(img)
-    H, W, _ = img.shape
+    if layout is None:
+        img = _as_image(img)
+        layout = image_layout(img.shape[0], img.shape[1])
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    valid = (u >= 0) & (u <= W - 1) & (v >= 0) & (v <= H - 1)
+    # fmin/fmax map a NaN coordinate to 0, so the integer cast below never
+    # sees NaN; finite values clamp as np.clip. A coordinate is in bounds
+    # exactly when clamping leaves it as it is.
+    uc = np.fmin(np.fmax(u, 0), layout.u_max)
+    vc = np.fmin(np.fmax(v, 0), layout.v_max)
+    valid = (uc == u) & (vc == v)
     if keep is not None:
         valid = valid & keep
-
-    # fmin/fmax map a NaN coordinate to 0 (its pixel is already invalid), so
-    # the integer cast below never sees NaN; finite values clamp as np.clip.
-    uc = np.fmin(np.fmax(u, 0), W - 1)
-    vc = np.fmin(np.fmax(v, 0), H - 1)
-    x0 = np.minimum(np.floor(uc).astype(int), max(W - 2, 0))
-    y0 = np.minimum(np.floor(vc).astype(int), max(H - 2, 0))
+    # The integer cast floors the clamped, nonnegative coordinates.
+    x0 = np.minimum(uc.astype(int), layout.x0_max)
+    y0 = np.minimum(vc.astype(int), layout.y0_max)
     du = uc - x0
     dv = vc - y0
 
     # Gather the four corners from the flattened image: take on one axis is
-    # several times faster than 2-D fancy indexing. The right and lower
-    # neighbours are +1 and +W, or the same pixel in a 1-wide or 1-high image.
-    flat = img.reshape(H * W, img.shape[2])
-    tl = y0 * W + x0
-    tr = tl + 1 if W > 1 else tl
-    bl = tl + W if H > 1 else tl
-    br = bl + 1 if W > 1 else bl
+    # several times faster than 2-D fancy indexing.
+    flat = img.reshape(-1, img.shape[-1])
+    tl = y0 * layout.down
+    tl += x0
+    if isinstance(layout.offset, np.ndarray):
+        tl += layout.offset
+    tr = tl + layout.right
+    bl = tl + layout.down
+    br = bl + layout.right
     # The differences and blends are built in place. They compute
     # top = Itl + du (Itr - Itl), bot = Ibl + du (Ibr - Ibl) and
     # value = top + dv (bot - top) bit for bit: a float sum or product does
@@ -117,10 +149,25 @@ def bilinear_sample(img, u, v, want_grads: bool = True, keep=None):
     return np.where(m, value, 0.0), np.where(m, grad_u, 0.0), np.where(m, grad_v, 0.0), valid
 
 
+class PixelGrid(NamedTuple):
+    """The target pixels of a warp, with the camera constants of each:
+    (H, W) maps and scalars for one image (pixel_grid), or a (1, N) row
+    of several images' pixels with per-pixel constants (join_grids)."""
+
+    u: np.ndarray           # column and row of each pixel in its own image
+    v: np.ndarray
+    rays: np.ndarray        # (..., 3) unit-depth rays K^-1 [u, v, 1]
+    fx: float | np.ndarray
+    fy: float | np.ndarray
+    cx: float | np.ndarray
+    cy: float | np.ndarray
+    layout: SampleLayout    # the source image each pixel samples
+
+
 @functools.lru_cache(maxsize=16)
-def pixel_grid(K: Intrinsics):
-    """Target pixel coordinates (jj, ii), each (H, W), and the (H, W, 3)
-    unit-depth rays K^-1 [u, v, 1].
+def pixel_grid(K: Intrinsics) -> PixelGrid:
+    """The PixelGrid of K's image: (H, W) pixel coordinates, the (H, W, 3)
+    unit-depth rays K^-1 [u, v, 1], K's constants and the image's layout.
 
     Memoized per Intrinsics, so the arrays are shared by every caller and
     made read-only.
@@ -129,10 +176,30 @@ def pixel_grid(K: Intrinsics):
     rays = geometry.backproject(jj, ii, 1.0, K)
     for a in (jj, ii, rays):
         a.flags.writeable = False
-    return jj, ii, rays
+    return PixelGrid(u=jj, v=ii, rays=rays, fx=K.fx, fy=K.fy, cx=K.cx, cy=K.cy,
+                     layout=image_layout(K.height, K.width))
 
 
-def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
+def join_grids(grids: list) -> PixelGrid:
+    """The grids of several images, each at least 2x2, as one: their pixels
+    one after another in a (1, N) row, with each image's constants. The
+    images' stack must hold them in the same order."""
+    sizes = [g.u.size for g in grids]
+
+    def join(maps):
+        return np.concatenate([m.reshape((n,) + m.shape[2:]) for m, n in zip(maps, sizes)])[None]
+
+    def repeat(values):
+        return np.repeat(values, sizes)[None]
+
+    layout = SampleLayout(*map(repeat, zip(*(g.layout for g in grids))))
+    return PixelGrid(join([g.u for g in grids]), join([g.v for g in grids]),
+                     join([g.rays for g in grids]),
+                     *map(repeat, zip(*((g.fx, g.fy, g.cx, g.cy) for g in grids))),
+                     layout._replace(offset=repeat(np.cumsum([0] + sizes[:-1]))))
+
+
+def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
                  want_grads: bool = True) -> WarpResult:
     """Warp a source image onto the target grid via depth and relative pose.
 
@@ -140,37 +207,46 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics,
     given per-pixel depth and bilinearly samples `src` there. want_grads=False
     skips the per-pixel jacobian buffers (forward-only evaluation).
 
+    K may also be a PixelGrid: pixel_grid(K), or a join_grids row, for which
+    src is the stack of the joined images and depth holds one value per
+    grid pixel.
+
     depth may be a (B, H, W) stack and T a (B, 4, 4) stack, one per parameter
     set of a batch; an unbatched one is shared by the batch. The result then
     carries the batch axis, and each slice equals the unbatched warp bitwise.
     """
-    src = _as_image(src)
     depth = np.asarray(depth, dtype=float)
-    H, W, _ = src.shape
-    if depth.shape[-2:] != (H, W) or depth.ndim > 3:
-        raise ValueError(f"depth shape {depth.shape} does not match image {(H, W)}")
-    if (K.width, K.height) != (W, H):
-        raise ValueError("intrinsics dimensions do not match image")
+    if isinstance(K, PixelGrid):
+        grid = K
+        if depth.shape[-2:] != grid.u.shape or depth.ndim > 3:
+            raise ValueError(f"depth shape {depth.shape} does not match grid {grid.u.shape}")
+    else:
+        src = _as_image(src)
+        H, W, _ = src.shape
+        if depth.shape[-2:] != (H, W) or depth.ndim > 3:
+            raise ValueError(f"depth shape {depth.shape} does not match image {(H, W)}")
+        if (K.width, K.height) != (W, H):
+            raise ValueError("intrinsics dimensions do not match image")
+        grid = pixel_grid(K)
     if np.any(depth <= 0):
         raise ValueError("depth must be positive")
 
-    jj, ii, rays = pixel_grid(K)
-    pts = geometry.transform_points(T, depth[..., None] * rays)
+    pts = geometry.transform_points(T, geometry.points_at_depth(depth, grid.rays))
     identity = (T == _IDENTITY).all(axis=(-2, -1))   # one flag per transform
     if (identity.all() if T.ndim == 3 else identity):
         # Identity map is exact; skip the float round-trip through K so the
         # warp reproduces the source bit-for-bit.
-        us, vs, zs = jj, ii, depth
+        us, vs, zs = grid.u, grid.v, depth
     else:
-        us, vs, zs = geometry.project_points(pts, K)
+        us, vs, zs = geometry.project_points(pts, grid)
         if T.ndim == 3 and identity.any():
             # A batch of transforms takes the same shortcut per element.
             keep = identity[:, None, None]
-            us = np.where(keep, jj, us)
-            vs = np.where(keep, ii, vs)
+            us = np.where(keep, grid.u, us)
+            vs = np.where(keep, grid.v, vs)
             zs = np.where(keep, depth, zs)
     in_front = zs > BEHIND_EPS
 
-    warped, d_du, d_dv, valid = bilinear_sample(src, us, vs, want_grads, in_front)
+    warped, d_du, d_dv, valid = bilinear_sample(src, us, vs, want_grads, in_front, grid.layout)
     return WarpResult(warped=warped, valid=valid, d_du=d_du, d_dv=d_dv,
-                      rays=rays, src_points=pts)
+                      rays=grid.rays, src_points=pts)

@@ -152,6 +152,17 @@ def test_fit_nonpositive_max_iters_is_runtime_error(tmp_path, capsys, iters):
     assert "max_iters" in err and iters in err
 
 
+def test_fit_without_valid_pixels_is_runtime_error(tmp_path, capsys):
+    # At lr 1 the first Adam step moves every pose by about 1 scene unit,
+    # which takes every source pixel out of its image.
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    capsys.readouterr()
+    assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+                 "--levels", "2", "--lr", "1", "--max-iters", "20"]) == 1
+    assert capsys.readouterr().err == "viewsynth fit: no valid pixels at iteration 2\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-1", "30"])
 def test_gradcheck_instances_out_of_range_is_usage_error(capsys, n):
     assert _run(["gradcheck", "--instances", n]) == 2

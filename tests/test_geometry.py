@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewsynth import geometry
+from viewsynth import geometry, sampler
 from viewsynth.geometry import Intrinsics, PoseParams
 
 angles = st.floats(-3.0, 3.0)
@@ -86,10 +86,17 @@ def test_rotation_to_euler_roundtrip():
 K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
 
 
+def _source_coords(u, v, depth, K, T):
+    """Source coordinates (u_s, v_s, z_s) of target pixels (u, v) at `depth`,
+    along the path inverse_warp runs: backproject, transform, project."""
+    return geometry.project_points(
+        geometry.transform_points(T, geometry.backproject(u, v, depth, K)), K)
+
+
 def test_project_identity_is_identity_map():
     u, v = np.array([3.0, 17.5, 80.0]), np.array([5.0, 44.2, 99.0])
     for depth in (0.5, 1.0, 7.3):
-        us, vs, zs = geometry.project(u, v, depth, K, np.eye(4))
+        us, vs, zs = _source_coords(u, v, depth, K, np.eye(4))
         assert np.max(np.abs(us - u)) < 1e-12
         assert np.max(np.abs(vs - v)) < 1e-12
         assert np.allclose(zs, depth)
@@ -99,26 +106,28 @@ def test_project_pure_x_translation_shift():
     # fronto-parallel point: p_s = (u + fx * tx / D, v)
     T = geometry.pose_to_transform(PoseParams(tx=0.4))
     D = 2.0
-    us, vs, zs = geometry.project(30.0, 70.0, D, K, T)
+    us, vs, zs = _source_coords(30.0, 70.0, D, K, T)
     assert abs(us - (30.0 + K.fx * 0.4 / D)) < 1e-12
     assert abs(vs - 70.0) < 1e-12
 
 
 def test_project_on_axis_z_translation():
     T = geometry.pose_to_transform(PoseParams(tz=-1.0))
-    us, vs, zs = geometry.project(50.0, 50.0, 2.0, K, T)
+    us, vs, zs = _source_coords(50.0, 50.0, 2.0, K, T)
     assert (us, vs) == (50.0, 50.0)
     assert zs == 1.0
 
 
 def test_project_rejects_nonpositive_depth():
-    with pytest.raises(ValueError):
-        geometry.project(10.0, 10.0, 0.0, K, np.eye(4))
+    depth = np.ones((100, 100))
+    depth[10, 10] = 0.0
+    with pytest.raises(ValueError, match="depth must be positive"):
+        sampler.inverse_warp(np.ones((100, 100, 1)), depth, np.eye(4), K)
 
 
 def test_project_behind_camera_flagged_not_raised():
     T = geometry.pose_to_transform(PoseParams(tz=-5.0))
-    _, _, zs = geometry.project(50.0, 50.0, 2.0, K, T)
+    _, _, zs = _source_coords(50.0, 50.0, 2.0, K, T)
     assert zs <= geometry.BEHIND_EPS
 
 
@@ -129,8 +138,8 @@ def test_project_depth_translation_scale_covariance(p, depth, s):
     T1 = geometry.pose_to_transform(p)
     T2 = geometry.pose_to_transform(
         PoseParams(p.rx, p.ry, p.rz, s * p.tx, s * p.ty, s * p.tz))
-    u1, v1, z1 = geometry.project(37.0, 21.0, depth, K, T1)
-    u2, v2, z2 = geometry.project(37.0, 21.0, s * depth, K, T2)
+    u1, v1, z1 = _source_coords(37.0, 21.0, depth, K, T1)
+    u2, v2, z2 = _source_coords(37.0, 21.0, s * depth, K, T2)
     if z1 > geometry.BEHIND_EPS and z2 > geometry.BEHIND_EPS:
         assert abs(u1 - u2) < 1e-6 * max(1, abs(u1))
         assert abs(v1 - v2) < 1e-6 * max(1, abs(v1))

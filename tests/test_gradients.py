@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viewsynth import gradcheck, losses, model
-from viewsynth.geometry import Intrinsics
+from viewsynth import geometry, gradcheck, losses, model, sampler
+from viewsynth.geometry import Intrinsics, PoseParams
 from viewsynth.losses import LossConfig
 
 
@@ -196,3 +196,45 @@ def test_check_instance_equals_per_coordinate_loop(seed, monkeypatch):
         for name, param in model._param_items(state):
             fd = gradcheck.central_differences(state, cfg, param, 1e-5, pyramids)
             assert np.array_equal(fd, ref_fds[name]), (name, chunk)
+
+
+def test_projection_adjoint_matches_fd_over_a_two_level_group():
+    # f = sum over the valid pixels of a * u_s + b * v_s, level by level,
+    # for fixed weights a, b: projection_adjoint(a, b, ...) is its gradient
+    # with respect to each pixel's depth and, per level, the pose.
+    state, cfg = gradcheck.random_instance(3, height=8, width=12, levels=2)
+    pyramids = losses.build_snippet_pyramids(state, cfg)
+    group = losses._level_group(pyramids, range(2))
+    assert group.spans is not None
+    grid = group.grid
+    depth = losses._group_map(group, losses.build_pyramid(state.depth(), 2))
+    # The shift to the left leaves the left columns without a source pixel.
+    pose = np.array([0.02, -0.03, 0.01, -0.3, -0.05, 0.02])
+    T = geometry.pose_to_transform(PoseParams.from_array(pose))
+    warp = sampler.inverse_warp(group.sources[0], depth, T, grid)
+    for a, b in group.spans:   # each level has invalid pixels, and its last is valid
+        assert 0 < warp.valid[..., a:b].sum() < b - a and warp.valid[0, b - 1]
+    rng = np.random.default_rng(0)
+    wu, wv = rng.normal(size=depth.shape), rng.normal(size=depth.shape)
+
+    def weighted(depth, pose):   # per pixel, 0 where the base warp is invalid
+        T = geometry.pose_to_transform(PoseParams.from_array(pose))
+        pts = geometry.transform_points(T, geometry.points_at_depth(depth, grid.rays))
+        u, v, _ = geometry.project_points(pts, grid)
+        return np.where(warp.valid, wu * u + wv * v, 0.0)
+
+    g_depth, g_pose = losses.projection_adjoint(
+        wu, wv, warp, grid, T[:3, :3], geometry.rotation_jacobians(*pose[:3]),
+        geometry.points_at_depth(depth, grid.rays), group.spans)
+    h = 1e-6
+    # A pixel's coordinates depend on its own depth only.
+    fd_depth = (weighted(depth + h, pose) - weighted(depth - h, pose)) / (2 * h)
+    assert np.max(np.abs(g_depth - fd_depth)) < 1e-6 * np.max(np.abs(fd_depth))
+    assert np.all(g_depth[~warp.valid] == 0.0)
+    for k in range(6):
+        step = np.zeros(6)
+        step[k] = h
+        diff = weighted(depth, pose + step) - weighted(depth, pose - step)
+        fd = [diff[..., a:b].sum() / (2 * h) for a, b in group.spans]
+        got = [g[k] for g in g_pose]
+        assert np.allclose(got, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd))), k

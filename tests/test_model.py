@@ -212,6 +212,16 @@ def test_fit_diverged_raises_with_iteration():
         assert e.value.iteration == 1
 
 
+def test_no_valid_pixels_stops_the_fit_with_its_iteration():
+    # tx = 50 sends every source pixel out of its image, at every level.
+    imgs = _images(seed=2)
+    state = model.init_state(imgs, 1, K, CFG)
+    state.poses[:, 3] = 50.0
+    with pytest.raises(model.NoValidPixels, match="no valid pixels at iteration 1") as e:
+        model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=5), state=state)
+    assert e.value.iteration == 1
+
+
 def test_checkpoint_roundtrip(tmp_path):
     imgs = _images(seed=17)
     state = model.init_state(imgs, 1, K, CFG)

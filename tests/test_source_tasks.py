@@ -1,5 +1,6 @@
-"""total_loss runs each source's share of a level as one task, in parallel on
-large levels: the results must not depend on where the tasks ran."""
+"""total_loss runs each source's share of a level group as one task, in
+parallel on large levels, and warps the coarsest small levels together: the
+results must not depend on where the tasks ran or how levels were grouped."""
 
 import multiprocessing
 import os
@@ -14,8 +15,12 @@ import pytest
 
 from viewsynth import gradcheck, losses, sampler
 
-SERIAL = float("inf")   # PARALLEL_MIN_ELEMENTS that no level reaches
-PARALLEL = 0            # PARALLEL_MIN_ELEMENTS that every level reaches
+# PARALLEL_MIN_ELEMENTS that no level reaches, so every level joins one
+# group, which runs serially.
+SERIAL = float("inf")
+# PARALLEL_MIN_ELEMENTS that every level reaches, so every level is a group
+# of its own, which runs in parallel.
+PARALLEL = 0
 
 
 @pytest.fixture
@@ -29,6 +34,10 @@ def one_worker(monkeypatch):
 
 
 def _bits(x):
+    """(shape, dtype, bytes) of x, or of each entry of a (nested) list: a
+    report's lists may mix floats and per-batch-element arrays."""
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
     x = np.asarray(x)
     return x.shape, x.dtype, x.tobytes()
 
@@ -187,3 +196,90 @@ def test_pool_size_follows_cpu_affinity():
     pool, workers = losses._source_pool()
     assert workers == cpus - 1
     assert (pool is None) == (cpus < 2)
+
+
+def test_level_groups_join_the_coarsest_levels_below_the_threshold():
+    assert losses.PARALLEL_MIN_ELEMENTS == 8192
+    # 416 x 128, four levels: groups {0}, {1} and {2, 3}, three warps per source
+    assert losses._level_groups([53248, 13312, 3328, 832]) == [range(0, 1), range(1, 2),
+                                                               range(2, 4)]
+    assert losses._level_groups([3072, 768, 192]) == [range(0, 3)]          # 64 x 48
+    assert losses._level_groups([32 * 96, 32 * 24]) == [range(0, 2)]        # 32 sets at 8 x 12
+    assert losses._level_groups([8100, 100]) == [range(0, 1), range(1, 2)]  # 8200 elements
+    assert losses._level_groups([100]) == [range(0, 1)]
+
+
+def test_one_warp_per_source_and_group(monkeypatch):
+    state, cfg = gradcheck.random_instance(0, height=48, width=64, n_sources=2, levels=3,
+                                           use_masks=False)
+    orig = sampler.inverse_warp
+    calls = []
+    monkeypatch.setattr(sampler, "inverse_warp",
+                        lambda *a, **k: calls.append(1) or orig(*a, **k))
+    losses.total_loss(state, cfg)
+    assert len(calls) == 2
+
+
+# 17 x 26 pyramids have odd sizes (17 x 26, 8 x 13) and, at four levels, a
+# coarsest level two pixels high (4 x 6, then 2 x 3).
+H, W = 17, 26
+# This translation of the last source leaves it valid pixels at levels 0-2
+# and none at level 3 of a four-level 17 x 26 instance (asserted below).
+TX_BLIND_AT_LEVEL_3 = 0.8
+
+
+@pytest.mark.parametrize("use_masks", [True, False])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_sources", [1, 2, 3, 4])
+def test_joined_levels_equal_separate_levels_bitwise(use_masks, levels, n_sources, one_worker,
+                                                     monkeypatch):
+    state, cfg = gradcheck.random_instance(70 + n_sources, height=H, width=W,
+                                           n_sources=n_sources, levels=levels,
+                                           use_masks=use_masks)
+    identity = state.poses.copy()
+    identity[0] = 0.0
+    blind = state.poses.copy()
+    blind[-1, 3] = 50.0
+    pose_sets = [state.poses, identity, blind]
+    if levels == 4:
+        blind_at_3 = state.poses.copy()
+        blind_at_3[-1, 3] = TX_BLIND_AT_LEVEL_3
+        report, _ = losses.total_loss(replace(state, poses=blind_at_3), cfg)
+        assert [n[-1] > 0 for n in report.valid_per_level] == [True, True, True, False]
+        pose_sets.append(blind_at_3)
+    for poses in pose_sets:
+        one = replace(state, poses=poses)
+        assert _run(monkeypatch, PARALLEL, one, cfg) == _run(monkeypatch, SERIAL, one, cfg)
+
+
+def test_source_blind_at_one_level_of_a_group_adds_nothing_there(monkeypatch):
+    state, cfg = gradcheck.random_instance(71, height=H, width=W, n_sources=1, levels=4)
+    state.poses[0, 3] = TX_BLIND_AT_LEVEL_3
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", SERIAL)   # one group of 4 levels
+    report, grads = losses.total_loss(state, cfg)
+    assert [n[0] for n in report.valid_per_level][3] == 0
+    assert report.vs_per_level[3] == 0.0 and all(v > 0 for v in report.vs_per_level[:3])
+    for g in [grads.depth_logits, grads.poses] + grads.mask_logits:
+        assert np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("batched", ["depth", "poses", "mask_level_0", "mask_level_3"])
+def test_joined_levels_equal_separate_levels_batched(batched, one_worker, monkeypatch):
+    state, cfg = gradcheck.random_instance(8, height=H, width=W, n_sources=3, levels=4)
+    rng = np.random.default_rng(1)
+    B = 5
+    if batched == "depth":
+        state = replace(state, depth_logits=state.depth_logits
+                        + rng.normal(0, 0.2, (B,) + state.depth_logits.shape))
+    elif batched == "poses":
+        poses = state.poses + rng.normal(0, 0.01, (B,) + state.poses.shape)
+        poses[2, 1, 3] = TX_BLIND_AT_LEVEL_3   # element 2: source 1 blind at some level
+        poses[3, 2] = 0.0                      # element 3: source 2 at the identity
+        state = replace(state, poses=poses)
+    else:
+        masks = list(state.mask_logits)
+        l = int(batched[-1])
+        masks[l] = masks[l] + rng.normal(0, 0.5, (B,) + masks[l].shape)
+        state = replace(state, mask_logits=masks)
+    assert (_run(monkeypatch, PARALLEL, state, cfg, want_grads=False)
+            == _run(monkeypatch, SERIAL, state, cfg, want_grads=False))
