@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -37,8 +38,10 @@ class LossConfig:
     use_explainability: bool = True
 
     def __post_init__(self):
-        if self.lambda_s < 0 or self.lambda_e < 0:
-            raise ValueError("loss weights must be >= 0")
+        for name in ("lambda_s", "lambda_e"):
+            weight = getattr(self, name)
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {weight}")
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
 
@@ -606,12 +609,15 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
             probs = [np.moveaxis(mask_probability(state.mask_logits[l]), -3, 0) for l in levels]
         else:
             logits = probs = None
-        # Every source warps the same target grid, so P is per group.
-        P = geometry.points_at_depth(depth, group.grid.rays) if want_grads else None
+        # Every source warps the same target grid at the same depth, so the
+        # points, and the depth check, are per group.
+        if np.any(depth <= 0):
+            raise ValueError("depth must be positive")
+        P = geometry.points_at_depth(depth, group.grid.rays)
 
         def source_terms(s) -> _SourceTerms:
             w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
-                                     want_grads=want_grads)
+                                     want_grads=want_grads, points=P)
             src_probs = None
             if use_masks:
                 src_probs = [probs[0][s] if spans is None else [_as_row(p[s]) for p in probs]]

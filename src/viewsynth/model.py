@@ -8,6 +8,7 @@ per pixel, per pyramid level and source view.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -66,6 +67,8 @@ def activate_depth_grad(logits):
 
 def depth_to_logit(depth: float) -> float:
     """Inverse of activate_depth for a scalar prior."""
+    if not (math.isfinite(depth) and depth > 0):
+        raise ValueError(f"depth prior must be finite and positive, got {depth}")
     s = (1.0 / depth - DEPTH_BETA) / DEPTH_ALPHA
     if not 0 < s < 1:
         raise ValueError(
@@ -90,8 +93,8 @@ class AdamConfig:
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1, beta2 must be in [0, 1)")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.window < 1:
@@ -191,14 +194,32 @@ def adam_step(state: SnippetState, grads, moments: AdamMoments, config: AdamConf
         g = gdict[name]
         if g.shape != p.shape:
             raise ValueError(f"shape mismatch for {name}")
-        m = moments.m.setdefault(name, np.zeros_like(p))
-        v = moments.v.setdefault(name, np.zeros_like(p))
-        m[...] = config.beta1 * m + (1 - config.beta1) * g
-        v[...] = config.beta2 * v + (1 - config.beta2) * g * g
-        mhat = m / (1 - config.beta1 ** t)
-        vhat = v / (1 - config.beta2 ** t)
+        m = moments.m.get(name)
+        if m is None:
+            m = moments.m[name] = np.zeros_like(p)
+            moments.v[name] = np.zeros_like(p)
+        v = moments.v[name]
         lr = config.lr * MASK_LR_SCALE if name.startswith("mask_logits") else config.lr
-        p -= lr * mhat / (np.sqrt(vhat) + config.epsilon)
+        # In place, with two scratch arrays. Each product and sum takes the
+        # operands it takes in the expression form
+        #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
+        #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  c = 1 - b**t,
+        # and a float product or sum does not depend on the order of its
+        # two operands, so every bit is as there.
+        a = np.multiply(g, 1 - config.beta1)
+        m *= config.beta1
+        m += a
+        np.multiply(g, 1 - config.beta2, out=a)
+        a *= g
+        v *= config.beta2
+        v += a
+        np.divide(m, 1 - config.beta1 ** t, out=a)
+        a *= lr
+        b = np.divide(v, 1 - config.beta2 ** t)
+        np.sqrt(b, out=b)
+        b += config.epsilon
+        a /= b
+        p -= a
 
 
 @dataclass

@@ -200,7 +200,7 @@ def join_grids(grids: list) -> PixelGrid:
 
 
 def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
-                 want_grads: bool = True) -> WarpResult:
+                 want_grads: bool = True, points: np.ndarray | None = None) -> WarpResult:
     """Warp a source image onto the target grid via depth and relative pose.
 
     For every target pixel, projects through `T` (target-to-source) at the
@@ -214,6 +214,11 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     depth may be a (B, H, W) stack and T a (B, 4, 4) stack, one per parameter
     set of a batch; an unbatched one is shared by the batch. The result then
     carries the batch axis, and each slice equals the unbatched warp bitwise.
+
+    points, when given, is geometry.points_at_depth(depth, rays) on this
+    grid, formed by a caller that warps several sources at one depth and has
+    checked that the depth is positive; the warp then reads it and forms
+    nothing of its own.
     """
     depth = np.asarray(depth, dtype=float)
     if isinstance(K, PixelGrid):
@@ -228,10 +233,12 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
         if (K.width, K.height) != (W, H):
             raise ValueError("intrinsics dimensions do not match image")
         grid = pixel_grid(K)
-    if np.any(depth <= 0):
-        raise ValueError("depth must be positive")
+    if points is None:
+        if np.any(depth <= 0):
+            raise ValueError("depth must be positive")
+        points = geometry.points_at_depth(depth, grid.rays)
 
-    pts = geometry.transform_points(T, geometry.points_at_depth(depth, grid.rays))
+    pts = geometry.transform_points(T, points)
     identity = (T == _IDENTITY).all(axis=(-2, -1))   # one flag per transform
     if (identity.all() if T.ndim == 3 else identity):
         # Identity map is exact; skip the float round-trip through K so the

@@ -11,6 +11,7 @@ identity pose. Planes are defined in the world frame.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -43,6 +44,8 @@ class SceneSpec:
             raise ValueError("plane depths must be positive")
         if len(self.trajectory) < 2:
             raise ValueError("trajectory needs at least 2 poses")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line surface."""
 
 import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -150,6 +153,61 @@ def test_fit_nonpositive_max_iters_is_runtime_error(tmp_path, capsys, iters):
                  "--max-iters", iters]) == 1
     err = capsys.readouterr().err
     assert "max_iters" in err and iters in err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--depth-prior", "0", "depth prior"),
+    ("--depth-prior", "-2", "depth prior"),
+    ("--lr", "nan", "lr"),
+    ("--lr", "inf", "lr"),
+    ("--lambda-s", "nan", "lambda_s"),
+    ("--lambda-e", "inf", "lambda_e"),
+])
+def test_fit_bad_hyperparameter_names_it(tmp_path, capsys, flag, value, field):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    capsys.readouterr()
+    assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+                 "--max-iters", "3", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"viewsynth fit: {field} must be finite and ")
+    assert f"got {float(value)}" in err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+def test_synth_bad_noise_is_runtime_error(tmp_path, capsys, noise):
+    assert _run(["synth", "--out", str(tmp_path / "seq"), "--noise", noise]) == 1
+    assert capsys.readouterr().err == (
+        f"viewsynth synth: noise_sigma must be finite and >= 0, got {float(noise)}\n")
+    assert not (tmp_path / "seq").exists()
+
+
+_REFIT_FAULTS = """
+import resource, sys
+from viewsynth import cli
+seq, out = sys.argv[1], sys.argv[2]
+fit = ["fit", "--in", seq, "--out", out, "--levels", "4", "--lr", "0.01", "--max-iters", "4"]
+assert cli.main(["synth", "--out", seq, "--scene", "slanted", "--frames", "5", "--width", "416",
+                 "--height", "128", "--focal", "240", "--step-x", "0.05"]) == 0
+assert cli.main(fit) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(fit) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
+def test_fit_reuses_the_memory_its_iterations_free(tmp_path):
+    # In a fresh process, a second 4-iteration 416x128 fit: with glibc's
+    # default policy each iteration faults in about 10k fresh pages.
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + sys.path))
+    out = subprocess.run([sys.executable, "-c", _REFIT_FAULTS, str(tmp_path / "seq"),
+                          str(tmp_path / "fit")], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.split()[-1]) < 2000
 
 
 def test_fit_without_valid_pixels_is_runtime_error(tmp_path, capsys):

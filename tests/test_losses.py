@@ -383,3 +383,10 @@ def test_loss_config_validation():
         LossConfig(lambda_s=-1)
     with pytest.raises(ValueError):
         LossConfig(num_levels=0)
+
+
+@pytest.mark.parametrize("name", ["lambda_s", "lambda_e"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_loss_config_rejects_nonfinite_or_negative_weights(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value}"):
+        LossConfig(**{name: value})

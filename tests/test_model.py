@@ -1,10 +1,11 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewsynth import losses, model
+from viewsynth import gradcheck, losses, model
 from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 from viewsynth.model import AdamConfig, AdamMoments, SnippetState
@@ -49,6 +50,12 @@ def test_depth_to_logit_roundtrip():
         assert abs(model.activate_depth(model.depth_to_logit(depth)) - depth) < 1e-9
     with pytest.raises(ValueError):
         model.depth_to_logit(1000.0)
+
+
+@pytest.mark.parametrize("depth", [0.0, -1.0, float("nan"), float("inf")])
+def test_depth_to_logit_rejects_nonpositive_or_nonfinite_prior(depth):
+    with pytest.raises(ValueError, match=f"depth prior must be finite and positive, got {depth}"):
+        model.depth_to_logit(depth)
 
 
 def test_init_state_defaults():
@@ -152,6 +159,55 @@ def test_adam_quadratic_bowl_matches_scalar_reference():
 def test_adam_config_validation(name, value):
     with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
         AdamConfig(**{name: value})
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_adam_config_rejects_nonfinite_or_nonpositive_lr(lr):
+    with pytest.raises(ValueError, match=f"lr must be finite and positive, got {lr}"):
+        AdamConfig(lr=lr)
+
+
+def _adam_expression_form(state, grads, moments, config, t):
+    """adam_step as whole-array expressions, each forming fresh arrays: the
+    reference that the in-place update must reproduce bit for bit."""
+    params = dict(model._param_items(state))
+    gdict = dict(model._grad_items(grads))
+    for name, p in params.items():
+        g = gdict[name]
+        m = moments.m.setdefault(name, np.zeros_like(p))
+        v = moments.v.setdefault(name, np.zeros_like(p))
+        m[...] = config.beta1 * m + (1 - config.beta1) * g
+        v[...] = config.beta2 * v + (1 - config.beta2) * g * g
+        mhat = m / (1 - config.beta1 ** t)
+        vhat = v / (1 - config.beta2 ** t)
+        lr = config.lr * model.MASK_LR_SCALE if name.startswith("mask_logits") else config.lr
+        p -= lr * mhat / (np.sqrt(vhat) + config.epsilon)
+
+
+def _param_bits(state, moments):
+    return ([p.tobytes() for _, p in model._param_items(state)]
+            + [moments.m[k].tobytes() for k in sorted(moments.m)]
+            + [moments.v[k].tobytes() for k in sorted(moments.v)])
+
+
+def test_adam_step_in_place_equals_expression_form_bitwise():
+    # A masked three-level state, stepped with its own gradients; at lr 0.05
+    # the masks step by 0.1 and the moments span several orders of magnitude.
+    state, cfg = gradcheck.random_instance(3, height=12, width=16, n_sources=2, levels=3)
+    ref = replace(state, depth_logits=state.depth_logits.copy(), poses=state.poses.copy(),
+                  mask_logits=[m.copy() for m in state.mask_logits])
+    adam = AdamConfig(lr=0.05)
+    moments, ref_moments = AdamMoments(), AdamMoments()
+    for t in range(1, 7):
+        _, grads = losses.total_loss(state, cfg)
+        model.adam_step(state, grads, moments, adam, t)
+        _adam_expression_form(ref, grads, ref_moments, adam, t)
+        assert _param_bits(state, moments) == _param_bits(ref, ref_moments)
+        if t == 1:
+            first = {k: (moments.m[k], moments.v[k]) for k in moments.m}
+        # The moments are updated in place, never replaced.
+        assert all(moments.m[k] is m and moments.v[k] is v for k, (m, v) in first.items())
+    assert len(first) == 2 + cfg.num_levels
 
 
 def test_fit_builds_image_pyramids_once(monkeypatch):

@@ -180,6 +180,50 @@ def test_dimension_mismatch_raises():
         sampler.inverse_warp(np.ones((4, 4, 1)), np.ones((4, 4)), np.eye(4), K)
 
 
+def _warp_bits(w):
+    return [None if a is None else (a.shape, a.tobytes())
+            for a in (w.warped, w.valid, w.d_du, w.d_dv, w.src_points)]
+
+
+@pytest.mark.parametrize("want_grads", [True, False])
+def test_warp_with_given_points_equals_default_bitwise(want_grads):
+    rng = np.random.default_rng(6)
+    K = _camera(12, 8)
+    grid = sampler.pixel_grid(K)
+    src = rng.random((8, 12, 2))
+    depth = rng.uniform(0.5, 3.0, (8, 12))
+    T = geometry.pose_to_transform(PoseParams(rx=0.02, ty=-0.03, tx=0.1))
+    points = geometry.points_at_depth(depth, grid.rays)
+    expected = _warp_bits(sampler.inverse_warp(src, depth, T, K, want_grads))
+    for camera in (K, grid):
+        assert _warp_bits(sampler.inverse_warp(src, depth, T, camera, want_grads,
+                                               points=points)) == expected
+
+
+def test_warp_of_joined_grids_with_given_points_equals_default_bitwise():
+    rng = np.random.default_rng(7)
+    cameras = [_camera(12, 8), geometry.scale_intrinsics(_camera(12, 8), 1)]
+    grid = sampler.join_grids([sampler.pixel_grid(K) for K in cameras])
+    stack = rng.random((sum(K.width * K.height for K in cameras), 2))
+    depth = rng.uniform(0.5, 3.0, grid.u.shape)
+    T = geometry.pose_to_transform(PoseParams(rz=-0.01, tx=0.05, tz=0.1))
+    points = geometry.points_at_depth(depth, grid.rays)
+    assert (_warp_bits(sampler.inverse_warp(stack, depth, T, grid, points=points))
+            == _warp_bits(sampler.inverse_warp(stack, depth, T, grid)))
+
+
+def test_batched_warp_with_given_points_equals_default_bitwise():
+    rng = np.random.default_rng(8)
+    K = _camera(12, 8)
+    src = rng.random((8, 12, 2))
+    depth = rng.uniform(0.5, 3.0, (4, 8, 12))
+    T = np.stack([geometry.pose_to_transform(PoseParams(ty=0.02 * b, tx=0.05)) for b in range(3)]
+                 + [np.eye(4)])                     # the last element takes the identity shortcut
+    points = geometry.points_at_depth(depth, sampler.pixel_grid(K).rays)
+    assert (_warp_bits(sampler.inverse_warp(src, depth, T, K, False, points=points))
+            == _warp_bits(sampler.inverse_warp(src, depth, T, K, False)))
+
+
 def test_pixel_grid_is_shared_and_read_only():
     rng = np.random.default_rng(5)
     src = rng.random((8, 12, 1))

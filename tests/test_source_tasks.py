@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viewsynth import gradcheck, losses, sampler
+from viewsynth import geometry, gradcheck, losses, sampler
 
 # PARALLEL_MIN_ELEMENTS that no level reaches, so every level joins one
 # group, which runs serially.
@@ -218,6 +218,24 @@ def test_one_warp_per_source_and_group(monkeypatch):
                         lambda *a, **k: calls.append(1) or orig(*a, **k))
     losses.total_loss(state, cfg)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("min_elements", [SERIAL, PARALLEL])
+def test_points_formed_once_per_level_group(min_elements, monkeypatch):
+    # depth * rays is shared by every source's warp and the adjoint.
+    state, cfg = gradcheck.random_instance(2, height=H, width=W, n_sources=3, levels=3)
+    rng = np.random.default_rng(2)
+    batch = replace(state, depth_logits=state.depth_logits
+                    + rng.normal(0, 0.2, (4,) + state.depth_logits.shape))
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", min_elements)
+    orig = geometry.points_at_depth
+    calls = []
+    monkeypatch.setattr(geometry, "points_at_depth",
+                        lambda *a: calls.append(1) or orig(*a))
+    for one, want_grads in ((state, True), (batch, False)):
+        calls.clear()
+        losses.total_loss(one, cfg, want_grads)
+        assert len(calls) == (1 if min_elements == SERIAL else cfg.num_levels)
 
 
 # 17 x 26 pyramids have odd sizes (17 x 26, 8 x 13) and, at four levels, a

@@ -115,3 +115,9 @@ def test_spec_validation():
         _plane_spec(depth=-1.0)
     with pytest.raises(ValueError):
         _plane_spec(trajectory=(PoseParams(),))
+
+
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_spec_rejects_negative_or_nonfinite_noise(sigma):
+    with pytest.raises(ValueError, match=f"noise_sigma must be finite and >= 0, got {sigma}"):
+        _plane_spec(noise_sigma=sigma)
