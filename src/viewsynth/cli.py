@@ -7,6 +7,7 @@ Diagnostics go to stderr; data and reports go to files or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -92,35 +93,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# mallopt parameters, from glibc's malloc.h.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
-
-
-def _keep_freed_memory() -> None:
-    """Have the C allocator keep the memory one fit iteration frees for the next.
-
-    A 416x128 iteration allocates and frees tens of MB of array temporaries.
-    By default glibc maps large arrays afresh and hands the free top of its
-    heap back to the kernel, so each such iteration faulted in about 10k
-    new zeroed pages, a fifth or more of its time. Large arrays from the
-    heap, a trim threshold above that working set and one arena for all
-    threads (each arena keeps its own high-water mark, which would raise the
-    peak resident set) reuse those pages instead. Where there is no
-    mallopt, the allocator keeps its defaults.
-    """
-    try:
-        import ctypes
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ImportError, OSError, TypeError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_ARENA_MAX, 1)
-
-
 def cmd_fit(args) -> int:
-    # Before the fit's first iteration, which starts the worker threads.
-    _keep_freed_memory()
     seq = synth.load_sequence(args.indir)
     loss_cfg = losses.LossConfig(
         lambda_s=args.lambda_s,
@@ -185,11 +158,21 @@ def cmd_warp(args) -> int:
     return 0
 
 
+def _is_positive(command: str, flag: str, value: float) -> bool:
+    """Whether `value` is finite and positive; if not, says so on stderr."""
+    if math.isfinite(value) and value > 0:
+        return True
+    print(f"{command}: {flag} must be finite and > 0, got {value}", file=sys.stderr)
+    return False
+
+
 def cmd_gradcheck(args) -> int:
     n_seeds = len(gradcheck.DEFAULT_SEEDS)
     if not 1 <= args.instances <= n_seeds:
         print(f"gradcheck: --instances must be in 1..{n_seeds} (the screened "
               f"instances), got {args.instances}", file=sys.stderr)
+        return 2
+    if not _is_positive("gradcheck", "--tolerance", args.tolerance):
         return 2
     worst = gradcheck.run(gradcheck.DEFAULT_SEEDS[: args.instances],
                           inject_bug=args.inject_grad_bug)
@@ -202,6 +185,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_eval_depth(args) -> int:
+    if args.cap is not None and not _is_positive("eval-depth", "--cap", args.cap):
+        return 2
     pred = fileio.load_wf01(args.pred)[..., 0]
     gt = fileio.load_wf01(args.gt)[..., 0]
     m = evaluation.depth_metrics(pred, gt, cap=args.cap, crop=args.crop)

@@ -59,8 +59,10 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
     The relative error of a group is ||analytic - fd||_inf normalized by
     max(||analytic||_inf, ||fd||_inf), with fd from central_differences.
     inject_bug perturbs the analytic gradient (negative-control hook for the
-    CLI).
+    CLI). Sets the process's allocator policy first
+    (`model._keep_freed_memory`).
     """
+    model._keep_freed_memory()
     pyramids = losses.build_snippet_pyramids(state, config)
     _, grads = losses.total_loss(state, config, pyramids=pyramids)
     analytic = dict(model._grad_items(grads))
@@ -76,12 +78,16 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
     return errors
 
 
-# Perturbed parameter sets per batched total_loss call. Larger chunks make
-# fewer calls but keep more (B, H, W, C) temporaries alive at once. On a
-# 2-core x86 host at 8x12, 32 sets per call check an instance about 10x
-# faster than unbatched calls, one per set, for under 1 MB more peak memory;
-# 64 sets are about 20% faster again for twice the extra memory.
-FD_CHUNK = 32
+# Perturbed parameter sets per batched total_loss call. Each set's total is
+# bitwise independent of the chunk size; larger chunks make fewer calls but
+# keep more (B, H, W, C) temporaries alive at once. With the allocator
+# keeping freed memory (model._keep_freed_memory), a batch's temporaries
+# reuse the previous batch's pages instead of faulting in fresh ones, and
+# larger batches pay off. On a 2-core x86 host at 8x12 (perfbench
+# gradcheck_fd, 10 s runs; evals/s and peak RSS): 32 sets 40-42k, 42.4 MB;
+# 64 sets 56-58k, 43.7 MB; 96 sets 64k, 46.7 MB; 128 sets 66k, 48.7 MB.
+# 64 keeps the peak within 5% of 32's. Without the policy, 64 sets gave 45k.
+FD_CHUNK = 64
 
 
 def central_differences(state, config: LossConfig, param: np.ndarray, step: float,

@@ -40,8 +40,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        if self.depth <= 0 or self.depth2 <= 0:
-            raise ValueError("plane depths must be positive")
+        for name in ("depth", "depth2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if len(self.trajectory) < 2:
             raise ValueError("trajectory needs at least 2 poses")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

@@ -183,6 +183,16 @@ def test_synth_bad_noise_is_runtime_error(tmp_path, capsys, noise):
     assert not (tmp_path / "seq").exists()
 
 
+@pytest.mark.parametrize("depth", ["nan", "inf", "-inf", "0"])
+def test_synth_bad_depth_is_runtime_error(tmp_path, capsys, depth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["synth", "--out", str(tmp_path / "seq"), f"--depth={depth}"]) == 1
+    assert capsys.readouterr().err == (
+        f"viewsynth synth: depth must be finite and > 0, got {float(depth)}\n")
+    assert not (tmp_path / "seq").exists()
+
+
 _REFIT_FAULTS = """
 import resource, sys
 from viewsynth import cli
@@ -229,6 +239,15 @@ def test_gradcheck_instances_out_of_range_is_usage_error(capsys, n):
     assert f"1..{len(gradcheck.DEFAULT_SEEDS)}" in captured.err and n in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+def test_gradcheck_bad_tolerance_is_usage_error(capsys, tolerance):
+    assert _run(["gradcheck", "--instances", "1", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"gradcheck: --tolerance must be finite and > 0, got {float(tolerance)}\n")
+
+
 def test_gradcheck_passes_and_detects_injected_bug(capsys):
     assert _run(["gradcheck", "--instances", "2"]) == 0
     out = capsys.readouterr().out
@@ -245,6 +264,16 @@ def test_eval_depth_perfect_prediction(tmp_path, capsys):
     assert _run(["eval-depth", "--in", str(p), "--gt", str(p)]) == 0
     out = capsys.readouterr().out
     assert "abs_rel 0" in out and "delta1 1" in out
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "-1", "0"])
+def test_eval_depth_bad_cap_is_usage_error(tmp_path, capsys, cap):
+    p = tmp_path / "d.wf01"
+    fileio.save_wf01(p, np.full((6, 8, 1), 2.0))
+    assert _run(["eval-depth", "--in", str(p), "--gt", str(p), "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eval-depth: --cap must be finite and > 0, got {float(cap)}\n"
 
 
 def test_eval_depth_is_scale_invariant(tmp_path):

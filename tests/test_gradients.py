@@ -190,7 +190,7 @@ def test_check_instance_equals_per_coordinate_loop(seed, monkeypatch):
     state, cfg = gradcheck.random_instance(seed)
     ref_errors, ref_fds = _per_coordinate_check(state, cfg)
     pyramids = losses.build_snippet_pyramids(state, cfg)
-    for chunk in (1, 7, 10 ** 6):
+    for chunk in (1, 7, 64, 10 ** 6):
         monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
         assert gradcheck.check_instance(state, cfg) == ref_errors
         for name, param in model._param_items(state):

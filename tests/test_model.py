@@ -1,4 +1,8 @@
+import os
+import platform
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +280,42 @@ def test_no_valid_pixels_stops_the_fit_with_its_iteration():
     with pytest.raises(model.NoValidPixels, match="no valid pixels at iteration 1") as e:
         model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=5), state=state)
     assert e.value.iteration == 1
+
+
+_FAULTS_OF_SECOND_RUN = """
+import resource
+from viewsynth import gradcheck, losses, model, synth
+from viewsynth.geometry import Intrinsics
+K = Intrinsics(fx=30.0, fy=30.0, cx=32.0, cy=24.0, width=64, height=48)
+seq = synth.render_scene(synth.SceneSpec(
+    texture_seed=5, trajectory=synth.linear_trajectory(3, (0.15, 0.0, 0.0)), intrinsics=K))
+cfg = losses.LossConfig(num_levels=3, use_explainability=False)
+adam = model.AdamConfig(lr=0.01, max_iters=30, tol=0.0)
+state, check_cfg = gradcheck.random_instance(0)
+run = {{
+    "fit": lambda: model.fit_snippet(seq.frames, seq.target_index, K, cfg, adam),
+    "check": lambda: gradcheck.check_instance(state, check_cfg),
+}}[{which!r}]
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
+@pytest.mark.parametrize("which, budget", [("fit", 300), ("check", 250)])
+def test_loops_reuse_the_memory_they_free(which, budget):
+    # In a fresh process, the pages a second 30-iteration 64x48 fit or a
+    # second 8x12 FD check faults in. With glibc's default policy these were
+    # about 6.9k and 1.8k: each evaluation's freed temporaries went back to
+    # the kernel and were faulted in afresh by the next.
+    package_root = os.path.dirname(os.path.dirname(model.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + sys.path))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_OF_SECOND_RUN.format(which=which)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.split()[-1]) < budget
 
 
 def test_checkpoint_roundtrip(tmp_path):

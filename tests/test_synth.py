@@ -117,6 +117,13 @@ def test_spec_validation():
         _plane_spec(trajectory=(PoseParams(),))
 
 
+@pytest.mark.parametrize("field", ["depth", "depth2"])
+@pytest.mark.parametrize("depth", [0.0, float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_nonpositive_or_nonfinite_depth(field, depth):
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got {depth}"):
+        _plane_spec(**{field: depth})
+
+
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_spec_rejects_negative_or_nonfinite_noise(sigma):
     with pytest.raises(ValueError, match=f"noise_sigma must be finite and >= 0, got {sigma}"):
