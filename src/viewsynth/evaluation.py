@@ -8,6 +8,7 @@ scale on predicted translations, plus the dataset-mean motion baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +58,17 @@ def depth_metrics(pred, gt, valid=None, cap=None, crop=None,
                   apply_median_scaling=True) -> DepthMetrics:
     """Seven-statistic depth evaluation after optional median scaling.
 
-    cap excludes ground-truth pixels deeper than the given value; crop, a
-    fraction in (0, 1], keeps only a centered crop of that relative size.
+    cap, finite and positive, excludes ground-truth pixels deeper than the
+    given value; crop, a fraction in (0, 1], keeps only a centered crop of
+    that relative size.
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ValueError("pred/gt shape mismatch")
+    # NaN fails every comparison, so a NaN cap would drop every pixel.
+    if cap is not None and not (math.isfinite(cap) and cap > 0):
+        raise ValueError(f"cap must be finite and > 0, got {cap}")
     if valid is None:
         valid = np.ones(pred.shape, dtype=bool)
     else:

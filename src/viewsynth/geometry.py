@@ -102,18 +102,26 @@ def check_rigid(T: np.ndarray, tol: float = _RIGID_TOL) -> np.ndarray:
     return T
 
 
-def _elemental_rotations(rx, ry, rz):
-    cx, sx = np.cos(rx), np.sin(rx)
-    cy, sy = np.cos(ry), np.sin(ry)
-    cz, sz = np.cos(rz), np.sin(rz)
-    Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+def _elemental_rotations(c: np.ndarray, s: np.ndarray):
+    """Rx, Ry, Rz of (..., 3) angle arrays (rx, ry, rz), given as their
+    cosines c and sines s, as (..., 3, 3) stacks of contiguous matrices."""
+    Rx, Ry, Rz = np.zeros((3,) + c.shape[:-1] + (3, 3))
+    Rx[..., 0, 0] = Ry[..., 1, 1] = Rz[..., 2, 2] = 1.0
+    Rx[..., 1, 1] = Rx[..., 2, 2] = c[..., 0]
+    Rx[..., 2, 1] = s[..., 0]
+    Rx[..., 1, 2] = -s[..., 0]
+    Ry[..., 0, 0] = Ry[..., 2, 2] = c[..., 1]
+    Ry[..., 0, 2] = s[..., 1]
+    Ry[..., 2, 0] = -s[..., 1]
+    Rz[..., 0, 0] = Rz[..., 1, 1] = c[..., 2]
+    Rz[..., 1, 0] = s[..., 2]
+    Rz[..., 0, 1] = -s[..., 2]
     return Rx, Ry, Rz
 
 
 def euler_to_rotation(rx: float, ry: float, rz: float) -> np.ndarray:
-    Rx, Ry, Rz = _elemental_rotations(rx, ry, rz)
+    angles = np.array([rx, ry, rz], dtype=float)
+    Rx, Ry, Rz = _elemental_rotations(np.cos(angles), np.sin(angles))
     return Rz @ Ry @ Rx
 
 
@@ -126,20 +134,34 @@ def rotation_to_euler(R: np.ndarray) -> tuple[float, float, float]:
     return float(rx), float(ry), float(rz)
 
 
+def pose_transforms(poses) -> np.ndarray:
+    """4x4 rigid transforms of (..., 6) pose arrays (rx, ry, rz, tx, ty, tz),
+    with R = Rz @ Ry @ Rx: an (S, 6) array gives (S, 4, 4), a (B, S, 6)
+    batch (B, S, 4, 4), in one pass over all of them. A zero pose gives
+    exactly np.eye(4)."""
+    poses = np.asarray(poses, dtype=float)
+    if not np.isfinite(poses).all():
+        raise ValueError("pose parameters must be finite")
+    angles = poses[..., :3]
+    Rx, Ry, Rz = _elemental_rotations(np.cos(angles), np.sin(angles))
+    T = np.zeros(poses.shape[:-1] + (4, 4))
+    T[..., :3, :3] = Rz @ Ry @ Rx
+    T[..., :3, 3] = poses[..., 3:]
+    T[..., 3, 3] = 1.0
+    return T
+
+
 def pose_to_transform(p: PoseParams) -> np.ndarray:
     """4x4 rigid transform with R = Rz @ Ry @ Rx and the given translation."""
-    T = np.eye(4)
-    T[:3, :3] = euler_to_rotation(p.rx, p.ry, p.rz)
-    T[:3, 3] = (p.tx, p.ty, p.tz)
-    return T
+    return pose_transforms(p.as_array())
 
 
 def rotation_jacobians(rx: float, ry: float, rz: float):
     """dR/drx, dR/dry, dR/drz for R = Rz @ Ry @ Rx."""
-    Rx, Ry, Rz = _elemental_rotations(rx, ry, rz)
-    cx, sx = np.cos(rx), np.sin(rx)
-    cy, sy = np.cos(ry), np.sin(ry)
-    cz, sz = np.cos(rz), np.sin(rz)
+    angles = np.array([rx, ry, rz], dtype=float)
+    c, s = np.cos(angles), np.sin(angles)
+    Rx, Ry, Rz = _elemental_rotations(c, s)
+    (cx, cy, cz), (sx, sy, sz) = c.tolist(), s.tolist()
     dRx = np.array([[0, 0, 0], [0, -sx, -cx], [0, cx, -sx]])
     dRy = np.array([[-sy, 0, cy], [0, 0, 0], [-cy, 0, -sy]])
     dRz = np.array([[-sz, -cz, 0], [cz, -sz, 0], [0, 0, 0]])

@@ -57,7 +57,9 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
     """Max relative gradient error per parameter group.
 
     The relative error of a group is ||analytic - fd||_inf normalized by
-    max(||analytic||_inf, ||fd||_inf), with fd from central_differences.
+    max(||analytic||_inf, ||fd||_inf), with fd from central_differences:
+    one call for depth logits and poses, the perturbations that move the
+    warp, and one for all mask levels, whose batches share one warp.
     inject_bug perturbs the analytic gradient (negative-control hook for the
     CLI). Sets the process's allocator policy first
     (`model._keep_freed_memory`).
@@ -69,63 +71,91 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
     if inject_bug:
         analytic["poses"] = analytic["poses"] * 1.01
 
+    params = dict(model._param_items(state))
+    fds = {}
+    for names in (["depth_logits", "poses"],
+                  [name for name in params if name.startswith("mask_logits")]):
+        if names:
+            fds.update(zip(names, central_differences(
+                state, config, [params[name] for name in names], step, pyramids)))
     errors = {}
-    for name, param in model._param_items(state):
-        fd = central_differences(state, config, param, step, pyramids)
+    for name, fd in fds.items():
         a = analytic[name]
         scale = max(np.max(np.abs(a)), np.max(np.abs(fd)), 1e-12)
         errors[name] = float(np.max(np.abs(a - fd)) / scale)
     return errors
 
 
-# Perturbed parameter sets per batched total_loss call. Each set's total is
-# bitwise independent of the chunk size; larger chunks make fewer calls but
-# keep more (B, H, W, C) temporaries alive at once. With the allocator
-# keeping freed memory (model._keep_freed_memory), a batch's temporaries
-# reuse the previous batch's pages instead of faulting in fresh ones, and
-# larger batches pay off. On a 2-core x86 host at 8x12 (perfbench
-# gradcheck_fd, 10 s runs; evals/s and peak RSS): 32 sets 40-42k, 42.4 MB;
-# 64 sets 56-58k, 43.7 MB; 96 sets 64k, 46.7 MB; 128 sets 66k, 48.7 MB.
-# 64 keeps the peak within 5% of 32's. Without the policy, 64 sets gave 45k.
+# Perturbed parameter sets per batched total_loss call that moves the warp
+# (depth logits, poses); batches that perturb only mask logits take 8 times
+# as many (see central_differences). Each set's total is bitwise independent
+# of the batch size; larger batches make fewer calls but keep more
+# (B, H, W, C) temporaries alive at once. With the allocator keeping freed
+# memory (model._keep_freed_memory), a batch's temporaries reuse the
+# previous batch's pages instead of faulting in fresh ones, and larger
+# batches pay off. On a 2-core x86 host at 8x12 (perfbench gradcheck_fd,
+# 10 s runs; evals/s and peak RSS): 32 sets 61-65k, 43.5-43.7 MB; 64 sets
+# 76-78k, 44.8 MB; 96 sets 75-77k, 47.4-47.6 MB; 128 sets 80k, 49.4 MB.
+# Mask batches of 4 * 64 sets gave 69-73k, 44.3 MB: an 8x12 instance's 480
+# mask sets then take two calls instead of one.
 FD_CHUNK = 64
 
 
-def central_differences(state, config: LossConfig, param: np.ndarray, step: float,
-                        pyramids: losses.SnippetPyramids) -> np.ndarray:
+def central_differences(state, config: LossConfig, params: list, step: float,
+                        pyramids: losses.SnippetPyramids) -> list:
     """(f(x + step e_i) - f(x - step e_i)) / (2 step) for every coordinate i
-    of `param`, one of the state's parameter arrays.
+    of each array in `params`, a list of the state's parameter arrays; one
+    array of differences per parameter array, shaped like it.
 
-    The 2 * param.size perturbed parameter sets go through forward-only
-    total_loss calls as batches of up to FD_CHUNK; the other parameters stay
-    unbatched and are shared. Each total equals the one of perturbing the
-    coordinate in place bit for bit.
+    The 2 * n perturbed parameter sets of all n coordinates go through
+    forward-only total_loss calls in shared batches. In a batch, an array
+    gets a batch axis only if one of the batch's sets perturbs it; every
+    other parameter stays unbatched and is shared. Each total equals the one
+    of perturbing the coordinate in place bit for bit.
+
+    Batches hold up to FD_CHUNK sets when `params` holds the depth logits or
+    the poses. Otherwise depth and poses stay unbatched, each source is
+    warped once per batch, and only the per-pixel mask terms carry the batch
+    axis. A set then takes 1/8 (8x12) to 1/14 (64x48) of the temporaries of
+    a depth set under tracemalloc, so batches hold up to 8 * FD_CHUNK sets.
     """
-    flat = param.reshape(-1)
-    # Set k moves coordinate k // 2 by +step for even k and by -step for odd k.
+    if isinstance(params, np.ndarray):
+        raise TypeError("params must be a list of parameter arrays")
+    moves_warp = any(p is state.depth_logits or p is state.poses for p in params)
+    chunk = FD_CHUNK if moves_warp else 8 * FD_CHUNK
+    flat = np.concatenate([p.reshape(-1) for p in params])
+    # Set k moves coordinate k // 2 by +step for even k and by -step for odd
+    # k; coordinates run through params in order, array i from bounds[i].
+    bounds = np.cumsum([0] + [p.size for p in params])
     coords = np.repeat(np.arange(flat.size), 2)
     values = np.empty(2 * flat.size)
     values[0::2] = flat + step
     values[1::2] = flat - step
     totals = np.empty(2 * flat.size)
-    for start in range(0, totals.size, FD_CHUNK):
-        ks = np.arange(start, min(start + FD_CHUNK, totals.size))
-        batch = np.repeat(param[None], ks.size, axis=0)
-        batch.reshape(ks.size, -1)[np.arange(ks.size), coords[ks]] = values[ks]
-        report, _ = losses.total_loss(_with_batch(state, param, batch), config,
+    for start in range(0, totals.size, chunk):
+        ks = np.arange(start, min(start + chunk, totals.size))
+        batches = []
+        for p, lo, hi in zip(params, bounds[:-1], bounds[1:]):
+            mine = ks[(coords[ks] >= lo) & (coords[ks] < hi)]
+            if mine.size:
+                batch = np.repeat(p[None], ks.size, axis=0)
+                batch.reshape(ks.size, -1)[mine - start, coords[mine] - lo] = values[mine]
+                batches.append((p, batch))
+        report, _ = losses.total_loss(_with_batches(state, batches), config,
                                       want_grads=False, pyramids=pyramids)
         totals[ks] = report.total
-    return ((totals[0::2] - totals[1::2]) / (2 * step)).reshape(param.shape)
+    fd = (totals[0::2] - totals[1::2]) / (2 * step)
+    return [fd[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, bounds[:-1], bounds[1:])]
 
 
-def _with_batch(state, param: np.ndarray, batch: np.ndarray):
-    """A copy of `state` with its parameter array `param` replaced by `batch`."""
-    masks = state.mask_logits and [batch if m is param else m for m in state.mask_logits]
-    return replace(
-        state,
-        depth_logits=batch if state.depth_logits is param else state.depth_logits,
-        poses=batch if state.poses is param else state.poses,
-        mask_logits=masks,
-    )
+def _with_batches(state, batches: list):
+    """A copy of `state` with each parameter array p of the (p, batch) pairs
+    `batches` replaced by its batch."""
+    def swap(p):
+        return next((batch for q, batch in batches if q is p), p)
+
+    return replace(state, depth_logits=swap(state.depth_logits), poses=swap(state.poses),
+                   mask_logits=state.mask_logits and [swap(m) for m in state.mask_logits])
 
 
 def run(seeds, step: float = 1e-5, inject_bug: bool = False, **instance_kwargs):

@@ -380,22 +380,9 @@ def smoothness_loss(depth, want_grads: bool = True):
 
 def _pose_transforms(poses: np.ndarray) -> list:
     """Target-to-source transform of every source: a 4x4 matrix for (S, 6)
-    poses, a (B, 4, 4) stack for a (B, S, 6) batch of them.
-
-    Each distinct pose row is converted once, by the scalar pose_to_transform.
-    """
-    cache = {}
-
-    def transform(row):
-        key = row.tobytes()
-        if key not in cache:
-            cache[key] = geometry.pose_to_transform(geometry.PoseParams.from_array(row))
-        return cache[key]
-
-    if poses.ndim == 2:
-        return [transform(row) for row in poses]
-    return [np.stack([transform(row) for row in poses[:, s]])
-            for s in range(poses.shape[1])]
+    poses, a contiguous (B, 4, 4) stack for a (B, S, 6) batch of them."""
+    T = geometry.pose_transforms(poses)
+    return list(T if T.ndim == 3 else np.ascontiguousarray(np.moveaxis(T, 1, 0)))
 
 
 # Levels whose depth map has at least this many elements (batch axis

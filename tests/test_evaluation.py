@@ -81,6 +81,13 @@ def test_depth_metrics_cap_and_crop():
     assert m.n_valid == 25
 
 
+@pytest.mark.parametrize("cap", [np.nan, np.inf, 0.0, -1.0])
+def test_depth_metrics_rejects_nonpositive_or_nonfinite_cap(cap):
+    gt = np.full((4, 4), 2.0)
+    with pytest.raises(ValueError, match=f"^cap must be finite and > 0, got {cap}$"):
+        evaluation.depth_metrics(gt, gt, cap=cap)
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=50)
 def test_delta_monotonicity_fuzzed(seed):

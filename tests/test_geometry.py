@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewsynth import geometry, sampler
+from viewsynth import geometry, gradcheck, losses, sampler
 from viewsynth.geometry import Intrinsics, PoseParams
 
 angles = st.floats(-3.0, 3.0)
@@ -41,6 +41,63 @@ def test_pose_matches_elemental_matrix_product():
 def test_pose_rejects_nonfinite():
     with pytest.raises(ValueError):
         PoseParams(rx=np.nan)
+
+
+def _scalar_pose_to_transform(pose) -> np.ndarray:
+    """One pose row's transform by the scalar arithmetic pose_to_transform
+    had before the array form: the bitwise reference for it."""
+    rx, ry, rz, tx, ty, tz = np.asarray(pose, dtype=float).tolist()
+    cx, sx = np.cos(rx), np.sin(rx)
+    cy, sy = np.cos(ry), np.sin(ry)
+    cz, sz = np.cos(rz), np.sin(rz)
+    Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    T = np.eye(4)
+    T[:3, :3] = Rz @ Ry @ Rx
+    T[:3, 3] = (tx, ty, tz)
+    return T
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (2, 6), (4, 6), (24, 2, 6), (3, 4, 6)])
+def test_pose_transforms_equal_scalar_arithmetic_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        poses = rng.normal(0.0, 1.0, shape)
+        # Angles of either sign with magnitudes from 1e-3 to 3 rad.
+        poses[..., :3] = rng.choice([-1.0, 1.0], shape[:-1] + (3,)) * np.exp(
+            rng.uniform(np.log(1e-3), np.log(3.0), shape[:-1] + (3,)))
+        T = geometry.pose_transforms(poses)
+        assert T.shape == shape[:-1] + (4, 4)
+        for idx in np.ndindex(shape[:-1]):
+            ref = _scalar_pose_to_transform(poses[idx]).tobytes()
+            assert T[idx].tobytes() == ref, idx
+            assert geometry.pose_to_transform(PoseParams.from_array(poses[idx])).tobytes() == ref
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (3, 2, 6)])
+def test_zero_poses_give_exact_identities_and_identity_warps(shape):
+    T = geometry.pose_transforms(np.zeros(shape))
+    assert all(np.array_equal(T[idx], np.eye(4)) for idx in np.ndindex(shape[:-1]))
+    # inverse_warp's identity shortcut returns the source bit for bit.
+    K = Intrinsics(fx=10.0, fy=10.0, cx=5.7, cy=3.9, width=12, height=8)
+    src = np.random.default_rng(0).random((8, 12, 2))
+    for transform in losses._pose_transforms(np.zeros(shape)):
+        warp = sampler.inverse_warp(src, np.full((8, 12), 2.0), transform, K, want_grads=False)
+        assert np.array_equal(warp.warped, np.broadcast_to(src, warp.warped.shape))
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_total_loss_rejects_nonfinite_poses(batch, bad):
+    state, cfg = gradcheck.random_instance(0)
+    poses = state.poses.copy() if batch is None else np.stack([state.poses] * batch)
+    poses[..., -1, 4] = bad
+    state.poses = poses
+    with pytest.raises(ValueError, match="pose parameters must be finite"):
+        losses.total_loss(state, cfg, want_grads=batch is None)
+    with pytest.raises(ValueError, match="pose parameters must be finite"):
+        geometry.pose_transforms(poses)
 
 
 @pytest.mark.parametrize("idx", [(0, 0), (1, 2), (2, 3), (3, 3)])

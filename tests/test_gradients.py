@@ -185,17 +185,64 @@ def _per_coordinate_check(state, config, step=1e-5):
     return errors, fds
 
 
-@pytest.mark.parametrize("seed", gradcheck.DEFAULT_SEEDS[:3])
-def test_check_instance_equals_per_coordinate_loop(seed, monkeypatch):
-    state, cfg = gradcheck.random_instance(seed)
+def _oracle_lists(state):
+    """check_instance's lists of parameter arrays: depth logits and poses,
+    then every mask level."""
+    params = dict(model._param_items(state))
+    masks = [name for name in params if name.startswith("mask_logits")]
+    return [names for names in (["depth_logits", "poses"], masks) if names], params
+
+
+@pytest.mark.parametrize("seed, kwargs", [
+    *(pytest.param(seed, {}, id=str(seed)) for seed in gradcheck.DEFAULT_SEEDS[:3]),
+    # Three mask levels: the last mask batch holds sets of all three from
+    # FD_CHUNK 64 up, and batches at FD_CHUNK 7 straddle two levels.
+    pytest.param(44, {"n_sources": 3, "levels": 3}, id="S3-L3"),
+    pytest.param(1, {"use_masks": False}, id="no-masks"),
+])
+def test_check_instance_equals_per_coordinate_loop(seed, kwargs, monkeypatch):
+    state, cfg = gradcheck.random_instance(seed, **kwargs)
     ref_errors, ref_fds = _per_coordinate_check(state, cfg)
     pyramids = losses.build_snippet_pyramids(state, cfg)
+    lists, params = _oracle_lists(state)
     for chunk in (1, 7, 64, 10 ** 6):
         monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
         assert gradcheck.check_instance(state, cfg) == ref_errors
-        for name, param in model._param_items(state):
-            fd = gradcheck.central_differences(state, cfg, param, 1e-5, pyramids)
-            assert np.array_equal(fd, ref_fds[name]), (name, chunk)
+        for names in lists:
+            fds = gradcheck.central_differences(state, cfg, [params[n] for n in names],
+                                                1e-5, pyramids)
+            for name, fd in zip(names, fds, strict=True):
+                assert np.array_equal(fd, ref_fds[name]), (name, chunk)
+
+
+def test_central_differences_refuses_a_bare_array():
+    # Iterating an array would take its rows for parameter arrays of the
+    # state and return differences of an unperturbed objective.
+    state, cfg = gradcheck.random_instance(0)
+    with pytest.raises(TypeError, match="list"):
+        gradcheck.central_differences(state, cfg, state.poses, 1e-5,
+                                      losses.build_snippet_pyramids(state, cfg))
+
+
+def test_check_instance_batches_mask_levels_with_an_unbatched_warp(monkeypatch):
+    # 8x12, S=2, L=2: 2 * (96 + 12) depth and pose sets in 4 batches of up to
+    # FD_CHUNK = 64, and 2 * (2 * 96 + 2 * 24) mask sets in one batch.
+    state, cfg = gradcheck.random_instance(0)
+    assert gradcheck.FD_CHUNK == 64
+    calls = []
+    total_loss = losses.total_loss
+
+    def counting(state, config, want_grads=True, **kwargs):
+        calls.append((want_grads, np.ndim(state.depth_logits), np.ndim(state.poses),
+                      [np.ndim(m) for m in state.mask_logits]))
+        return total_loss(state, config, want_grads, **kwargs)
+
+    monkeypatch.setattr(losses, "total_loss", counting)
+    gradcheck.check_instance(state, cfg)
+    assert [c[0] for c in calls] == [True] + [False] * 5
+    mask_batches = [c for c in calls if 4 in c[3]]
+    assert [c[3] for c in mask_batches] == [[4, 4]]
+    assert all(c[1:3] == (2, 2) for c in mask_batches)
 
 
 def test_projection_adjoint_matches_fd_over_a_two_level_group():
