@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evaluation, fileio, geometry, gradcheck, losses, model, sampler, synth
-from .geometry import Intrinsics, PoseParams
+from .geometry import Intrinsics
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,23 +111,15 @@ def cmd_fit(args) -> int:
     fileio.save_wf01(os.path.join(args.out, "depth.wf01"), st.depth())
     model.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), st)
 
-    # Camera-to-world poses (world = target camera frame), in frame order.
-    poses = []
-    s = 0
-    for i in range(len(seq.frames)):
-        if i == seq.target_index:
-            poses.append(np.eye(4))
-        else:
-            T_ts = geometry.pose_to_transform(PoseParams.from_array(st.poses[s]))
-            poses.append(geometry.invert(T_ts))
-            s += 1
+    # Camera-to-world poses (world = target camera frame), in frame order:
+    # the sources' poses, with the identity at the target's index.
+    poses = [geometry.invert(T_ts) for T_ts in geometry.pose_transforms(st.poses)]
+    poses.insert(seq.target_index, np.eye(4))
     fileio.save_trajectory(os.path.join(args.out, "trajectory.txt"), poses)
 
-    if st.mask_logits is not None:
-        for l, m in enumerate(st.mask_logits):
-            for si in range(m.shape[0]):
-                prob = losses.mask_probability(m[si])
-                fileio.save_wf01(os.path.join(args.out, f"mask_l{l}_s{si}.wf01"), prob)
+    for l, m in enumerate(st.mask_logits or []):
+        for si, prob in enumerate(losses.mask_probability(m)):
+            fileio.save_wf01(os.path.join(args.out, f"mask_l{l}_s{si}.wf01"), prob)
 
     with open(os.path.join(args.out, "history.txt"), "w") as f:
         for i, rep in enumerate(result.history):
@@ -184,22 +176,32 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+def _write_report(report: str, path: str | None) -> None:
+    """Write `report` to the file at `path`, or to stdout without one."""
+    if path:
+        with open(path, "w") as f:
+            f.write(report)
+    else:
+        sys.stdout.write(report)
+
+
 def cmd_eval_depth(args) -> int:
     if args.cap is not None and not _is_positive("eval-depth", "--cap", args.cap):
+        return 2
+    if args.crop is not None and not 0 < args.crop <= 1:  # NaN fails too
+        print(f"eval-depth: --crop must be in (0, 1], got {args.crop}", file=sys.stderr)
         return 2
     pred = fileio.load_wf01(args.pred)[..., 0]
     gt = fileio.load_wf01(args.gt)[..., 0]
     m = evaluation.depth_metrics(pred, gt, cap=args.cap, crop=args.crop)
-    report = evaluation.format_metrics_report(m)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(report)
-    else:
-        sys.stdout.write(report)
+    _write_report(evaluation.format_metrics_report(m), args.out)
     return 0
 
 
 def cmd_eval_odom(args) -> int:
+    if args.snippet_len < 2:
+        print(f"eval-odom: --snippet-len must be >= 2, got {args.snippet_len}", file=sys.stderr)
+        return 2
     pred = fileio.load_trajectory(args.pred)
     gt = fileio.load_trajectory(args.gt)
     if len(pred) != len(gt):
@@ -217,12 +219,7 @@ def cmd_eval_odom(args) -> int:
         ates.append(r.ate)
         lines.append(f"snippet {i} ate {r.ate:.17g}")
     lines.insert(0, f"mean_ate {np.mean(ates):.17g}")
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_report("\n".join(lines) + "\n", args.out)
     return 0
 
 

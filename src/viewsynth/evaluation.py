@@ -9,12 +9,11 @@ scale on predicted translations, plus the dataset-mean motion baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import geometry
-from .geometry import PoseParams
 
 
 @dataclass
@@ -28,14 +27,6 @@ class DepthMetrics:
     delta3: float
     n_valid: int
     scale: float
-
-    def as_dict(self):
-        return {
-            "abs_rel": self.abs_rel, "sq_rel": self.sq_rel, "rmse": self.rmse,
-            "rmse_log": self.rmse_log, "delta1": self.delta1,
-            "delta2": self.delta2, "delta3": self.delta3,
-            "n_valid": self.n_valid, "scale": self.scale,
-        }
 
 
 def median_scale(pred, gt, valid=None) -> float:
@@ -116,7 +107,7 @@ def format_metrics_report(m: DepthMetrics) -> str:
     """Aligned table plus a machine-readable key/value block."""
     head = " ".join(f"{h:>10s}" for h in _HEADERS)
     row = " ".join(f"{getattr(m, c):10.4f}" for c in _COLUMNS)
-    kv = "\n".join(f"{k} {v:.17g}" for k, v in m.as_dict().items())
+    kv = "\n".join(f"{k} {v:.17g}" for k, v in asdict(m).items())
     return f"{head}\n{row}\n\n{kv}\n"
 
 
@@ -167,13 +158,8 @@ def split_snippets(traj, length: int):
     """Consecutive stride-1 windows re-based to their central frame."""
     if length < 2:
         raise ValueError("snippet length must be >= 2")
-    if len(traj) < length:
-        return []
-    out = []
-    for i in range(len(traj) - length + 1):
-        window = traj[i: i + length]
-        out.append(rebase(window, index=length // 2))
-    return out
+    return [rebase(traj[i: i + length], index=length // 2)
+            for i in range(len(traj) - length + 1)]
 
 
 def mean_odometry_baseline(train_snippets):
@@ -200,19 +186,7 @@ def mean_odometry_baseline(train_snippets):
     trans /= len(train_snippets)
 
     poses = [np.eye(4)]
-    for k in range(steps):
-        delta = geometry.pose_to_transform(
-            PoseParams(rx=eulers[k, 0], ry=eulers[k, 1], rz=eulers[k, 2],
-                       tx=trans[k, 0], ty=trans[k, 1], tz=trans[k, 2])
-        )
+    for delta in geometry.pose_transforms(np.concatenate([eulers, trans], axis=1)):
         poses.append(poses[-1] @ delta)
     return poses
 
-
-def side_rotation_magnitude(snippet) -> float:
-    """Absolute side (x) offset between the first and last frame positions,
-    measured in the first frame's coordinates."""
-    if len(snippet) < 2:
-        raise ValueError("need at least 2 poses")
-    based = rebase(snippet, index=0)
-    return float(abs(based[-1][0, 3]))

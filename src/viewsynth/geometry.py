@@ -78,11 +78,6 @@ class PoseParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.rx, self.ry, self.rz, self.tx, self.ty, self.tz])
 
-    @staticmethod
-    def from_array(a) -> "PoseParams":
-        a = np.asarray(a, dtype=float)
-        return PoseParams(*a.tolist())
-
 
 def check_rigid(T: np.ndarray, tol: float = _RIGID_TOL) -> np.ndarray:
     """Validate a 4x4 rigid transform matrix; returns it as float64."""

@@ -67,7 +67,7 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
     model._keep_freed_memory()
     pyramids = losses.build_snippet_pyramids(state, config)
     _, grads = losses.total_loss(state, config, pyramids=pyramids)
-    analytic = dict(model._grad_items(grads))
+    analytic = dict(model._param_items(grads))
     if inject_bug:
         analytic["poses"] = analytic["poses"] * 1.01
 

@@ -73,16 +73,51 @@ class SnippetGrads:
 _LOG_MAX_FLOAT = float(np.log(np.finfo(float).max))
 
 
+def sigmoid(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise."""
+    # exp(-x) overflows to inf below x = -_LOG_MAX_FLOAT. The result there,
+    # 1 / inf = 0, is the limit and within 1e-308 of the true value.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
 def mask_probability(logits: np.ndarray) -> np.ndarray:
     """Sigmoid of one logit per pixel.
 
     This is channel 1 of the paper's 2-channel softmax, whose value depends
     only on the gap between the two channels; the logit is that gap.
     """
-    # exp(-x) overflows to inf below x = -_LOG_MAX_FLOAT. The result there,
-    # 1 / inf = 0, is the limit and within 1e-308 of the true probability.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-logits))
+    return sigmoid(logits)
+
+
+# The paper's depth bound: depth = 1 / (DEPTH_ALPHA * sigmoid(x) + DEPTH_BETA)
+# of an unconstrained logit x, so positivity is structural.
+DEPTH_ALPHA = 10.0
+DEPTH_BETA = 0.01
+
+
+def activate_depth(logits):
+    """Depth map from unconstrained logits; always in (1/(alpha+beta), 1/beta)."""
+    return 1.0 / (DEPTH_ALPHA * sigmoid(logits) + DEPTH_BETA)
+
+
+def activate_depth_grad(logits):
+    s = sigmoid(logits)
+    denom = DEPTH_ALPHA * s + DEPTH_BETA
+    return -DEPTH_ALPHA * s * (1 - s) / denom ** 2
+
+
+def depth_to_logit(depth: float) -> float:
+    """Inverse of activate_depth for a scalar prior."""
+    if not (math.isfinite(depth) and depth > 0):
+        raise ValueError(f"depth prior must be finite and positive, got {depth}")
+    s = (1.0 / depth - DEPTH_BETA) / DEPTH_ALPHA
+    if not 0 < s < 1:
+        raise ValueError(
+            f"depth prior {depth} outside representable range "
+            f"({1 / (DEPTH_ALPHA + DEPTH_BETA):.4f}, {1 / DEPTH_BETA:.0f})"
+        )
+    return float(np.log(s / (1 - s)))
 
 
 def build_pyramid(img, levels: int, batched: bool = False) -> list:
@@ -250,78 +285,68 @@ def _upsample_grad(g: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def view_synthesis_loss(target, warps: list, mask_probs=None,
-                        want_grads: bool = True, spans=None):
-    """Mean L1 photometric error over valid pixels, summed over source views.
+def view_synthesis_loss(target, warp, mask_prob=None, want_grads: bool = True, spans=None):
+    """Mean L1 photometric error of one source's warp over its valid pixels.
 
-    mask_probs, when given, holds one (H, W) grid of mask_probability values
-    per source (an (S, H, W) array or a list); it weights each pixel's error.
+    mask_prob, when given, is that source's (H, W) grid of mask_probability
+    values; it weights each pixel's error.
 
     Returns (loss, grad_warped, grad_mask_logits, n_valid) where grad_warped
-    is a list of (H, W, C) arrays, grad_mask_logits a matching list of
-    gradients with respect to the mask logits (None entries when masks are
-    off), and n_valid the per-source valid counts. With want_grads off both
-    gradient lists hold None. A source with zero valid pixels contributes 0
-    with zero gradients (None with want_grads off).
+    is the (H, W, C) gradient with respect to the warped image,
+    grad_mask_logits the gradient with respect to the source's mask logits
+    (None when masks are off), and n_valid the valid count. With want_grads
+    off both gradients are None. A warp with zero valid pixels gives 0 with
+    zero gradients.
 
     spans, when given, are the (start, stop) pixel ranges of the levels of a
     level group's (1, N) maps (see total_loss). Each level then counts as a
-    warp of its own: the loss and each source's valid count are lists with
-    one entry per level, and each pixel's gradient divides by its own
-    level's count. A source's mask probabilities are then a list with each
-    level's (..., 1, n_l) row.
+    warp of its own: the loss and the valid count are lists with one entry
+    per level, and each pixel's gradient divides by its own level's count.
+    mask_prob is then a list with each level's (..., 1, n_l) row.
 
-    Warps and mask grids may carry a leading batch axis (batched warps of
-    inverse_warp); the loss and each valid count are then one value per batch
-    element, and want_grads must be off.
+    The warp and the mask grids may carry a leading batch axis (batched
+    warps of inverse_warp); the loss and the valid count are then one value
+    per batch element, and want_grads must be off.
     """
     target = sampler._as_image(target)
-    if not warps:
-        raise ValueError("need at least one warp")
+    if warp.warped.shape[-3:] != target.shape:
+        raise ValueError("warp/target shape mismatch")
     C = target.shape[2]
-    loss = [0.0] * (1 if spans is None else len(spans))
-    grad_warped = []
-    grad_mask = []
-    n_valid = []
-    for s, w in enumerate(warps):
-        if w.warped.shape[-3:] != target.shape:
-            raise ValueError("warp/target shape mismatch")
-        valid = w.valid
-        counts = [_count_hw(part) for part in _split(valid, spans)]
-        n_valid.append(counts[0] if spans is None else counts)
-        probs = None if mask_probs is None else [mask_probs[s]] if spans is None else mask_probs[s]
-        # In a batch, _mean_hw below gives the elements without valid pixels 0.
-        if all(isinstance(n, int) and n == 0 for n in counts):
-            grad_warped.append(np.zeros_like(w.warped) if want_grads else None)
-            grad_mask.append(np.zeros(valid.shape) if want_grads and probs is not None else None)
-            continue
-        r = w.warped - target
+    valid = warp.valid
+    counts = [_count_hw(part) for part in _split(valid, spans)]
+    probs = None if mask_prob is None else [mask_prob] if spans is None else mask_prob
+    loss = [0.0] * len(counts)
+    grad_warped = grad_mask = None
+    # In a batch, _mean_hw below gives the elements without valid pixels 0.
+    if all(isinstance(n, int) and n == 0 for n in counts):
+        if want_grads:
+            grad_warped = np.zeros_like(warp.warped)
+            grad_mask = None if probs is None else np.zeros(valid.shape)
+    else:
+        r = warp.warped - target
         e = _sum_channels(np.abs(r)) / C
         # Per level with masks: a level's mask may have a batch axis of its own.
-        for i, x in enumerate(_split(e * valid, spans) if probs is None else
-                              [p * e_l * v for p, e_l, v in
-                               zip(probs, _split(e, spans), _split(valid, spans))]):
-            loss[i] += _mean_hw(x, counts[i])
-        if not want_grads:
-            grad_warped.append(None)
-            grad_mask.append(None)
-            continue
-        # Each pixel divides by its own level's count; a level without valid
-        # pixels has only zero numerators.
-        n = counts[0] if spans is None else np.repeat(
-            np.maximum(counts, 1), [b - a for a, b in spans]).reshape(valid.shape)
-        weight = valid
-        grad_mask.append(None)
-        if probs is not None:
-            prob = probs[0] if spans is None else np.concatenate(probs, axis=-1)
-            weight = valid * prob
-            grad_mask[-1] = valid * e / n * (prob * (1 - prob))
-        # sign(r) * (weight / (C n)) is weight * sign(r) / (C n) bit for bit,
-        # as sign(r) is -1, 0 or 1, with one product over the channels.
-        gw = np.sign(r)
-        gw *= (weight / (C * n))[..., None]
-        grad_warped.append(gw)
-    return (loss[0] if spans is None else loss), grad_warped, grad_mask, n_valid
+        loss = [_mean_hw(x, n) for x, n in zip(
+            _split(e * valid, spans) if probs is None else
+            [p * e_l * v for p, e_l, v in zip(probs, _split(e, spans), _split(valid, spans))],
+            counts)]
+        if want_grads:
+            # Each pixel divides by its own level's count; a level without
+            # valid pixels has only zero numerators.
+            n = counts[0] if spans is None else np.repeat(
+                np.maximum(counts, 1), [b - a for a, b in spans]).reshape(valid.shape)
+            weight = valid
+            if probs is not None:
+                prob = probs[0] if spans is None else np.concatenate(probs, axis=-1)
+                weight = valid * prob
+                grad_mask = valid * e / n * (prob * (1 - prob))
+            # sign(r) * (weight / (C n)) is weight * sign(r) / (C n) bit for
+            # bit, as sign(r) is -1, 0 or 1, with one product over the channels.
+            grad_warped = np.sign(r)
+            grad_warped *= (weight / (C * n))[..., None]
+    if spans is None:
+        return loss[0], grad_warped, grad_mask, counts[0]
+    return loss, grad_warped, grad_mask, counts
 
 
 def explainability_regularizer(logits, prob=None, want_grads: bool = True):
@@ -548,8 +573,6 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     the total_loss of that parameter set alone. Batches are forward-only:
     want_grads must be off.
     """
-    from . import model  # local import; model builds on this module
-
     S = len(state.sources)
     if pyramids is None:
         pyramids = build_snippet_pyramids(state, config)
@@ -557,7 +580,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
 
     use_masks = config.use_explainability and state.mask_logits is not None
     poses = np.asarray(state.poses, dtype=float)
-    depth0 = model.activate_depth(state.depth_logits)
+    depth0 = activate_depth(state.depth_logits)
     batched = (depth0.ndim == 3 or poses.ndim == 3
                or (use_masks and any(m.ndim == 4 for m in state.mask_logits)))
     if batched and want_grads:
@@ -607,13 +630,11 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
                                      want_grads=want_grads, points=P)
             src_probs = None
             if use_masks:
-                src_probs = [probs[0][s] if spans is None else [_as_row(p[s]) for p in probs]]
+                src_probs = probs[0][s] if spans is None else [_as_row(p[s]) for p in probs]
             vs, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
-                group.target, [w], src_probs, want_grads=want_grads, spans=spans)
+                group.target, w, src_probs, want_grads=want_grads, spans=spans)
             if spans is None:
-                vs = [vs]
-            else:
-                n_valid = n_valid[0]
+                vs, n_valid = [vs], [n_valid]
             regs = prob_sums = [0.0] * len(levels)
             if use_masks:
                 regs, prob_sums = [], []
@@ -624,14 +645,13 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
                     prob_sums.append(_sum_hw(probs[i][s]))
                     if want_grads:
                         # This task's own slice of the level's mask gradient.
-                        g_mask[l][s] += _split(g_mask_vs[0], spans)[i].reshape(g_reg.shape)
+                        g_mask[l][s] += _split(g_mask_vs, spans)[i].reshape(g_reg.shape)
                         g_mask[l][s] += config.lambda_e * g_reg
             if not want_grads:
                 return _SourceTerms(vs, n_valid, regs, prob_sums, None, None)
 
-            gw = g_warped[0]
-            gu = _sum_channels(gw * w.d_du)
-            gv = _sum_channels(gw * w.d_dv)
+            gu = _sum_channels(g_warped * w.d_du)
+            gv = _sum_channels(g_warped * w.d_dv)
             g_depth, g_pose_lv = projection_adjoint(gu, gv, w, group.grid, transforms[s][:3, :3],
                                                     rot_jacs[s], P, spans)
             return _SourceTerms(vs, n_valid, regs, prob_sums, g_depth, g_pose_lv)
@@ -675,7 +695,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         g = g_depth_lv[-1]
         for l in range(L - 2, -1, -1):
             g = g_depth_lv[l] + _upsample_grad(g, depth_pyr[l].shape)
-        g_logits = g * model.activate_depth_grad(state.depth_logits)
+        g_logits = g * activate_depth_grad(state.depth_logits)
         grads = SnippetGrads(depth_logits=g_logits, poses=g_pose, mask_logits=g_mask)
 
     report = LossReport(

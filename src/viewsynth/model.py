@@ -1,9 +1,8 @@
 """Directly optimized snippet parameterization and the Adam fitting loop.
 
 Trainable parameters: per-pixel depth logits for the target view (activated
-as 1 / (alpha * sigmoid(x) + beta), alpha=10, beta=0.01, so positivity is
-structural), one 6-DoF pose per source view, and one explainability logit
-per pixel, per pyramid level and source view.
+by losses.activate_depth), one 6-DoF pose per source view, and one
+explainability logit per pixel, per pyramid level and source view.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, losses, sampler
+from . import losses, sampler
 from .geometry import Intrinsics
-from .losses import LossConfig, LossReport
-
-DEPTH_ALPHA = 10.0
-DEPTH_BETA = 0.01
+# activate_depth_grad is not used here: perfbench/tracing.py wraps it, with
+# activate_depth, by its name in this module.
+from .losses import LossConfig, LossReport, activate_depth, activate_depth_grad, depth_to_logit
 
 CHECKPOINT_MAGIC = b"VSCK"
 CHECKPOINT_VERSION = 2
@@ -82,37 +80,6 @@ def _keep_freed_memory() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     mallopt(_M_ARENA_MAX, 1)
-
-
-def sigmoid(x):
-    # exp(-x) overflows to inf below x = -709.78; 1 / inf = 0 is the limit,
-    # within 1e-308 of the true value, as in losses.mask_probability.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-
-
-def activate_depth(logits):
-    """Depth map from unconstrained logits; always in (1/(alpha+beta), 1/beta)."""
-    return 1.0 / (DEPTH_ALPHA * sigmoid(logits) + DEPTH_BETA)
-
-
-def activate_depth_grad(logits):
-    s = sigmoid(logits)
-    denom = DEPTH_ALPHA * s + DEPTH_BETA
-    return -DEPTH_ALPHA * s * (1 - s) / denom ** 2
-
-
-def depth_to_logit(depth: float) -> float:
-    """Inverse of activate_depth for a scalar prior."""
-    if not (math.isfinite(depth) and depth > 0):
-        raise ValueError(f"depth prior must be finite and positive, got {depth}")
-    s = (1.0 / depth - DEPTH_BETA) / DEPTH_ALPHA
-    if not 0 < s < 1:
-        raise ValueError(
-            f"depth prior {depth} outside representable range "
-            f"({1 / (DEPTH_ALPHA + DEPTH_BETA):.4f}, {1 / DEPTH_BETA:.0f})"
-        )
-    return float(np.log(s / (1 - s)))
 
 
 @dataclass(frozen=True)
@@ -197,19 +164,13 @@ def init_state(
     )
 
 
-def _param_items(state: SnippetState):
-    yield "depth_logits", state.depth_logits
-    yield "poses", state.poses
-    if state.mask_logits is not None:
-        for l, m in enumerate(state.mask_logits):
-            yield f"mask_logits_{l}", m
-
-
-def _grad_items(grads: losses.SnippetGrads):
-    yield "depth_logits", grads.depth_logits
-    yield "poses", grads.poses
-    if grads.mask_logits is not None:
-        for l, m in enumerate(grads.mask_logits):
+def _param_items(params: SnippetState | losses.SnippetGrads):
+    """(name, array) of each parameter group of a state, or of its gradients,
+    which have the same fields."""
+    yield "depth_logits", params.depth_logits
+    yield "poses", params.poses
+    if params.mask_logits is not None:
+        for l, m in enumerate(params.mask_logits):
             yield f"mask_logits_{l}", m
 
 
@@ -224,7 +185,7 @@ def adam_step(state: SnippetState, grads, moments: AdamMoments, config: AdamConf
     if t < 1:
         raise ValueError("step index t must be >= 1")
     params = dict(_param_items(state))
-    gdict = dict(_grad_items(grads))
+    gdict = dict(_param_items(grads))
     if set(params) != set(gdict):
         raise ValueError("gradient buffers do not match parameters")
     for name, p in params.items():
@@ -303,10 +264,7 @@ def fit_snippet(
             # Window means smooth out Adam's oscillation around the optimum.
             prev = sum(r.total for r in history[-2 * w: -w]) / w
             cur = sum(r.total for r in history[-w:]) / w
-            if prev == 0 and cur == 0:
-                converged = True
-                break
-            if prev > 0 and abs(prev - cur) / prev < adam_config.tol:
+            if (prev == 0 and cur == 0) or (prev > 0 and abs(prev - cur) / prev < adam_config.tol):
                 converged = True
                 break
     return FitResult(state=state, history=history, converged=converged, iterations=t)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fileio, geometry
+from . import fileio, geometry, sampler
 from .geometry import Intrinsics, PoseParams
 
 SCENE_KINDS = ("plane", "slanted", "two_plane")
@@ -132,8 +132,7 @@ def render_scene(spec: SceneSpec) -> SnippetSequence:
     freqs, phases, amps = _texture_params(spec.texture_seed)
     noise_rng = np.random.default_rng(spec.texture_seed + 1)
 
-    jj, ii = np.meshgrid(np.arange(K.width, dtype=float), np.arange(K.height, dtype=float))
-    rays = geometry.backproject(jj, ii, 1.0, K)
+    rays = sampler.pixel_grid(K).rays
 
     frames, depths, poses = [], [], []
     for p in spec.trajectory:
@@ -187,33 +186,43 @@ def save_sequence(seq: SnippetSequence, outdir) -> None:
         fileio.save_trajectory(os.path.join(outdir, "gt_trajectory.txt"), seq.gt_poses)
 
 
+def _load_map(path, K: Intrinsics, in_range, rule: str) -> np.ndarray:
+    """A WF01 file of K's image size whose values all pass `in_range`;
+    otherwise a FileFormatError that names the file and the `rule`."""
+    arr = fileio.load_wf01(path)
+    if arr.shape[:2] != (K.height, K.width):
+        raise fileio.FileFormatError(
+            f"{path}: size {arr.shape[:2]} does not match intrinsics ({K.height}, {K.width})")
+    # Comparisons with NaN are false, so this also rejects NaN values.
+    if not np.all(in_range(arr)):
+        raise fileio.FileFormatError(f"{path}: {rule}")
+    return arr
+
+
 def load_sequence(indir) -> SnippetSequence:
+    """Read a sequence directory, checking each frame, ground-truth depth map
+    and the ground-truth trajectory against the intrinsics and frame count."""
     names, target = fileio.load_manifest(os.path.join(indir, "sequence.txt"))
     K = fileio.load_intrinsics(os.path.join(indir, "intrinsics.txt"))
-    frames = []
-    for name in names:
-        path = os.path.join(indir, name)
-        fr = fileio.load_wf01(path)
-        if fr.shape[:2] != (K.height, K.width):
-            raise fileio.FileFormatError(
-                f"{path}: frame size {fr.shape[:2]} does not match intrinsics "
-                f"({K.height}, {K.width})"
-            )
-        # Comparisons with NaN are false, so this also rejects NaN pixels.
-        if not np.all((fr >= 0.0) & (fr <= 1.0)):
-            raise fileio.FileFormatError(
-                f"{path}: pixel values must be finite and within [0, 1]")
-        frames.append(fr)
+    frames = [_load_map(os.path.join(indir, name), K, lambda fr: (fr >= 0.0) & (fr <= 1.0),
+                        "pixel values must be finite and within [0, 1]") for name in names]
     gt_depths = None
     if os.path.exists(os.path.join(indir, "depth_000.wf01")):
-        gt_depths = [
-            fileio.load_wf01(os.path.join(indir, f"depth_{i:03d}.wf01"))[..., 0]
-            for i in range(len(frames))
-        ]
+        gt_depths = []
+        for i in range(len(frames)):
+            path = os.path.join(indir, f"depth_{i:03d}.wf01")
+            depth = _load_map(path, K, lambda d: (d > 0.0) & (d < np.inf),
+                              "depth values must be finite and > 0")
+            if depth.shape[2] != 1:
+                raise fileio.FileFormatError(f"{path}: {depth.shape[2]} depth channels, not 1")
+            gt_depths.append(depth[..., 0])
     gt_poses = None
     traj_path = os.path.join(indir, "gt_trajectory.txt")
     if os.path.exists(traj_path):
         gt_poses = fileio.load_trajectory(traj_path)
+        if len(gt_poses) != len(frames):
+            raise fileio.FileFormatError(
+                f"{traj_path}: {len(gt_poses)} poses for {len(frames)} frames")
     return SnippetSequence(
         frames=frames,
         intrinsics=K,

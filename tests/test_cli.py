@@ -77,6 +77,28 @@ def test_warp_reproduces_target_frame(tmp_path):
         assert err.mean() < 1e-3
 
 
+def test_warp_with_too_few_gt_poses_names_the_file(tmp_path, capsys):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    traj = seq_dir / "gt_trajectory.txt"
+    traj.write_text("".join(traj.read_text().splitlines(keepends=True)[:2]))
+    assert _run(["warp", "--in", str(seq_dir), "--out", str(tmp_path / "warped")]) == 1
+    assert capsys.readouterr().err.endswith(f"\nviewsynth warp: {traj}: 2 poses for 3 frames\n")
+
+
+@pytest.mark.parametrize("depth", [np.full((16, 24, 1), np.nan), np.full((16, 24, 1), -1.0),
+                                   np.full((16, 24, 1), np.inf), np.full((16, 20, 1), 2.0),
+                                   np.full((16, 24, 2), 2.0)],
+                         ids=["nan", "negative", "inf", "size", "channels"])
+def test_warp_with_bad_gt_depth_names_the_file(tmp_path, capsys, depth):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    path = seq_dir / "depth_001.wf01"
+    fileio.save_wf01(path, depth)
+    assert _run(["warp", "--in", str(seq_dir), "--out", str(tmp_path / "warped")]) == 1
+    assert f"viewsynth warp: {path}: " in capsys.readouterr().err
+
+
 def test_fit_runs_and_is_byte_deterministic(tmp_path):
     seq_dir = tmp_path / "seq"
     _synth(seq_dir)
@@ -276,6 +298,16 @@ def test_eval_depth_bad_cap_is_usage_error(tmp_path, capsys, cap):
     assert captured.err == f"eval-depth: --cap must be finite and > 0, got {float(cap)}\n"
 
 
+@pytest.mark.parametrize("crop", ["nan", "0", "-0.5", "1.5"])
+def test_eval_depth_bad_crop_is_usage_error(tmp_path, capsys, crop):
+    p = tmp_path / "d.wf01"
+    fileio.save_wf01(p, np.full((6, 8, 1), 2.0))
+    assert _run(["eval-depth", "--in", str(p), "--gt", str(p), "--crop", crop]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eval-depth: --crop must be in (0, 1], got {float(crop)}\n"
+
+
 def test_eval_depth_is_scale_invariant(tmp_path):
     rng = np.random.default_rng(1)
     gt = rng.uniform(1, 5, (6, 8, 1)).astype(np.float32).astype(float)
@@ -311,6 +343,16 @@ def test_eval_odom_identity_and_mismatch(tmp_path, capsys):
     fileio.save_trajectory(short, traj[:3])
     assert _run(["eval-odom", "--in", str(short), "--gt", str(short),
                  "--snippet-len", "5"]) == 1
+
+
+@pytest.mark.parametrize("length", ["1", "0", "-3"])
+def test_eval_odom_short_snippet_len_is_usage_error(tmp_path, capsys, length):
+    p = tmp_path / "t.txt"
+    fileio.save_trajectory(p, [np.eye(4)] * 5)
+    assert _run(["eval-odom", "--in", str(p), "--gt", str(p), "--snippet-len", length]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eval-odom: --snippet-len must be >= 2, got {length}\n"
 
 
 def test_eval_odom_hand_worked_example(tmp_path, capsys):

@@ -143,8 +143,8 @@ def criterion4_digests() -> dict:
     seq = synth.render_scene(spec)
     out = {}
     for name, lambda_e, lr in (("unregularized", 0.0, 0.02), ("regularized", 0.2, 0.01)):
-        res = model.fit_snippet(seq.frames, seq.target_index, K,
-                                LossConfig(lambda_e=lambda_e, num_levels=2, use_explainability=True),
+        cfg = LossConfig(lambda_e=lambda_e, num_levels=2, use_explainability=True)
+        res = model.fit_snippet(seq.frames, seq.target_index, K, cfg,
                                 AdamConfig(lr=lr, max_iters=300, tol=0.0))
         out[name] = {"total": [r.total.hex() for r in res.history],
                      "mean_mask": [r.mean_mask.hex() for r in res.history]}

@@ -203,21 +203,6 @@ def test_mean_baseline_constant_velocity_generalizes():
     assert evaluation.snippet_ate(baseline, held_out).ate < 1e-9
 
 
-def test_side_rotation_magnitude():
-    straight = _traj([(0, 0, k) for k in range(5)])
-    assert evaluation.side_rotation_magnitude(straight) == 0.0
-
-    side = _traj([(0, 0, 0), (2, 0, 0)])
-    assert evaluation.side_rotation_magnitude(side) == 2.0
-
-    # Quarter-circle turn of radius r: endpoint side offset is r.
-    r = 3.0
-    thetas = np.linspace(0, np.pi / 2, 6)
-    arc = _traj([(r - r * np.cos(th), 0.0, r * np.sin(th)) for th in thetas],
-                yaws=list(thetas))
-    assert abs(evaluation.side_rotation_magnitude(arc) - r) < 1e-12
-
-
 def test_format_metrics_report_columns():
     m = evaluation.depth_metrics(np.full((3, 3), 2.0), np.full((3, 3), 2.0))
     rep = evaluation.format_metrics_report(m)

@@ -72,7 +72,7 @@ def test_pose_transforms_equal_scalar_arithmetic_bitwise(shape):
         for idx in np.ndindex(shape[:-1]):
             ref = _scalar_pose_to_transform(poses[idx]).tobytes()
             assert T[idx].tobytes() == ref, idx
-            assert geometry.pose_to_transform(PoseParams.from_array(poses[idx])).tobytes() == ref
+            assert geometry.pose_to_transform(PoseParams(*poses[idx])).tobytes() == ref
 
 
 @pytest.mark.parametrize("shape", [(2, 6), (3, 2, 6)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from viewsynth import geometry, gradcheck, losses, model, sampler
-from viewsynth.geometry import Intrinsics, PoseParams
+from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 
 
@@ -164,7 +164,7 @@ def _per_coordinate_check(state, config, step=1e-5):
     the reference the batched oracle must reproduce bit for bit."""
     pyramids = losses.build_snippet_pyramids(state, config)
     _, grads = losses.total_loss(state, config, pyramids=pyramids)
-    analytic = dict(model._grad_items(grads))
+    analytic = dict(model._param_items(grads))
     errors, fds = {}, {}
     for name, param in model._param_items(state):
         fd = np.zeros_like(param)
@@ -257,7 +257,7 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
     depth = losses._group_map(group, losses.build_pyramid(state.depth(), 2))
     # The shift to the left leaves the left columns without a source pixel.
     pose = np.array([0.02, -0.03, 0.01, -0.3, -0.05, 0.02])
-    T = geometry.pose_to_transform(PoseParams.from_array(pose))
+    T = geometry.pose_transforms(pose)
     warp = sampler.inverse_warp(group.sources[0], depth, T, grid)
     for a, b in group.spans:   # each level has invalid pixels, and its last is valid
         assert 0 < warp.valid[..., a:b].sum() < b - a and warp.valid[0, b - 1]
@@ -265,7 +265,7 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
     wu, wv = rng.normal(size=depth.shape), rng.normal(size=depth.shape)
 
     def weighted(depth, pose):   # per pixel, 0 where the base warp is invalid
-        T = geometry.pose_to_transform(PoseParams.from_array(pose))
+        T = geometry.pose_transforms(pose)
         pts = geometry.transform_points(T, geometry.points_at_depth(depth, grid.rays))
         u, v, _ = geometry.project_points(pts, grid)
         return np.where(warp.valid, wu * u + wv * v, 0.0)

@@ -25,9 +25,9 @@ def _warp_of(img, valid=None):
 def test_perfect_warp_gives_zero():
     rng = np.random.default_rng(0)
     t = rng.random((4, 4, 2))
-    loss, _, _, n = losses.view_synthesis_loss(t, [_warp_of(t)])
+    loss, _, _, n = losses.view_synthesis_loss(t, _warp_of(t))
     assert loss == 0.0
-    assert n == [16]
+    assert n == 16
 
 
 def test_constant_field_algebra():
@@ -35,12 +35,13 @@ def test_constant_field_algebra():
     t = np.zeros((3, 5, 1))
     w = _warp_of(np.ones((3, 5, 1)))
     prob = losses.mask_probability(np.zeros((3, 5)))  # sigmoid -> 0.5
-    loss, _, _, _ = losses.view_synthesis_loss(t, [w], [prob])
+    loss, _, _, _ = losses.view_synthesis_loss(t, w, prob)
     assert abs(loss - 0.5) < 1e-15
 
 
 def test_matches_scalar_loop_oracle():
-    # Independent per-pixel loop over sources, pixels, and channels.
+    # Independent per-pixel loop over sources, pixels, and channels, against
+    # the sum of one call per source.
     rng = np.random.default_rng(42)
     t = rng.random((4, 4, 3))
     warps, masks = [], []
@@ -64,33 +65,33 @@ def test_matches_scalar_loop_oracle():
                 acc += prob * e
         expected += acc / n
 
-    probs = [losses.mask_probability(m) for m in masks]
-    loss, _, _, _ = losses.view_synthesis_loss(t, warps, probs)
+    loss = sum(losses.view_synthesis_loss(t, w, losses.mask_probability(m))[0]
+               for w, m in zip(warps, masks))
     assert abs(loss - expected) < 1e-12
 
 
 def test_zero_valid_pixels_reports_zero():
     t = np.ones((3, 3, 1))
     w = _warp_of(np.zeros((3, 3, 1)), np.zeros((3, 3), dtype=bool))
-    loss, gw, _, n = losses.view_synthesis_loss(t, [w])
-    assert loss == 0.0 and n == [0]
-    assert np.all(gw[0] == 0.0)
+    loss, gw, _, n = losses.view_synthesis_loss(t, w)
+    assert loss == 0.0 and n == 0
+    assert np.all(gw == 0.0)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_zero_valid_pixels_forward_only_gives_no_gradients(masked):
     t = np.ones((3, 3, 2))
     w = _warp_of(np.zeros((3, 3, 2)), np.zeros((3, 3), dtype=bool))
-    probs = [np.full((3, 3), 0.5)] if masked else None
-    loss, gw, gm, n = losses.view_synthesis_loss(t, [w], probs, want_grads=False)
-    assert loss == 0.0 and n == [0]
-    assert gw == [None] and gm == [None]
-    _, gw, gm, _ = losses.view_synthesis_loss(t, [w], probs)
-    assert np.all(gw[0] == 0.0)
+    prob = np.full((3, 3), 0.5) if masked else None
+    loss, gw, gm, n = losses.view_synthesis_loss(t, w, prob, want_grads=False)
+    assert loss == 0.0 and n == 0
+    assert gw is None and gm is None
+    _, gw, gm, _ = losses.view_synthesis_loss(t, w, prob)
+    assert np.all(gw == 0.0)
     if masked:
-        assert np.all(gm[0] == 0.0)
+        assert np.all(gm == 0.0)
     else:
-        assert gm == [None]
+        assert gm is None
 
 
 def test_sum_channels_equals_numpy_sum():
@@ -109,8 +110,8 @@ def test_unit_mask_bitwise_equals_unmasked():
     w = _warp_of(rng.random((5, 6, 2)))
     logits = np.full((5, 6), 50.0)
     assert losses.mask_probability(logits).min() == 1.0
-    plain, _, _, _ = losses.view_synthesis_loss(t, [w])
-    masked, _, _, _ = losses.view_synthesis_loss(t, [w], [losses.mask_probability(logits)])
+    plain, _, _, _ = losses.view_synthesis_loss(t, w)
+    masked, _, _, _ = losses.view_synthesis_loss(t, w, losses.mask_probability(logits))
     assert plain == masked
 
 

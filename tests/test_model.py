@@ -27,9 +27,9 @@ CFG = LossConfig(num_levels=2, use_explainability=True)
 @given(st.floats(-30, 30))
 @settings(max_examples=100)
 def test_activated_depth_stays_inside_open_interval(logit):
-    d = model.activate_depth(logit)
-    lo = 1.0 / (model.DEPTH_ALPHA + model.DEPTH_BETA)
-    hi = 1.0 / model.DEPTH_BETA
+    d = losses.activate_depth(logit)
+    lo = 1.0 / (losses.DEPTH_ALPHA + losses.DEPTH_BETA)
+    hi = 1.0 / losses.DEPTH_BETA
     assert lo < d < hi
 
 
@@ -37,29 +37,29 @@ def test_activated_depth_stays_inside_open_interval(logit):
 def test_activated_depth_extreme_logits_are_finite(logit):
     # exp(-x) overflows below x = -709.78; RuntimeWarnings fail the suite,
     # so this also checks that no overflow warning is raised.
-    lim = 1.0 / model.DEPTH_BETA if logit < 0 else 1.0 / (model.DEPTH_ALPHA + model.DEPTH_BETA)
-    assert model.activate_depth(logit) == lim
-    assert model.activate_depth_grad(logit) == 0.0
+    lim = 1.0 / losses.DEPTH_BETA if logit < 0 else 1.0 / (losses.DEPTH_ALPHA + losses.DEPTH_BETA)
+    assert losses.activate_depth(logit) == lim
+    assert losses.activate_depth_grad(logit) == 0.0
 
 
 def test_activate_depth_grad_matches_central_differences():
     x = np.linspace(-8.0, 8.0, 33)
     h = 1e-6
-    fd = (model.activate_depth(x + h) - model.activate_depth(x - h)) / (2 * h)
-    assert np.allclose(model.activate_depth_grad(x), fd, rtol=1e-6, atol=0.0)
+    fd = (losses.activate_depth(x + h) - losses.activate_depth(x - h)) / (2 * h)
+    assert np.allclose(losses.activate_depth_grad(x), fd, rtol=1e-6, atol=0.0)
 
 
 def test_depth_to_logit_roundtrip():
     for depth in (0.2, 1.0, 5.0, 50.0):
-        assert abs(model.activate_depth(model.depth_to_logit(depth)) - depth) < 1e-9
+        assert abs(losses.activate_depth(losses.depth_to_logit(depth)) - depth) < 1e-9
     with pytest.raises(ValueError):
-        model.depth_to_logit(1000.0)
+        losses.depth_to_logit(1000.0)
 
 
 @pytest.mark.parametrize("depth", [0.0, -1.0, float("nan"), float("inf")])
 def test_depth_to_logit_rejects_nonpositive_or_nonfinite_prior(depth):
     with pytest.raises(ValueError, match=f"depth prior must be finite and positive, got {depth}"):
-        model.depth_to_logit(depth)
+        losses.depth_to_logit(depth)
 
 
 def test_init_state_defaults():
@@ -175,7 +175,7 @@ def _adam_expression_form(state, grads, moments, config, t):
     """adam_step as whole-array expressions, each forming fresh arrays: the
     reference that the in-place update must reproduce bit for bit."""
     params = dict(model._param_items(state))
-    gdict = dict(model._grad_items(grads))
+    gdict = dict(model._param_items(grads))
     for name, p in params.items():
         g = gdict[name]
         m = moments.m.setdefault(name, np.zeros_like(p))
@@ -251,8 +251,8 @@ def test_fit_depth_bounds_hold_after_every_step():
     imgs = _images(seed=30)
     state = model.init_state(imgs, 1, K, CFG)
     moments = AdamMoments()
-    lo = 1.0 / (model.DEPTH_ALPHA + model.DEPTH_BETA)
-    hi = 1.0 / model.DEPTH_BETA
+    lo = 1.0 / (losses.DEPTH_ALPHA + losses.DEPTH_BETA)
+    hi = 1.0 / losses.DEPTH_BETA
     for t in range(1, 40):
         _, grads = losses.total_loss(state, CFG)
         model.adam_step(state, grads, moments, AdamConfig(lr=0.05), t)
