@@ -53,11 +53,6 @@ class Intrinsics:
                 raise InvalidIntrinsics(
                     name, f"{name} {c} puts the principal point outside the image")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class PoseParams:

@@ -12,6 +12,7 @@ drawn from seeded generic configurations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -58,8 +59,7 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
 
     The relative error of a group is ||analytic - fd||_inf normalized by
     max(||analytic||_inf, ||fd||_inf), with fd from central_differences:
-    one call for depth logits and poses, the perturbations that move the
-    warp, and one for all mask levels, whose batches share one warp.
+    one call each for the depth logits, the poses and all mask levels.
     inject_bug perturbs the analytic gradient (negative-control hook for the
     CLI). Sets the process's allocator policy first
     (`model._keep_freed_memory`).
@@ -73,7 +73,7 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
 
     params = dict(model._param_items(state))
     fds = {}
-    for names in (["depth_logits", "poses"],
+    for names in (["depth_logits"], ["poses"],
                   [name for name in params if name.startswith("mask_logits")]):
         if names:
             fds.update(zip(names, central_differences(
@@ -86,18 +86,20 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
     return errors
 
 
-# Perturbed parameter sets per batched total_loss call that moves the warp
-# (depth logits, poses); batches that perturb only mask logits take 8 times
-# as many (see central_differences). Each set's total is bitwise independent
-# of the batch size; larger batches make fewer calls but keep more
-# (B, H, W, C) temporaries alive at once. With the allocator keeping freed
-# memory (model._keep_freed_memory), a batch's temporaries reuse the
-# previous batch's pages instead of faulting in fresh ones, and larger
-# batches pay off. On a 2-core x86 host at 8x12 (perfbench gradcheck_fd,
-# 10 s runs; evals/s and peak RSS): 32 sets 61-65k, 43.5-43.7 MB; 64 sets
-# 76-78k, 44.8 MB; 96 sets 75-77k, 47.4-47.6 MB; 128 sets 80k, 49.4 MB.
-# Mask batches of 4 * 64 sets gave 69-73k, 44.3 MB: an 8x12 instance's 480
-# mask sets then take two calls instead of one.
+# Perturbed parameter sets per batched total_loss call that moves the poses,
+# and so every pixel's warp; depth-logit batches take 3 times as many and
+# mask batches 8 times (see central_differences). Each set's total is
+# bitwise independent of the batch size; larger batches make fewer calls but
+# keep more temporaries alive at once, and the allocator policy
+# (model._keep_freed_memory) lets a batch reuse the previous one's pages.
+# With depth and pose sets warped in full, at 8x12 (perfbench gradcheck_fd,
+# 10 s runs, 2-core x86 host): 32 sets 61-65k evals/s, 64 sets 76-78k,
+# 128 sets 80k at 49.4 MB peak RSS against 44.8. tracemalloc peaks of one
+# forward-only call (S=2, L=2, masks; MiB, 15 calls): 3 * 64 depth sets
+# 1.8-3.0, 14-23 and 88-92 at 8x12, 24x32 and 48x64, against 2.3, 23-27 and
+# 78-106 for 64 sets warped in full; 4 * 64 sets 27-31 and 117-123 at the
+# larger two. The 192 sets of 8x12 hold 18,432 level-0 elements, so its two
+# sources may run at once on two threads (losses.PARALLEL_MIN_ELEMENTS).
 FD_CHUNK = 64
 
 
@@ -113,16 +115,26 @@ def central_differences(state, config: LossConfig, params: list, step: float,
     other parameter stays unbatched and is shared. Each total equals the one
     of perturbing the coordinate in place bit for bit.
 
-    Batches hold up to FD_CHUNK sets when `params` holds the depth logits or
-    the poses. Otherwise depth and poses stay unbatched, each source is
-    warped once per batch, and only the per-pixel mask terms carry the batch
-    axis. A set then takes 1/8 (8x12) to 1/14 (64x48) of the temporaries of
-    a depth set under tracemalloc, so batches hold up to 8 * FD_CHUNK sets.
+    Batches hold up to FD_CHUNK sets when `params` holds the poses, whose
+    sets move every pixel's warp. Otherwise the transforms stay unbatched:
+    a depth-logit set re-warps only the pixels it moves (see
+    sampler.inverse_warp), and batches hold up to 3 * FD_CHUNK sets. Without
+    depth logits each source is warped once per batch, only the per-pixel
+    mask terms carry the batch axis, and batches hold up to 8 * FD_CHUNK.
+    Every array of `params` must be the state's own (by identity), and step
+    finite and > 0.
     """
     if isinstance(params, np.ndarray):
         raise TypeError("params must be a list of parameter arrays")
-    moves_warp = any(p is state.depth_logits or p is state.poses for p in params)
-    chunk = FD_CHUNK if moves_warp else 8 * FD_CHUNK
+    own = [state.depth_logits, state.poses] + list(state.mask_logits or [])
+    for i, p in enumerate(params):
+        if not any(p is q for q in own):
+            raise ValueError(f"params[{i}] is not the state's depth logits, poses or a "
+                             "mask level (a copy or a view would stay unperturbed)")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    chunk = (FD_CHUNK if any(p is state.poses for p in params) else
+             3 * FD_CHUNK if any(p is state.depth_logits for p in params) else 8 * FD_CHUNK)
     flat = np.concatenate([p.reshape(-1) for p in params])
     # Set k moves coordinate k // 2 by +step for even k and by -step for odd
     # k; coordinates run through params in order, array i from bounds[i].
@@ -165,5 +177,6 @@ def run(seeds, step: float = 1e-5, inject_bug: bool = False, **instance_kwargs):
         state, config = random_instance(seed, **instance_kwargs)
         errs = check_instance(state, config, step=step, inject_bug=inject_bug)
         for k, v in errs.items():
-            worst[k] = max(worst.get(k, 0.0), v)
+            # np.maximum keeps a NaN error, which max() would drop.
+            worst[k] = float(np.maximum(worst.get(k, 0.0), v))
     return worst

@@ -324,7 +324,12 @@ def view_synthesis_loss(target, warp, mask_prob=None, want_grads: bool = True, s
             grad_mask = None if probs is None else np.zeros(valid.shape)
     else:
         r = warp.warped - target
-        e = _sum_channels(np.abs(r)) / C
+        # Without gradients r is read no more: |r| takes its memory, and r is
+        # dropped before the mask terms below. Each saves a batch's map.
+        e = _sum_channels(np.abs(r, out=None if want_grads else r))
+        e /= C
+        if not want_grads:
+            del r
         # Per level with masks: a level's mask may have a batch axis of its own.
         loss = [_mean_hw(x, n) for x, n in zip(
             _split(e * valid, spans) if probs is None else

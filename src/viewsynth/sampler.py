@@ -214,6 +214,10 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     depth may be a (B, H, W) stack and T a (B, 4, 4) stack, one per parameter
     set of a batch; an unbatched one is shared by the batch. The result then
     carries the batch axis, and each slice equals the unbatched warp bitwise.
+    A forward-only warp of a depth stack through one 4x4 T warps element 0,
+    then only the (element, pixel) entries whose depth differs from element
+    0's, and copies element 0's values everywhere else: the warp of a pixel
+    depends on that pixel's depth alone.
 
     points, when given, is geometry.points_at_depth(depth, rays) on this
     grid, formed by a caller that warps several sources at one depth and has
@@ -237,7 +241,43 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
         if np.any(depth <= 0):
             raise ValueError("depth must be positive")
         points = geometry.points_at_depth(depth, grid.rays)
+    if depth.ndim == 3 and T.ndim == 2 and not want_grads:
+        return _warp_depth_stack(src, depth, T, grid, points)
+    return _warp(src, depth, T, grid, want_grads, points)
 
+
+def _warp_depth_stack(src, depth, T, grid: PixelGrid, points) -> WarpResult:
+    """Forward-only inverse_warp of a depth stack through one transform:
+    element 0's warp, with the entries whose depth differs from element 0's
+    warped and written into copies of its maps."""
+    first = _warp(src, depth[0], T, grid, False, points[0])
+    out = [np.repeat(x[None], len(depth), axis=0)
+           for x in (first.warped, first.valid, first.src_points)]
+    changed = np.nonzero(depth != depth[0])   # (elements, then the pixels)
+    if changed[0].size:
+        # The entries form a (1, n) map, or an (n, 1) map on a grid one pixel
+        # wide, so geometry.transform_points multiplies them as it does the
+        # grid's maps; a lone entry goes twice, as a map of one point
+        # multiplies as a vector and may round differently.
+        wide = grid.u.shape[-1] > 1
+        if wide and changed[0].size == 1:
+            changed = tuple(np.repeat(c, 2) for c in changed)
+        shape = (1, -1) if wide else (-1, 1)
+
+        def at(x):   # the changed pixels of a grid map, or a grid constant
+            return x[changed[1:]].reshape(shape + x.shape[2:]) if isinstance(x, np.ndarray) else x
+
+        sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
+        part = _warp(src, depth[changed].reshape(shape), T, sub, False,
+                     points[changed].reshape(shape + (3,)))
+        for o, x in zip(out, (part.warped, part.valid, part.src_points)):
+            o[changed] = x.reshape((-1,) + x.shape[2:])
+    return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None,
+                      rays=grid.rays, src_points=out[2])
+
+
+def _warp(src, depth, T, grid: PixelGrid, want_grads: bool, points) -> WarpResult:
+    """inverse_warp of checked arguments, with the points of depth on grid."""
     pts = geometry.transform_points(T, points)
     identity = (T == _IDENTITY).all(axis=(-2, -1))   # one flag per transform
     if (identity.all() if T.ndim == 3 else identity):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from viewsynth import cli, fileio, geometry, gradcheck
+from viewsynth import cli, fileio, geometry, gradcheck, losses
 
 
 def _run(argv):
@@ -277,6 +277,25 @@ def test_gradcheck_passes_and_detects_injected_bug(capsys):
 
     assert _run(["gradcheck", "--instances", "2", "--inject-grad-bug"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_fails_on_a_nan_error(capsys, monkeypatch):
+    # A NaN pose gradient in the first instance: NaN is the worst error.
+    total_loss = losses.total_loss
+    seen = []
+
+    def nan_poses(state, config, want_grads=True, **kwargs):
+        report, grads = total_loss(state, config, want_grads, **kwargs)
+        if grads is not None and not seen:
+            seen.append(grads)
+            grads.poses[:] = np.nan
+        return report, grads
+
+    monkeypatch.setattr(losses, "total_loss", nan_poses)
+    assert _run(["gradcheck", "--instances", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "poses nan FAIL" in lines
+    assert any(line.startswith("depth_logits ") and line.endswith(" ok") for line in lines)
 
 
 def test_eval_depth_perfect_prediction(tmp_path, capsys):

@@ -152,6 +152,47 @@ def test_batched_report_holds_per_element_terms():
         assert report.all_invalid[k] == one.all_invalid
 
 
+@pytest.mark.parametrize("levels", [1, 2])   # one level; two warped as one row
+@pytest.mark.parametrize("changes", ["none", "one", "few", "all"])
+@pytest.mark.parametrize("poses", ["generic", "identity", "outside", "behind"])
+def test_depth_batch_reports_equal_per_call_reports(levels, changes, poses):
+    # Only the depth is batched, so every source warps the batch through one
+    # transform and re-warps only the entries that differ from element 0's.
+    state, cfg = gradcheck.random_instance(9, levels=levels)
+    if poses == "identity":
+        state.poses[:] = 0.0
+    elif poses == "outside":
+        state.poses[:, 3] = 0.3
+    elif poses == "behind":
+        state.poses[:, 5] = -0.3
+    rng = np.random.default_rng(len(changes))
+    batch = np.repeat(state.depth_logits[None], 6, axis=0)
+    flat = batch.reshape(6, -1)
+    # A logit of 5 is a depth of about 0.1: outside the source image or
+    # behind its camera under the last two pose sets.
+    near = poses in ("outside", "behind")
+    if changes == "one":
+        flat[3, 54] = 5.0 if near else flat[3, 54] + 1e-5   # pixel (4, 6)
+    elif changes == "few":
+        rows, cols = rng.integers(6, size=5), rng.integers(flat.shape[1], size=5)
+        flat[rows, cols] = 5.0 if near else flat[rows, cols] + 0.4
+    elif changes == "all":
+        flat += rng.normal(0.0, 0.2, flat.shape)
+        if near:
+            flat[1:4, rng.integers(flat.shape[1], size=3)] = 5.0
+    report, _ = losses.total_loss(replace(state, depth_logits=batch), cfg, want_grads=False)
+    if near and changes != "none":   # the near pixels are invalid
+        assert len(set(report.valid_per_level[0][0].tolist())) > 1
+    for k, logits in enumerate(batch):
+        one, _ = losses.total_loss(replace(state, depth_logits=logits), cfg, want_grads=False)
+        assert report.total[k] == one.total
+        for l in range(levels):
+            assert report.vs_per_level[l][k] == one.vs_per_level[l]
+            assert report.smooth_per_level[l][k] == one.smooth_per_level[l]
+            assert [n[k] for n in report.valid_per_level[l]] == one.valid_per_level[l]
+        assert report.reg_per_level == one.reg_per_level   # masks are not batched
+
+
 def test_batched_total_loss_refuses_gradients():
     state, cfg = gradcheck.random_instance(0)
     batch = replace(state, depth_logits=np.stack([state.depth_logits] * 2))
@@ -186,11 +227,13 @@ def _per_coordinate_check(state, config, step=1e-5):
 
 
 def _oracle_lists(state):
-    """check_instance's lists of parameter arrays: depth logits and poses,
-    then every mask level."""
+    """check_instance's lists of parameter arrays (depth logits, poses, every
+    mask level), then depth logits and poses in one list, where a batch can
+    hold sets of both."""
     params = dict(model._param_items(state))
     masks = [name for name in params if name.startswith("mask_logits")]
-    return [names for names in (["depth_logits", "poses"], masks) if names], params
+    lists = [["depth_logits"], ["poses"], masks, ["depth_logits", "poses"]]
+    return [names for names in lists if names], params
 
 
 @pytest.mark.parametrize("seed, kwargs", [
@@ -215,6 +258,53 @@ def test_check_instance_equals_per_coordinate_loop(seed, kwargs, monkeypatch):
                 assert np.array_equal(fd, ref_fds[name]), (name, chunk)
 
 
+@pytest.mark.parametrize("pick", [
+    pytest.param(lambda st: [st.depth_logits.copy()], id="depth-copy"),
+    pytest.param(lambda st: [st.poses[:1]], id="pose-view"),
+    pytest.param(lambda st: [st.poses, st.mask_logits[1].copy()], id="mask-copy"),
+])
+def test_central_differences_refuses_arrays_not_of_the_state(pick):
+    # A copy or a view stays unperturbed: its differences would all be 0.
+    state, cfg = gradcheck.random_instance(0)
+    params = pick(state)
+    with pytest.raises(ValueError, match=rf"params\[{len(params) - 1}\]"):
+        gradcheck.central_differences(state, cfg, params, 1e-5,
+                                      losses.build_snippet_pyramids(state, cfg))
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
+def test_central_differences_refuses_a_step_it_cannot_take(step):
+    state, cfg = gradcheck.random_instance(0)
+    with pytest.raises(ValueError, match=f"step must be finite and > 0, got {step}"):
+        gradcheck.central_differences(state, cfg, [state.poses], step,
+                                      losses.build_snippet_pyramids(state, cfg))
+
+
+def _nan_pose_gradients(monkeypatch, instances):
+    """Make the analytic pose gradient NaN in the gradient calls of the
+    given instances (0-based, one gradient call each)."""
+    total_loss = losses.total_loss
+    seen = []
+
+    def nan_poses(state, config, want_grads=True, **kwargs):
+        report, grads = total_loss(state, config, want_grads, **kwargs)
+        if grads is not None:
+            if len(seen) in instances:
+                grads.poses[:] = np.nan
+            seen.append(None)
+        return report, grads
+
+    monkeypatch.setattr(losses, "total_loss", nan_poses)
+
+
+@pytest.mark.parametrize("instances", [{0}, {1}, {0, 1}])
+def test_run_keeps_a_nan_error_as_the_worst(monkeypatch, instances):
+    _nan_pose_gradients(monkeypatch, instances)
+    worst = gradcheck.run(gradcheck.DEFAULT_SEEDS[:2])
+    assert np.isnan(worst["poses"])
+    assert worst["depth_logits"] <= 1e-4
+
+
 def test_central_differences_refuses_a_bare_array():
     # Iterating an array would take its rows for parameter arrays of the
     # state and return differences of an unperturbed objective.
@@ -225,24 +315,30 @@ def test_central_differences_refuses_a_bare_array():
 
 
 def test_check_instance_batches_mask_levels_with_an_unbatched_warp(monkeypatch):
-    # 8x12, S=2, L=2: 2 * (96 + 12) depth and pose sets in 4 batches of up to
-    # FD_CHUNK = 64, and 2 * (2 * 96 + 2 * 24) mask sets in one batch.
+    # 8x12, S=2, L=2: one gradient call, then one forward-only call per kind
+    # of parameter. The 2 * 96 depth sets fit in one batch of up to
+    # 3 * FD_CHUNK = 192 with only the depth batched, the 2 * 12 pose sets in
+    # one of up to FD_CHUNK, and the 2 * (2 * 96 + 2 * 24) mask sets in one of
+    # up to 8 * FD_CHUNK, with depth and poses unbatched (one warp per source).
     state, cfg = gradcheck.random_instance(0)
     assert gradcheck.FD_CHUNK == 64
     calls = []
     total_loss = losses.total_loss
 
     def counting(state, config, want_grads=True, **kwargs):
-        calls.append((want_grads, np.ndim(state.depth_logits), np.ndim(state.poses),
-                      [np.ndim(m) for m in state.mask_logits]))
+        calls.append((want_grads, np.shape(state.depth_logits), np.shape(state.poses),
+                      [np.shape(m) for m in state.mask_logits]))
         return total_loss(state, config, want_grads, **kwargs)
 
     monkeypatch.setattr(losses, "total_loss", counting)
     gradcheck.check_instance(state, cfg)
-    assert [c[0] for c in calls] == [True] + [False] * 5
-    mask_batches = [c for c in calls if 4 in c[3]]
-    assert [c[3] for c in mask_batches] == [[4, 4]]
-    assert all(c[1:3] == (2, 2) for c in mask_batches)
+    masks = [(2, 8, 12), (2, 4, 6)]
+    assert calls == [
+        (True, (8, 12), (2, 6), masks),
+        (False, (192, 8, 12), (2, 6), masks),
+        (False, (8, 12), (24, 2, 6), masks),
+        (False, (8, 12), (2, 6), [(480,) + m for m in masks]),
+    ]
 
 
 def test_projection_adjoint_matches_fd_over_a_two_level_group():

@@ -234,3 +234,112 @@ def test_pixel_grid_is_shared_and_read_only():
     assert w1.rays is w2.rays
     with pytest.raises(ValueError):
         w1.rays[0, 0, 0] = 1.0
+
+
+# -- Forward-only depth batches through one transform --------------------------
+
+def _depth_batch(base, changes, rng, batch=6, near=False):
+    """A (batch, ...) stack of copies of the depth map base with no, one, a
+    few or all entries changed (element 0's too). near moves every other
+    changed entry of the odd elements to depth 0.05, which a transform can
+    put outside the source image or behind its camera."""
+    depth = np.repeat(base[None], batch, axis=0)
+    flat = depth.reshape(batch, -1)
+    if changes == "one":
+        flat[3, rng.integers(flat.shape[1])] *= 1.25
+    elif changes == "few":
+        for b, i in zip(rng.integers(batch, size=7), rng.integers(flat.shape[1], size=7)):
+            flat[b, i] = rng.uniform(0.5, 3.0)
+    elif changes == "all":
+        flat[:] = rng.uniform(0.5, 3.0, flat.shape)
+    if near:
+        for b in range(1, batch, 2):
+            flat[b, np.flatnonzero(flat[b] != flat[0])[::2]] = 0.05
+    return depth
+
+
+def _warp_cases():
+    """(name, source image or stack, grid, base depth map) of a single-level
+    grid, a joined grid of two levels and a grid one pixel wide."""
+    rng = np.random.default_rng(12)
+    K = _camera(12, 8)
+    cameras = [K, geometry.scale_intrinsics(K, 1)]
+    joined = sampler.join_grids([sampler.pixel_grid(c) for c in cameras])
+    narrow = Intrinsics(fx=6.0, fy=6.0, cx=0.4, cy=3.1, width=1, height=7)
+    return [("single", rng.random((8, 12, 2)), sampler.pixel_grid(K)),
+            ("joined", rng.random((120, 2)), joined),
+            ("narrow", rng.random((7, 1, 3)), sampler.pixel_grid(narrow))]
+
+
+_TRANSFORMS = {
+    "generic": geometry.pose_to_transform(PoseParams(rx=0.02, ry=-0.01, tx=0.05, ty=-0.03)),
+    "identity": np.eye(4),
+    # A pixel 0.05 deep lands far outside the image, or behind the source
+    # camera, while the other pixels stay valid.
+    "outside": geometry.pose_to_transform(PoseParams(tx=0.3)),
+    "behind": geometry.pose_to_transform(PoseParams(tz=-0.3)),
+}
+
+
+@pytest.mark.parametrize("case", range(3), ids=["single", "joined", "narrow"])
+@pytest.mark.parametrize("changes", ["none", "one", "few", "all"])
+@pytest.mark.parametrize("transform", list(_TRANSFORMS))
+def test_forward_depth_batch_warp_equals_per_element_warps(case, changes, transform):
+    _, src, grid = _warp_cases()[case]
+    rng = np.random.default_rng(len(changes) + 10 * case)
+    T = _TRANSFORMS[transform]
+    depth = _depth_batch(rng.uniform(1.0, 3.0, grid.u.shape), changes, rng,
+                         near=transform in ("outside", "behind"))
+    w = sampler.inverse_warp(src, depth, T, grid, want_grads=False)
+    assert w.d_du is None and w.d_dv is None and w.rays is grid.rays
+    for b, d in enumerate(depth):
+        one = sampler.inverse_warp(src, d, T, grid, want_grads=False)
+        for name in ("warped", "valid", "src_points"):
+            got, expected = getattr(w, name)[b], getattr(one, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (b, name)
+    if transform in ("outside", "behind") and changes != "none":
+        near = depth == 0.05
+        assert near.any() and not w.valid[near].any()
+
+
+@pytest.mark.parametrize("step", [1e-5, 0.3])
+def test_forward_depth_batch_warp_of_one_changed_entry(step):
+    # An L=1 finite difference on one depth coordinate: element 1 differs
+    # from element 0 at one entry, which must round as it does in its map.
+    rng = np.random.default_rng(13)
+    K = _camera(12, 8)
+    src = rng.random((8, 12, 2))
+    T = geometry.pose_to_transform(PoseParams(rx=0.013, ry=0.021, rz=-0.017,
+                                              tx=0.11, ty=-0.07, tz=0.05))
+    base = rng.uniform(0.5, 3.0, (8, 12))
+    for i in range(base.size):
+        depth = np.repeat(base[None], 2, axis=0)
+        depth[0].flat[i] += step
+        depth[1].flat[i] -= step
+        w = sampler.inverse_warp(src, depth, T, K, want_grads=False)
+        for b in range(2):
+            one = sampler.inverse_warp(src, depth[b], T, K, want_grads=False)
+            for name in ("warped", "valid", "src_points"):
+                assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (i, b)
+
+
+def test_forward_depth_batch_warp_samples_element_0_and_the_changed_entries(monkeypatch):
+    rng = np.random.default_rng(14)
+    K = _camera(12, 8)
+    depth = _depth_batch(rng.uniform(1.0, 3.0, (8, 12)), "few", rng)
+    changed = int(np.count_nonzero(depth != depth[0]))
+    sampled = []
+    bilinear_sample = sampler.bilinear_sample
+
+    def counting(img, u, *args, **kwargs):
+        sampled.append(np.size(u))
+        return bilinear_sample(img, u, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, "bilinear_sample", counting)
+    T = _TRANSFORMS["generic"]
+    sampler.inverse_warp(rng.random((8, 12, 1)), depth, T, K, want_grads=False)
+    assert sampled == [96, changed]
+    # Gradients, a batch of transforms or one depth map warp every entry.
+    sampled.clear()
+    sampler.inverse_warp(rng.random((8, 12, 1)), depth, np.stack([T] * 6), K, want_grads=False)
+    assert sampled == [6 * 96]
