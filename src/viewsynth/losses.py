@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, sampler
-from .geometry import Intrinsics
 
 
 @dataclass(frozen=True)
@@ -145,6 +144,19 @@ def build_pyramid(img, levels: int, batched: bool = False) -> list:
     return out
 
 
+class _LevelGroup(NamedTuple):
+    """Consecutive pyramid levels that total_loss warps in one pass per
+    source, laid out as one (1, N) row of their pixels (see
+    sampler.join_grids), with the target's and each source's levels stacked
+    in the same order."""
+
+    levels: range
+    spans: tuple            # [i] -> (start, stop) of levels[i] in the row
+    grid: sampler.PixelGrid
+    target: np.ndarray      # (1, N, C)
+    sources: tuple          # [source] -> its (N, C) stack
+
+
 class SnippetPyramids(NamedTuple):
     """The parts of the objective that stay constant for one snippet.
 
@@ -153,53 +165,29 @@ class SnippetPyramids(NamedTuple):
     and pass it to every call.
     """
 
-    target: tuple        # [level] -> (H_l, W_l, C)
-    sources: tuple       # [source][level] -> (H_l, W_l, C)
-    intrinsics: tuple    # [level] -> Intrinsics
-    groups: dict         # range of levels -> its _LevelGroup, made on first use
+    num_levels: int
+    groups: tuple        # total_loss's _LevelGroups, finest first
 
 
 def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
-    """Image pyramids of the target and every source, and per-level intrinsics."""
-    target = tuple(build_pyramid(state.target, config.num_levels))
-    sources = tuple(tuple(build_pyramid(src, config.num_levels)) for src in state.sources)
-    intrinsics = tuple(geometry.scale_intrinsics(state.intrinsics, l)
-                       for l in range(len(target)))
-    return SnippetPyramids(target=target, sources=sources, intrinsics=intrinsics, groups={})
+    """Image pyramids of the target and every source, as total_loss's level
+    groups (see _level_groups) of each level's pixels."""
+    target, *sources = [build_pyramid(sampler._as_image(img), config.num_levels)
+                        for img in [state.target, *state.sources]]
+    grids = [sampler.pixel_grid(geometry.scale_intrinsics(state.intrinsics, l))
+             for l in range(len(target))]
+    groups = []
+    for levels in _level_groups([g.u.size for g in grids]):
+        stops = np.cumsum([grids[l].u.size for l in levels]).tolist()
 
+        def stack(images):   # a reshape view for one level
+            parts = [images[l].reshape(-1, images[l].shape[-1]) for l in levels]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-class _LevelGroup(NamedTuple):
-    """Consecutive pyramid levels that total_loss warps in one pass per
-    source: one level as it is, or several as one (1, N) row of their pixels
-    (see sampler.join_grids), with the target's and each source's levels
-    stacked in the same order."""
-
-    levels: range
-    spans: tuple | None     # [i] -> (start, stop) of levels[i] in the row; None for one level
-    grid: sampler.PixelGrid
-    target: np.ndarray      # (H, W, C) or (1, N, C)
-    sources: tuple          # [source] -> (H, W, C), or its (rows, C) stack
-
-
-def _level_group(pyramids: SnippetPyramids, levels: range) -> _LevelGroup:
-    """The _LevelGroup of the given levels, made once per snippet."""
-    group = pyramids.groups.get(levels)
-    if group is None:
-        grids = [sampler.pixel_grid(pyramids.intrinsics[l]) for l in levels]
-        if len(levels) == 1:
-            group = _LevelGroup(levels, None, grids[0], pyramids.target[levels[0]],
-                                tuple(pyr[levels[0]] for pyr in pyramids.sources))
-        else:
-            stops = np.cumsum([g.u.size for g in grids]).tolist()
-
-            def stack(images):
-                return np.concatenate([images[l].reshape(-1, images[l].shape[-1]) for l in levels])
-
-            group = _LevelGroup(levels, tuple(zip([0] + stops[:-1], stops)),
-                                sampler.join_grids(grids), stack(pyramids.target)[None],
-                                tuple(map(stack, pyramids.sources)))
-        pyramids.groups[levels] = group
-    return group
+        groups.append(_LevelGroup(levels, tuple(zip([0] + stops[:-1], stops)),
+                                  sampler.join_grids([grids[l] for l in levels]),
+                                  stack(target)[None], tuple(map(stack, sources))))
+    return SnippetPyramids(len(target), tuple(groups))
 
 
 def _as_row(x: np.ndarray) -> np.ndarray:
@@ -207,18 +195,15 @@ def _as_row(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (1, -1))
 
 
-def _group_map(group: _LevelGroup, maps: list) -> np.ndarray:
-    """The group's levels of a per-level map, as one map of the group."""
-    if group.spans is None:
-        return maps[0]
-    return np.concatenate([_as_row(m) for m in maps], axis=-1)
+def _group_map(maps: list) -> np.ndarray:
+    """A group's levels of a per-level map, as one row of the group."""
+    rows = [_as_row(m) for m in maps]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=-1)
 
 
 def _split(x: np.ndarray, spans, channels: bool = False) -> list:
-    """Each level's part of a group's map x: [x] for one level, else views
-    of the spans of x's row. With channels, x has a trailing channel axis."""
-    if spans is None:
-        return [x]
+    """Each level's part of a group's row x: views of the spans of x's row.
+    With channels, x has a trailing channel axis."""
     if channels:
         return [x[..., a:b, :] for a, b in spans]
     return [x[..., a:b] for a, b in spans]
@@ -247,20 +232,6 @@ def _mean_hw(x, count) -> float | np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def _sum_sources(values: list) -> float | np.ndarray:
-    """sum(values), per batch element when some values are stacks.
-
-    Each element goes through Python's own float sum, which is compensated
-    from Python 3.12 on, so a running NumPy sum could round differently from
-    the unbatched call.
-    """
-    if all(isinstance(v, float) for v in values):
-        return sum(values)
-    columns = [np.broadcast_to(v, np.broadcast_shapes(*map(np.shape, values))).tolist()
-               for v in values]
-    return np.array([sum(element) for element in zip(*columns)])
-
-
 def _sum_channels(x) -> np.ndarray:
     """x summed over its short trailing axis as x[..., 0] + x[..., 1] + ...
 
@@ -277,34 +248,39 @@ def _sum_channels(x) -> np.ndarray:
     return total
 
 
-def _upsample_grad(g: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of the 2x2 box downsampling used in build_pyramid."""
-    h2, w2 = g.shape
-    out = np.zeros(shape)
-    out[: 2 * h2, : 2 * w2] = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4.0
-    return out
+def _pyramid_adjoint(g_levels: list) -> np.ndarray:
+    """Adjoint of build_pyramid: the gradient with respect to its input of
+    per-level gradients g_levels, each shaped like its level. An odd
+    trailing row or column, which build_pyramid truncates, gets none from
+    the levels below."""
+    g = g_levels[-1]
+    for g_l in g_levels[-2::-1]:
+        h2, w2 = g.shape
+        up = np.zeros(g_l.shape)
+        up[: 2 * h2, : 2 * w2] = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4.0
+        g = g_l + up
+    return g
 
 
-def view_synthesis_loss(target, warp, mask_prob=None, want_grads: bool = True, spans=None):
-    """Mean L1 photometric error of one source's warp over its valid pixels.
+def view_synthesis_loss(target, warp, spans, mask_prob=None, want_grads: bool = True):
+    """Mean L1 photometric error of one source's warp over its valid pixels,
+    for each level of a level group.
 
-    mask_prob, when given, is that source's (H, W) grid of mask_probability
-    values; it weights each pixel's error.
+    The warp is over a (1, N) row of pixels (see total_loss), target is the
+    matching (1, N, C) image, and spans are the (start, stop) pixel ranges of
+    the row's levels: each level counts as a warp of its own. mask_prob,
+    when given, is a list with each level's (..., 1, n_l) row of that
+    source's mask_probability values; they weight each pixel's error.
 
-    Returns (loss, grad_warped, grad_mask_logits, n_valid) where grad_warped
-    is the (H, W, C) gradient with respect to the warped image,
+    Returns (loss, grad_warped, grad_mask_logits, n_valid): the loss and the
+    valid count are lists with one entry per level; grad_warped is the
+    (1, N, C) gradient with respect to the warped image and
     grad_mask_logits the gradient with respect to the source's mask logits
-    (None when masks are off), and n_valid the valid count. With want_grads
-    off both gradients are None. A warp with zero valid pixels gives 0 with
-    zero gradients.
+    (None when masks are off), where each pixel divides by its own level's
+    count. With want_grads off both gradients are None. A level with zero
+    valid pixels gives 0 with zero gradients.
 
-    spans, when given, are the (start, stop) pixel ranges of the levels of a
-    level group's (1, N) maps (see total_loss). Each level then counts as a
-    warp of its own: the loss and the valid count are lists with one entry
-    per level, and each pixel's gradient divides by its own level's count.
-    mask_prob is then a list with each level's (..., 1, n_l) row.
-
-    The warp and the mask grids may carry a leading batch axis (batched
+    The warp and the mask rows may carry a leading batch axis (batched
     warps of inverse_warp); the loss and the valid count are then one value
     per batch element, and want_grads must be off.
     """
@@ -314,14 +290,13 @@ def view_synthesis_loss(target, warp, mask_prob=None, want_grads: bool = True, s
     C = target.shape[2]
     valid = warp.valid
     counts = [_count_hw(part) for part in _split(valid, spans)]
-    probs = None if mask_prob is None else [mask_prob] if spans is None else mask_prob
     loss = [0.0] * len(counts)
     grad_warped = grad_mask = None
     # In a batch, _mean_hw below gives the elements without valid pixels 0.
     if all(isinstance(n, int) and n == 0 for n in counts):
         if want_grads:
             grad_warped = np.zeros_like(warp.warped)
-            grad_mask = None if probs is None else np.zeros(valid.shape)
+            grad_mask = None if mask_prob is None else np.zeros(valid.shape)
     else:
         r = warp.warped - target
         # Without gradients r is read no more: |r| takes its memory, and r is
@@ -332,25 +307,27 @@ def view_synthesis_loss(target, warp, mask_prob=None, want_grads: bool = True, s
             del r
         # Per level with masks: a level's mask may have a batch axis of its own.
         loss = [_mean_hw(x, n) for x, n in zip(
-            _split(e * valid, spans) if probs is None else
-            [p * e_l * v for p, e_l, v in zip(probs, _split(e, spans), _split(valid, spans))],
+            _split(e * valid, spans) if mask_prob is None else
+            [p * e_l * v for p, e_l, v in zip(mask_prob, _split(e, spans), _split(valid, spans))],
             counts)]
         if want_grads:
-            # Each pixel divides by its own level's count; a level without
-            # valid pixels has only zero numerators.
-            n = counts[0] if spans is None else np.repeat(
-                np.maximum(counts, 1), [b - a for a, b in spans]).reshape(valid.shape)
+            # Each pixel divides by its own level's count, span by span; a
+            # level without valid pixels has only zero numerators.
             weight = valid
-            if probs is not None:
-                prob = probs[0] if spans is None else np.concatenate(probs, axis=-1)
+            if mask_prob is not None:
+                prob = _group_map(mask_prob)
                 weight = valid * prob
-                grad_mask = valid * e / n * (prob * (1 - prob))
+                grad_mask = valid * e
+                for (a, b), n in zip(spans, counts):
+                    grad_mask[..., a:b] /= max(n, 1)
+                grad_mask *= prob * (1 - prob)
+            scale = np.empty(valid.shape)
+            for (a, b), n in zip(spans, counts):
+                np.divide(weight[..., a:b], C * max(n, 1), out=scale[..., a:b])
             # sign(r) * (weight / (C n)) is weight * sign(r) / (C n) bit for
             # bit, as sign(r) is -1, 0 or 1, with one product over the channels.
             grad_warped = np.sign(r)
-            grad_warped *= (weight / (C * n))[..., None]
-    if spans is None:
-        return loss[0], grad_warped, grad_mask, counts[0]
+            grad_warped *= scale[..., None]
     return loss, grad_warped, grad_mask, counts
 
 
@@ -415,16 +392,17 @@ def _pose_transforms(poses: np.ndarray) -> list:
     return list(T if T.ndim == 3 else np.ascontiguousarray(np.moveaxis(T, 1, 0)))
 
 
-# Levels whose depth map has at least this many elements (batch axis
-# included) fit their sources concurrently, and the coarsest levels whose
-# sizes add up to less are warped together (see total_loss). On small levels,
-# such as every level of a 64x48 fit, a thread hand-off or a separate pass
-# per level costs more than the arithmetic.
+# The coarsest levels whose pixel counts add up to less than this are warped
+# together, and every other level is a group of its own (see total_loss); a
+# group whose depth row has at least this many elements, batch axis
+# included, fits its sources concurrently. On small levels, such as every
+# level of a 64x48 fit, a thread hand-off or a separate pass per level costs
+# more than the arithmetic.
 PARALLEL_MIN_ELEMENTS = 8192
 
 
 def _level_groups(sizes: list) -> list:
-    """Levels 0..L-1, of sizes[l] depth elements each, as total_loss's groups
+    """Levels 0..L-1, of sizes[l] pixels each, as total_loss's groups
     (ranges of levels, finest first): the coarsest levels whose sizes add up
     to less than PARALLEL_MIN_ELEMENTS form one group, and every other level
     is a group of its own."""
@@ -484,8 +462,7 @@ def _in_source_order(task, n: int, parallel: bool):
                 f.exception()  # waits for a task that is still running
 
 
-def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarray,
-                       spans=None):
+def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarray, spans):
     """Backpropagate gradients of the source coordinates to depth and pose.
 
     gu, gv are an objective's gradients with respect to the source
@@ -496,8 +473,8 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     points it transformed. Pixels outside warp.valid contribute nothing.
 
     Returns (g_depth, g_pose): the gradient with respect to each pixel's
-    depth, shaped like gu, and for each level (spans as in
-    view_synthesis_loss) the (6,) gradient with respect to the pose
+    depth, shaped like gu, and for each level of the grid's row (spans as
+    in view_synthesis_loss) the (6,) gradient with respect to the pose
     (rx, ry, rz, tx, ty, tz), summed over that level's pixels.
     """
     valid = warp.valid
@@ -511,7 +488,7 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     np.copyto(gX[..., 2], gz, where=valid)
     # Products are formed in their operands' memory: every fresh array of
     # this size costs an allocation, and on large levels, peak memory.
-    dX = warp.rays @ geometry.rotation_operand(R.T, gX)
+    dX = grid.rays @ geometry.rotation_operand(R.T, gX)
     dX *= gX
     g_depth = _sum_channels(dX)
     rot = []
@@ -554,21 +531,23 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     gradient buffers are None when want_grads is off (cheaper forward pass,
     used by the finite-difference harness).
 
-    Level groups: the coarsest levels whose depth maps have fewer than
-    PARALLEL_MIN_ELEMENTS elements together (batch axis included) form one
-    group, and every other level is a group of its own. A group of several
-    levels lays their pixels out along one row, so each source warps them
-    in one pass, with each pixel's own level constants. Every per-level sum
-    still runs over that level's pixels alone, in the same order as for a
-    level on its own, so the grouping changes no result.
+    Level groups: the coarsest levels with fewer than PARALLEL_MIN_ELEMENTS
+    pixels together form one group, and every other level is a group of its
+    own. build_snippet_pyramids makes the groups once per snippet, from each
+    level's pixel count, so a batch of parameter sets is grouped as one set.
+    Every group lays its levels' pixels out along one (1, N) row, so each
+    source warps them in one pass, with each pixel's own level constants
+    (scalars for a group of one level). Every per-level sum still runs over
+    that level's pixels alone, in the same order as for a level on its own,
+    so the grouping changes no result.
 
     Per source: given the parameters, each source's share of a group (warp,
     photometric term, mask regularizer and adjoint) depends only on the
     group's depth, that source's pose and that source's mask. It runs as one
     task, and the caller adds the tasks' results in source order, so every
     sum is formed in the same order whether the tasks ran one after another
-    or, on levels of at least PARALLEL_MIN_ELEMENTS depth elements, on
-    several threads at once.
+    or, on groups of at least PARALLEL_MIN_ELEMENTS depth elements (batch
+    axis included), on several threads at once.
 
     Batch axis: the parameters may describe a batch of B parameter sets
     instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
@@ -581,7 +560,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     S = len(state.sources)
     if pyramids is None:
         pyramids = build_snippet_pyramids(state, config)
-    L = len(pyramids.target)
+    L = pyramids.num_levels
 
     use_masks = config.use_explainability and state.mask_logits is not None
     poses = np.asarray(state.poses, dtype=float)
@@ -611,10 +590,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     mask_prob_n = 0
     valid_px = 0
 
-    for levels in _level_groups([d.size for d in depth_pyr]):
-        group = _level_group(pyramids, levels)
-        spans = group.spans
-        depth = _group_map(group, [depth_pyr[l] for l in levels])
+    for group in pyramids.groups:
+        levels, spans = group.levels, group.spans
+        depth = _group_map([depth_pyr[l] for l in levels])
         # One probability array per level serves the photometric weights,
         # the regularizer and mean_mask. The source axis moves to the front,
         # so probs[i][s] and logits[i][s] are one source's grids, batched or
@@ -633,13 +611,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         def source_terms(s) -> _SourceTerms:
             w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
                                      want_grads=want_grads, points=P)
-            src_probs = None
-            if use_masks:
-                src_probs = probs[0][s] if spans is None else [_as_row(p[s]) for p in probs]
+            src_probs = [_as_row(p[s]) for p in probs] if use_masks else None
             vs, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
-                group.target, w, src_probs, want_grads=want_grads, spans=spans)
-            if spans is None:
-                vs, n_valid = [vs], [n_valid]
+                group.target, w, spans, src_probs, want_grads)
             regs = prob_sums = [0.0] * len(levels)
             if use_masks:
                 regs, prob_sums = [], []
@@ -673,17 +647,17 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
                     g_depth_lv[l] += g_part.reshape(g_depth_lv[l].shape)
 
         for i, l in enumerate(levels):
-            vs_l = 0.0
+            vs_l = reg_l = 0.0
             for t in terms:
                 vs_l += t.vs[i]
+                reg_l += t.reg[i]
                 mask_prob_sum += t.prob_sum[i]
             if use_masks:
                 mask_prob_n += S * probs[i].shape[-2] * probs[i].shape[-1]
             vs_per_level.append(vs_l)
             valid_per_level.append([t.n_valid[i] for t in terms])
             valid_px += sum(valid_per_level[-1])
-            regs = [t.reg[i] for t in terms]
-            reg_per_level.append(regs)
+            reg_per_level.append([t.reg[i] for t in terms])
 
             smooth_l, g_sm = smoothness_loss(depth_pyr[l], want_grads=want_grads)
             smooth_per_level.append(smooth_l)
@@ -691,16 +665,11 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
             if want_grads:
                 g_depth_lv[l] += w_s * g_sm
 
-            total += vs_l + w_s * smooth_l + config.lambda_e * _sum_sources(regs)
+            total += vs_l + w_s * smooth_l + config.lambda_e * reg_l
 
-    # Collapse the per-level depth gradients down the pyramid, then through
-    # the activation to the logits.
     grads = None
     if want_grads:
-        g = g_depth_lv[-1]
-        for l in range(L - 2, -1, -1):
-            g = g_depth_lv[l] + _upsample_grad(g, depth_pyr[l].shape)
-        g_logits = g * activate_depth_grad(state.depth_logits)
+        g_logits = _pyramid_adjoint(g_depth_lv) * activate_depth_grad(state.depth_logits)
         grads = SnippetGrads(depth_logits=g_logits, poses=g_pose, mask_logits=g_mask)
 
     report = LossReport(

@@ -37,22 +37,20 @@ class WarpResult:
     valid:      (H, W) bool; in-bounds and in front of the source camera
     d_du, d_dv: (H, W, C) partials of each warped intensity w.r.t. (u_s, v_s);
                 None for a forward-only warp
-    rays:       (H, W, 3) unit-depth target-frame ray K^-1 [u, v, 1]; the
-                read-only array of the PixelGrid
-    src_points: (H, W, 3) target points expressed in the source camera frame
+    src_points: (H, W, 3) target points expressed in the source camera frame;
+                None for a forward-only warp
 
-    A warp over a PixelGrid of several levels has the grid's (1, N) in place
-    of (H, W).
+    A warp over a PixelGrid row (see join_grids) has the grid's (1, N) in
+    place of (H, W).
 
-    A batched warp (see inverse_warp) puts a leading batch axis on warped,
-    valid and src_points.
+    A batched warp (see inverse_warp) puts a leading batch axis on warped
+    and valid.
     """
 
     warped: np.ndarray
     valid: np.ndarray
     d_du: np.ndarray
     d_dv: np.ndarray
-    rays: np.ndarray
     src_points: np.ndarray
 
 
@@ -152,7 +150,8 @@ def bilinear_sample(img, u, v, want_grads: bool = True, keep=None, layout=None):
 class PixelGrid(NamedTuple):
     """The target pixels of a warp, with the camera constants of each:
     (H, W) maps and scalars for one image (pixel_grid), or a (1, N) row
-    of several images' pixels with per-pixel constants (join_grids)."""
+    of one image's pixels or of several images' with per-pixel constants
+    (join_grids)."""
 
     u: np.ndarray           # column and row of each pixel in its own image
     v: np.ndarray
@@ -181,13 +180,20 @@ def pixel_grid(K: Intrinsics) -> PixelGrid:
 
 
 def join_grids(grids: list) -> PixelGrid:
-    """The grids of several images, each at least 2x2, as one: their pixels
-    one after another in a (1, N) row, with each image's constants. The
-    images' stack must hold them in the same order."""
+    """The grids of one or more images, each at least 2x2 when there are
+    several, as one: their pixels one after another in a (1, N) row, with
+    each image's constants. The images' stack must hold them in the same
+    order. A single grid keeps its scalar constants and layout."""
+    def row(m):
+        return m.reshape((1, -1) + m.shape[2:])
+
+    if len(grids) == 1:
+        g = grids[0]
+        return g._replace(u=row(g.u), v=row(g.v), rays=row(g.rays))
     sizes = [g.u.size for g in grids]
 
     def join(maps):
-        return np.concatenate([m.reshape((n,) + m.shape[2:]) for m, n in zip(maps, sizes)])[None]
+        return np.concatenate([row(m) for m in maps], axis=1)
 
     def repeat(values):
         return np.repeat(values, sizes)[None]
@@ -208,8 +214,8 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     skips the per-pixel jacobian buffers (forward-only evaluation).
 
     K may also be a PixelGrid: pixel_grid(K), or a join_grids row, for which
-    src is the stack of the joined images and depth holds one value per
-    grid pixel.
+    src is the (rows, C) stack of the row's images and depth holds one value
+    per grid pixel.
 
     depth may be a (B, H, W) stack and T a (B, 4, 4) stack, one per parameter
     set of a batch; an unbatched one is shared by the batch. The result then
@@ -251,8 +257,7 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid, points) -> WarpResult:
     element 0's warp, with the entries whose depth differs from element 0's
     warped and written into copies of its maps."""
     first = _warp(src, depth[0], T, grid, False, points[0])
-    out = [np.repeat(x[None], len(depth), axis=0)
-           for x in (first.warped, first.valid, first.src_points)]
+    out = [np.repeat(x[None], len(depth), axis=0) for x in (first.warped, first.valid)]
     changed = np.nonzero(depth != depth[0])   # (elements, then the pixels)
     if changed[0].size:
         # The entries form a (1, n) map, or an (n, 1) map on a grid one pixel
@@ -270,10 +275,9 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid, points) -> WarpResult:
         sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
         part = _warp(src, depth[changed].reshape(shape), T, sub, False,
                      points[changed].reshape(shape + (3,)))
-        for o, x in zip(out, (part.warped, part.valid, part.src_points)):
+        for o, x in zip(out, (part.warped, part.valid)):
             o[changed] = x.reshape((-1,) + x.shape[2:])
-    return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None,
-                      rays=grid.rays, src_points=out[2])
+    return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None, src_points=None)
 
 
 def _warp(src, depth, T, grid: PixelGrid, want_grads: bool, points) -> WarpResult:
@@ -296,4 +300,4 @@ def _warp(src, depth, T, grid: PixelGrid, want_grads: bool, points) -> WarpResul
 
     warped, d_du, d_dv, valid = bilinear_sample(src, us, vs, want_grads, in_front, grid.layout)
     return WarpResult(warped=warped, valid=valid, d_du=d_du, d_dv=d_dv,
-                      rays=grid.rays, src_points=pts)
+                      src_points=pts if want_grads else None)

@@ -347,10 +347,10 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
     # with respect to each pixel's depth and, per level, the pose.
     state, cfg = gradcheck.random_instance(3, height=8, width=12, levels=2)
     pyramids = losses.build_snippet_pyramids(state, cfg)
-    group = losses._level_group(pyramids, range(2))
-    assert group.spans is not None
+    group, = pyramids.groups
+    assert group.levels == range(2)
     grid = group.grid
-    depth = losses._group_map(group, losses.build_pyramid(state.depth(), 2))
+    depth = losses._group_map(losses.build_pyramid(state.depth(), 2))
     # The shift to the left leaves the left columns without a source pixel.
     pose = np.array([0.02, -0.03, 0.01, -0.3, -0.05, 0.02])
     T = geometry.pose_transforms(pose)

@@ -7,27 +7,38 @@ from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 
 
+def _row(x):
+    """An (H, W, ...) map as the (1, H * W, ...) row of a one-level group."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape((1, -1) + x.shape[2:])
+
+
 def _warp_of(img, valid=None):
-    """WarpResult stand-in holding given pixel values."""
+    """WarpResult stand-in holding given pixel values, as a one-level row."""
     img = np.asarray(img, dtype=float)
     if img.ndim == 2:
         img = img[:, :, None]
     if valid is None:
         valid = np.ones(img.shape[:2], dtype=bool)
-    z = np.zeros_like(img)
-    return sampler.WarpResult(
-        warped=img * valid[..., None], valid=valid, d_du=z, d_dv=z,
-        rays=np.zeros(img.shape[:2] + (3,)),
-        src_points=np.zeros(img.shape[:2] + (3,)),
-    )
+    z = _row(np.zeros_like(img))
+    return sampler.WarpResult(warped=_row(img * valid[..., None]), valid=valid.reshape(1, -1),
+                              d_du=z, d_dv=z, src_points=np.zeros((1, valid.size, 3)))
+
+
+def _vs(t, w, prob=None, want_grads=True):
+    """view_synthesis_loss of an (H, W, C) target and a one-level row warp,
+    with an (H, W) mask probability map."""
+    spans = ((0, t.shape[0] * t.shape[1]),)
+    return losses.view_synthesis_loss(_row(t), w, spans, None if prob is None else [_row(prob)],
+                                      want_grads)
 
 
 def test_perfect_warp_gives_zero():
     rng = np.random.default_rng(0)
     t = rng.random((4, 4, 2))
-    loss, _, _, n = losses.view_synthesis_loss(t, _warp_of(t))
-    assert loss == 0.0
-    assert n == 16
+    loss, _, _, n = _vs(t, _warp_of(t))
+    assert loss == [0.0]
+    assert n == [16]
 
 
 def test_constant_field_algebra():
@@ -35,7 +46,7 @@ def test_constant_field_algebra():
     t = np.zeros((3, 5, 1))
     w = _warp_of(np.ones((3, 5, 1)))
     prob = losses.mask_probability(np.zeros((3, 5)))  # sigmoid -> 0.5
-    loss, _, _, _ = losses.view_synthesis_loss(t, w, prob)
+    (loss,), _, _, _ = _vs(t, w, prob)
     assert abs(loss - 0.5) < 1e-15
 
 
@@ -44,10 +55,10 @@ def test_matches_scalar_loop_oracle():
     # the sum of one call per source.
     rng = np.random.default_rng(42)
     t = rng.random((4, 4, 3))
-    warps, masks = [], []
+    images, valids, masks = [], [], []
     for _ in range(2):
-        valid = rng.random((4, 4)) > 0.2
-        warps.append(_warp_of(rng.random((4, 4, 3)), valid))
+        valids.append(rng.random((4, 4)) > 0.2)
+        images.append(rng.random((4, 4, 3)))
         masks.append(rng.normal(0, 1, (4, 4)))
 
     expected = 0.0
@@ -55,26 +66,26 @@ def test_matches_scalar_loop_oracle():
         acc, n = 0.0, 0
         for i in range(4):
             for j in range(4):
-                if not warps[s].valid[i, j]:
+                if not valids[s][i, j]:
                     continue
                 n += 1
-                e = sum(abs(warps[s].warped[i, j, c] - t[i, j, c]) for c in range(3)) / 3
+                e = sum(abs(images[s][i, j, c] - t[i, j, c]) for c in range(3)) / 3
                 # Softmax channel 1 of the logit pair (0, x).
                 num = np.exp(masks[s][i, j])
                 prob = num / (np.exp(0.0) + num)
                 acc += prob * e
         expected += acc / n
 
-    loss = sum(losses.view_synthesis_loss(t, w, losses.mask_probability(m))[0]
-               for w, m in zip(warps, masks))
+    loss = sum(_vs(t, _warp_of(img, v), losses.mask_probability(m))[0][0]
+               for img, v, m in zip(images, valids, masks))
     assert abs(loss - expected) < 1e-12
 
 
 def test_zero_valid_pixels_reports_zero():
     t = np.ones((3, 3, 1))
     w = _warp_of(np.zeros((3, 3, 1)), np.zeros((3, 3), dtype=bool))
-    loss, gw, _, n = losses.view_synthesis_loss(t, w)
-    assert loss == 0.0 and n == 0
+    loss, gw, _, n = _vs(t, w)
+    assert loss == [0.0] and n == [0]
     assert np.all(gw == 0.0)
 
 
@@ -83,10 +94,10 @@ def test_zero_valid_pixels_forward_only_gives_no_gradients(masked):
     t = np.ones((3, 3, 2))
     w = _warp_of(np.zeros((3, 3, 2)), np.zeros((3, 3), dtype=bool))
     prob = np.full((3, 3), 0.5) if masked else None
-    loss, gw, gm, n = losses.view_synthesis_loss(t, w, prob, want_grads=False)
-    assert loss == 0.0 and n == 0
+    loss, gw, gm, n = _vs(t, w, prob, want_grads=False)
+    assert loss == [0.0] and n == [0]
     assert gw is None and gm is None
-    _, gw, gm, _ = losses.view_synthesis_loss(t, w, prob)
+    _, gw, gm, _ = _vs(t, w, prob)
     assert np.all(gw == 0.0)
     if masked:
         assert np.all(gm == 0.0)
@@ -110,8 +121,8 @@ def test_unit_mask_bitwise_equals_unmasked():
     w = _warp_of(rng.random((5, 6, 2)))
     logits = np.full((5, 6), 50.0)
     assert losses.mask_probability(logits).min() == 1.0
-    plain, _, _, _ = losses.view_synthesis_loss(t, w)
-    masked, _, _, _ = losses.view_synthesis_loss(t, w, losses.mask_probability(logits))
+    plain, _, _, _ = _vs(t, w)
+    masked, _, _, _ = _vs(t, w, losses.mask_probability(logits))
     assert plain == masked
 
 
@@ -257,15 +268,18 @@ def test_pyramid_constant_and_block_mean():
 
 @pytest.mark.parametrize("shape", [(4, 4), (8, 12), (5, 7), (9, 13)])
 def test_upsample_grad_is_adjoint_of_box_downsample(shape):
-    # <A x, y> = <x, A^T y> for the 2x2 box downsampling A of build_pyramid,
-    # whose odd trailing row and column get no gradient.
+    # <P x, g> = <x, P^T g> for the whole pyramid P = build_pyramid, whose
+    # odd trailing rows and columns get no gradient from the levels below.
+    # At L = 4 every shape here stops early, with fewer than L levels.
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     x = rng.normal(size=shape)
-    down = losses.build_pyramid(x, 2)[1]
-    y = rng.normal(size=down.shape)
-    lhs = float((down * y).sum())
-    rhs = float((x * losses._upsample_grad(y, shape)).sum())
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    for L in (1, 2, 3, 4):
+        levels = losses.build_pyramid(x, L)
+        g = [rng.normal(size=level.shape) for level in levels]
+        lhs = sum(float((level * g_l).sum()) for level, g_l in zip(levels, g))
+        rhs = float((x * losses._pyramid_adjoint(g)).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), L
+    assert len(levels) < 4
 
 
 @pytest.mark.parametrize("shape", [(8, 12), (9, 13), (17, 6)])

@@ -225,15 +225,15 @@ def test_batched_warp_with_given_points_equals_default_bitwise():
 
 
 def test_pixel_grid_is_shared_and_read_only():
-    rng = np.random.default_rng(5)
-    src = rng.random((8, 12, 1))
-    depth = rng.uniform(1.0, 2.0, (8, 12))
-    T = geometry.pose_to_transform(PoseParams(tx=0.05))
-    w1 = sampler.inverse_warp(src, depth, T, _camera(12, 8))
-    w2 = sampler.inverse_warp(src, depth, T, _camera(12, 8))  # equal, not the same object
-    assert w1.rays is w2.rays
+    g1 = sampler.pixel_grid(_camera(12, 8))
+    g2 = sampler.pixel_grid(_camera(12, 8))  # equal intrinsics, not the same object
+    assert g1.rays is g2.rays
     with pytest.raises(ValueError):
-        w1.rays[0, 0, 0] = 1.0
+        g1.rays[0, 0, 0] = 1.0
+    row = sampler.join_grids([g1])   # a one-level row: reshape views, still read-only
+    assert np.shares_memory(row.rays, g1.rays) and row.fx == g1.fx
+    with pytest.raises(ValueError):
+        row.rays[0, 0, 0] = 1.0
 
 
 # -- Forward-only depth batches through one transform --------------------------
@@ -259,8 +259,8 @@ def _depth_batch(base, changes, rng, batch=6, near=False):
 
 
 def _warp_cases():
-    """(name, source image or stack, grid, base depth map) of a single-level
-    grid, a joined grid of two levels and a grid one pixel wide."""
+    """(name, source image or stack, grid) of a single-level grid, a joined
+    grid of two levels, a grid one pixel wide and a single level's row."""
     rng = np.random.default_rng(12)
     K = _camera(12, 8)
     cameras = [K, geometry.scale_intrinsics(K, 1)]
@@ -268,7 +268,8 @@ def _warp_cases():
     narrow = Intrinsics(fx=6.0, fy=6.0, cx=0.4, cy=3.1, width=1, height=7)
     return [("single", rng.random((8, 12, 2)), sampler.pixel_grid(K)),
             ("joined", rng.random((120, 2)), joined),
-            ("narrow", rng.random((7, 1, 3)), sampler.pixel_grid(narrow))]
+            ("narrow", rng.random((7, 1, 3)), sampler.pixel_grid(narrow)),
+            ("row", rng.random((96, 2)), sampler.join_grids([sampler.pixel_grid(K)]))]
 
 
 _TRANSFORMS = {
@@ -281,7 +282,7 @@ _TRANSFORMS = {
 }
 
 
-@pytest.mark.parametrize("case", range(3), ids=["single", "joined", "narrow"])
+@pytest.mark.parametrize("case", range(4), ids=["single", "joined", "narrow", "row"])
 @pytest.mark.parametrize("changes", ["none", "one", "few", "all"])
 @pytest.mark.parametrize("transform", list(_TRANSFORMS))
 def test_forward_depth_batch_warp_equals_per_element_warps(case, changes, transform):
@@ -291,10 +292,10 @@ def test_forward_depth_batch_warp_equals_per_element_warps(case, changes, transf
     depth = _depth_batch(rng.uniform(1.0, 3.0, grid.u.shape), changes, rng,
                          near=transform in ("outside", "behind"))
     w = sampler.inverse_warp(src, depth, T, grid, want_grads=False)
-    assert w.d_du is None and w.d_dv is None and w.rays is grid.rays
+    assert w.d_du is None and w.d_dv is None and w.src_points is None
     for b, d in enumerate(depth):
         one = sampler.inverse_warp(src, d, T, grid, want_grads=False)
-        for name in ("warped", "valid", "src_points"):
+        for name in ("warped", "valid"):
             got, expected = getattr(w, name)[b], getattr(one, name)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (b, name)
     if transform in ("outside", "behind") and changes != "none":
@@ -319,7 +320,7 @@ def test_forward_depth_batch_warp_of_one_changed_entry(step):
         w = sampler.inverse_warp(src, depth, T, K, want_grads=False)
         for b in range(2):
             one = sampler.inverse_warp(src, depth[b], T, K, want_grads=False)
-            for name in ("warped", "valid", "src_points"):
+            for name in ("warped", "valid"):
                 assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (i, b)
 
 

@@ -113,7 +113,7 @@ def _before_warps_of(monkeypatch, pyramids, index, action):
     """Make sampler.inverse_warp call action() first whenever it warps an
     image of source `index`."""
     orig = sampler.inverse_warp
-    images = pyramids.sources[index]
+    images = [group.sources[index] for group in pyramids.groups]
 
     def wrapper(src, *args, **kwargs):
         if any(src is img for img in images):
@@ -149,11 +149,11 @@ def test_worker_exception_reaches_the_caller(one_worker, monkeypatch):
 
 def test_caller_errstate_holds_in_workers(one_worker, monkeypatch):
     state, cfg = gradcheck.random_instance(5, n_sources=2)
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", PARALLEL)   # one group per level
     pyramids = losses.build_snippet_pyramids(state, cfg)
     seen = []
     _before_warps_of(monkeypatch, pyramids, 1, lambda: seen.append(
         (threading.current_thread(), np.geterr()["invalid"])))
-    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", PARALLEL)
     with np.errstate(invalid="raise"):
         losses.total_loss(state, cfg, pyramids=pyramids)
     assert len(seen) == cfg.num_levels
@@ -204,18 +204,53 @@ def test_level_groups_join_the_coarsest_levels_below_the_threshold():
     assert losses._level_groups([53248, 13312, 3328, 832]) == [range(0, 1), range(1, 2),
                                                                range(2, 4)]
     assert losses._level_groups([3072, 768, 192]) == [range(0, 3)]          # 64 x 48
-    assert losses._level_groups([32 * 96, 32 * 24]) == [range(0, 2)]        # 32 sets at 8 x 12
+    assert losses._level_groups([96, 24]) == [range(0, 2)]                  # 8 x 12
     assert losses._level_groups([8100, 100]) == [range(0, 1), range(1, 2)]  # 8200 elements
     assert losses._level_groups([100]) == [range(0, 1)]
+
+
+def test_snippet_groups_of_a_416_x_128_four_level_pyramid():
+    state, cfg = gradcheck.random_instance(0, height=128, width=416, n_sources=2, levels=4)
+    groups = losses.build_snippet_pyramids(state, cfg).groups
+    assert [g.levels for g in groups] == [range(0, 1), range(1, 2), range(2, 4)]
+    assert [g.spans for g in groups] == [((0, 53248),), ((0, 13312),), ((0, 3328), (3328, 4160))]
+    for g in groups:
+        assert g.grid.u.shape == (1, g.spans[-1][1]) and g.target.shape == (1, g.spans[-1][1], 2)
+    # A one-level group keeps its level's scalar constants, and level 0's
+    # images are reshape views of the snippet's own.
+    assert isinstance(groups[1].grid.fx, float) and isinstance(groups[2].grid.fx, np.ndarray)
+    assert np.shares_memory(groups[0].target, state.target)
+    assert all(np.shares_memory(groups[0].sources[s], src) for s, src in enumerate(state.sources))
+
+
+def _count_warps(monkeypatch) -> list:
+    orig = sampler.inverse_warp
+    calls = []
+    monkeypatch.setattr(sampler, "inverse_warp",
+                        lambda *a, **k: calls.append(1) or orig(*a, **k))
+    return calls
+
+
+def test_forward_depth_batch_warps_as_often_as_one_set(monkeypatch):
+    # 192 sets of 8 x 12 depth hold 18,432 level-0 elements, but the levels
+    # are grouped by their pixels: one group, one warp per source.
+    state, cfg = gradcheck.random_instance(3, height=8, width=12, n_sources=2, levels=2)
+    rng = np.random.default_rng(3)
+    batch = replace(state, depth_logits=state.depth_logits
+                    + rng.normal(0, 0.2, (192,) + state.depth_logits.shape))
+    pyramids = losses.build_snippet_pyramids(state, cfg)
+    calls = _count_warps(monkeypatch)
+    losses.total_loss(state, cfg, False, pyramids=pyramids)
+    assert len(calls) == 2
+    calls.clear()
+    losses.total_loss(batch, cfg, False, pyramids=pyramids)
+    assert len(calls) == 2
 
 
 def test_one_warp_per_source_and_group(monkeypatch):
     state, cfg = gradcheck.random_instance(0, height=48, width=64, n_sources=2, levels=3,
                                            use_masks=False)
-    orig = sampler.inverse_warp
-    calls = []
-    monkeypatch.setattr(sampler, "inverse_warp",
-                        lambda *a, **k: calls.append(1) or orig(*a, **k))
+    calls = _count_warps(monkeypatch)
     losses.total_loss(state, cfg)
     assert len(calls) == 2
 
