@@ -191,8 +191,8 @@ def cmd_eval_depth(args) -> int:
     if args.crop is not None and not 0 < args.crop <= 1:  # NaN fails too
         print(f"eval-depth: --crop must be in (0, 1], got {args.crop}", file=sys.stderr)
         return 2
-    pred = fileio.load_wf01(args.pred)[..., 0]
-    gt = fileio.load_wf01(args.gt)[..., 0]
+    pred = fileio.load_depth_map(args.pred)
+    gt = fileio.load_depth_map(args.gt)
     m = evaluation.depth_metrics(pred, gt, cap=args.cap, crop=args.crop)
     _write_report(evaluation.format_metrics_report(m), args.out)
     return 0

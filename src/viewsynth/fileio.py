@@ -79,6 +79,18 @@ def load_wf01(path) -> np.ndarray:
     return np.frombuffer(body, dtype="<f4").reshape(h, w, c).astype(float)
 
 
+def load_depth_map(path) -> np.ndarray:
+    """The (H, W) depth map of a one-channel WF01 file of finite depths > 0;
+    otherwise a FileFormatError naming the file and the first bad value."""
+    arr = load_wf01(path)
+    if arr.shape[2] != 1:
+        raise FileFormatError(f"{path}: {arr.shape[2]} depth channels, not 1")
+    bad = ~((arr > 0.0) & (arr < np.inf))   # NaN fails both comparisons
+    if bad.any():
+        raise FileFormatError(f"{path}: depth values must be finite and > 0, got {arr[bad][0]}")
+    return arr[..., 0]
+
+
 # -- PGM / PPM previews ------------------------------------------------------
 
 def save_pnm(path, img) -> None:

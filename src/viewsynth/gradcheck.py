@@ -98,9 +98,9 @@ def check_instance(state, config: LossConfig, step: float = 1e-5,
 # forward-only call (S=2, L=2, masks; MiB, 15 calls): 3 * 64 depth sets
 # 1.8-3.0, 14-23 and 88-92 at 8x12, 24x32 and 48x64, against 2.3, 23-27 and
 # 78-106 for 64 sets warped in full; 4 * 64 sets 27-31 and 117-123 at the
-# larger two. The 192 sets of 8x12 hold 23,040 depth elements in their one
-# level group, so its two sources may run at once on two threads
-# (losses.PARALLEL_MIN_ELEMENTS).
+# larger two. A batch is threaded like one set (losses.PARALLEL_MIN_ELEMENTS),
+# so the 192 sets of 8x12, one level group of 120 pixels, warp their two
+# sources one after the other, at a steady 1.8 MiB peak.
 FD_CHUNK = 64
 
 

@@ -21,7 +21,7 @@ import contextvars
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -209,13 +209,6 @@ def _split(x: np.ndarray, spans, channels: bool = False) -> list:
     return [x[..., a:b] for a, b in spans]
 
 
-def _sum_hw(x) -> float | np.ndarray:
-    """x summed over its two trailing (spatial) axes: a float for one map,
-    one value per batch element for a stack of maps."""
-    total = x.sum(axis=(-2, -1))
-    return float(total) if total.ndim == 0 else total
-
-
 def _count_hw(mask) -> int | np.ndarray:
     """True pixels of a boolean map: an int for one map, one count per map
     of a stack. count_nonzero is several times faster than sum here."""
@@ -225,7 +218,7 @@ def _count_hw(mask) -> int | np.ndarray:
 
 
 def _mean_hw(x, count) -> float | np.ndarray:
-    """_sum_hw(x) / count, or 0.0 where the count is 0."""
+    """x's sum over its two trailing (spatial) axes / count, or 0.0 where it is 0."""
     total = x.sum(axis=(-2, -1))
     if total.ndim == 0:
         return float(total / count) if count else 0.0
@@ -336,7 +329,8 @@ def explainability_regularizer(logits, prob=None, want_grads: bool = True):
 
     prob, when given, is mask_probability(logits), computed once by the
     caller. Returns (loss, grad_logits); grad_logits is None with want_grads
-    off. A (B, H, W) stack of logit grids gives one loss per grid.
+    off. A stack of logit grids, such as a level's masks, gives each grid's
+    own loss and gradient.
     """
     logits = np.asarray(logits, dtype=float)
     if prob is None:
@@ -345,11 +339,12 @@ def explainability_regularizer(logits, prob=None, want_grads: bool = True):
     # imprecise or -inf; log(sigmoid(x)) = x - log1p(exp(x)) rounds to x there.
     with np.errstate(divide="ignore"):
         log_prob = np.where(logits < -_LOG_MAX_FLOAT, logits, np.log(prob))
-    loss = -_mean_hw(log_prob, log_prob.shape[-2] * log_prob.shape[-1])
+    pixels = log_prob.shape[-2] * log_prob.shape[-1]
+    loss = -_mean_hw(log_prob, pixels)
     if not want_grads:
         return loss, None
     # d(-log sigmoid(x))/dx = -(1 - prob)
-    return loss, -(1 - prob) / prob.size
+    return loss, -(1 - prob) / pixels
 
 
 def smoothness_loss(depth, want_grads: bool = True):
@@ -394,10 +389,10 @@ def _pose_transforms(poses: np.ndarray) -> list:
 
 # The coarsest levels whose pixel counts add up to less than this are warped
 # together, and every other level is a group of its own (see total_loss); a
-# group whose depth row has at least this many elements, batch axis
-# included, fits its sources concurrently. On small levels, such as every
-# level of a 64x48 fit, a thread hand-off or a separate pass per level costs
-# more than the arithmetic.
+# group of at least this many pixels fits its sources concurrently. A batch
+# of parameter sets counts as one set in both rules. On small levels, such
+# as every level of a 64x48 fit, a thread hand-off or a separate pass per
+# level costs more than the arithmetic.
 PARALLEL_MIN_ELEMENTS = 8192
 
 
@@ -436,7 +431,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_source_order(task, n: int, parallel: bool):
-    """Yield task(0), ..., task(n - 1) in that order.
+    """Yield task(0), ..., task(n - 1) in that order; the tasks must write
+    nothing shared, so the caller alone combines their results.
 
     In parallel, k = min(workers, n - 1) pool threads take part: the caller
     runs every (k + 1)-th source, starting with source 0, and the pool runs
@@ -509,15 +505,18 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
 
 
 class _SourceTerms(NamedTuple):
-    """One source's share of one level group, one entry per level (see
-    total_loss)."""
+    """One source's share of one level group, for the caller to add (see total_loss)."""
 
-    vs: list                        # photometric terms
+    vs: list                        # photometric terms, one per level
     n_valid: list
-    reg: list                       # mask regularizers; 0.0 without masks
-    prob_sum: list                  # sums of mask probabilities; 0.0 without masks
+    g_mask: np.ndarray | None       # photometric gradient of the source's mask row
     g_depth: np.ndarray | None      # gradient of the group's depth map
-    g_pose: list | None             # (6,) pose gradients
+    g_pose: list | None             # (6,) pose gradients, one per level
+
+
+def _by_source(x: np.ndarray) -> list:
+    """x's entries along its last axis: floats, or (B,) arrays if x is (B, S)."""
+    return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
 
 
 def total_loss(state, config: LossConfig, want_grads: bool = True, *,
@@ -542,12 +541,13 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     so the grouping changes no result.
 
     Per source: given the parameters, each source's share of a group (warp,
-    photometric term, mask regularizer and adjoint) depends only on the
-    group's depth, that source's pose and that source's mask. It runs as one
-    task, and the caller adds the tasks' results in source order, so every
-    sum is formed in the same order whether the tasks ran one after another
-    or, on groups of at least PARALLEL_MIN_ELEMENTS depth elements (batch
-    axis included), on several threads at once.
+    photometric term and adjoint) depends only on the group's depth, that
+    source's pose and that source's mask. It runs as one task that writes
+    nothing shared, and the caller adds the tasks' results in source order,
+    so every sum is formed in the same order whether the tasks ran one after
+    another or, on groups of at least PARALLEL_MIN_ELEMENTS pixels (a batch
+    counts as one set), on several threads at once. The mask regularizer and
+    mean_mask's sums depend on no warp: one pass over each level's stack.
 
     Batch axis: the parameters may describe a batch of B parameter sets
     instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
@@ -593,15 +593,8 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     for group in pyramids.groups:
         levels, spans = group.levels, group.spans
         depth = _group_map([depth_pyr[l] for l in levels])
-        # One probability array per level serves the photometric weights,
-        # the regularizer and mean_mask. The source axis moves to the front,
-        # so probs[i][s] and logits[i][s] are one source's grids, batched or
-        # not.
-        if use_masks:
-            logits = [np.moveaxis(state.mask_logits[l], -3, 0) for l in levels]
-            probs = [np.moveaxis(mask_probability(state.mask_logits[l]), -3, 0) for l in levels]
-        else:
-            logits = probs = None
+        # One (S, H_l, W_l) or (B, S, H_l, W_l) probability stack per level.
+        probs = [mask_probability(state.mask_logits[l]) for l in levels] if use_masks else None
         # Every source warps the same target grid at the same depth, so the
         # points, and the depth check, are per group.
         if np.any(depth <= 0):
@@ -611,53 +604,51 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         def source_terms(s) -> _SourceTerms:
             w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
                                      want_grads=want_grads, points=P)
-            src_probs = [_as_row(p[s]) for p in probs] if use_masks else None
-            vs, g_warped, g_mask_vs, n_valid = view_synthesis_loss(
+            src_probs = [_as_row(p[..., s, :, :]) for p in probs] if use_masks else None
+            vs, g_warped, g_mask_row, n_valid = view_synthesis_loss(
                 group.target, w, spans, src_probs, want_grads)
-            regs = prob_sums = [0.0] * len(levels)
-            if use_masks:
-                regs, prob_sums = [], []
-                for i, l in enumerate(levels):
-                    reg, g_reg = explainability_regularizer(logits[i][s], probs[i][s],
-                                                            want_grads=want_grads)
-                    regs.append(reg)
-                    prob_sums.append(_sum_hw(probs[i][s]))
-                    if want_grads:
-                        # This task's own slice of the level's mask gradient.
-                        g_mask[l][s] += _split(g_mask_vs, spans)[i].reshape(g_reg.shape)
-                        g_mask[l][s] += config.lambda_e * g_reg
             if not want_grads:
-                return _SourceTerms(vs, n_valid, regs, prob_sums, None, None)
+                return _SourceTerms(vs, n_valid, None, None, None)
 
             gu = _sum_channels(g_warped * w.d_du)
             gv = _sum_channels(g_warped * w.d_dv)
             g_depth, g_pose_lv = projection_adjoint(gu, gv, w, group.grid, transforms[s][:3, :3],
                                                     rot_jacs[s], P, spans)
-            return _SourceTerms(vs, n_valid, regs, prob_sums, g_depth, g_pose_lv)
+            return _SourceTerms(vs, n_valid, g_mask_row, g_depth, g_pose_lv)
 
         # Sources in order; per level, every sum then runs in level and
         # source order, as for levels warped one at a time.
         terms = []
-        parallel = S > 1 and depth.size >= PARALLEL_MIN_ELEMENTS
+        parallel = S > 1 and depth.shape[-1] >= PARALLEL_MIN_ELEMENTS
         for s, t in enumerate(_in_source_order(source_terms, S, parallel)):
-            terms.append(t._replace(g_depth=None))
+            terms.append(t._replace(g_mask=None, g_depth=None))
             if want_grads:
                 for l, g_part, g_p in zip(levels, _split(t.g_depth, spans), t.g_pose):
                     g_pose[s] += g_p
                     g_depth_lv[l] += g_part.reshape(g_depth_lv[l].shape)
+                if use_masks:
+                    for l, g_part in zip(levels, _split(t.g_mask, spans)):
+                        g_mask[l][s] += g_part.reshape(g_mask[l][s].shape)
 
         for i, l in enumerate(levels):
-            vs_l = reg_l = 0.0
-            for t in terms:
-                vs_l += t.vs[i]
-                reg_l += t.reg[i]
-                mask_prob_sum += t.prob_sum[i]
+            regs = [0.0] * S
             if use_masks:
+                reg, g_reg = explainability_regularizer(state.mask_logits[l], probs[i],
+                                                        want_grads=want_grads)
+                regs = _by_source(reg)
+                for prob_sum in _by_source(probs[i].sum(axis=(-2, -1))):
+                    mask_prob_sum += prob_sum
                 mask_prob_n += S * probs[i].shape[-2] * probs[i].shape[-1]
+                if want_grads:
+                    g_mask[l] += config.lambda_e * g_reg
+            vs_l = reg_l = 0.0
+            for t, r in zip(terms, regs):
+                vs_l += t.vs[i]
+                reg_l += r
             vs_per_level.append(vs_l)
             valid_per_level.append([t.n_valid[i] for t in terms])
             valid_px += sum(valid_per_level[-1])
-            reg_per_level.append([t.reg[i] for t in terms])
+            reg_per_level.append(regs)
 
             smooth_l, g_sm = smoothness_loss(depth_pyr[l], want_grads=want_grads)
             smooth_per_level.append(smooth_l)

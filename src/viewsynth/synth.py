@@ -186,16 +186,13 @@ def save_sequence(seq: SnippetSequence, outdir) -> None:
         fileio.save_trajectory(os.path.join(outdir, "gt_trajectory.txt"), seq.gt_poses)
 
 
-def _load_map(path, K: Intrinsics, in_range, rule: str) -> np.ndarray:
-    """A WF01 file of K's image size whose values all pass `in_range`;
-    otherwise a FileFormatError that names the file and the `rule`."""
-    arr = fileio.load_wf01(path)
+def _load_map(path, K: Intrinsics, load=fileio.load_wf01) -> np.ndarray:
+    """load(path), a map of K's image size; otherwise a FileFormatError that
+    names the file."""
+    arr = load(path)
     if arr.shape[:2] != (K.height, K.width):
         raise fileio.FileFormatError(
             f"{path}: size {arr.shape[:2]} does not match intrinsics ({K.height}, {K.width})")
-    # Comparisons with NaN are false, so this also rejects NaN values.
-    if not np.all(in_range(arr)):
-        raise fileio.FileFormatError(f"{path}: {rule}")
     return arr
 
 
@@ -204,18 +201,16 @@ def load_sequence(indir) -> SnippetSequence:
     and the ground-truth trajectory against the intrinsics and frame count."""
     names, target = fileio.load_manifest(os.path.join(indir, "sequence.txt"))
     K = fileio.load_intrinsics(os.path.join(indir, "intrinsics.txt"))
-    frames = [_load_map(os.path.join(indir, name), K, lambda fr: (fr >= 0.0) & (fr <= 1.0),
-                        "pixel values must be finite and within [0, 1]") for name in names]
+    paths = [os.path.join(indir, name) for name in names]
+    frames = [_load_map(path, K) for path in paths]
+    for path, frame in zip(paths, frames):
+        # Comparisons with NaN are false, so this also rejects NaN values.
+        if not np.all((frame >= 0.0) & (frame <= 1.0)):
+            raise fileio.FileFormatError(f"{path}: pixel values must be finite and within [0, 1]")
     gt_depths = None
     if os.path.exists(os.path.join(indir, "depth_000.wf01")):
-        gt_depths = []
-        for i in range(len(frames)):
-            path = os.path.join(indir, f"depth_{i:03d}.wf01")
-            depth = _load_map(path, K, lambda d: (d > 0.0) & (d < np.inf),
-                              "depth values must be finite and > 0")
-            if depth.shape[2] != 1:
-                raise fileio.FileFormatError(f"{path}: {depth.shape[2]} depth channels, not 1")
-            gt_depths.append(depth[..., 0])
+        gt_depths = [_load_map(os.path.join(indir, f"depth_{i:03d}.wf01"), K,
+                               fileio.load_depth_map) for i in range(len(frames))]
     gt_poses = None
     traj_path = os.path.join(indir, "gt_trajectory.txt")
     if os.path.exists(traj_path):

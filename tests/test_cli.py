@@ -327,6 +327,36 @@ def test_eval_depth_bad_crop_is_usage_error(tmp_path, capsys, crop):
     assert captured.err == f"eval-depth: --crop must be in (0, 1], got {float(crop)}\n"
 
 
+def _degenerate(bad):
+    """A 6 x 8 depth map of 2.0 with one fault: the value `bad` at one pixel,
+    or, for "channels", a second channel."""
+    if bad == "channels":
+        return np.full((6, 8, 2), 2.0)
+    depth = np.full((6, 8, 1), 2.0)
+    depth[3, 5] = float(bad)
+    return depth
+
+
+@pytest.mark.parametrize("which", ["in", "gt"])
+@pytest.mark.parametrize("bad, condition", [
+    ("nan", "depth values must be finite and > 0, got nan"),
+    ("inf", "depth values must be finite and > 0, got inf"),
+    ("-inf", "depth values must be finite and > 0, got -inf"),
+    ("0", "depth values must be finite and > 0, got 0.0"),
+    ("-1", "depth values must be finite and > 0, got -1.0"),
+    ("channels", "2 depth channels, not 1"),
+], ids=["nan", "inf", "-inf", "zero", "negative", "channels"])
+def test_eval_depth_rejects_a_degenerate_map(tmp_path, capsys, which, bad, condition):
+    good, broken = tmp_path / "good.wf01", tmp_path / "broken.wf01"
+    fileio.save_wf01(good, np.full((6, 8, 1), 2.0))
+    fileio.save_wf01(broken, _degenerate(bad))
+    files = {"in": good, "gt": good, which: broken}
+    assert _run(["eval-depth", "--in", str(files["in"]), "--gt", str(files["gt"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"viewsynth eval-depth: {broken}: {condition}\n"
+
+
 def test_eval_depth_is_scale_invariant(tmp_path):
     rng = np.random.default_rng(1)
     gt = rng.uniform(1, 5, (6, 8, 1)).astype(np.float32).astype(float)

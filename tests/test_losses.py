@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,25 @@ def test_regularizer_gradient_fd():
         lm[idx] -= h
         fd = (losses.explainability_regularizer(lp)[0]
               - losses.explainability_regularizer(lm)[0]) / (2 * h)
+        assert abs(g[idx] - fd) < 1e-8
+
+
+def test_regularizer_on_a_stack_is_each_map_on_its_own():
+    # A level's (S, H, W) mask stack: each map's loss and gradient, bit for
+    # bit, and the gradient of the summed per-map losses.
+    rng = np.random.default_rng(21)
+    logits = rng.normal(0, 2, (3, 4, 5))
+    loss, g = losses.explainability_regularizer(logits)
+    for s in range(3):
+        loss_s, g_s = losses.explainability_regularizer(logits[s])
+        assert loss[s] == loss_s and np.array_equal(g[s], g_s)
+    h = 1e-6
+    for idx in np.ndindex(logits.shape):
+        lp, lm = logits.copy(), logits.copy()
+        lp[idx] += h
+        lm[idx] -= h
+        fd = (losses.explainability_regularizer(lp)[0].sum()
+              - losses.explainability_regularizer(lm)[0].sum()) / (2 * h)
         assert abs(g[idx] - fd) < 1e-8
 
 
@@ -391,6 +412,23 @@ def test_masked_total_loss_computes_mask_probability_once_per_level(monkeypatch)
         calls.clear()
         losses.total_loss(state, cfg, want_grads)
         assert calls == [m.shape for m in state.mask_logits]
+
+
+def test_masked_total_loss_regularizes_each_level_once(monkeypatch):
+    # The regularizer depends on no warp: one call per level over the whole
+    # (S, H_l, W_l) or (B, S, H_l, W_l) stack, not one per source and level.
+    state, cfg = _small_state(seed=5, levels=3)
+    batch = [m + np.random.default_rng(5).normal(0, 0.5, (4,) + m.shape)
+             for m in state.mask_logits]
+    calls = []
+    orig = losses.explainability_regularizer
+    monkeypatch.setattr(losses, "explainability_regularizer",
+                        lambda x, *a, **k: calls.append(np.shape(x)) or orig(x, *a, **k))
+    batched = replace(state, mask_logits=batch)
+    for one, want_grads in ((state, True), (state, False), (batched, False)):
+        calls.clear()
+        losses.total_loss(one, cfg, want_grads)
+        assert calls == [m.shape for m in one.mask_logits]
 
 
 def test_loss_config_validation():

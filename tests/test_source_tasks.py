@@ -93,8 +93,9 @@ def test_batched_forward_only_parallel_equals_serial(one_worker, monkeypatch):
 
 def test_parallel_stress_more_workers_than_cores(monkeypatch):
     # Four workers and the caller take one source each of five, while the
-    # interpreter switches threads as often as it can: a lost or misordered
-    # update of a shared gradient buffer would change the bits.
+    # interpreter switches threads as often as it can. Only the caller writes
+    # the shared gradient buffers, in source order: a task that wrote one, or
+    # a sum taken out of order, would change the bits.
     state, cfg = gradcheck.random_instance(9, height=12, width=16, n_sources=5, levels=2)
     expected = _run(monkeypatch, SERIAL, state, cfg)
     pool = ThreadPoolExecutor(4)
@@ -245,6 +246,21 @@ def test_forward_depth_batch_warps_as_often_as_one_set(monkeypatch):
     calls.clear()
     losses.total_loss(batch, cfg, False, pyramids=pyramids)
     assert len(calls) == 2
+
+
+class _RefusingPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a task reached the source pool")
+
+
+def test_fd_oracle_batches_are_threaded_like_one_set(monkeypatch):
+    # Every 8 x 12 batch, the 192-set depth batch included, is one level
+    # group of 120 pixels, far below PARALLEL_MIN_ELEMENTS: a batch counts
+    # as one parameter set, so no task reaches the pool.
+    monkeypatch.setattr(losses, "_source_pool", lambda: (_RefusingPool(), 1))
+    state, cfg = gradcheck.random_instance(gradcheck.DEFAULT_SEEDS[0])
+    errs = gradcheck.check_instance(state, cfg)
+    assert max(errs.values()) < 1e-4
 
 
 def test_one_warp_per_source_and_group(monkeypatch):
