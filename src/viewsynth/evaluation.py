@@ -45,13 +45,15 @@ def median_scale(pred, gt, valid=None) -> float:
     return float(np.median(g) / np.median(p))
 
 
-def depth_metrics(pred, gt, valid=None, cap=None, crop=None,
-                  apply_median_scaling=True) -> DepthMetrics:
-    """Seven-statistic depth evaluation after optional median scaling.
+def depth_metrics(pred, gt, cap=None, crop=None) -> DepthMetrics:
+    """Seven-statistic depth evaluation after median scaling.
 
-    cap, finite and positive, excludes ground-truth pixels deeper than the
-    given value; crop, a fraction in (0, 1], keeps only a centered crop of
-    that relative size.
+    Monocular depth has no scale, so pred is first multiplied by
+    median_scale over the pixels kept (scale in the result). cap, finite and
+    positive, excludes ground-truth pixels deeper than the given value; crop,
+    a fraction in (0, 1], keeps only a centered crop of that relative size.
+    Every other pixel is scored, as ground truth is dense
+    (fileio.load_depth_map accepts only positive depths).
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
@@ -60,24 +62,19 @@ def depth_metrics(pred, gt, valid=None, cap=None, crop=None,
     # NaN fails every comparison, so a NaN cap would drop every pixel.
     if cap is not None and not (math.isfinite(cap) and cap > 0):
         raise ValueError(f"cap must be finite and > 0, got {cap}")
-    if valid is None:
-        valid = np.ones(pred.shape, dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-
+    valid = np.ones(pred.shape, dtype=bool)
     if crop is not None:
         if not 0 < crop <= 1:
             raise ValueError("crop fraction must be in (0, 1]")
         h, w = gt.shape[:2]
         kh, kw = max(1, int(round(h * crop))), max(1, int(round(w * crop)))
         dh, dw = (h - kh) // 2, (w - kw) // 2
-        keep = np.zeros_like(valid)
-        keep[dh: dh + kh, dw: dw + kw] = True
-        valid = valid & keep
+        valid = np.zeros(pred.shape, dtype=bool)
+        valid[dh: dh + kh, dw: dw + kw] = True
     if cap is not None:
         valid = valid & (gt <= cap)
 
-    scale = median_scale(pred, gt, valid) if apply_median_scaling else 1.0
+    scale = median_scale(pred, gt, valid)
     p = pred[valid] * scale
     g = gt[valid]
     if np.any(p <= 0) or np.any(g <= 0):

@@ -74,7 +74,7 @@ class PoseParams:
         return np.array([self.rx, self.ry, self.rz, self.tx, self.ty, self.tz])
 
 
-def check_rigid(T: np.ndarray, tol: float = _RIGID_TOL) -> np.ndarray:
+def check_rigid(T: np.ndarray) -> np.ndarray:
     """Validate a 4x4 rigid transform matrix; returns it as float64."""
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4):
@@ -83,9 +83,9 @@ def check_rigid(T: np.ndarray, tol: float = _RIGID_TOL) -> np.ndarray:
     if not np.isfinite(T).all():
         raise ValueError("matrix has non-finite entries")
     R = T[:3, :3]
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+    if np.max(np.abs(R.T @ R - np.eye(3))) > _RIGID_TOL:
         raise ValueError("rotation block is not orthonormal")
-    if abs(np.linalg.det(R) - 1.0) > tol:
+    if abs(np.linalg.det(R) - 1.0) > _RIGID_TOL:
         raise ValueError("rotation block must have determinant +1")
     if not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0]):
         raise ValueError("bottom row must be exactly (0, 0, 0, 1)")
@@ -109,14 +109,9 @@ def _elemental_rotations(c: np.ndarray, s: np.ndarray):
     return Rx, Ry, Rz
 
 
-def euler_to_rotation(rx: float, ry: float, rz: float) -> np.ndarray:
-    angles = np.array([rx, ry, rz], dtype=float)
-    Rx, Ry, Rz = _elemental_rotations(np.cos(angles), np.sin(angles))
-    return Rz @ Ry @ Rx
-
-
 def rotation_to_euler(R: np.ndarray) -> tuple[float, float, float]:
-    """Inverse of euler_to_rotation away from the ry = +-pi/2 singularity."""
+    """The angles (rx, ry, rz) of R = Rz @ Ry @ Rx, the rotation block of
+    pose_transforms, away from the ry = +-pi/2 singularity."""
     R = np.asarray(R, dtype=float)
     ry = np.arcsin(np.clip(-R[2, 0], -1.0, 1.0))
     rx = np.arctan2(R[2, 1], R[2, 2])

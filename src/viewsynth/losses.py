@@ -283,44 +283,39 @@ def view_synthesis_loss(target, warp, spans, mask_prob=None, want_grads: bool = 
     C = target.shape[2]
     valid = warp.valid
     counts = [_count_hw(part) for part in _split(valid, spans)]
-    loss = [0.0] * len(counts)
-    grad_warped = grad_mask = None
-    # In a batch, _mean_hw below gives the elements without valid pixels 0.
-    if all(isinstance(n, int) and n == 0 for n in counts):
-        if want_grads:
-            grad_warped = np.zeros_like(warp.warped)
-            grad_mask = None if mask_prob is None else np.zeros(valid.shape)
-    else:
-        r = warp.warped - target
-        # Without gradients r is read no more: |r| takes its memory, and r is
-        # dropped before the mask terms below. Each saves a batch's map.
-        e = _sum_channels(np.abs(r, out=None if want_grads else r))
-        e /= C
-        if not want_grads:
-            del r
-        # Per level with masks: a level's mask may have a batch axis of its own.
-        loss = [_mean_hw(x, n) for x, n in zip(
-            _split(e * valid, spans) if mask_prob is None else
-            [p * e_l * v for p, e_l, v in zip(mask_prob, _split(e, spans), _split(valid, spans))],
-            counts)]
-        if want_grads:
-            # Each pixel divides by its own level's count, span by span; a
-            # level without valid pixels has only zero numerators.
-            weight = valid
-            if mask_prob is not None:
-                prob = _group_map(mask_prob)
-                weight = valid * prob
-                grad_mask = valid * e
-                for (a, b), n in zip(spans, counts):
-                    grad_mask[..., a:b] /= max(n, 1)
-                grad_mask *= prob * (1 - prob)
-            scale = np.empty(valid.shape)
-            for (a, b), n in zip(spans, counts):
-                np.divide(weight[..., a:b], C * max(n, 1), out=scale[..., a:b])
-            # sign(r) * (weight / (C n)) is weight * sign(r) / (C n) bit for
-            # bit, as sign(r) is -1, 0 or 1, with one product over the channels.
-            grad_warped = np.sign(r)
-            grad_warped *= scale[..., None]
+    r = warp.warped - target
+    # Without gradients r is read no more: |r| takes its memory, and r is
+    # dropped before the mask terms below. Each saves a batch's map.
+    e = _sum_channels(np.abs(r, out=None if want_grads else r))
+    e /= C
+    if not want_grads:
+        del r
+    # Per level with masks: a level's mask may have a batch axis of its own.
+    # _mean_hw gives a level (or batch element) without valid pixels 0.
+    loss = [_mean_hw(x, n) for x, n in zip(
+        _split(e * valid, spans) if mask_prob is None else
+        [p * e_l * v for p, e_l, v in zip(mask_prob, _split(e, spans), _split(valid, spans))],
+        counts)]
+    if not want_grads:
+        return loss, None, None, counts
+    # Each pixel divides by its own level's count, span by span; a level
+    # without valid pixels has only zero numerators, so its gradients are 0.
+    weight = valid
+    grad_mask = None
+    if mask_prob is not None:
+        prob = _group_map(mask_prob)
+        weight = valid * prob
+        grad_mask = valid * e
+        for (a, b), n in zip(spans, counts):
+            grad_mask[..., a:b] /= max(n, 1)
+        grad_mask *= prob * (1 - prob)
+    scale = np.empty(valid.shape)
+    for (a, b), n in zip(spans, counts):
+        np.divide(weight[..., a:b], C * max(n, 1), out=scale[..., a:b])
+    # sign(r) * (weight / (C n)) is weight * sign(r) / (C n) bit for bit, as
+    # sign(r) is -1, 0 or 1, with one product over the channels.
+    grad_warped = np.sign(r)
+    grad_warped *= scale[..., None]
     return loss, grad_warped, grad_mask, counts
 
 
@@ -525,8 +520,10 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
 
     `state` carries target/source images, depth logits, per-source pose
     parameters, optional per-level mask logits, and intrinsics (see
-    model.SnippetState). `pyramids` is build_snippet_pyramids(state, config),
-    built here when not given. Returns (LossReport, SnippetGrads); the
+    model.SnippetState). Masks are on when the state has mask logits;
+    config.use_explainability must say the same, or a ValueError names it.
+    `pyramids` is build_snippet_pyramids(state, config), built here when not
+    given. Returns (LossReport, SnippetGrads); the
     gradient buffers are None when want_grads is off (cheaper forward pass,
     used by the finite-difference harness).
 
@@ -548,6 +545,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     another or, on groups of at least PARALLEL_MIN_ELEMENTS pixels (a batch
     counts as one set), on several threads at once. The mask regularizer and
     mean_mask's sums depend on no warp: one pass over each level's stack.
+    The sources of a group share the target-frame points of an unbatched
+    depth, which activate_depth keeps positive; a forward-only depth batch's
+    warps form their own (see sampler.inverse_warp).
 
     Batch axis: the parameters may describe a batch of B parameter sets
     instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
@@ -562,7 +562,10 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         pyramids = build_snippet_pyramids(state, config)
     L = pyramids.num_levels
 
-    use_masks = config.use_explainability and state.mask_logits is not None
+    use_masks = state.mask_logits is not None
+    if use_masks != config.use_explainability:
+        raise ValueError(f"config.use_explainability is {config.use_explainability}, but the "
+                         f"state has {'' if use_masks else 'no '}mask logits")
     poses = np.asarray(state.poses, dtype=float)
     depth0 = activate_depth(state.depth_logits)
     batched = (depth0.ndim == 3 or poses.ndim == 3
@@ -595,11 +598,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         depth = _group_map([depth_pyr[l] for l in levels])
         # One (S, H_l, W_l) or (B, S, H_l, W_l) probability stack per level.
         probs = [mask_probability(state.mask_logits[l]) for l in levels] if use_masks else None
-        # Every source warps the same target grid at the same depth, so the
-        # points, and the depth check, are per group.
-        if np.any(depth <= 0):
-            raise ValueError("depth must be positive")
-        P = geometry.points_at_depth(depth, group.grid.rays)
+        P = geometry.points_at_depth(depth, group.grid.rays) if depth.ndim == 2 else None
 
         def source_terms(s) -> _SourceTerms:
             w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,

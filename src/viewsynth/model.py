@@ -82,27 +82,26 @@ def _keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
+# The paper's Adam settings.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+# A fit has converged when the relative decrease of the mean loss from one
+# window of this many iterations to the next drops below AdamConfig.tol.
+CONVERGENCE_WINDOW = 50
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 0.0002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_iters: int = 3000
-    # Converged when the relative loss decrease over this window drops
-    # below tol.
     tol: float = 1e-7
-    window: int = 50
 
     def __post_init__(self):
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1, beta2 must be in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -204,18 +203,18 @@ def adam_step(state: SnippetState, grads, moments: AdamMoments, config: AdamConf
         #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  c = 1 - b**t,
         # and a float product or sum does not depend on the order of its
         # two operands, so every bit is as there.
-        a = np.multiply(g, 1 - config.beta1)
-        m *= config.beta1
+        a = np.multiply(g, 1 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += a
-        np.multiply(g, 1 - config.beta2, out=a)
+        np.multiply(g, 1 - ADAM_BETA2, out=a)
         a *= g
-        v *= config.beta2
+        v *= ADAM_BETA2
         v += a
-        np.divide(m, 1 - config.beta1 ** t, out=a)
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=a)
         a *= lr
-        b = np.divide(v, 1 - config.beta2 ** t)
+        b = np.divide(v, 1 - ADAM_BETA2 ** t)
         np.sqrt(b, out=b)
-        b += config.epsilon
+        b += ADAM_EPSILON
         a /= b
         p -= a
 
@@ -259,7 +258,7 @@ def fit_snippet(
             raise NoValidPixels(t)
         history.append(report)
         adam_step(state, grads, moments, adam_config, t)
-        w = adam_config.window
+        w = CONVERGENCE_WINDOW
         if t >= 2 * w:
             # Window means smooth out Adam's oscillation around the optimum.
             prev = sum(r.total for r in history[-2 * w: -w]) / w

@@ -223,12 +223,13 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     A forward-only warp of a depth stack through one 4x4 T warps element 0,
     then only the (element, pixel) entries whose depth differs from element
     0's, and copies element 0's values everywhere else: the warp of a pixel
-    depends on that pixel's depth alone.
+    depends on that pixel's depth alone. It forms only the points of those
+    entries and of element 0, and refuses `points`.
 
     points, when given, is geometry.points_at_depth(depth, rays) on this
-    grid, formed by a caller that warps several sources at one depth and has
-    checked that the depth is positive; the warp then reads it and forms
-    nothing of its own.
+    grid, formed by a caller that warps several sources at one positive
+    depth; the warp then reads it and forms nothing of its own. Without it,
+    the warp checks that the depth is positive.
     """
     depth = np.asarray(depth, dtype=float)
     if isinstance(K, PixelGrid):
@@ -243,20 +244,22 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
         if (K.width, K.height) != (W, H):
             raise ValueError("intrinsics dimensions do not match image")
         grid = pixel_grid(K)
-    if points is None:
-        if np.any(depth <= 0):
-            raise ValueError("depth must be positive")
-        points = geometry.points_at_depth(depth, grid.rays)
+    if points is None and np.any(depth <= 0):
+        raise ValueError("depth must be positive")
     if depth.ndim == 3 and T.ndim == 2 and not want_grads:
-        return _warp_depth_stack(src, depth, T, grid, points)
+        if points is not None:
+            raise ValueError("a forward-only depth stack forms its own points; pass none")
+        return _warp_depth_stack(src, depth, T, grid)
+    if points is None:
+        points = geometry.points_at_depth(depth, grid.rays)
     return _warp(src, depth, T, grid, want_grads, points)
 
 
-def _warp_depth_stack(src, depth, T, grid: PixelGrid, points) -> WarpResult:
+def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
     """Forward-only inverse_warp of a depth stack through one transform:
     element 0's warp, with the entries whose depth differs from element 0's
     warped and written into copies of its maps."""
-    first = _warp(src, depth[0], T, grid, False, points[0])
+    first = _warp(src, depth[0], T, grid, False, geometry.points_at_depth(depth[0], grid.rays))
     out = [np.repeat(x[None], len(depth), axis=0) for x in (first.warped, first.valid)]
     changed = np.nonzero(depth != depth[0])   # (elements, then the pixels)
     if changed[0].size:
@@ -273,8 +276,8 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid, points) -> WarpResult:
             return x[changed[1:]].reshape(shape + x.shape[2:]) if isinstance(x, np.ndarray) else x
 
         sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
-        part = _warp(src, depth[changed].reshape(shape), T, sub, False,
-                     points[changed].reshape(shape + (3,)))
+        sub_depth = depth[changed].reshape(shape)
+        part = _warp(src, sub_depth, T, sub, False, geometry.points_at_depth(sub_depth, sub.rays))
         for o, x in zip(out, (part.warped, part.valid)):
             o[changed] = x.reshape((-1,) + x.shape[2:])
     return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None, src_points=None)

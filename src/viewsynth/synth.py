@@ -22,17 +22,20 @@ from .geometry import Intrinsics, PoseParams
 
 SCENE_KINDS = ("plane", "slanted", "two_plane")
 
+# The slanted plane is z = depth + SLANT * x in the world frame.
+SLANT = 0.3
+# The far plane of a two_plane scene, at world x >= 0.
+FAR_DEPTH = 4.0
+
 
 @dataclass(frozen=True)
 class SceneSpec:
     kind: str = "plane"
     texture_seed: int = 0
     # plane: depth of the fronto-parallel plane (world z = depth).
-    # slanted: base depth at the optical axis; slope tilts the plane in x.
-    # two_plane: (near, far) depths split at world x = 0.
+    # slanted: depth at world x = 0 (see SLANT).
+    # two_plane: depth of the near plane, at world x < 0 (see FAR_DEPTH).
     depth: float = 2.0
-    depth2: float = 4.0
-    slant: float = 0.3
     trajectory: tuple = ()
     intrinsics: Intrinsics = None
     noise_sigma: float = 0.0
@@ -40,10 +43,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        for name in ("depth", "depth2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.depth) and self.depth > 0):
+            raise ValueError(f"depth must be finite and > 0, got {self.depth}")
         if len(self.trajectory) < 2:
             raise ValueError("trajectory needs at least 2 poses")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -95,13 +96,13 @@ def _intersect(spec: SceneSpec, origin, dirs):
         normals = [np.array([0.0, 0.0, 1.0])]
         ds = [spec.depth]
     elif spec.kind == "slanted":
-        # Plane z = depth + slant * x  =>  (-slant, 0, 1) . X = depth
-        n = np.array([-spec.slant, 0.0, 1.0])
+        # Plane z = depth + SLANT * x  =>  (-SLANT, 0, 1) . X = depth
+        n = np.array([-SLANT, 0.0, 1.0])
         normals = [n]
         ds = [spec.depth]
     else:  # two_plane
         normals = [np.array([0.0, 0.0, 1.0])] * 2
-        ds = [spec.depth, spec.depth2]
+        ds = [spec.depth, FAR_DEPTH]
 
     lams = []
     for n, d in zip(normals, ds):

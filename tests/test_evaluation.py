@@ -31,10 +31,15 @@ def test_depth_metrics_perfect_prediction():
 
 
 def test_depth_metrics_constant_ratio():
-    gt = np.random.default_rng(1).uniform(1, 5, (5, 5))
-    pred = 1.2 * gt
-    m = evaluation.depth_metrics(pred, gt, apply_median_scaling=False)
-    assert abs(m.abs_rel - 0.2) < 1e-12
+    # Pairs (x, 1.2 x), swapped in pred: every pixel is off by a ratio of
+    # 1.2, and pred holds the same values as gt, so the medians are equal
+    # and the median scale is exactly 1.
+    x = np.random.default_rng(1).uniform(1, 5, (6, 1))
+    gt = np.hstack([x, 1.2 * x])
+    pred = gt[:, ::-1]
+    m = evaluation.depth_metrics(pred, gt)
+    assert m.scale == 1.0
+    assert abs(m.abs_rel - (0.2 + (1 - 1 / 1.2)) / 2) < 1e-12
     assert m.delta1 == 1.0  # 1.2 < 1.25
     assert abs(m.rmse_log - np.log(1.2)) < 1e-12
 

@@ -136,7 +136,7 @@ def test_invert_roundtrip(p):
 
 def test_rotation_to_euler_roundtrip():
     rx, ry, rz = 0.3, -0.7, 1.1
-    R = geometry.euler_to_rotation(rx, ry, rz)
+    R = geometry.pose_transforms([rx, ry, rz, 0, 0, 0])[:3, :3]
     assert np.allclose(geometry.rotation_to_euler(R), (rx, ry, rz), atol=1e-12)
 
 
@@ -232,5 +232,6 @@ def test_rotation_jacobians_match_central_differences(angles):
         hi, lo = list(angles), list(angles)
         hi[i] += h
         lo[i] -= h
-        fd = (geometry.euler_to_rotation(*hi) - geometry.euler_to_rotation(*lo)) / (2 * h)
+        fd = (geometry.pose_transforms(hi + [0, 0, 0])[:3, :3]
+              - geometry.pose_transforms(lo + [0, 0, 0])[:3, :3]) / (2 * h)
         assert np.max(np.abs(J - fd)) < 1e-9, i

@@ -13,7 +13,7 @@ from viewsynth.losses import LossConfig
 @pytest.mark.parametrize("seed", gradcheck.DEFAULT_SEEDS[:4])
 def test_all_parameter_groups_match_fd(seed):
     state, cfg = gradcheck.random_instance(seed)
-    errs = gradcheck.check_instance(state, cfg, step=1e-5)
+    errs = gradcheck.check_instance(state, cfg)
     for name, err in errs.items():
         assert err <= 1e-4, f"{name}: {err:.3e}"
 

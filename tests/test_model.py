@@ -159,7 +159,7 @@ def test_adam_quadratic_bowl_matches_scalar_reference():
     assert abs(ours[-1]) < 0.01
 
 
-@pytest.mark.parametrize("name, value", [("max_iters", 0), ("max_iters", -3), ("window", 0)])
+@pytest.mark.parametrize("name, value", [("max_iters", 0), ("max_iters", -3)])
 def test_adam_config_validation(name, value):
     with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
         AdamConfig(**{name: value})
@@ -180,12 +180,13 @@ def _adam_expression_form(state, grads, moments, config, t):
         g = gdict[name]
         m = moments.m.setdefault(name, np.zeros_like(p))
         v = moments.v.setdefault(name, np.zeros_like(p))
-        m[...] = config.beta1 * m + (1 - config.beta1) * g
-        v[...] = config.beta2 * v + (1 - config.beta2) * g * g
-        mhat = m / (1 - config.beta1 ** t)
-        vhat = v / (1 - config.beta2 ** t)
+        b1, b2 = model.ADAM_BETA1, model.ADAM_BETA2
+        m[...] = b1 * m + (1 - b1) * g
+        v[...] = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
         lr = config.lr * model.MASK_LR_SCALE if name.startswith("mask_logits") else config.lr
-        p -= lr * mhat / (np.sqrt(vhat) + config.epsilon)
+        p -= lr * mhat / (np.sqrt(vhat) + model.ADAM_EPSILON)
 
 
 def _param_bits(state, moments):
@@ -270,6 +271,22 @@ def test_fit_diverged_raises_with_iteration():
         with pytest.raises(model.FitDiverged) as e:
             model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=5), state=state)
         assert e.value.iteration == 1
+
+
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("call", ["fit", "check"])
+def test_config_that_disagrees_with_the_state_on_masks_is_refused(masked, call):
+    # The state alone has or lacks mask logits; a config that says the
+    # opposite is an error, not a switch that silently wins or loses.
+    state, cfg = gradcheck.random_instance(0, use_masks=masked)
+    cfg = replace(cfg, use_explainability=not masked)
+    run = {
+        "fit": lambda: model.fit_snippet([state.target] + state.sources, 0, state.intrinsics,
+                                         cfg, AdamConfig(max_iters=2), state=state),
+        "check": lambda: gradcheck.check_instance(state, cfg),
+    }[call]
+    with pytest.raises(ValueError, match="use_explainability"):
+        run()
 
 
 def test_no_valid_pixels_stops_the_fit_with_its_iteration():

@@ -344,3 +344,14 @@ def test_forward_depth_batch_warp_samples_element_0_and_the_changed_entries(monk
     sampled.clear()
     sampler.inverse_warp(rng.random((8, 12, 1)), depth, np.stack([T] * 6), K, want_grads=False)
     assert sampled == [6 * 96]
+
+
+def test_forward_depth_batch_warp_refuses_points():
+    # It forms only element 0's and the changed entries' points, so it would
+    # ignore points formed by its caller: they are refused instead.
+    K = _camera(12, 8)
+    depth = np.ones((2, 8, 12))
+    points = geometry.points_at_depth(depth, sampler.pixel_grid(K).rays)
+    with pytest.raises(ValueError, match="forms its own points"):
+        sampler.inverse_warp(np.ones((8, 12, 1)), depth, np.eye(4), K, want_grads=False,
+                             points=points)

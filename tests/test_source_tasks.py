@@ -273,7 +273,9 @@ def test_one_warp_per_source_and_group(monkeypatch):
 
 @pytest.mark.parametrize("min_elements", [SERIAL, PARALLEL])
 def test_points_formed_once_per_level_group(min_elements, monkeypatch):
-    # depth * rays is shared by every source's warp and the adjoint.
+    # depth * rays is shared by every source's warp and the adjoint. A
+    # forward-only depth batch shares none: each source's warp forms the
+    # points of element 0 and, once, those of every entry that differs.
     state, cfg = gradcheck.random_instance(2, height=H, width=W, n_sources=3, levels=3)
     rng = np.random.default_rng(2)
     batch = replace(state, depth_logits=state.depth_logits
@@ -282,11 +284,14 @@ def test_points_formed_once_per_level_group(min_elements, monkeypatch):
     orig = geometry.points_at_depth
     calls = []
     monkeypatch.setattr(geometry, "points_at_depth",
-                        lambda *a: calls.append(1) or orig(*a))
-    for one, want_grads in ((state, True), (batch, False)):
-        calls.clear()
-        losses.total_loss(one, cfg, want_grads)
-        assert len(calls) == (1 if min_elements == SERIAL else cfg.num_levels)
+                        lambda *a: calls.append(a[0].shape) or orig(*a))
+    groups = 1 if min_elements == SERIAL else cfg.num_levels
+    losses.total_loss(state, cfg)
+    assert len(calls) == groups
+    calls.clear()
+    losses.total_loss(batch, cfg, False)
+    assert len(calls) == 2 * 3 * groups
+    assert all(len(shape) == 2 for shape in calls)   # no (4, ...) stack of points
 
 
 # 17 x 26 pyramids have odd sizes (17 x 26, 8 x 13) and, at four levels, a

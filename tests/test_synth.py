@@ -56,11 +56,11 @@ def test_rendering_deterministic_per_seed():
 
 
 def test_slanted_and_two_plane_scenes():
-    seq = synth.render_scene(_plane_spec(kind="slanted", slant=0.3))
+    seq = synth.render_scene(_plane_spec(kind="slanted"))
     d = seq.gt_depths[0]
     assert d[:, -1].mean() > d[:, 0].mean()  # depth grows with world x
 
-    seq = synth.render_scene(_plane_spec(kind="two_plane", depth=2.0, depth2=4.0))
+    seq = synth.render_scene(_plane_spec(kind="two_plane"))
     d = seq.gt_depths[1]
     assert d.min() < 2.5 and d.max() > 3.5  # both planes visible
 
@@ -117,7 +117,7 @@ def test_spec_validation():
         _plane_spec(trajectory=(PoseParams(),))
 
 
-@pytest.mark.parametrize("field", ["depth", "depth2"])
+@pytest.mark.parametrize("field", ["depth"])
 @pytest.mark.parametrize("depth", [0.0, float("nan"), float("inf"), float("-inf")])
 def test_spec_rejects_nonpositive_or_nonfinite_depth(field, depth):
     with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got {depth}"):
