@@ -6,7 +6,7 @@ L1 view-synthesis objective (with explainability masking and second-order
 depth smoothness) by Adam, entirely with analytic gradients.
 """
 
-from .geometry import Intrinsics, PoseParams, pose_to_transform, invert, scale_intrinsics
+from .geometry import Intrinsics, pose_to_transform, invert, scale_intrinsics
 from .sampler import WarpResult, bilinear_sample, inverse_warp
 from .losses import LossConfig, LossReport, total_loss, build_pyramid
 from .model import AdamConfig, SnippetState, FitResult, init_state, fit_snippet
@@ -14,7 +14,7 @@ from .synth import SceneSpec, SnippetSequence, render_scene, load_sequence, save
 from .evaluation import DepthMetrics, depth_metrics, median_scale, snippet_ate, split_snippets
 
 __all__ = [
-    "Intrinsics", "PoseParams", "pose_to_transform", "invert",
+    "Intrinsics", "pose_to_transform", "invert",
     "scale_intrinsics", "WarpResult", "bilinear_sample", "inverse_warp",
     "LossConfig", "LossReport", "total_loss", "build_pyramid",
     "AdamConfig", "SnippetState", "FitResult", "init_state", "fit_snippet",

@@ -77,6 +77,14 @@ def cmd_synth(args) -> int:
     if args.seed < 0 or args.frames < 2:
         print("synth: need --frames >= 2 and --seed >= 0", file=sys.stderr)
         return 2
+    for flag, size in (("--width", args.width), ("--height", args.height)):
+        if size < 1:
+            print(f"synth: {flag} must be >= 1, got {size}", file=sys.stderr)
+            return 2
+    for flag, step in (("--step-x", args.step_x), ("--step-z", args.step_z)):
+        if not math.isfinite(step):
+            print(f"synth: {flag} must be finite, got {step}", file=sys.stderr)
+            return 2
     K = Intrinsics(fx=args.focal, fy=args.focal, cx=args.width / 2,
                    cy=args.height / 2, width=args.width, height=args.height)
     spec = synth.SceneSpec(
@@ -113,7 +121,7 @@ def cmd_fit(args) -> int:
 
     # Camera-to-world poses (world = target camera frame), in frame order:
     # the sources' poses, with the identity at the target's index.
-    poses = [geometry.invert(T_ts) for T_ts in geometry.pose_transforms(st.poses)]
+    poses = [geometry.invert(T_ts) for T_ts in geometry.pose_to_transform(st.poses)]
     poses.insert(seq.target_index, np.eye(4))
     fileio.save_trajectory(os.path.join(args.out, "trajectory.txt"), poses)
 

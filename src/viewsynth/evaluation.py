@@ -183,7 +183,7 @@ def mean_odometry_baseline(train_snippets):
     trans /= len(train_snippets)
 
     poses = [np.eye(4)]
-    for delta in geometry.pose_transforms(np.concatenate([eulers, trans], axis=1)):
+    for delta in geometry.pose_to_transform(np.concatenate([eulers, trans], axis=1)):
         poses.append(poses[-1] @ delta)
     return poses
 

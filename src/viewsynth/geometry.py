@@ -54,26 +54,6 @@ class Intrinsics:
                     name, f"{name} {c} puts the principal point outside the image")
 
 
-@dataclass(frozen=True)
-class PoseParams:
-    """6-DoF pose: Euler angles (radians) plus translation (scene units)."""
-
-    rx: float = 0.0
-    ry: float = 0.0
-    rz: float = 0.0
-    tx: float = 0.0
-    ty: float = 0.0
-    tz: float = 0.0
-
-    def __post_init__(self):
-        vals = (self.rx, self.ry, self.rz, self.tx, self.ty, self.tz)
-        if not all(np.isfinite(vals)):
-            raise ValueError("pose parameters must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz, self.tx, self.ty, self.tz])
-
-
 def check_rigid(T: np.ndarray) -> np.ndarray:
     """Validate a 4x4 rigid transform matrix; returns it as float64."""
     T = np.asarray(T, dtype=float)
@@ -111,7 +91,7 @@ def _elemental_rotations(c: np.ndarray, s: np.ndarray):
 
 def rotation_to_euler(R: np.ndarray) -> tuple[float, float, float]:
     """The angles (rx, ry, rz) of R = Rz @ Ry @ Rx, the rotation block of
-    pose_transforms, away from the ry = +-pi/2 singularity."""
+    pose_to_transform, away from the ry = +-pi/2 singularity."""
     R = np.asarray(R, dtype=float)
     ry = np.arcsin(np.clip(-R[2, 0], -1.0, 1.0))
     rx = np.arctan2(R[2, 1], R[2, 2])
@@ -119,11 +99,12 @@ def rotation_to_euler(R: np.ndarray) -> tuple[float, float, float]:
     return float(rx), float(ry), float(rz)
 
 
-def pose_transforms(poses) -> np.ndarray:
+def pose_to_transform(poses) -> np.ndarray:
     """4x4 rigid transforms of (..., 6) pose arrays (rx, ry, rz, tx, ty, tz),
-    with R = Rz @ Ry @ Rx: an (S, 6) array gives (S, 4, 4), a (B, S, 6)
-    batch (B, S, 4, 4), in one pass over all of them. A zero pose gives
-    exactly np.eye(4)."""
+    Euler angles in radians and a translation in scene units, with
+    R = Rz @ Ry @ Rx: a (6,) pose gives (4, 4), an (S, 6) array (S, 4, 4)
+    and a (B, S, 6) batch (B, S, 4, 4), in one pass over all of them. A zero
+    pose gives exactly np.eye(4)."""
     poses = np.asarray(poses, dtype=float)
     if not np.isfinite(poses).all():
         raise ValueError("pose parameters must be finite")
@@ -136,20 +117,17 @@ def pose_transforms(poses) -> np.ndarray:
     return T
 
 
-def pose_to_transform(p: PoseParams) -> np.ndarray:
-    """4x4 rigid transform with R = Rz @ Ry @ Rx and the given translation."""
-    return pose_transforms(p.as_array())
+def rotation_jacobians(angles):
+    """dR/drx, dR/dry, dR/drz for R = Rz @ Ry @ Rx of (..., 3) angle arrays
+    (rx, ry, rz): three (..., 3, 3) stacks.
 
-
-def rotation_jacobians(rx: float, ry: float, rz: float):
-    """dR/drx, dR/dry, dR/drz for R = Rz @ Ry @ Rx."""
-    angles = np.array([rx, ry, rz], dtype=float)
+    An elemental rotation's derivative is the rotation by angle + pi/2
+    (cosine -sin, sine cos) with its fixed-axis 1 set to 0."""
+    angles = np.asarray(angles, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
     Rx, Ry, Rz = _elemental_rotations(c, s)
-    (cx, cy, cz), (sx, sy, sz) = c.tolist(), s.tolist()
-    dRx = np.array([[0, 0, 0], [0, -sx, -cx], [0, cx, -sx]])
-    dRy = np.array([[-sy, 0, cy], [0, 0, 0], [-cy, 0, -sy]])
-    dRz = np.array([[-sz, -cz, 0], [cz, -sz, 0], [0, 0, 0]])
+    dRx, dRy, dRz = _elemental_rotations(-s, c)
+    dRx[..., 0, 0] = dRy[..., 1, 1] = dRz[..., 2, 2] = 0.0
     return Rz @ Ry @ dRx, Rz @ dRy @ Rx, dRz @ Ry @ Rx
 
 

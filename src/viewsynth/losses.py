@@ -375,10 +375,10 @@ def smoothness_loss(depth, want_grads: bool = True):
     return loss, grad
 
 
-def _pose_transforms(poses: np.ndarray) -> list:
+def _source_transforms(poses: np.ndarray) -> list:
     """Target-to-source transform of every source: a 4x4 matrix for (S, 6)
     poses, a contiguous (B, 4, 4) stack for a (B, S, 6) batch of them."""
-    T = geometry.pose_transforms(poses)
+    T = geometry.pose_to_transform(poses)
     return list(T if T.ndim == 3 else np.ascontiguousarray(np.moveaxis(T, 1, 0)))
 
 
@@ -459,9 +459,10 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     gu, gv are an objective's gradients with respect to the source
     coordinates (u_s, v_s) of each target pixel of `warp`, an unbatched
     inverse_warp on the sampler.PixelGrid `grid` through a transform with
-    rotation block R and rotation Jacobians rot_jacs
-    (geometry.rotation_jacobians). P = depth * rays are the target-frame
-    points it transformed. Pixels outside warp.valid contribute nothing.
+    rotation block R and the three 3x3 rotation Jacobians rot_jacs (one
+    pose's entries of geometry.rotation_jacobians). P = depth * rays are
+    the target-frame points it transformed. Pixels outside warp.valid
+    contribute nothing.
 
     Returns (g_depth, g_pose): the gradient with respect to each pixel's
     depth, shaped like gu, and for each level of the grid's row (spans as
@@ -579,10 +580,10 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         g_pose = np.zeros((S, 6))
         g_mask = [np.zeros_like(state.mask_logits[l]) for l in range(L)] if use_masks else None
 
-    transforms = _pose_transforms(poses)
-    rot_jacs = []   # _pose_transforms has checked that the poses are finite
+    transforms = _source_transforms(poses)
+    rot_jacs = []   # _source_transforms has checked that the poses are finite
     if want_grads:
-        rot_jacs = [geometry.rotation_jacobians(*poses[s, :3].tolist()) for s in range(S)]
+        rot_jacs = list(zip(*geometry.rotation_jacobians(poses[:, :3])))
 
     total = 0.0
     vs_per_level = []

@@ -5,20 +5,21 @@ intersected with the plane(s) and a procedural band-limited texture is
 evaluated at the intersection point, so frames, ground-truth depth, and
 ground-truth poses are exact (no resampling error in the renderer itself).
 
-Trajectory poses are camera-to-world; the world frame is the frame of an
-identity pose. Planes are defined in the world frame.
+Trajectory poses are camera-to-world 6-vectors (see
+geometry.pose_to_transform); the world frame is the frame of a zero pose.
+Planes are defined in the world frame.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio, geometry, sampler
-from .geometry import Intrinsics, PoseParams
+from .geometry import Intrinsics
 
 SCENE_KINDS = ("plane", "slanted", "two_plane")
 
@@ -28,7 +29,8 @@ SLANT = 0.3
 FAR_DEPTH = 4.0
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: an array field has no truth value.
+@dataclass(frozen=True, eq=False)
 class SceneSpec:
     kind: str = "plane"
     texture_seed: int = 0
@@ -36,7 +38,7 @@ class SceneSpec:
     # slanted: depth at world x = 0 (see SLANT).
     # two_plane: depth of the near plane, at world x < 0 (see FAR_DEPTH).
     depth: float = 2.0
-    trajectory: tuple = ()
+    trajectory: np.ndarray = ()     # (N, 6) camera-to-world poses, N >= 2; kept read-only
     intrinsics: Intrinsics = None
     noise_sigma: float = 0.0
 
@@ -45,8 +47,14 @@ class SceneSpec:
             raise ValueError(f"unknown scene kind {self.kind!r}")
         if not (math.isfinite(self.depth) and self.depth > 0):
             raise ValueError(f"depth must be finite and > 0, got {self.depth}")
-        if len(self.trajectory) < 2:
-            raise ValueError("trajectory needs at least 2 poses")
+        traj = np.array(self.trajectory, dtype=float)   # a copy: the caller's may change
+        if traj.ndim != 2 or traj.shape[0] < 2 or traj.shape[1] != 6:
+            raise ValueError(
+                f"trajectory must be an (N >= 2, 6) pose array, got shape {traj.shape}")
+        if not np.isfinite(traj).all():
+            raise ValueError("trajectory poses must be finite")
+        traj.flags.writeable = False
+        object.__setattr__(self, "trajectory", traj)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
@@ -135,9 +143,9 @@ def render_scene(spec: SceneSpec) -> SnippetSequence:
 
     rays = sampler.pixel_grid(K).rays
 
-    frames, depths, poses = [], [], []
-    for p in spec.trajectory:
-        T = geometry.pose_to_transform(p)  # camera-to-world
+    frames, depths = [], []
+    poses = list(geometry.pose_to_transform(spec.trajectory))  # camera-to-world
+    for T in poses:
         dirs = rays @ T[:3, :3].T
         pts, lam = _intersect(spec, T[:3, 3], dirs)
         img = np.clip(_texture(freqs, phases, amps, pts[..., 0], pts[..., 1]), 0.0, 1.0)
@@ -145,7 +153,6 @@ def render_scene(spec: SceneSpec) -> SnippetSequence:
             img = np.clip(img + noise_rng.normal(0, spec.noise_sigma, img.shape), 0.0, 1.0)
         frames.append(img[..., None])
         depths.append(lam)
-        poses.append(T)
 
     return SnippetSequence(
         frames=frames,
@@ -199,12 +206,19 @@ def _load_map(path, K: Intrinsics, load=fileio.load_wf01) -> np.ndarray:
 
 def load_sequence(indir) -> SnippetSequence:
     """Read a sequence directory, checking each frame, ground-truth depth map
-    and the ground-truth trajectory against the intrinsics and frame count."""
+    and the ground-truth trajectory against the intrinsics and frame count,
+    and every frame's channel count (at least 1) against frame 0's."""
     names, target = fileio.load_manifest(os.path.join(indir, "sequence.txt"))
     K = fileio.load_intrinsics(os.path.join(indir, "intrinsics.txt"))
     paths = [os.path.join(indir, name) for name in names]
     frames = [_load_map(path, K) for path in paths]
+    channels = frames[0].shape[2]
     for path, frame in zip(paths, frames):
+        if frame.shape[2] == 0:
+            raise fileio.FileFormatError(f"{path}: frame has no channels")
+        if frame.shape[2] != channels:
+            raise fileio.FileFormatError(
+                f"{path}: {frame.shape[2]} channels, but frame 0 has {channels}")
         # Comparisons with NaN are false, so this also rejects NaN values.
         if not np.all((frame >= 0.0) & (frame <= 1.0)):
             raise fileio.FileFormatError(f"{path}: pixel values must be finite and within [0, 1]")
@@ -228,11 +242,9 @@ def load_sequence(indir) -> SnippetSequence:
     )
 
 
-def linear_trajectory(n: int, step: tuple) -> tuple:
-    """n camera-to-world poses translating by `step` per frame, centered on 0."""
-    sx, sy, sz = step
-    mid = (n - 1) / 2
-    return tuple(
-        PoseParams(tx=(k - mid) * sx, ty=(k - mid) * sy, tz=(k - mid) * sz)
-        for k in range(n)
-    )
+def linear_trajectory(n: int, step: tuple) -> np.ndarray:
+    """n camera-to-world poses, an (n, 6) array, translating by `step` per
+    frame and centered on 0."""
+    poses = np.zeros((n, 6))
+    poses[:, 3:] = np.outer(np.arange(n) - (n - 1) / 2, step)
+    return poses

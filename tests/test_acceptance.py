@@ -12,7 +12,7 @@ import numpy as np
 
 from viewsynth import (cli, evaluation, fileio, geometry, gradcheck, losses,
                        model, sampler, synth)
-from viewsynth.geometry import Intrinsics, PoseParams
+from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 from viewsynth.model import AdamConfig
 
@@ -236,7 +236,7 @@ def test_criterion_6_evaluation_oracles():
 
     # ATE vs. a brute-force 1-D scale search.
     def traj(ts):
-        return [geometry.pose_to_transform(PoseParams(tx=a, ty=b, tz=c))
+        return [geometry.pose_to_transform([0, 0, 0, a, b, c])
                 for a, b, c in ts]
 
     gt_t = traj([(0, 0, 0)] + [tuple(rng.normal(0, 1, 3)) for _ in range(4)])

@@ -153,6 +153,24 @@ def test_fit_bad_frame_pixel_names_the_file(tmp_path, capsys, bad):
     assert str(frame) in err and "non-finite" not in err
 
 
+@pytest.mark.parametrize("command", ["fit", "warp"])
+@pytest.mark.parametrize("name, channels, message", [
+    ("frame_002.wf01", 0, "frame has no channels"),
+    ("frame_000.wf01", 0, "frame has no channels"),
+    ("frame_002.wf01", 3, "3 channels, but frame 0 has 1"),
+])
+def test_frame_channel_count_names_the_file(tmp_path, capsys, command, name, channels, message):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    frame = seq_dir / name
+    fileio.save_wf01(frame, np.full((16, 24, channels), 0.5))
+    capsys.readouterr()
+    argv = [command, "--in", str(seq_dir), "--out", str(tmp_path / "out")]
+    assert _run(argv + (["--max-iters", "3"] if command == "fit" else [])) == 1
+    assert capsys.readouterr().err == f"viewsynth {command}: {frame}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_infinite_focal_length_names_the_file(tmp_path, capsys):
     seq_dir = tmp_path / "seq"
     _synth(seq_dir)
@@ -202,6 +220,21 @@ def test_synth_bad_noise_is_runtime_error(tmp_path, capsys, noise):
     assert _run(["synth", "--out", str(tmp_path / "seq"), "--noise", noise]) == 1
     assert capsys.readouterr().err == (
         f"viewsynth synth: noise_sigma must be finite and >= 0, got {float(noise)}\n")
+    assert not (tmp_path / "seq").exists()
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--step-x", "nan", "must be finite"),
+    ("--step-x", "inf", "must be finite"),
+    ("--step-z", "-inf", "must be finite"),
+    ("--step-z", "nan", "must be finite"),
+    ("--width", "0", "must be >= 1"),
+    ("--height", "-2", "must be >= 1"),
+])
+def test_synth_bad_step_or_size_is_usage_error(tmp_path, capsys, flag, value, rule):
+    assert _run(["synth", "--out", str(tmp_path / "seq"), f"{flag}={value}"]) == 2
+    parsed = value if flag in ("--width", "--height") else float(value)
+    assert capsys.readouterr().err == f"synth: {flag} {rule}, got {parsed}\n"
     assert not (tmp_path / "seq").exists()
 
 
@@ -378,7 +411,7 @@ def test_eval_depth_is_scale_invariant(tmp_path):
 
 def test_eval_odom_identity_and_mismatch(tmp_path, capsys):
     rng = np.random.default_rng(4)
-    traj = [geometry.pose_to_transform(geometry.PoseParams(*rng.normal(0, 0.2, 6)))
+    traj = [geometry.pose_to_transform(rng.normal(0, 0.2, 6))
             for _ in range(7)]
     p = tmp_path / "t.txt"
     fileio.save_trajectory(p, traj)
@@ -407,9 +440,9 @@ def test_eval_odom_short_snippet_len_is_usage_error(tmp_path, capsys, length):
 def test_eval_odom_hand_worked_example(tmp_path, capsys):
     # gt moves 1 unit in x per frame; pred is the same path at half scale,
     # so the fitted scale removes all error.
-    gt = [geometry.pose_to_transform(geometry.PoseParams(tx=float(k)))
+    gt = [geometry.pose_to_transform([0, 0, 0, k, 0, 0])
           for k in range(5)]
-    pred = [geometry.pose_to_transform(geometry.PoseParams(tx=0.5 * k))
+    pred = [geometry.pose_to_transform([0, 0, 0, 0.5 * k, 0, 0])
             for k in range(5)]
     fileio.save_trajectory(tmp_path / "gt.txt", gt)
     fileio.save_trajectory(tmp_path / "pred.txt", pred)
@@ -419,7 +452,7 @@ def test_eval_odom_hand_worked_example(tmp_path, capsys):
 
 
 def test_eval_odom_nonfinite_row_names_the_line(tmp_path, capsys):
-    traj = [geometry.pose_to_transform(geometry.PoseParams(tx=0.1 * k)) for k in range(5)]
+    traj = [geometry.pose_to_transform([0, 0, 0, 0.1 * k, 0, 0]) for k in range(5)]
     good = tmp_path / "gt.txt"
     fileio.save_trajectory(good, traj)
     bad = tmp_path / "pred.txt"

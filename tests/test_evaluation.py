@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewsynth import evaluation, geometry
-from viewsynth.geometry import PoseParams
 
 
 def test_median_scale_trivial_cases():
@@ -107,8 +106,7 @@ def _traj(translations, yaws=None):
     out = []
     for k, t in enumerate(translations):
         ry = 0.0 if yaws is None else yaws[k]
-        out.append(geometry.pose_to_transform(
-            PoseParams(ry=ry, tx=t[0], ty=t[1], tz=t[2])))
+        out.append(geometry.pose_to_transform([0, ry, 0, *t]))
     return out
 
 

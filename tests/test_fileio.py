@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from viewsynth import fileio, geometry, model
 from viewsynth.fileio import FileFormatError
-from viewsynth.geometry import Intrinsics, PoseParams
+from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 
 
@@ -84,7 +84,7 @@ def test_manifest_missing_target(tmp_path):
 def test_trajectory_roundtrip_bit_faithful(tmp_path):
     rng = np.random.default_rng(3)
     traj = [
-        geometry.pose_to_transform(PoseParams(*rng.normal(0, 0.5, 6)))
+        geometry.pose_to_transform(rng.normal(0, 0.5, 6))
         for _ in range(4)
     ]
     p = tmp_path / "traj.txt"

@@ -3,21 +3,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewsynth import geometry, gradcheck, losses, sampler
-from viewsynth.geometry import Intrinsics, PoseParams
+from viewsynth.geometry import Intrinsics
+from viewsynth.synth import SceneSpec
 
 angles = st.floats(-3.0, 3.0)
 small = st.floats(-10.0, 10.0)
-poses = st.builds(PoseParams, rx=angles, ry=angles, rz=angles,
-                  tx=small, ty=small, tz=small)
+poses = st.tuples(angles, angles, angles, small, small, small).map(np.array)
 
 
 def test_zero_pose_is_exact_identity():
-    T = geometry.pose_to_transform(PoseParams())
+    T = geometry.pose_to_transform(np.zeros(6))
     assert np.array_equal(T, np.eye(4))
 
 
 def test_quarter_turn_about_z():
-    T = geometry.pose_to_transform(PoseParams(rz=np.pi / 2))
+    T = geometry.pose_to_transform([0, 0, np.pi / 2, 0, 0, 0])
     expected = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
     assert np.allclose(T[:3, :3], expected, atol=1e-15)
     # x-axis maps to y-axis
@@ -33,14 +33,20 @@ def test_pose_matches_elemental_matrix_product():
     Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
     Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
     Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    T = geometry.pose_to_transform(PoseParams(rx, ry, rz, 1, 2, 3))
+    T = geometry.pose_to_transform([rx, ry, rz, 1, 2, 3])
     assert np.allclose(T[:3, :3], Rz @ Ry @ Rx, atol=1e-15)
     assert np.array_equal(T[:3, 3], [1, 2, 3])
 
 
 def test_pose_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        PoseParams(rx=np.nan)
+    K = Intrinsics(fx=10.0, fy=10.0, cx=5.0, cy=4.0, width=10, height=8)
+    for i, bad in enumerate([np.nan, np.inf, -np.inf]):
+        pose = np.zeros(6)
+        pose[2 * i] = bad
+        with pytest.raises(ValueError, match="pose parameters must be finite"):
+            geometry.pose_to_transform(pose)
+        with pytest.raises(ValueError, match="trajectory poses must be finite"):
+            SceneSpec(trajectory=[np.zeros(6), pose], intrinsics=K)
 
 
 def _scalar_pose_to_transform(pose) -> np.ndarray:
@@ -60,29 +66,29 @@ def _scalar_pose_to_transform(pose) -> np.ndarray:
 
 
 @pytest.mark.parametrize("shape", [(1, 6), (2, 6), (4, 6), (24, 2, 6), (3, 4, 6)])
-def test_pose_transforms_equal_scalar_arithmetic_bitwise(shape):
+def test_pose_to_transform_equals_scalar_arithmetic_bitwise(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(20):
         poses = rng.normal(0.0, 1.0, shape)
         # Angles of either sign with magnitudes from 1e-3 to 3 rad.
         poses[..., :3] = rng.choice([-1.0, 1.0], shape[:-1] + (3,)) * np.exp(
             rng.uniform(np.log(1e-3), np.log(3.0), shape[:-1] + (3,)))
-        T = geometry.pose_transforms(poses)
+        T = geometry.pose_to_transform(poses)
         assert T.shape == shape[:-1] + (4, 4)
         for idx in np.ndindex(shape[:-1]):
             ref = _scalar_pose_to_transform(poses[idx]).tobytes()
             assert T[idx].tobytes() == ref, idx
-            assert geometry.pose_to_transform(PoseParams(*poses[idx])).tobytes() == ref
+            assert geometry.pose_to_transform(poses[idx]).tobytes() == ref
 
 
 @pytest.mark.parametrize("shape", [(2, 6), (3, 2, 6)])
 def test_zero_poses_give_exact_identities_and_identity_warps(shape):
-    T = geometry.pose_transforms(np.zeros(shape))
+    T = geometry.pose_to_transform(np.zeros(shape))
     assert all(np.array_equal(T[idx], np.eye(4)) for idx in np.ndindex(shape[:-1]))
     # inverse_warp's identity shortcut returns the source bit for bit.
     K = Intrinsics(fx=10.0, fy=10.0, cx=5.7, cy=3.9, width=12, height=8)
     src = np.random.default_rng(0).random((8, 12, 2))
-    for transform in losses._pose_transforms(np.zeros(shape)):
+    for transform in losses._source_transforms(np.zeros(shape)):
         warp = sampler.inverse_warp(src, np.full((8, 12), 2.0), transform, K, want_grads=False)
         assert np.array_equal(warp.warped, np.broadcast_to(src, warp.warped.shape))
 
@@ -97,7 +103,7 @@ def test_total_loss_rejects_nonfinite_poses(batch, bad):
     with pytest.raises(ValueError, match="pose parameters must be finite"):
         losses.total_loss(state, cfg, want_grads=batch is None)
     with pytest.raises(ValueError, match="pose parameters must be finite"):
-        geometry.pose_transforms(poses)
+        geometry.pose_to_transform(poses)
 
 
 @pytest.mark.parametrize("idx", [(0, 0), (1, 2), (2, 3), (3, 3)])
@@ -121,7 +127,7 @@ def test_pose_transform_is_rigid(p):
 
 def test_invert_identity_and_translation():
     assert np.array_equal(geometry.invert(np.eye(4)), np.eye(4))
-    T = geometry.pose_to_transform(PoseParams(tx=1, ty=2, tz=3))
+    T = geometry.pose_to_transform([0, 0, 0, 1, 2, 3])
     Ti = geometry.invert(T)
     assert np.allclose(Ti[:3, 3], [-1, -2, -3])
 
@@ -136,7 +142,7 @@ def test_invert_roundtrip(p):
 
 def test_rotation_to_euler_roundtrip():
     rx, ry, rz = 0.3, -0.7, 1.1
-    R = geometry.pose_transforms([rx, ry, rz, 0, 0, 0])[:3, :3]
+    R = geometry.pose_to_transform([rx, ry, rz, 0, 0, 0])[:3, :3]
     assert np.allclose(geometry.rotation_to_euler(R), (rx, ry, rz), atol=1e-12)
 
 
@@ -161,7 +167,7 @@ def test_project_identity_is_identity_map():
 
 def test_project_pure_x_translation_shift():
     # fronto-parallel point: p_s = (u + fx * tx / D, v)
-    T = geometry.pose_to_transform(PoseParams(tx=0.4))
+    T = geometry.pose_to_transform([0, 0, 0, 0.4, 0, 0])
     D = 2.0
     us, vs, zs = _source_coords(30.0, 70.0, D, K, T)
     assert abs(us - (30.0 + K.fx * 0.4 / D)) < 1e-12
@@ -169,7 +175,7 @@ def test_project_pure_x_translation_shift():
 
 
 def test_project_on_axis_z_translation():
-    T = geometry.pose_to_transform(PoseParams(tz=-1.0))
+    T = geometry.pose_to_transform([0, 0, 0, 0, 0, -1.0])
     us, vs, zs = _source_coords(50.0, 50.0, 2.0, K, T)
     assert (us, vs) == (50.0, 50.0)
     assert zs == 1.0
@@ -183,7 +189,7 @@ def test_project_rejects_nonpositive_depth():
 
 
 def test_project_behind_camera_flagged_not_raised():
-    T = geometry.pose_to_transform(PoseParams(tz=-5.0))
+    T = geometry.pose_to_transform([0, 0, 0, 0, 0, -5.0])
     _, _, zs = _source_coords(50.0, 50.0, 2.0, K, T)
     assert zs <= geometry.BEHIND_EPS
 
@@ -193,8 +199,7 @@ def test_project_behind_camera_flagged_not_raised():
 def test_project_depth_translation_scale_covariance(p, depth, s):
     # Scaling depth and translation jointly leaves the projection unchanged.
     T1 = geometry.pose_to_transform(p)
-    T2 = geometry.pose_to_transform(
-        PoseParams(p.rx, p.ry, p.rz, s * p.tx, s * p.ty, s * p.tz))
+    T2 = geometry.pose_to_transform(np.concatenate([p[:3], s * p[3:]]))
     u1, v1, z1 = _source_coords(37.0, 21.0, depth, K, T1)
     u2, v2, z2 = _source_coords(37.0, 21.0, s * depth, K, T2)
     if z1 > geometry.BEHIND_EPS and z2 > geometry.BEHIND_EPS:
@@ -228,10 +233,38 @@ def test_intrinsics_invariants():
 @pytest.mark.parametrize("angles", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (-1.1, 0.7, 2.5)])
 def test_rotation_jacobians_match_central_differences(angles):
     h = 1e-6
-    for i, J in enumerate(geometry.rotation_jacobians(*angles)):
+    for i, J in enumerate(geometry.rotation_jacobians(angles)):
         hi, lo = list(angles), list(angles)
         hi[i] += h
         lo[i] -= h
-        fd = (geometry.pose_transforms(hi + [0, 0, 0])[:3, :3]
-              - geometry.pose_transforms(lo + [0, 0, 0])[:3, :3]) / (2 * h)
+        fd = (geometry.pose_to_transform(hi + [0, 0, 0])[:3, :3]
+              - geometry.pose_to_transform(lo + [0, 0, 0])[:3, :3]) / (2 * h)
         assert np.max(np.abs(J - fd)) < 1e-9, i
+
+
+def _scalar_rotation_jacobians(rx, ry, rz):
+    """One row's rotation Jacobians by the scalar arithmetic
+    rotation_jacobians had before the stacked form: the bitwise reference."""
+    angles = np.array([rx, ry, rz])
+    c, s = np.cos(angles), np.sin(angles)
+    Rx, Ry, Rz = geometry._elemental_rotations(c, s)
+    (cx, cy, cz), (sx, sy, sz) = c.tolist(), s.tolist()
+    dRx = np.array([[0, 0, 0], [0, -sx, -cx], [0, cx, -sx]])
+    dRy = np.array([[-sy, 0, cy], [0, 0, 0], [-cy, 0, -sy]])
+    dRz = np.array([[-sz, -cz, 0], [cz, -sz, 0], [0, 0, 0]])
+    return Rz @ Ry @ dRx, Rz @ dRy @ Rx, dRz @ Ry @ Rx
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+def test_stacked_rotation_jacobians_equal_each_row_bitwise(S):
+    rng = np.random.default_rng(S)
+    for trial in range(20):
+        poses = rng.uniform(-3.0, 3.0, (S, 6))
+        poses[trial % S, :3] = 0.0   # a zero row, as for an initial pose
+        stacks = geometry.rotation_jacobians(poses[:, :3])
+        assert [J.shape for J in stacks] == [(S, 3, 3)] * 3
+        for s in range(S):
+            row = geometry.rotation_jacobians(poses[s, :3])
+            ref = _scalar_rotation_jacobians(*poses[s, :3].tolist())
+            for J, J_row, J_ref in zip(stacks, row, ref, strict=True):
+                assert J[s].tobytes() == J_row.tobytes() == J_ref.tobytes(), (trial, s)

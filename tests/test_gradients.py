@@ -353,7 +353,7 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
     depth = losses._group_map(losses.build_pyramid(state.depth(), 2))
     # The shift to the left leaves the left columns without a source pixel.
     pose = np.array([0.02, -0.03, 0.01, -0.3, -0.05, 0.02])
-    T = geometry.pose_transforms(pose)
+    T = geometry.pose_to_transform(pose)
     warp = sampler.inverse_warp(group.sources[0], depth, T, grid)
     for a, b in group.spans:   # each level has invalid pixels, and its last is valid
         assert 0 < warp.valid[..., a:b].sum() < b - a and warp.valid[0, b - 1]
@@ -361,13 +361,13 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
     wu, wv = rng.normal(size=depth.shape), rng.normal(size=depth.shape)
 
     def weighted(depth, pose):   # per pixel, 0 where the base warp is invalid
-        T = geometry.pose_transforms(pose)
+        T = geometry.pose_to_transform(pose)
         pts = geometry.transform_points(T, geometry.points_at_depth(depth, grid.rays))
         u, v, _ = geometry.project_points(pts, grid)
         return np.where(warp.valid, wu * u + wv * v, 0.0)
 
     g_depth, g_pose = losses.projection_adjoint(
-        wu, wv, warp, grid, T[:3, :3], geometry.rotation_jacobians(*pose[:3]),
+        wu, wv, warp, grid, T[:3, :3], geometry.rotation_jacobians(pose[:3]),
         geometry.points_at_depth(depth, grid.rays), group.spans)
     h = 1e-6
     # A pixel's coordinates depend on its own depth only.

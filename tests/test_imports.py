@@ -54,3 +54,12 @@ def test_package_import_graph_is_acyclic():
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as e:
         pytest.fail("import cycle: " + " -> ".join(e.args[1]))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in viewsynth.__all__ if not hasattr(viewsynth, name)]
+    assert missing == []
+    assert len(set(viewsynth.__all__)) == len(viewsynth.__all__)
+    namespace = {}
+    exec("from viewsynth import *", namespace)
+    assert set(viewsynth.__all__) <= namespace.keys()

@@ -391,15 +391,33 @@ def test_total_loss_with_given_pyramids_is_bitwise_equal():
 
 
 def test_forward_only_total_loss_skips_rotation_jacobians(monkeypatch):
+    # With gradients, one call for all sources' (S, 3) angle stack.
     state, cfg = _small_state(seed=2)
     calls = []
     orig = geometry.rotation_jacobians
     monkeypatch.setattr(geometry, "rotation_jacobians",
-                        lambda *a: calls.append(a) or orig(*a))
+                        lambda angles: calls.append(np.shape(angles)) or orig(angles))
     losses.total_loss(state, cfg, want_grads=False)
     assert calls == []
     losses.total_loss(state, cfg)
-    assert len(calls) == len(state.sources)
+    assert calls == [(len(state.sources), 3)]
+
+
+def test_total_loss_converts_poses_in_one_pose_to_transform_call(monkeypatch):
+    state, cfg = _small_state(seed=2)
+    calls = []
+    orig = geometry.pose_to_transform
+    monkeypatch.setattr(geometry, "pose_to_transform",
+                        lambda poses: calls.append(np.shape(poses)) or orig(poses))
+    S = len(state.sources)
+    losses.total_loss(state, cfg)
+    assert calls == [(S, 6)]
+    calls.clear()
+    losses.total_loss(state, cfg, want_grads=False)
+    assert calls == [(S, 6)]
+    calls.clear()
+    losses.total_loss(replace(state, poses=np.stack([state.poses] * 3)), cfg, want_grads=False)
+    assert calls == [(3, S, 6)]
 
 
 def test_masked_total_loss_computes_mask_probability_once_per_level(monkeypatch):

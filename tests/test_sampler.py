@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewsynth import geometry, sampler
-from viewsynth.geometry import Intrinsics, PoseParams
+from viewsynth.geometry import Intrinsics
 
 
 def test_integer_coordinate_returns_exact_pixel():
@@ -154,7 +154,7 @@ def test_pure_translation_integer_shift():
     src = rng.random((10, 20, 1))
     D = 2.0
     K = _camera(20, 10, f=50.0)
-    T = geometry.pose_to_transform(PoseParams(tx=0.2))  # 50*0.2/2 = 5 px
+    T = geometry.pose_to_transform([0, 0, 0, 0.2, 0, 0])  # 50*0.2/2 = 5 px
     w = sampler.inverse_warp(src, np.full((10, 20), D), T, K)
     shift = 5
     assert w.valid[:, : 20 - shift].all()
@@ -166,7 +166,7 @@ def test_pure_translation_integer_shift():
 def test_all_points_behind_camera():
     src = np.ones((6, 6, 1))
     K = _camera(6, 6)
-    T = geometry.pose_to_transform(PoseParams(tz=-10.0))
+    T = geometry.pose_to_transform([0, 0, 0, 0, 0, -10.0])
     w = sampler.inverse_warp(src, np.ones((6, 6)), T, K)
     assert not w.valid.any()
     assert np.all(w.warped == 0.0)
@@ -192,7 +192,7 @@ def test_warp_with_given_points_equals_default_bitwise(want_grads):
     grid = sampler.pixel_grid(K)
     src = rng.random((8, 12, 2))
     depth = rng.uniform(0.5, 3.0, (8, 12))
-    T = geometry.pose_to_transform(PoseParams(rx=0.02, ty=-0.03, tx=0.1))
+    T = geometry.pose_to_transform([0.02, 0, 0, 0.1, -0.03, 0])
     points = geometry.points_at_depth(depth, grid.rays)
     expected = _warp_bits(sampler.inverse_warp(src, depth, T, K, want_grads))
     for camera in (K, grid):
@@ -206,7 +206,7 @@ def test_warp_of_joined_grids_with_given_points_equals_default_bitwise():
     grid = sampler.join_grids([sampler.pixel_grid(K) for K in cameras])
     stack = rng.random((sum(K.width * K.height for K in cameras), 2))
     depth = rng.uniform(0.5, 3.0, grid.u.shape)
-    T = geometry.pose_to_transform(PoseParams(rz=-0.01, tx=0.05, tz=0.1))
+    T = geometry.pose_to_transform([0, 0, -0.01, 0.05, 0, 0.1])
     points = geometry.points_at_depth(depth, grid.rays)
     assert (_warp_bits(sampler.inverse_warp(stack, depth, T, grid, points=points))
             == _warp_bits(sampler.inverse_warp(stack, depth, T, grid)))
@@ -217,7 +217,7 @@ def test_batched_warp_with_given_points_equals_default_bitwise():
     K = _camera(12, 8)
     src = rng.random((8, 12, 2))
     depth = rng.uniform(0.5, 3.0, (4, 8, 12))
-    T = np.stack([geometry.pose_to_transform(PoseParams(ty=0.02 * b, tx=0.05)) for b in range(3)]
+    T = np.stack([geometry.pose_to_transform([0, 0, 0, 0.05, 0.02 * b, 0]) for b in range(3)]
                  + [np.eye(4)])                     # the last element takes the identity shortcut
     points = geometry.points_at_depth(depth, sampler.pixel_grid(K).rays)
     assert (_warp_bits(sampler.inverse_warp(src, depth, T, K, False, points=points))
@@ -273,12 +273,12 @@ def _warp_cases():
 
 
 _TRANSFORMS = {
-    "generic": geometry.pose_to_transform(PoseParams(rx=0.02, ry=-0.01, tx=0.05, ty=-0.03)),
+    "generic": geometry.pose_to_transform([0.02, -0.01, 0, 0.05, -0.03, 0]),
     "identity": np.eye(4),
     # A pixel 0.05 deep lands far outside the image, or behind the source
     # camera, while the other pixels stay valid.
-    "outside": geometry.pose_to_transform(PoseParams(tx=0.3)),
-    "behind": geometry.pose_to_transform(PoseParams(tz=-0.3)),
+    "outside": geometry.pose_to_transform([0, 0, 0, 0.3, 0, 0]),
+    "behind": geometry.pose_to_transform([0, 0, 0, 0, 0, -0.3]),
 }
 
 
@@ -310,8 +310,7 @@ def test_forward_depth_batch_warp_of_one_changed_entry(step):
     rng = np.random.default_rng(13)
     K = _camera(12, 8)
     src = rng.random((8, 12, 2))
-    T = geometry.pose_to_transform(PoseParams(rx=0.013, ry=0.021, rz=-0.017,
-                                              tx=0.11, ty=-0.07, tz=0.05))
+    T = geometry.pose_to_transform([0.013, 0.021, -0.017, 0.11, -0.07, 0.05])
     base = rng.uniform(0.5, 3.0, (8, 12))
     for i in range(base.size):
         depth = np.repeat(base[None], 2, axis=0)

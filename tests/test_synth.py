@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viewsynth import geometry, sampler, synth
-from viewsynth.geometry import Intrinsics, PoseParams
+from viewsynth.geometry import Intrinsics
 from viewsynth.synth import SceneSpec
 
 
@@ -21,7 +21,7 @@ def _plane_spec(**kw):
 
 
 def test_zero_motion_frames_identical():
-    spec = _plane_spec(trajectory=tuple(PoseParams() for _ in range(3)))
+    spec = _plane_spec(trajectory=np.zeros((3, 6)))
     seq = synth.render_scene(spec)
     for fr in seq.frames[1:]:
         assert np.array_equal(fr, seq.frames[0])
@@ -66,7 +66,7 @@ def test_slanted_and_two_plane_scenes():
 
 
 def test_plane_behind_camera_raises():
-    traj = (PoseParams(tz=5.0), PoseParams(tz=5.5))
+    traj = [[0, 0, 0, 0, 0, 5.0], [0, 0, 0, 0, 0, 5.5]]
     with pytest.raises(ValueError, match="behind"):
         synth.render_scene(_plane_spec(depth=2.0, trajectory=traj))
 
@@ -113,8 +113,33 @@ def test_spec_validation():
         _plane_spec(kind="sphere")
     with pytest.raises(ValueError):
         _plane_spec(depth=-1.0)
+    with pytest.raises(ValueError, match="trajectory must be an"):
+        _plane_spec(trajectory=np.zeros((1, 6)))
+
+
+@pytest.mark.parametrize("trajectory", [(), np.zeros(6), np.zeros((3, 5)), np.zeros((3, 7)),
+                                        np.zeros((2, 3, 6)), [[0.0] * 6, [0.0] * 5]])
+def test_spec_rejects_a_trajectory_not_shaped_n_by_6(trajectory):
     with pytest.raises(ValueError):
-        _plane_spec(trajectory=(PoseParams(),))
+        _plane_spec(trajectory=trajectory)
+
+
+def test_spec_keeps_a_read_only_copy_of_the_trajectory():
+    traj = synth.linear_trajectory(3, (0.1, 0.0, 0.0))
+    spec = _plane_spec(trajectory=traj)
+    traj[0, 3] = 5.0
+    assert spec.trajectory[0, 3] == -0.1
+    with pytest.raises(ValueError):
+        spec.trajectory[0, 3] = 5.0
+    assert spec == spec and spec != _plane_spec(trajectory=traj) and spec in {spec}
+
+
+def test_linear_trajectory_is_centered_translation_rows():
+    traj = synth.linear_trajectory(4, (0.2, -0.1, 0.4))
+    assert traj.shape == (4, 6)
+    assert np.array_equal(traj[:, :3], np.zeros((4, 3)))
+    for k in range(4):
+        assert traj[k, 3:].tolist() == [(k - 1.5) * 0.2, (k - 1.5) * -0.1, (k - 1.5) * 0.4]
 
 
 @pytest.mark.parametrize("field", ["depth"])
