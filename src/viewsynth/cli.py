@@ -85,6 +85,8 @@ def cmd_synth(args) -> int:
         if not math.isfinite(step):
             print(f"synth: {flag} must be finite, got {step}", file=sys.stderr)
             return 2
+    if not _is_positive("synth", "--focal", args.focal):
+        return 2
     K = Intrinsics(fx=args.focal, fy=args.focal, cx=args.width / 2,
                    cy=args.height / 2, width=args.width, height=args.height)
     spec = synth.SceneSpec(

@@ -574,6 +574,12 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     if batched and want_grads:
         raise ValueError("gradients need a single parameter set, not a batch")
     depth_pyr = build_pyramid(depth0, L, depth0.ndim == 3)  # batched
+    if use_masks:
+        expected = [(S,) + d.shape[-2:] for d in depth_pyr]
+        got = [np.shape(m) for m in state.mask_logits]
+        if len(got) != L or any(len(g) not in (3, 4) or g[-3:] != e for g, e in zip(got, expected)):
+            raise ValueError(f"mask logits must be one (S, H_l, W_l) array per pyramid level, "
+                             f"{expected} for num_levels={config.num_levels}; got {got}")
 
     if want_grads:
         g_depth_lv = [np.zeros_like(d) for d in depth_pyr]

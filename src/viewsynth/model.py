@@ -242,10 +242,22 @@ def fit_snippet(
     numbers). Raises FitDiverged if the loss becomes non-finite and
     NoValidPixels if no source pixel is valid. Sets the process's allocator
     policy first (`_keep_freed_memory`).
+
+    A given `state` is fitted in place of init_state's. It must hold K and
+    `images` as its target and sources, or a ValueError names K or images.
     """
     _keep_freed_memory()
     if state is None:
         state = init_state(images, target_index, K, loss_config, depth_prior)
+    elif state.intrinsics != K:
+        raise ValueError(f"K {K} is not the state's intrinsics {state.intrinsics}")
+    else:
+        own = [state.target, *state.sources]
+        order = [target_index, *(i for i in range(len(images)) if i != target_index)]
+        if (len(images) != len(own) or target_index not in range(len(own)) or not all(
+                np.array_equal(sampler._as_image(images[i]), im) for i, im in zip(order, own))):
+            raise ValueError(f"images (target index {target_index}) are not the state's "
+                             "target and sources, in order")
     pyramids = losses.build_snippet_pyramids(state, loss_config)
     moments = AdamMoments()
     history: list[LossReport] = []
@@ -269,27 +281,10 @@ def fit_snippet(
     return FitResult(state=state, history=history, converged=converged, iterations=t)
 
 
-# ---------------------------------------------------------------------------
-# Checkpoint I/O
-#
-# Layout (all integers little-endian uint32, parameters little-endian
-# float64, row-major):
-#   magic   4 bytes  "VSCK"
-#   version u32      = 2
-#   H, W, C u32 x 3  image dims
-#   S       u32      number of source views
-#   L       u32      number of pyramid levels with mask logits (0 = no masks)
-#   depth logits     H*W float64
-#   poses            S*6 float64
-#   per level l:     H_l u32, W_l u32, then S*H_l*W_l float64 mask logits
-# ---------------------------------------------------------------------------
-
-
-class CheckpointError(ValueError):
-    pass
-
-
 def save_checkpoint(path, state: SnippetState) -> None:
+    """Write the state's parameters as exact float64 (layout: README,
+    "Checkpoint"). The package does not read the file: it holds no Adam step,
+    moments or convergence window, so a fit cannot be resumed from it."""
     H, W, C = state.target.shape
     S = len(state.sources)
     levels = state.mask_logits or []
@@ -301,55 +296,3 @@ def save_checkpoint(path, state: SnippetState) -> None:
         for m in levels:
             f.write(struct.pack("<2I", m.shape[1], m.shape[2]))
             f.write(m.astype("<f8").tobytes())
-
-
-def load_checkpoint(path, images, target_index, K: Intrinsics) -> SnippetState:
-    """Rebuild a SnippetState from a checkpoint plus the original images."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic at offset 0: {data[:4]!r}")
-    off = 4
-    if len(data) < off + 24:
-        raise CheckpointError(f"truncated checkpoint at offset {off}")
-    version, H, W, C, S, L = struct.unpack_from("<6I", data, off)
-    off += 24
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-
-    def take(n):
-        nonlocal off
-        end = off + n * 8
-        if end > len(data):
-            raise CheckpointError(f"truncated checkpoint at offset {off}")
-        arr = np.frombuffer(data[off:end], dtype="<f8").copy()
-        off = end
-        return arr
-
-    depth_logits = take(H * W).reshape(H, W)
-    poses = take(S * 6).reshape(S, 6)
-    mask_logits = []
-    for _ in range(L):
-        if off + 8 > len(data):
-            raise CheckpointError(f"truncated checkpoint at offset {off}")
-        h, w = struct.unpack_from("<2I", data, off)
-        off += 8
-        mask_logits.append(take(S * h * w).reshape(S, h, w))
-    if off != len(data):
-        raise CheckpointError(f"{len(data) - off} trailing bytes at offset {off}")
-
-    images = [sampler._as_image(im) for im in images]
-    if images[target_index].shape != (H, W, C):
-        raise CheckpointError("checkpoint dimensions do not match images")
-    target = images[target_index]
-    sources = [im for i, im in enumerate(images) if i != target_index]
-    if len(sources) != S:
-        raise CheckpointError("checkpoint source count does not match images")
-    return SnippetState(
-        target=target,
-        sources=sources,
-        depth_logits=depth_logits,
-        poses=poses,
-        mask_logits=mask_logits or None,
-        intrinsics=K,
-    )

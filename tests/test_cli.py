@@ -230,6 +230,10 @@ def test_synth_bad_noise_is_runtime_error(tmp_path, capsys, noise):
     ("--step-z", "nan", "must be finite"),
     ("--width", "0", "must be >= 1"),
     ("--height", "-2", "must be >= 1"),
+    ("--focal", "0", "must be finite and > 0"),
+    ("--focal", "nan", "must be finite and > 0"),
+    ("--focal", "-3", "must be finite and > 0"),
+    ("--focal", "inf", "must be finite and > 0"),
 ])
 def test_synth_bad_step_or_size_is_usage_error(tmp_path, capsys, flag, value, rule):
     assert _run(["synth", "--out", str(tmp_path / "seq"), f"{flag}={value}"]) == 2

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from viewsynth import fileio, geometry, model
+from viewsynth import fileio, geometry
 from viewsynth.fileio import FileFormatError
 from viewsynth.geometry import Intrinsics
-from viewsynth.losses import LossConfig
 
 
 def test_wf01_roundtrip_bit_identical(tmp_path):
@@ -111,9 +110,8 @@ def test_pnm_preview(tmp_path):
 
 # -- Parser fuzz ---------------------------------------------------------------
 #
-# Every parser either loads cleanly or raises FileFormatError (CheckpointError
-# for checkpoints); any other exception escapes the CLI's error reporting
-# without naming the file.
+# Every parser either loads cleanly or raises FileFormatError; any other
+# exception escapes the CLI's error reporting without naming the file.
 
 _KNOWN_ESCAPES = [
     (fileio.load_wf01, b"WF01\n-1 -1 4\n" + b"\x00" * 16),
@@ -143,14 +141,14 @@ _FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _load_or_format_error(load, path, data, error=FileFormatError):
-    """What load(path) returns for data, or None after the expected error."""
+def _load_or_format_error(load, path, data):
+    """What load(path) returns for data, or None after a FileFormatError
+    that names the file."""
     path.write_bytes(data)
     try:
         return load(path)
-    except error as e:
-        if error is FileFormatError:
-            assert str(path) in str(e)
+    except FileFormatError as e:
+        assert str(path) in str(e)
         return None
 
 
@@ -181,26 +179,3 @@ def test_fuzz_load_intrinsics(tmp_path, data):
                     b"1 0 0 0 ", b"0.5 "] + _COMMON_TOKENS))
 def test_fuzz_load_trajectory(tmp_path, data):
     _load_or_format_error(fileio.load_trajectory, tmp_path / "traj.txt", data)
-
-
-def _checkpoint_problem():
-    imgs = [np.random.default_rng(k).random((6, 8, 1)) for k in range(3)]
-    K = Intrinsics(fx=8.0, fy=8.0, cx=4.0, cy=3.0, width=8, height=6)
-    state = model.init_state(imgs, 1, K, LossConfig(num_levels=2))
-    return imgs, K, state
-
-
-@_FUZZ
-@given(st.data())
-def test_fuzz_load_checkpoint(tmp_path, data):
-    imgs, K, state = _checkpoint_problem()
-    path = tmp_path / "ckpt.bin"
-    model.save_checkpoint(path, state)
-    good = path.read_bytes()
-    # Overwrite a random span with random bytes, then cut at a random length.
-    start = data.draw(st.integers(0, len(good)))
-    patch = data.draw(st.binary(max_size=12))
-    cut = data.draw(st.integers(0, len(good) + 16))
-    mutated = (good[:start] + patch + good[start + len(patch):])[:cut]
-    _load_or_format_error(lambda p: model.load_checkpoint(p, imgs, 1, K), path, mutated,
-                          error=model.CheckpointError)

@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewsynth import geometry, losses, model, sampler
+from viewsynth import geometry, gradcheck, losses, model, sampler
 from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 
@@ -447,6 +448,44 @@ def test_masked_total_loss_regularizes_each_level_once(monkeypatch):
         calls.clear()
         losses.total_loss(one, cfg, want_grads)
         assert calls == [m.shape for m in one.mask_logits]
+
+
+_OFF_THE_PYRAMID = ("one level too many", "one level too few", "a level one column short",
+                    "a batched stack one column short", "one source short")
+
+
+def _masks_off_the_pyramid(case):
+    """(state, config) whose mask logits do not match the config's pyramid;
+    the state has 3 mask levels of a 16x24 snippet."""
+    state, cfg = gradcheck.random_instance(0, height=16, width=24, levels=3)
+    masks = state.mask_logits
+    short = masks[:1] + [masks[1][..., :-1]] + masks[2:]
+    return {
+        "one level too many": (state, replace(cfg, num_levels=2)),
+        "one level too few": (state, replace(cfg, num_levels=4)),
+        "a level one column short": (replace(state, mask_logits=short), cfg),
+        "a batched stack one column short":
+            (replace(state, mask_logits=[np.stack([m, m]) for m in short]), cfg),
+        "one source short": (replace(state, mask_logits=[m[:1] for m in masks]), cfg),
+    }[case]
+
+
+@pytest.mark.parametrize("case", _OFF_THE_PYRAMID)
+def test_total_loss_refuses_mask_logits_off_the_pyramid(case):
+    state, cfg = _masks_off_the_pyramid(case)
+    got = re.escape(str([m.shape for m in state.mask_logits]))
+    batched = state.mask_logits[0].ndim == 4
+    for want_grads in (False,) if batched else (True, False):
+        with pytest.raises(ValueError, match=f"num_levels={cfg.num_levels}; got {got}"):
+            losses.total_loss(state, cfg, want_grads)
+
+
+def test_fit_refuses_mask_levels_the_config_does_not_have():
+    state, cfg = gradcheck.random_instance(0, height=16, width=24, levels=3)
+    images = [state.target, *state.sources]
+    with pytest.raises(ValueError, match="num_levels=2"):
+        model.fit_snippet(images, 0, state.intrinsics, replace(cfg, num_levels=2),
+                          model.AdamConfig(max_iters=2), state=state)
 
 
 def test_loss_config_validation():

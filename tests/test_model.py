@@ -248,6 +248,36 @@ def test_fit_is_deterministic():
     assert [r.total for r in r1.history] == [r.total for r in r2.history]
 
 
+def test_fit_refuses_a_state_of_other_intrinsics():
+    imgs = _images(seed=21)
+    state = model.init_state(imgs, 1, K, CFG)
+    other = Intrinsics(fx=3.0, fy=3.0, cx=2.5, cy=2.5, width=5, height=5)
+    for k in (replace(K, fx=11.0), other):
+        with pytest.raises(ValueError, match="^K "):
+            model.fit_snippet(imgs, 1, k, CFG, AdamConfig(max_iters=2), state=state)
+
+
+def test_fit_refuses_a_state_of_other_images_or_order():
+    imgs = _images(seed=21)
+    state = model.init_state(imgs, 1, K, CFG)
+    for images, target_index in [
+        ([np.zeros((8, 10, 1))] * 3, 1),             # other images
+        ([np.zeros((5, 5))] * 3, 1),                 # other size
+        (imgs, 0),                                   # other target
+        ([imgs[2], imgs[1], imgs[0]], 1),            # sources swapped
+        (imgs[:2], 1),                               # a source missing
+        (imgs + imgs[:1], 1),                        # a source too many
+        (imgs, 3),                                   # target index out of range
+    ]:
+        with pytest.raises(ValueError, match="^images "):
+            model.fit_snippet(images, target_index, K, CFG, AdamConfig(max_iters=2),
+                              state=state)
+    # The same images as (H, W) maps are the state's (H, W, 1) images.
+    res = model.fit_snippet([im[..., 0] for im in imgs], 1, K, CFG, AdamConfig(max_iters=2),
+                            state=state)
+    assert res.iterations == 2
+
+
 def test_fit_depth_bounds_hold_after_every_step():
     imgs = _images(seed=30)
     state = model.init_state(imgs, 1, K, CFG)
@@ -335,44 +365,38 @@ def test_loops_reuse_the_memory_they_free(which, budget):
     assert int(out.stdout.split()[-1]) < budget
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    imgs = _images(seed=17)
-    state = model.init_state(imgs, 1, K, CFG)
-    state.depth_logits += np.random.default_rng(1).normal(0, 1, state.depth_logits.shape)
-    state.poses += 0.1
-    path = tmp_path / "ckpt.bin"
-    model.save_checkpoint(path, state)
-    loaded = model.load_checkpoint(path, imgs, 1, K)
-    assert np.array_equal(loaded.depth_logits, state.depth_logits)
-    assert np.array_equal(loaded.poses, state.poses)
-    for a, b in zip(loaded.mask_logits, state.mask_logits):
-        assert np.array_equal(a, b)
-
-
-def test_checkpoint_bad_magic_and_truncation(tmp_path):
-    imgs = _images()
-    state = model.init_state(imgs, 1, K, CFG)
-    path = tmp_path / "ckpt.bin"
+@pytest.mark.parametrize("masked", [True, False])
+def test_checkpoint_file_layout(tmp_path, masked):
+    # The layout in the README, unpacked field by field.
+    rng = np.random.default_rng(17)
+    imgs = [rng.random((8, 10, 2)) for _ in range(3)]
+    state = model.init_state(imgs, 1, K, replace(CFG, use_explainability=masked))
+    state.depth_logits += rng.normal(0, 1, state.depth_logits.shape)
+    state.poses += rng.normal(0, 0.1, state.poses.shape)
+    for m in state.mask_logits or []:
+        m += rng.normal(0, 1, m.shape)
+    path = tmp_path / "checkpoint.bin"
     model.save_checkpoint(path, state)
     data = path.read_bytes()
 
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"XXXX" + data[4:])
-    with pytest.raises(model.CheckpointError, match="magic"):
-        model.load_checkpoint(bad, imgs, 1, K)
+    levels = state.mask_logits or []
+    assert len(levels) == (2 if masked else 0)
+    assert data[:4] == b"VSCK"
+    assert struct.unpack_from("<6I", data, 4) == (2, 8, 10, 2, 2, len(levels))
+    off = 28
 
-    for cut in (len(data) // 2, 20):  # 20 bytes end inside the header
-        trunc = tmp_path / "trunc.bin"
-        trunc.write_bytes(data[:cut])
-        with pytest.raises(model.CheckpointError, match="truncated"):
-            model.load_checkpoint(trunc, imgs, 1, K)
+    def block(shape):
+        nonlocal off
+        n = int(np.prod(shape))
+        values = np.frombuffer(data, "<f8", n, off).reshape(shape)
+        off += 8 * n
+        return values
 
-    trailing = tmp_path / "trailing.bin"
-    trailing.write_bytes(data + b"\0" * 8)
-    with pytest.raises(model.CheckpointError, match="trailing"):
-        model.load_checkpoint(trailing, imgs, 1, K)
-
-    v1 = tmp_path / "v1.bin"
-    v1.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
-    with pytest.raises(model.CheckpointError, match="unsupported checkpoint version 1"):
-        model.load_checkpoint(v1, imgs, 1, K)
+    assert np.array_equal(block((8, 10)), state.depth_logits)
+    assert np.array_equal(block((2, 6)), state.poses)
+    for m in levels:
+        h, w = struct.unpack_from("<2I", data, off)
+        off += 8
+        assert (2, h, w) == m.shape
+        assert np.array_equal(block((2, h, w)), m)
+    assert off == len(data)
