@@ -104,7 +104,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.levels < 1:
+        print(f"fit: --levels must be >= 1, got {args.levels}", file=sys.stderr)
+        return 2
     seq = synth.load_sequence(args.indir)
+    H, W = seq.frames[0].shape[:2]
+    most = losses.max_pyramid_levels(H, W)
+    if args.levels > most:
+        print(f"fit: --levels {args.levels} is more than {W}x{H} frames allow; "
+              f"at most {most}", file=sys.stderr)
+        return 2
     loss_cfg = losses.LossConfig(
         lambda_s=args.lambda_s,
         lambda_e=args.lambda_e,

@@ -119,6 +119,15 @@ def depth_to_logit(depth: float) -> float:
     return float(np.log(s / (1 - s)))
 
 
+def max_pyramid_levels(height: int, width: int) -> int:
+    """The most levels build_pyramid makes of a height x width image: it
+    halves both sides while each stays at least 2."""
+    levels = 1
+    while height // 2 >= 2 and width // 2 >= 2:
+        height, width, levels = height // 2, width // 2, levels + 1
+    return levels
+
+
 def build_pyramid(img, levels: int, batched: bool = False) -> list:
     """Box-filtered 2x downsampling pyramid; level 0 is the input.
 
@@ -131,11 +140,9 @@ def build_pyramid(img, levels: int, batched: bool = False) -> list:
     img = np.asarray(img, dtype=float)
     lead = 1 if batched else 0
     out = [img]
-    for _ in range(levels - 1):
+    for _ in range(min(levels, max_pyramid_levels(*img.shape[lead:lead + 2])) - 1):
         prev = out[-1]
         h2, w2 = prev.shape[lead] // 2, prev.shape[lead + 1] // 2
-        if h2 < 2 or w2 < 2:
-            break
         t = prev[(slice(None),) * lead + (slice(2 * h2), slice(2 * w2))]
         blocks = t.shape[:lead] + (h2, 2, w2, 2) + t.shape[lead + 2:]
         # sum / 4 is what ndarray.mean computes, without its Python-level
@@ -201,11 +208,8 @@ def _group_map(maps: list) -> np.ndarray:
     return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=-1)
 
 
-def _split(x: np.ndarray, spans, channels: bool = False) -> list:
-    """Each level's part of a group's row x: views of the spans of x's row.
-    With channels, x has a trailing channel axis."""
-    if channels:
-        return [x[..., a:b, :] for a, b in spans]
+def _split(x: np.ndarray, spans) -> list:
+    """Each level's part of a group's row x: views of the spans of x's row."""
     return [x[..., a:b] for a, b in spans]
 
 
@@ -459,45 +463,51 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     gu, gv are an objective's gradients with respect to the source
     coordinates (u_s, v_s) of each target pixel of `warp`, an unbatched
     inverse_warp on the sampler.PixelGrid `grid` through a transform with
-    rotation block R and the three 3x3 rotation Jacobians rot_jacs (one
-    pose's entries of geometry.rotation_jacobians). P = depth * rays are
-    the target-frame points it transformed. Pixels outside warp.valid
+    rotation block R. rot_jacs are that pose's three 3x3 rotation Jacobians
+    (its entries of geometry.rotation_jacobians) in any form that reshapes
+    to (3, 9), such as a row of total_loss's (S, 3, 9) stack. P = depth * rays
+    are the target-frame points it transformed. Pixels outside warp.valid
     contribute nothing.
 
     Returns (g_depth, g_pose): the gradient with respect to each pixel's
-    depth, shaped like gu, and for each level of the grid's row (spans as
-    in view_synthesis_loss) the (6,) gradient with respect to the pose
-    (rx, ry, rz, tx, ty, tz), summed over that level's pixels.
+    depth, shaped like gu, and a (levels, 6) array with one row for each
+    level of the grid's row (spans as in view_synthesis_loss): the gradient
+    with respect to the pose (rx, ry, rz, tx, ty, tz), summed over that
+    level's pixels.
+
+    With G the (3, n) gradients of a level's source points and P its (n, 3)
+    target points, the rotation gradient sum_i G_i . (J P_i) is <J, G P>:
+    one 3x3 moment per level, contracted with the Jacobians. The translation
+    gradient is G's row sums, and the depth gradient rays . (R^T G).
     """
     valid = warp.valid
-    safe_z = np.where(valid, warp.src_points[..., 2], 1.0)
-    gu = gu * grid.fx
-    gv = gv * grid.fy
-    gz = -(gu * warp.src_points[..., 0] + gv * warp.src_points[..., 1]) / safe_z ** 2
-    gX = np.zeros(valid.shape + (3,))   # 0.0 outside the valid pixels
-    np.copyto(gX[..., 0], gu / safe_z, where=valid)
-    np.copyto(gX[..., 1], gv / safe_z, where=valid)
-    np.copyto(gX[..., 2], gz, where=valid)
-    # Products are formed in their operands' memory: every fresh array of
-    # this size costs an allocation, and on large levels, peak memory.
-    dX = grid.rays @ geometry.rotation_operand(R.T, gX)
-    dX *= gX
-    g_depth = _sum_channels(dX)
-    rot = []
-    for J in rot_jacs:   # one at a time: a stacked product is slower
-        prod = P @ geometry.rotation_operand(J.T, P)
-        prod *= gX
-        rot.append([float(part.sum()) for part in _split(prod, spans, channels=True)])
-    g_pose = []
-    for i, (g, buf) in enumerate(zip(_split(gX, spans, channels=True),
-                                     _split(dX, spans, channels=True))):
-        # gX.sum(axis=(0, 1)) adds each component's values one after
-        # another, starting from 0.0. A running sum (into dX, read no more)
-        # does the same several times faster but starts from the first
-        # value; + 0.0 turns the -0.0 total that only it can give into 0.0.
-        t = np.add.accumulate(g.reshape(-1, 3), axis=0, out=buf.reshape(-1, 3))[-1] + 0.0
-        g_pose.append(np.concatenate(([r[i] for r in rot], t)))
-    return g_depth, g_pose
+    X = warp.src_points
+    inv_z = np.where(valid, X[..., 2], np.inf)
+    np.reciprocal(inv_z, out=inv_z)   # 1/z on the valid pixels, 0 elsewhere
+    # Rows gx, gy, gz of the source points' gradients, formed in place.
+    G = np.empty((3,) + valid.shape)
+    gx, gy, gz = G
+    np.multiply(gu, grid.fx, out=gx)
+    gx *= inv_z
+    np.multiply(gv, grid.fy, out=gy)
+    gy *= inv_z
+    np.multiply(gx, X[..., 0], out=gz)
+    gz += gy * X[..., 1]
+    gz *= inv_z
+    np.negative(gz, out=gz)
+    G = G.reshape(3, -1)
+    P = P.reshape(-1, 3)
+    J = np.reshape(rot_jacs, (3, 9))
+    g_pose = np.empty((len(spans), 6))
+    for (a, b), out in zip(spans, g_pose):
+        np.matmul(J, (G[:, a:b] @ P[a:b]).ravel(), out=out[:3])
+        np.sum(G[:, a:b], axis=1, out=out[3:])
+    RtG = R.T @ G
+    RtG *= grid.rays.reshape(-1, 3).T
+    g_depth = RtG[0]
+    g_depth += RtG[1]
+    g_depth += RtG[2]
+    return g_depth.reshape(valid.shape), g_pose
 
 
 class _SourceTerms(NamedTuple):
@@ -507,7 +517,7 @@ class _SourceTerms(NamedTuple):
     n_valid: list
     g_mask: np.ndarray | None       # photometric gradient of the source's mask row
     g_depth: np.ndarray | None      # gradient of the group's depth map
-    g_pose: list | None             # (6,) pose gradients, one per level
+    g_pose: np.ndarray | None       # (levels, 6) pose gradients, one row per level
 
 
 def _by_source(x: np.ndarray) -> list:
@@ -587,9 +597,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         g_mask = [np.zeros_like(state.mask_logits[l]) for l in range(L)] if use_masks else None
 
     transforms = _source_transforms(poses)
-    rot_jacs = []   # _source_transforms has checked that the poses are finite
-    if want_grads:
-        rot_jacs = list(zip(*geometry.rotation_jacobians(poses[:, :3])))
+    rot_jacs = None   # _source_transforms has checked that the poses are finite
+    if want_grads:   # (S, 3, 9): each source's dR/drx, dR/dry, dR/drz, flattened
+        rot_jacs = np.stack(geometry.rotation_jacobians(poses[:, :3]), axis=1).reshape(S, 3, 9)
 
     total = 0.0
     vs_per_level = []

@@ -195,6 +195,40 @@ def test_fit_nonpositive_max_iters_is_runtime_error(tmp_path, capsys, iters):
     assert "max_iters" in err and iters in err
 
 
+@pytest.mark.parametrize("levels, message", [
+    ("0", "fit: --levels must be >= 1, got 0\n"),
+    ("-1", "fit: --levels must be >= 1, got -1\n"),
+    ("5", "fit: --levels 5 is more than 24x16 frames allow; at most 4\n"),
+    ("9", "fit: --levels 9 is more than 24x16 frames allow; at most 4\n"),
+])
+def test_fit_levels_out_of_range_is_usage_error(tmp_path, capsys, levels, message):
+    # 24x16 halves to 12x8, 6x4 and 3x2; a fifth level would be 1 pixel high.
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    capsys.readouterr()
+    assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+                 "--max-iters", "3", "--levels", levels]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "fit").exists()
+
+
+def test_fit_levels_at_the_frame_limit_fits_every_level(tmp_path):
+    seq_dir, fit_dir = tmp_path / "seq", tmp_path / "fit"
+    _synth(seq_dir)
+    assert losses.max_pyramid_levels(16, 24) == 4
+    assert _run(["fit", "--in", str(seq_dir), "--out", str(fit_dir), "--max-iters", "3",
+                 "--levels", "4"]) == 0
+    masks = sorted(f for f in os.listdir(fit_dir) if f.startswith("mask_"))
+    assert masks == [f"mask_l{l}_s{s}.wf01" for l in range(4) for s in range(2)]
+
+
+@pytest.mark.parametrize("height, width, levels", [
+    (1, 1, 1), (3, 3, 1), (4, 4, 2), (4, 100, 2), (7, 9, 2), (8, 8, 3), (128, 416, 7)])
+def test_max_pyramid_levels_is_what_build_pyramid_makes(height, width, levels):
+    assert losses.max_pyramid_levels(height, width) == levels
+    assert len(losses.build_pyramid(np.zeros((height, width)), levels + 3)) == levels
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--depth-prior", "0", "depth prior"),
     ("--depth-prior", "-2", "depth prior"),

@@ -16,11 +16,18 @@ alters these outputs on purpose rewrites the table with
 
 and says so in CHANGES.md.
 
+    PYTHONPATH=src python tests/test_digests.py --compare
+
+writes nothing: it prints, for every float.hex entry, the largest relative
+difference between the table and the current code (for a history, also the
+first iteration that differs), and lists the sha256 entries that changed.
+
 The last bits of these outputs depend on the machine and the NumPy build
 (SIMD math, BLAS kernels), so the table records the platform it was made
 on. On any other platform the tests skip and say why.
 """
 
+import argparse
 import hashlib
 import json
 import platform
@@ -173,15 +180,67 @@ def test_criterion4_histories_match_digests():
     assert criterion4_digests() == TABLE["criterion4"]
 
 
-def write_table() -> None:
+def current_table() -> dict:
+    """The table that write_table commits, for the current code."""
     table = {"platform": _platform(), "encoding": ENCODING,
              "gradcheck": {str(s): fd_oracle_digests(s) for s in gradcheck.DEFAULT_SEEDS}}
     with tempfile.TemporaryDirectory() as tmp:
         table["cli"] = {name: cli_digests(name, Path(tmp, name)) for name in CLI_RUNS}
     table["api_fit"] = api_fit_digests()
     table["criterion4"] = criterion4_digests()
-    TABLE_PATH.write_text(json.dumps(table, indent=1) + "\n")
+    return table
+
+
+def write_table() -> None:
+    TABLE_PATH.write_text(json.dumps(current_table(), indent=1) + "\n")
+
+
+def _relative_difference(old: str, new: str) -> float:
+    a, b = float.fromhex(old), float.fromhex(new)
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_lines(old: dict, new: dict) -> list:
+    """How the digest table `new` differs from `old`, one line per entry:
+    a float.hex value or history by its largest relative difference (and a
+    history by its first differing iteration, 0-based), a changed sha256 by
+    its path."""
+    lines = []
+
+    def walk(path, a, b):
+        if isinstance(a, dict) or isinstance(b, dict):
+            a, b = a or {}, b or {}
+            for key in sorted(set(a) | set(b), key=str):
+                walk(path + [key], a.get(key), b.get(key))
+            return
+        name = ".".join(path)
+        if a is None or b is None:
+            lines.append(f"{name}: {'added' if a is None else 'removed'}")
+        elif isinstance(a, list):
+            n = min(len(a), len(b))
+            first = next((i for i in range(n) if a[i] != b[i]), None)
+            worst = max((_relative_difference(x, y) for x, y in zip(a, b)), default=0.0)
+            lengths = "" if len(a) == len(b) else f", length {len(a)} -> {len(b)}"
+            where = "identical" if first is None else f"first differs at iteration {first}"
+            lines.append(f"{name}: max rel diff {worst:.3g}, {where}{lengths}")
+        elif len(a) == 64 and not a.startswith(("0x", "-0x")):   # a sha256
+            if a != b:
+                lines.append(f"{name}: sha256 changed")
+        else:
+            lines.append(f"{name}: rel diff {_relative_difference(a, b):.3g}"
+                         f" ({float.fromhex(a):.6g} -> {float.fromhex(b):.6g})")
+
+    walk([], {k: v for k, v in old.items() if k not in ("platform", "encoding")},
+         {k: v for k, v in new.items() if k not in ("platform", "encoding")})
+    return lines
 
 
 if __name__ == "__main__":
-    write_table()
+    ap = argparse.ArgumentParser(description="Rewrite tests/digests.json for the current code.")
+    ap.add_argument("--compare", action="store_true",
+                    help="print how the current code's digests differ from the table; "
+                         "write nothing")
+    if ap.parse_args().compare:
+        print("\n".join(compare_lines(TABLE, current_table())))
+    else:
+        write_table()

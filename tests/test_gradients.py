@@ -381,3 +381,107 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
         fd = [diff[..., a:b].sum() / (2 * h) for a, b in group.spans]
         got = [g[k] for g in g_pose]
         assert np.allclose(got, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd))), k
+
+
+
+def _per_pixel_adjoint(gu, gv, warp, grid, R, rot_jacs, P, spans):
+    """projection_adjoint as it was before its per-level moments, kept as
+    the reference: an (N, 3) map gX of the source points' gradients, each
+    rotation gradient as the per-pixel products P J^T times gX summed per
+    level, and the translation gradient as a running sum per level.
+
+    Returns (g_depth, g_pose, depth_terms): depth_terms is, per pixel, the
+    sum of the absolute values of the three products that g_depth adds."""
+    valid = warp.valid
+    safe_z = np.where(valid, warp.src_points[..., 2], 1.0)
+    gu = gu * grid.fx
+    gv = gv * grid.fy
+    gz = -(gu * warp.src_points[..., 0] + gv * warp.src_points[..., 1]) / safe_z ** 2
+    gX = np.zeros(valid.shape + (3,))
+    np.copyto(gX[..., 0], gu / safe_z, where=valid)
+    np.copyto(gX[..., 1], gv / safe_z, where=valid)
+    np.copyto(gX[..., 2], gz, where=valid)
+    dX = (grid.rays @ R.T) * gX
+    rot = []
+    for J in rot_jacs:
+        prod = (P @ J.T) * gX
+        rot.append([prod[..., a:b, :].sum() for a, b in spans])
+    g_pose = []
+    for i, (a, b) in enumerate(spans):
+        t = np.add.accumulate(gX[..., a:b, :].reshape(-1, 3), axis=0)[-1]
+        g_pose.append(np.concatenate(([r[i] for r in rot], t)))
+    return dX.sum(axis=-1), g_pose, np.abs(dX).sum(axis=-1)
+
+
+def _check_adjoint_against_reference(grid, spans, depth, pose, source, invalid_span=None):
+    """projection_adjoint, given the Jacobians as a (3, 9) stack as
+    total_loss passes them, against the per-pixel reference on one warp with
+    random coordinate gradients, to 1e-12: per pixel for the depth (relative
+    to the size of the pixel's terms, as its three terms may cancel) and per
+    level for the pose. invalid_span, when given, is a span that the warp's
+    valid map then turns off. Returns the warp and the gradients."""
+    T = geometry.pose_to_transform(pose)
+    warp = sampler.inverse_warp(source, depth, T, grid)
+    if invalid_span is not None:
+        a, b = invalid_span
+        warp.valid[..., a:b] = False
+    rng = np.random.default_rng(0)
+    gu, gv = rng.normal(size=depth.shape), rng.normal(size=depth.shape)
+    P = geometry.points_at_depth(depth, grid.rays)
+    jacs = geometry.rotation_jacobians(pose[:3])
+    g_depth, g_pose = losses.projection_adjoint(gu, gv, warp, grid, T[:3, :3],
+                                                np.stack(jacs).reshape(3, 9), P, spans)
+    ref_depth, ref_pose, depth_terms = _per_pixel_adjoint(gu, gv, warp, grid, T[:3, :3],
+                                                          jacs, P, spans)
+    assert g_depth.shape == depth.shape and np.all(np.isfinite(g_depth))
+    assert np.all(np.abs(g_depth - ref_depth) <= 1e-12 * depth_terms)
+    assert np.all(g_depth[~warp.valid] == 0.0)
+    assert len(g_pose) == len(spans)
+    for g, ref in zip(g_pose, ref_pose):
+        assert np.all(np.isfinite(g))
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    return warp, g_depth, g_pose
+
+
+def _two_level_group():
+    state, cfg = gradcheck.random_instance(3, height=8, width=12, levels=2)
+    group, = losses.build_snippet_pyramids(state, cfg).groups
+    assert group.levels == range(2)
+    return group, losses._group_map(losses.build_pyramid(state.depth(), 2))
+
+
+def test_projection_adjoint_matches_per_pixel_reference_over_a_two_level_group():
+    group, depth = _two_level_group()
+    pose = np.array([0.02, -0.03, 0.01, -0.3, -0.05, 0.02])
+    warp, _, _ = _check_adjoint_against_reference(group.grid, group.spans, depth, pose,
+                                                  group.sources[0])
+    for a, b in group.spans:   # each level has invalid pixels, and its last is valid
+        assert 0 < warp.valid[..., a:b].sum() < b - a and warp.valid[0, b - 1]
+
+
+def test_projection_adjoint_of_a_level_without_valid_pixels_is_zero():
+    group, depth = _two_level_group()
+    pose = np.array([0.02, -0.03, 0.01, -0.3, -0.05, 0.02])
+    (a, b), coarse = group.spans
+    _, g_depth, g_pose = _check_adjoint_against_reference(
+        group.grid, group.spans, depth, pose, group.sources[0], invalid_span=(a, b))
+    assert np.all(g_depth[..., a:b] == 0.0) and np.all(g_pose[0] == 0.0)
+    assert np.any(g_pose[1] != 0.0)
+    # A shift far to the right leaves no source pixel for any target pixel.
+    pose = np.array([0.0, 0.0, 0.0, 50.0, 0.0, 0.0])
+    warp, g_depth, g_pose = _check_adjoint_against_reference(
+        group.grid, group.spans, depth, pose, group.sources[0])
+    assert not warp.valid.any()
+    assert np.all(g_depth == 0.0) and all(np.all(g == 0.0) for g in g_pose)
+
+
+def test_projection_adjoint_matches_per_pixel_reference_at_416_x_128():
+    K = Intrinsics(fx=240.0, fy=240.0, cx=208.0, cy=64.0, width=416, height=128)
+    grid = sampler.join_grids([sampler.pixel_grid(K)])
+    rng = np.random.default_rng(1)
+    depth = 2.0 + rng.random(grid.u.shape)
+    source = rng.random((grid.u.size, 3))
+    pose = np.array([0.01, -0.02, 0.015, -0.1, -0.02, -0.05])
+    warp, _, _ = _check_adjoint_against_reference(grid, ((0, grid.u.size),), depth, pose,
+                                                  source)
+    assert 0 < warp.valid.sum() < warp.valid.size and warp.valid[0, -1]
