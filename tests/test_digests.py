@@ -180,6 +180,25 @@ def test_criterion4_histories_match_digests():
     assert criterion4_digests() == TABLE["criterion4"]
 
 
+def test_compare_lines_report_each_entry_of_the_table():
+    def table(error, sha, total):
+        return {"platform": _platform(), "encoding": ENCODING,
+                "gradcheck": {"0": {"errors": {"poses": error.hex()},
+                                    "central_differences": {"poses": sha * 64}}},
+                "api_fit": {"total": [x.hex() for x in total]}}
+
+    old = table(0.5, "a", [1.0, 2.0, 4.0])
+    assert compare_lines(old, old) == [
+        "api_fit.total: max rel diff 0, identical",
+        "gradcheck.0.errors.poses: rel diff 0 (0.5 -> 0.5)",
+    ]
+    assert compare_lines(old, table(0.25, "b", [1.0, 2.0, 5.0, 6.0])) == [
+        "api_fit.total: max rel diff 0.2, first differs at iteration 2, length 3 -> 4",
+        "gradcheck.0.central_differences.poses: sha256 changed",
+        "gradcheck.0.errors.poses: rel diff 0.5 (0.5 -> 0.25)",
+    ]
+
+
 def current_table() -> dict:
     """The table that write_table commits, for the current code."""
     table = {"platform": _platform(), "encoding": ENCODING,
