@@ -4,8 +4,9 @@ tests/digests.json holds digests of:
 - the finite-difference oracle's outputs over gradcheck.DEFAULT_SEEDS: the
   float.hex of every check_instance error and the sha256 of every
   central-difference array;
-- the files that three CLI runs write (a synth, its fit, and for the 416x128
-  run the eval-depth and eval-odom reports), by sha256 of each file's bytes;
+- the files that three CLI runs write (a synth, its fit, for the 24x16 run
+  the warp of its sources through the ground truth, and for the 416x128 run
+  the eval-depth and eval-odom reports), by sha256 of each file's bytes;
 - a 60-iteration fit through the API and the two criterion-4 fits, by the
   float.hex of their loss (and mean-mask) histories.
 
@@ -56,13 +57,15 @@ ENCODING = {
                   "fits are cut to 300 iterations (1500 and 600 there)",
 }
 
-# argv lists of each CLI run, with {seq} and {fit} standing for its directories.
+# argv lists of each CLI run, with {seq}, {fit} and {warp} standing for its
+# directories; a run's digests cover the directories its argv name.
 CLI_RUNS = {
     "criterion7": [
         ["synth", "--out", "{seq}", "--seed", "9", "--width", "24", "--height", "16",
          "--focal", "20", "--frames", "3"],
         ["fit", "--in", "{seq}", "--out", "{fit}", "--levels", "2", "--lr", "0.01",
          "--max-iters", "50"],
+        ["warp", "--in", "{seq}", "--out", "{warp}"],
     ],
     "masked_64x48_levels4": [
         ["synth", "--out", "{seq}", "--scene", "slanted", "--frames", "5", "--seed", "4",
@@ -120,11 +123,12 @@ def fd_oracle_digests(seed: int) -> dict:
 
 
 def cli_digests(name: str, workdir: Path) -> dict:
-    dirs = {"seq": workdir / "seq", "fit": workdir / "fit"}
+    dirs = {d: workdir / d for d in ("seq", "fit", "warp")}
     for argv in CLI_RUNS[name]:
         assert cli.main([a.format(**dirs) for a in argv]) == 0, argv
+    named = {d for argv in CLI_RUNS[name] for a in argv for d in dirs if a == f"{{{d}}}"}
     return {d: {f.name: _sha256(f.read_bytes()) for f in sorted(path.iterdir())}
-            for d, path in dirs.items()}
+            for d, path in dirs.items() if d in named}
 
 
 def api_fit_digests() -> dict:
