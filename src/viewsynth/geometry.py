@@ -143,7 +143,7 @@ def invert(T: np.ndarray) -> np.ndarray:
 def backproject(u, v, depth, K: Intrinsics) -> np.ndarray:
     """Lift pixel coordinates at the given depth to camera-frame 3D points.
 
-    Returns an array of shape (..., 3).
+    Returns a (3, ...) array: rows x, y, z over the shape of u, v and depth.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -151,54 +151,45 @@ def backproject(u, v, depth, K: Intrinsics) -> np.ndarray:
     x = depth * (u - K.cx) / K.fx
     y = depth * (v - K.cy) / K.fy
     z = depth * np.ones_like(x)
-    return np.stack([x, y, z], axis=-1)
-
-
-def rotation_operand(R: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """R (a rotation's transpose, maybe a view) as the right operand of
-    pts @ R: a contiguous copy, which multiplies about three times faster.
-    A single point or a map one pixel wide multiplies as vectors, which
-    round differently with a copy, so it keeps the view."""
-    return np.ascontiguousarray(R) if pts.ndim > 1 and pts.shape[-2] > 1 else R
+    return np.stack([x, y, z])
 
 
 def transform_points(T: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 rigid transform to (..., 3) points.
+    """Apply a 4x4 rigid transform to (3, ...) points: R @ pts + t, as one
+    matrix product over all the points.
 
-    A (B, 4, 4) stack of transforms maps an (H, W, 3) or (B, H, W, 3) grid of
-    points to (B, H, W, 3), with the per-slice arithmetic of the 4x4 case.
+    A (B, 4, 4) stack of transforms maps (3, H, W) or (3, B, H, W) points to
+    (3, B, H, W), each slice by a product of its own, which rounds as the
+    4x4 case does.
     """
     if T.ndim == 2:
-        out = pts @ rotation_operand(T[:3, :3].T, pts)
-        t = T[:3, 3]
-    else:
-        out = pts @ rotation_operand(np.swapaxes(T[:, None, :3, :3], -1, -2), pts)
-        t = T[:, None, None, :3, 3]
-    # One coordinate at a time: broadcasting t over the short last axis is
-    # several times slower.
-    for c in range(3):
-        out[..., c] += t[..., c]
+        out = T[:3, :3] @ pts.reshape(3, -1)
+        out += T[:3, 3:]
+        return out.reshape(pts.shape)
+    out = np.empty((3, len(T)) + pts.shape[-2:])
+    np.matmul(T[:, :3, :3], pts.reshape(3, -1, out[0, 0].size).swapaxes(0, 1),
+              out=out.reshape(3, len(T), -1).swapaxes(0, 1))
+    out += T[:, :3, 3].T[..., None, None]
     return out
 
 
 def points_at_depth(depth: np.ndarray, rays: np.ndarray) -> np.ndarray:
-    """depth[..., None] * rays, one coordinate at a time (see transform_points)."""
-    out = np.empty(np.broadcast_shapes(depth.shape, rays.shape[:-1]) + (3,))
-    for c in range(3):
-        np.multiply(depth, rays[..., c], out=out[..., c])
-    return out
+    """The (3, ...) points at depth along (3, H, W) rays, depth * rays: an
+    (H, W) depth map gives (3, H, W), a (B, H, W) stack (3, B, H, W)."""
+    return depth * (rays if depth.ndim < rays.ndim else rays[:, None])
 
 
 def project_points(pts: np.ndarray, K: Intrinsics):
-    """Perspective projection; returns (u, v, z). Caller must mask z <= BEHIND_EPS.
+    """Perspective projection of (3, ...) points; returns (u, v, z), each
+    shaped like one of pts' rows. Caller must mask z <= BEHIND_EPS.
 
     K needs only fx, fy, cx and cy; a sampler.PixelGrid may give them per
     point.
     """
-    z = pts[..., 2]
+    x, y, z = pts
     safe_z = np.where(z > BEHIND_EPS, z, 1.0)
-    u = K.fx * pts[..., 0] / safe_z + K.cx
-    v = K.fy * pts[..., 1] / safe_z + K.cy
+    u = K.fx * x / safe_z + K.cx
+    v = K.fy * y / safe_z + K.cy
     return u, v, z
 
 

@@ -466,8 +466,9 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     rotation block R. rot_jacs are that pose's three 3x3 rotation Jacobians
     (its entries of geometry.rotation_jacobians) in any form that reshapes
     to (3, 9), such as a row of total_loss's (S, 3, 9) stack. P = depth * rays
-    are the target-frame points it transformed. Pixels outside warp.valid
-    contribute nothing.
+    are the (3, ...) target-frame points it transformed, as
+    geometry.points_at_depth forms them. Pixels outside warp.valid contribute
+    nothing.
 
     Returns (g_depth, g_pose): the gradient with respect to each pixel's
     depth, shaped like gu, and a (levels, 6) array with one row for each
@@ -475,14 +476,15 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     with respect to the pose (rx, ry, rz, tx, ty, tz), summed over that
     level's pixels.
 
-    With G the (3, n) gradients of a level's source points and P its (n, 3)
-    target points, the rotation gradient sum_i G_i . (J P_i) is <J, G P>:
-    one 3x3 moment per level, contracted with the Jacobians. The translation
-    gradient is G's row sums, and the depth gradient rays . (R^T G).
+    With G the (3, n) gradients of a level's source points and P its (3, n)
+    target points, each coordinate a contiguous row, the rotation gradient
+    sum_i G_i . (J P_i) is <J, G P^T>: one 3x3 moment per level, contracted
+    with the Jacobians. The translation gradient is G's row sums, and the
+    depth gradient the column sums of (R^T G) * rays.
     """
     valid = warp.valid
-    X = warp.src_points
-    inv_z = np.where(valid, X[..., 2], np.inf)
+    x, y, z = warp.src_points
+    inv_z = np.where(valid, z, np.inf)
     np.reciprocal(inv_z, out=inv_z)   # 1/z on the valid pixels, 0 elsewhere
     # Rows gx, gy, gz of the source points' gradients, formed in place.
     G = np.empty((3,) + valid.shape)
@@ -491,19 +493,22 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     gx *= inv_z
     np.multiply(gv, grid.fy, out=gy)
     gy *= inv_z
-    np.multiply(gx, X[..., 0], out=gz)
-    gz += gy * X[..., 1]
+    np.multiply(gx, x, out=gz)
+    gz += gy * y
     gz *= inv_z
     np.negative(gz, out=gz)
     G = G.reshape(3, -1)
-    P = P.reshape(-1, 3)
+    P = P.reshape(3, -1)
     J = np.reshape(rot_jacs, (3, 9))
     g_pose = np.empty((len(spans), 6))
     for (a, b), out in zip(spans, g_pose):
-        np.matmul(J, (G[:, a:b] @ P[a:b]).ravel(), out=out[:3])
+        # Below 32 pixels a contiguous copy: NumPy's OpenBLAS rounds the
+        # product with a transposed operand differently at 16 <= n < 32.
+        P_T = P[:, a:b].T if b - a >= 32 else P[:, a:b].T.copy()
+        np.matmul(J, (G[:, a:b] @ P_T).ravel(), out=out[:3])
         np.sum(G[:, a:b], axis=1, out=out[3:])
     RtG = R.T @ G
-    RtG *= grid.rays.reshape(-1, 3).T
+    RtG *= grid.rays.reshape(3, -1)
     g_depth = RtG[0]
     g_depth += RtG[1]
     g_depth += RtG[2]

@@ -37,14 +37,14 @@ class WarpResult:
     valid:      (H, W) bool; in-bounds and in front of the source camera
     d_du, d_dv: (H, W, C) partials of each warped intensity w.r.t. (u_s, v_s);
                 None for a forward-only warp
-    src_points: (H, W, 3) target points expressed in the source camera frame;
-                None for a forward-only warp
+    src_points: (3, H, W) target points in the source camera frame, a row per
+                coordinate; None for a forward-only warp
 
     A warp over a PixelGrid row (see join_grids) has the grid's (1, N) in
     place of (H, W).
 
     A batched warp (see inverse_warp) puts a leading batch axis on warped
-    and valid.
+    and valid, and a second axis (3, B, ...) on src_points.
     """
 
     warped: np.ndarray
@@ -155,7 +155,7 @@ class PixelGrid(NamedTuple):
 
     u: np.ndarray           # column and row of each pixel in its own image
     v: np.ndarray
-    rays: np.ndarray        # (..., 3) unit-depth rays K^-1 [u, v, 1]
+    rays: np.ndarray        # (3, ...) unit-depth rays K^-1 [u, v, 1]
     fx: float | np.ndarray
     fy: float | np.ndarray
     cx: float | np.ndarray
@@ -165,7 +165,7 @@ class PixelGrid(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def pixel_grid(K: Intrinsics) -> PixelGrid:
-    """The PixelGrid of K's image: (H, W) pixel coordinates, the (H, W, 3)
+    """The PixelGrid of K's image: (H, W) pixel coordinates, the (3, H, W)
     unit-depth rays K^-1 [u, v, 1], K's constants and the image's layout.
 
     Memoized per Intrinsics, so the arrays are shared by every caller and
@@ -184,8 +184,8 @@ def join_grids(grids: list) -> PixelGrid:
     several, as one: their pixels one after another in a (1, N) row, with
     each image's constants. The images' stack must hold them in the same
     order. A single grid keeps its scalar constants and layout."""
-    def row(m):
-        return m.reshape((1, -1) + m.shape[2:])
+    def row(m):   # (..., H, W) as a (..., 1, H * W) row: (3, 1, N) rays
+        return m.reshape(m.shape[:-2] + (1, -1))
 
     if len(grids) == 1:
         g = grids[0]
@@ -193,7 +193,7 @@ def join_grids(grids: list) -> PixelGrid:
     sizes = [g.u.size for g in grids]
 
     def join(maps):
-        return np.concatenate([row(m) for m in maps], axis=1)
+        return np.concatenate([row(m) for m in maps], axis=-1)
 
     def repeat(values):
         return np.repeat(values, sizes)[None]
@@ -219,17 +219,18 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
 
     depth may be a (B, H, W) stack and T a (B, 4, 4) stack, one per parameter
     set of a batch; an unbatched one is shared by the batch. The result then
-    carries the batch axis, and each slice equals the unbatched warp bitwise.
+    carries the batch axis, and each slice equals the unbatched warp bitwise
+    (geometry.transform_points multiplies each transform on its own).
     A forward-only warp of a depth stack through one 4x4 T warps element 0,
     then only the (element, pixel) entries whose depth differs from element
     0's, and copies element 0's values everywhere else: the warp of a pixel
     depends on that pixel's depth alone. It forms only the points of those
     entries and of element 0, and refuses `points`.
 
-    points, when given, is geometry.points_at_depth(depth, rays) on this
-    grid, formed by a caller that warps several sources at one positive
-    depth; the warp then reads it and forms nothing of its own. Without it,
-    the warp checks that the depth is positive.
+    points, when given, is geometry.points_at_depth(depth, grid.rays), the
+    (3, ...) points on this grid, formed by a caller that warps several
+    sources at one positive depth; the warp then reads it and forms nothing
+    of its own. Without it, the warp checks that the depth is positive.
     """
     depth = np.asarray(depth, dtype=float)
     if isinstance(K, PixelGrid):
@@ -263,23 +264,20 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
     out = [np.repeat(x[None], len(depth), axis=0) for x in (first.warped, first.valid)]
     changed = np.nonzero(depth != depth[0])   # (elements, then the pixels)
     if changed[0].size:
-        # The entries form a (1, n) map, or an (n, 1) map on a grid one pixel
-        # wide, so geometry.transform_points multiplies them as it does the
-        # grid's maps; a lone entry goes twice, as a map of one point
-        # multiplies as a vector and may round differently.
-        wide = grid.u.shape[-1] > 1
-        if wide and changed[0].size == 1:
+        # The entries form a (1, n) row, whose (3, n) points multiply as the
+        # grid's do; a lone entry goes twice, as a (3, 1) column multiplies
+        # as a vector and may round differently.
+        if changed[0].size == 1:
             changed = tuple(np.repeat(c, 2) for c in changed)
-        shape = (1, -1) if wide else (-1, 1)
 
-        def at(x):   # the changed pixels of a grid map, or a grid constant
-            return x[changed[1:]].reshape(shape + x.shape[2:]) if isinstance(x, np.ndarray) else x
+        def at(x):   # the changed pixels of a grid map as a row, or a grid constant
+            return x[(..., *changed[1:])][..., None, :] if isinstance(x, np.ndarray) else x
 
         sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
-        sub_depth = depth[changed].reshape(shape)
+        sub_depth = depth[changed].reshape(1, -1)
         part = _warp(src, sub_depth, T, sub, False, geometry.points_at_depth(sub_depth, sub.rays))
         for o, x in zip(out, (part.warped, part.valid)):
-            o[changed] = x.reshape((-1,) + x.shape[2:])
+            o[changed] = x[0]
     return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None, src_points=None)
 
 

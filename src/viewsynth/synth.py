@@ -97,8 +97,9 @@ def _texture(freqs, phases, amps, x, y):
 def _intersect(spec: SceneSpec, origin, dirs):
     """Intersect world-frame rays with the scene; returns (points, lam).
 
-    origin: (3,) camera center; dirs: (..., 3) ray directions (camera-frame
-    z component = 1 before rotation, so lam is the camera-frame depth).
+    origin: (3,) camera center; dirs: (3, N) ray directions, a row per
+    coordinate (camera-frame z component = 1 before rotation, so lam is the
+    camera-frame depth). The points are (3, N) and lam (N,).
     """
     if spec.kind == "plane":
         normals = [np.array([0.0, 0.0, 1.0])]
@@ -114,7 +115,7 @@ def _intersect(spec: SceneSpec, origin, dirs):
 
     lams = []
     for n, d in zip(normals, ds):
-        denom = dirs @ n
+        denom = n @ dirs
         num = d - origin @ n
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(np.abs(denom) > 1e-12, num / denom, -1.0)
@@ -123,14 +124,14 @@ def _intersect(spec: SceneSpec, origin, dirs):
     if spec.kind == "two_plane":
         # Pick by the world x sign of the near-plane hit: x < 0 keeps the
         # near plane, x >= 0 the far one.
-        p0 = origin + lams[0][..., None] * dirs
-        lam = np.where(p0[..., 0] < 0, lams[0], lams[1])
+        p0 = origin[:, None] + lams[0] * dirs
+        lam = np.where(p0[0] < 0, lams[0], lams[1])
     else:
         lam = lams[0]
 
     if np.any(lam <= 0):
         raise ValueError("scene surface is behind the camera for some pixels")
-    return origin + lam[..., None] * dirs, lam
+    return origin[:, None] + lam * dirs, lam
 
 
 def render_scene(spec: SceneSpec) -> SnippetSequence:
@@ -141,18 +142,18 @@ def render_scene(spec: SceneSpec) -> SnippetSequence:
     freqs, phases, amps = _texture_params(spec.texture_seed)
     noise_rng = np.random.default_rng(spec.texture_seed + 1)
 
-    rays = sampler.pixel_grid(K).rays
+    shape = (K.height, K.width)
+    rays = sampler.pixel_grid(K).rays.reshape(3, -1)
 
     frames, depths = [], []
     poses = list(geometry.pose_to_transform(spec.trajectory))  # camera-to-world
     for T in poses:
-        dirs = rays @ T[:3, :3].T
-        pts, lam = _intersect(spec, T[:3, 3], dirs)
-        img = np.clip(_texture(freqs, phases, amps, pts[..., 0], pts[..., 1]), 0.0, 1.0)
+        pts, lam = _intersect(spec, T[:3, 3], T[:3, :3] @ rays)
+        img = np.clip(_texture(freqs, phases, amps, pts[0], pts[1]), 0.0, 1.0).reshape(shape)
         if spec.noise_sigma > 0:
             img = np.clip(img + noise_rng.normal(0, spec.noise_sigma, img.shape), 0.0, 1.0)
         frames.append(img[..., None])
-        depths.append(lam)
+        depths.append(lam.reshape(shape))
 
     return SnippetSequence(
         frames=frames,

@@ -151,9 +151,11 @@ K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
 
 def _source_coords(u, v, depth, K, T):
     """Source coordinates (u_s, v_s, z_s) of target pixels (u, v) at `depth`,
-    along the path inverse_warp runs: backproject, transform, project."""
-    return geometry.project_points(
-        geometry.transform_points(T, geometry.backproject(u, v, depth, K)), K)
+    along the path inverse_warp runs: backproject, transform, project, all
+    on (3, ...) points."""
+    pts = geometry.transform_points(T, geometry.backproject(u, v, depth, K))
+    assert pts.shape == (3,) + np.shape(u)
+    return geometry.project_points(pts, K)
 
 
 def test_project_identity_is_identity_map():
@@ -268,3 +270,62 @@ def test_stacked_rotation_jacobians_equal_each_row_bitwise(S):
             ref = _scalar_rotation_jacobians(*poses[s, :3].tolist())
             for J, J_row, J_ref in zip(stacks, row, ref, strict=True):
                 assert J[s].tobytes() == J_row.tobytes() == J_ref.tobytes(), (trial, s)
+
+
+# -- Points and rays: (3, ...) arrays, one contiguous row per coordinate -------
+
+def test_points_and_rays_are_contiguous_coordinate_rows():
+    K8 = Intrinsics(fx=10.0, fy=11.0, cx=6.0, cy=4.0, width=12, height=8)
+    rays = sampler.pixel_grid(K8).rays
+    assert rays.shape == (3, 8, 12) and rays.flags.c_contiguous
+    assert np.array_equal(rays[2], np.ones((8, 12)))
+    joined = sampler.join_grids([sampler.pixel_grid(K8),
+                                 sampler.pixel_grid(geometry.scale_intrinsics(K8, 1))])
+    assert joined.rays.shape == (3, 1, 120) and joined.rays.flags.c_contiguous
+    rng = np.random.default_rng(0)
+    depth = rng.uniform(1.0, 3.0, (8, 12))
+    stack = rng.uniform(1.0, 3.0, (4, 8, 12))
+    T = geometry.pose_to_transform([0.1, -0.2, 0.3, 0.5, -0.1, 0.2])
+    Ts = geometry.pose_to_transform(rng.uniform(-1.0, 1.0, (4, 6)))
+    P = geometry.points_at_depth(depth, rays)
+    P_stack = geometry.points_at_depth(stack, rays)
+    for c in range(3):
+        assert P[c].tobytes() == (depth * rays[c]).tobytes()
+        assert P_stack[c].tobytes() == (stack * rays[c]).tobytes()
+    for pts, shape in ((P, (3, 8, 12)), (P_stack, (3, 4, 8, 12)),
+                       (geometry.transform_points(T, P), (3, 8, 12)),
+                       (geometry.transform_points(T, P_stack), (3, 4, 8, 12)),
+                       (geometry.transform_points(Ts, P), (3, 4, 8, 12)),
+                       (geometry.transform_points(Ts, P_stack), (3, 4, 8, 12))):
+        assert pts.shape == shape and pts.flags.c_contiguous
+
+
+@given(st.integers(1, 9), st.integers(2, 40), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_transform_stack_equals_each_transform_bitwise(height, width, batch, stacked, seed):
+    # One product per transform: each slice rounds as that transform's own
+    # call, on one shared map of points or on a stack with one map each.
+    rng = np.random.default_rng(seed)
+    Ts = geometry.pose_to_transform(rng.uniform(-3.0, 3.0, (batch, 6)))
+    pts = rng.uniform(-5.0, 5.0, (3,) + ((batch,) if stacked else ()) + (height, width))
+    out = geometry.transform_points(Ts, pts)
+    assert out.shape == (3, batch, height, width)
+    for b, T in enumerate(Ts):
+        own = geometry.transform_points(T, pts[:, b] if stacked else pts)
+        assert out[:, b].tobytes() == own.tobytes(), b
+
+
+def test_transform_points_is_R_times_the_rows_plus_t():
+    rng = np.random.default_rng(1)
+    T = geometry.pose_to_transform([0.4, -0.3, 0.2, 1.0, -2.0, 0.5])
+    pts = rng.uniform(-5.0, 5.0, (3, 6, 7))
+    out = geometry.transform_points(T, pts)
+    for c in range(3):
+        expected = sum(T[c, k] * pts[k] for k in range(3)) + T[c, 3]
+        assert np.allclose(out[c], expected, rtol=1e-14, atol=1e-14)
+    x, y, z = out
+    u, v, zs = geometry.project_points(out, K)
+    safe_z = np.where(z > geometry.BEHIND_EPS, z, 1.0)
+    assert np.array_equal(u, K.fx * x / safe_z + K.cx) and np.array_equal(zs, z)
+    assert np.array_equal(v, K.fy * y / safe_z + K.cy)

@@ -386,31 +386,36 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
 
 def _per_pixel_adjoint(gu, gv, warp, grid, R, rot_jacs, P, spans):
     """projection_adjoint as it was before its per-level moments, kept as
-    the reference: an (N, 3) map gX of the source points' gradients, each
-    rotation gradient as the per-pixel products P J^T times gX summed per
+    the reference: a (3, ...) map gX of the source points' gradients, each
+    rotation gradient as the per-pixel products J P times gX summed per
     level, and the translation gradient as a running sum per level.
 
     Returns (g_depth, g_pose, depth_terms): depth_terms is, per pixel, the
     sum of the absolute values of the three products that g_depth adds."""
     valid = warp.valid
-    safe_z = np.where(valid, warp.src_points[..., 2], 1.0)
+    x, y, z = warp.src_points
+    safe_z = np.where(valid, z, 1.0)
     gu = gu * grid.fx
     gv = gv * grid.fy
-    gz = -(gu * warp.src_points[..., 0] + gv * warp.src_points[..., 1]) / safe_z ** 2
-    gX = np.zeros(valid.shape + (3,))
-    np.copyto(gX[..., 0], gu / safe_z, where=valid)
-    np.copyto(gX[..., 1], gv / safe_z, where=valid)
-    np.copyto(gX[..., 2], gz, where=valid)
-    dX = (grid.rays @ R.T) * gX
+    gz = -(gu * x + gv * y) / safe_z ** 2
+    gX = np.zeros((3,) + valid.shape)
+    np.copyto(gX[0], gu / safe_z, where=valid)
+    np.copyto(gX[1], gv / safe_z, where=valid)
+    np.copyto(gX[2], gz, where=valid)
+
+    def rotated(M, pts):   # M @ each point of a (3, ...) map
+        return (M @ pts.reshape(3, -1)).reshape(pts.shape)
+
+    dX = rotated(R, grid.rays) * gX
     rot = []
     for J in rot_jacs:
-        prod = (P @ J.T) * gX
-        rot.append([prod[..., a:b, :].sum() for a, b in spans])
+        prod = rotated(J, P) * gX
+        rot.append([prod[..., a:b].sum() for a, b in spans])
     g_pose = []
     for i, (a, b) in enumerate(spans):
-        t = np.add.accumulate(gX[..., a:b, :].reshape(-1, 3), axis=0)[-1]
+        t = np.add.accumulate(gX[..., a:b].reshape(3, -1), axis=1)[:, -1]
         g_pose.append(np.concatenate(([r[i] for r in rot], t)))
-    return dX.sum(axis=-1), g_pose, np.abs(dX).sum(axis=-1)
+    return dX.sum(axis=0), g_pose, np.abs(dX).sum(axis=0)
 
 
 def _check_adjoint_against_reference(grid, spans, depth, pose, source, invalid_span=None):

@@ -25,7 +25,7 @@ def _warp_of(img, valid=None):
         valid = np.ones(img.shape[:2], dtype=bool)
     z = _row(np.zeros_like(img))
     return sampler.WarpResult(warped=_row(img * valid[..., None]), valid=valid.reshape(1, -1),
-                              d_du=z, d_dv=z, src_points=np.zeros((1, valid.size, 3)))
+                              d_du=z, d_dv=z, src_points=np.zeros((3, 1, valid.size)))
 
 
 def _vs(t, w, prob=None, want_grads=True):

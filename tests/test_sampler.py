@@ -194,7 +194,10 @@ def test_warp_with_given_points_equals_default_bitwise(want_grads):
     depth = rng.uniform(0.5, 3.0, (8, 12))
     T = geometry.pose_to_transform([0.02, 0, 0, 0.1, -0.03, 0])
     points = geometry.points_at_depth(depth, grid.rays)
-    expected = _warp_bits(sampler.inverse_warp(src, depth, T, K, want_grads))
+    assert points.shape == (3, 8, 12)
+    warp = sampler.inverse_warp(src, depth, T, K, want_grads)
+    assert not want_grads or warp.src_points.shape == (3, 8, 12)
+    expected = _warp_bits(warp)
     for camera in (K, grid):
         assert _warp_bits(sampler.inverse_warp(src, depth, T, camera, want_grads,
                                                points=points)) == expected
@@ -208,6 +211,7 @@ def test_warp_of_joined_grids_with_given_points_equals_default_bitwise():
     depth = rng.uniform(0.5, 3.0, grid.u.shape)
     T = geometry.pose_to_transform([0, 0, -0.01, 0.05, 0, 0.1])
     points = geometry.points_at_depth(depth, grid.rays)
+    assert points.shape == (3, 1, 120)
     assert (_warp_bits(sampler.inverse_warp(stack, depth, T, grid, points=points))
             == _warp_bits(sampler.inverse_warp(stack, depth, T, grid)))
 
@@ -220,6 +224,7 @@ def test_batched_warp_with_given_points_equals_default_bitwise():
     T = np.stack([geometry.pose_to_transform([0, 0, 0, 0.05, 0.02 * b, 0]) for b in range(3)]
                  + [np.eye(4)])                     # the last element takes the identity shortcut
     points = geometry.points_at_depth(depth, sampler.pixel_grid(K).rays)
+    assert points.shape == (3, 4, 8, 12)
     assert (_warp_bits(sampler.inverse_warp(src, depth, T, K, False, points=points))
             == _warp_bits(sampler.inverse_warp(src, depth, T, K, False)))
 
@@ -231,6 +236,7 @@ def test_pixel_grid_is_shared_and_read_only():
     with pytest.raises(ValueError):
         g1.rays[0, 0, 0] = 1.0
     row = sampler.join_grids([g1])   # a one-level row: reshape views, still read-only
+    assert g1.rays.shape == (3, 8, 12) and row.rays.shape == (3, 1, 96)
     assert np.shares_memory(row.rays, g1.rays) and row.fx == g1.fx
     with pytest.raises(ValueError):
         row.rays[0, 0, 0] = 1.0
@@ -351,6 +357,7 @@ def test_forward_depth_batch_warp_refuses_points():
     K = _camera(12, 8)
     depth = np.ones((2, 8, 12))
     points = geometry.points_at_depth(depth, sampler.pixel_grid(K).rays)
+    assert points.shape == (3, 2, 8, 12)
     with pytest.raises(ValueError, match="forms its own points"):
         sampler.inverse_warp(np.ones((8, 12, 1)), depth, np.eye(4), K, want_grads=False,
                              points=points)
