@@ -127,7 +127,8 @@ def init_state(
     depth_prior: float = 1.0,
 ) -> SnippetState:
     """Deterministic initial state: constant depth prior, zero poses,
-    zero mask logits (probability 0.5 everywhere)."""
+    zero mask logits (probability 0.5 everywhere). A ValueError refuses
+    a loss_config with more levels than the images' pyramid has."""
     if len(images) < 2:
         raise ValueError("need at least 2 images")
     images = [sampler._as_image(im) for im in images]
@@ -140,6 +141,9 @@ def init_state(
     H, W, _ = shape
     if (K.width, K.height) != (W, H):
         raise ValueError("intrinsics dimensions do not match images")
+    if loss_config.num_levels > (most := losses.max_pyramid_levels(H, W)):
+        raise ValueError(f"num_levels {loss_config.num_levels} is more than {W}x{H} images "
+                         f"allow: losses.max_pyramid_levels({H}, {W}) is {most}")
 
     target = images[target_index]
     sources = [im for i, im in enumerate(images) if i != target_index]

@@ -91,6 +91,24 @@ def test_init_state_validation():
         model.init_state(bad, 0, K, CFG)
 
 
+@pytest.mark.parametrize("use_masks", [True, False])
+def test_init_state_refuses_more_levels_than_the_images_allow(use_masks):
+    # 24 x 16 frames make a pyramid of 4 levels (down to 3 x 2).
+    K24 = Intrinsics(fx=20.0, fy=20.0, cx=12.0, cy=8.0, width=24, height=16)
+    imgs = _images(h=16, w=24)
+    assert losses.max_pyramid_levels(16, 24) == 4
+    state = model.init_state(imgs, 1, K24, LossConfig(num_levels=4, use_explainability=use_masks))
+    assert len(state.mask_logits) == 4 if use_masks else state.mask_logits is None
+    for levels in (5, 9):
+        cfg = LossConfig(num_levels=levels, use_explainability=use_masks)
+        with pytest.raises(ValueError, match=rf"num_levels {levels} is more than 24x16 images "
+                                             r"allow: losses.max_pyramid_levels\(16, 24\) is 4"):
+            model.init_state(imgs, 1, K24, cfg)
+        # A fit without a state starts from init_state.
+        with pytest.raises(ValueError, match=f"num_levels {levels}"):
+            model.fit_snippet(imgs, 1, K24, cfg, AdamConfig(max_iters=1))
+
+
 def _scalar_state(x0):
     """1-parameter state for exercising the Adam update rule in isolation."""
     return SnippetState(
