@@ -58,7 +58,7 @@ ENCODING = {
 }
 
 # argv lists of each CLI run, with {seq}, {fit} and {warp} standing for its
-# directories; a run's digests cover the directories its argv name.
+# directories; a run's digests cover the directories its commands name.
 CLI_RUNS = {
     "criterion7": [
         ["synth", "--out", "{seq}", "--seed", "9", "--width", "24", "--height", "16",
