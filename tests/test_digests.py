@@ -8,7 +8,10 @@ tests/digests.json holds digests of:
   the warp of its sources through the ground truth, and for the 416x128 run
   the eval-depth and eval-odom reports), by sha256 of each file's bytes;
 - a 60-iteration fit through the API and the two criterion-4 fits, by the
-  float.hex of their loss (and mean-mask) histories.
+  float.hex of their loss (and mean-mask) histories;
+- warps through the API of a sequence rendered along a turning path (the
+  CLI's sequences do not rotate, so their warps multiply by an exact
+  identity), by sha256 of each map.
 
 The table's "encoding" entry says how each digest is formed. A change that
 alters these outputs on purpose rewrites the table with
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viewsynth import cli, gradcheck, model, synth
+from viewsynth import cli, gradcheck, model, sampler, synth
 from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 from viewsynth.model import AdamConfig
@@ -53,6 +56,8 @@ ENCODING = {
     "cli": "sha256 of the bytes of each file the commands write, by directory and file name",
     "api_fit": "sha256 of the C-order float64 bytes of the final depth logits and poses; "
                "float.hex of each iteration's total",
+    "api_warp": "sha256 of the C-order float64 bytes of each frame and depth map, and of "
+                "each warp's warped, valid, d_du and d_dv that it returns",
     "criterion4": "float.hex of each iteration's total and mean_mask; both of criterion 4's "
                   "fits are cut to 300 iterations (1500 and 600 there)",
 }
@@ -126,9 +131,8 @@ def cli_digests(name: str, workdir: Path) -> dict:
     dirs = {d: workdir / d for d in ("seq", "fit", "warp")}
     for argv in CLI_RUNS[name]:
         assert cli.main([a.format(**dirs) for a in argv]) == 0, argv
-    named = {d for argv in CLI_RUNS[name] for a in argv for d in dirs if a == f"{{{d}}}"}
     return {d: {f.name: _sha256(f.read_bytes()) for f in sorted(path.iterdir())}
-            for d, path in dirs.items() if d in named}
+            for d, path in dirs.items() if path.exists()}
 
 
 def api_fit_digests() -> dict:
@@ -143,6 +147,34 @@ def api_fit_digests() -> dict:
                             AdamConfig(lr=0.01, max_iters=60, tol=0.0))
     return {"depth_logits": _sha256(res.state.depth_logits), "poses": _sha256(res.state.poses),
             "total": [r.total.hex() for r in res.history]}
+
+
+def api_warp_digests() -> dict:
+    """Warps through a rotation: a 64x48 slanted sequence rendered along a
+    turning path, and each source warped onto the target through Intrinsics
+    at the ground-truth depth, with and without gradients, through a stack
+    of two transforms, and forward-only through a depth stack whose
+    elements differ from element 0 at some pixels."""
+    K = Intrinsics(fx=60.0, fy=60.0, cx=32.0, cy=24.0, width=64, height=48)
+    trajectory = synth.linear_trajectory(3, (0.1, 0.0, 0.02))
+    trajectory[:, :3] = np.outer([-1.0, 0.0, 1.0], (0.01, -0.02, 0.015))
+    seq = synth.render_scene(synth.SceneSpec(kind="slanted", texture_seed=3, depth=2.0,
+                                             trajectory=trajectory, intrinsics=K))
+    depth = seq.gt_depths[seq.target_index]
+    stack = np.repeat(depth[None], 3, axis=0)
+    stack[1, 5, 7] += 1e-3
+    stack[2, :, 10] *= 1.01
+    Ts = [synth.relative_pose(seq, i) for i in (0, 2)]
+    warps = {"frames": seq.frames, "depths": seq.gt_depths}
+    for i, T in zip((0, 2), Ts):
+        for name, w in (("grads", sampler.inverse_warp(seq.frames[i], depth, T, K)),
+                        ("forward", sampler.inverse_warp(seq.frames[i], depth, T, K, False)),
+                        ("depth_stack", sampler.inverse_warp(seq.frames[i], stack, T, K, False))):
+            warps[f"source{i}_{name}"] = [w.warped, w.valid, w.d_du, w.d_dv]
+    w = sampler.inverse_warp(seq.frames[0], depth, np.stack(Ts), K)
+    warps["transform_stack"] = [w.warped, w.valid, w.d_du, w.d_dv]
+    return {name: [_sha256(a) for a in arrays if a is not None]
+            for name, arrays in warps.items()}
 
 
 def criterion4_digests() -> dict:
@@ -179,6 +211,11 @@ def test_api_fit_matches_digests():
     assert api_fit_digests() == TABLE["api_fit"]
 
 
+def test_api_warps_match_digests():
+    _require_table_platform()
+    assert api_warp_digests() == TABLE["api_warp"]
+
+
 def test_criterion4_histories_match_digests():
     _require_table_platform()
     assert criterion4_digests() == TABLE["criterion4"]
@@ -210,6 +247,7 @@ def current_table() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         table["cli"] = {name: cli_digests(name, Path(tmp, name)) for name in CLI_RUNS}
     table["api_fit"] = api_fit_digests()
+    table["api_warp"] = api_warp_digests()
     table["criterion4"] = criterion4_digests()
     return table
 
