@@ -145,9 +145,7 @@ def backproject(u, v, depth, K: Intrinsics) -> np.ndarray:
 
     Returns a (3, ...) array: rows x, y, z over the shape of u, v and depth.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    depth = np.asarray(depth, dtype=float)
+    u, v, depth = (np.asarray(a, dtype=float) for a in (u, v, depth))
     x = depth * (u - K.cx) / K.fx
     y = depth * (v - K.cy) / K.fy
     z = depth * np.ones_like(x)

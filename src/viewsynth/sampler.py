@@ -263,10 +263,14 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
     first = _warp(src, depth[0], T, grid, False, geometry.points_at_depth(depth[0], grid.rays))
     out = [np.repeat(x[None], len(depth), axis=0) for x in (first.warped, first.valid)]
     changed = np.nonzero(depth != depth[0])   # (elements, then the pixels)
-    if changed[0].size:
-        # The entries form a (1, n) row, whose (3, n) points multiply as the
-        # grid's do; a lone entry goes twice, as a (3, 1) column multiplies
-        # as a vector and may round differently.
+    # The entries form a (1, n) row, whose (3, n) points multiply as the
+    # grid's do. A (3, 1) column multiplies as a vector and may round
+    # differently: a lone entry goes twice, and on a one-pixel grid, whose
+    # element 0 is such a column, each changed element goes alone.
+    for b in changed[0] if grid.u.size == 1 else ():
+        part = _warp(src, depth[b], T, grid, False, geometry.points_at_depth(depth[b], grid.rays))
+        out[0][b], out[1][b] = part.warped, part.valid
+    if changed[0].size and grid.u.size > 1:
         if changed[0].size == 1:
             changed = tuple(np.repeat(c, 2) for c in changed)
 
@@ -276,8 +280,7 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
         sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
         sub_depth = depth[changed].reshape(1, -1)
         part = _warp(src, sub_depth, T, sub, False, geometry.points_at_depth(sub_depth, sub.rays))
-        for o, x in zip(out, (part.warped, part.valid)):
-            o[changed] = x[0]
+        out[0][changed], out[1][changed] = part.warped[0], part.valid[0]
     return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None, src_points=None)
 
 

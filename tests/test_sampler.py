@@ -266,7 +266,8 @@ def _depth_batch(base, changes, rng, batch=6, near=False):
 
 def _warp_cases():
     """(name, source image or stack, grid) of a single-level grid, a joined
-    grid of two levels, a grid one pixel wide and a single level's row."""
+    grid of two levels, a grid one pixel wide, a single level's row and a
+    one-pixel grid."""
     rng = np.random.default_rng(12)
     K = _camera(12, 8)
     cameras = [K, geometry.scale_intrinsics(K, 1)]
@@ -275,7 +276,8 @@ def _warp_cases():
     return [("single", rng.random((8, 12, 2)), sampler.pixel_grid(K)),
             ("joined", rng.random((120, 2)), joined),
             ("narrow", rng.random((7, 1, 3)), sampler.pixel_grid(narrow)),
-            ("row", rng.random((96, 2)), sampler.join_grids([sampler.pixel_grid(K)]))]
+            ("row", rng.random((96, 2)), sampler.join_grids([sampler.pixel_grid(K)])),
+            ("pixel", rng.random((1, 1, 2)), sampler.pixel_grid(_camera(1, 1)))]
 
 
 _TRANSFORMS = {
@@ -288,7 +290,7 @@ _TRANSFORMS = {
 }
 
 
-@pytest.mark.parametrize("case", range(4), ids=["single", "joined", "narrow", "row"])
+@pytest.mark.parametrize("case", range(5), ids=["single", "joined", "narrow", "row", "pixel"])
 @pytest.mark.parametrize("changes", ["none", "one", "few", "all"])
 @pytest.mark.parametrize("transform", list(_TRANSFORMS))
 def test_forward_depth_batch_warp_equals_per_element_warps(case, changes, transform):
@@ -349,6 +351,27 @@ def test_forward_depth_batch_warp_samples_element_0_and_the_changed_entries(monk
     sampled.clear()
     sampler.inverse_warp(rng.random((8, 12, 1)), depth, np.stack([T] * 6), K, want_grads=False)
     assert sampled == [6 * 96]
+
+
+@pytest.mark.parametrize("changes", ["one", "few", "all"])
+def test_forward_depth_batch_warp_on_one_pixel_multiplies_each_point_alone(changes, monkeypatch):
+    # Element 0's one point multiplies as a vector, so every changed
+    # element's must too: a (3, n) product of several may round differently.
+    rng = np.random.default_rng(15)
+    grid = sampler.pixel_grid(_camera(1, 1))
+    depth = _depth_batch(rng.uniform(1.0, 3.0, (1, 1)), changes, rng)
+    shapes = []
+    transform_points = geometry.transform_points
+
+    def recording(T, pts):
+        shapes.append(pts.shape)
+        return transform_points(T, pts)
+
+    monkeypatch.setattr(geometry, "transform_points", recording)
+    sampler.inverse_warp(rng.random((1, 1, 2)), depth, _TRANSFORMS["generic"], grid,
+                         want_grads=False)
+    changed = np.count_nonzero((depth != depth[0]).any(axis=(1, 2)))
+    assert changed and shapes == [(3, 1, 1)] * (1 + changed)
 
 
 def test_forward_depth_batch_warp_refuses_points():
