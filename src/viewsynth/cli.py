@@ -42,8 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--lambda-s", type=float, default=0.5)
-    p.add_argument("--lambda-e", type=float, default=0.2)
-    p.add_argument("--no-explainability", action="store_true")
+    masks = p.add_mutually_exclusive_group()   # the weight is read only with masks on
+    masks.add_argument("--lambda-e", type=float, default=0.2)
+    masks.add_argument("--no-explainability", action="store_true")
     p.add_argument("--lr", type=float, default=0.0002)
     p.add_argument("--max-iters", type=int, default=3000)
     p.add_argument("--depth-prior", type=float, default=1.0)

@@ -2,8 +2,8 @@
 
 * WF01 float container: magic line "WF01", ASCII header line "H W C", then
   little-endian float32, row-major. Bit-exact round-trip.
-* Intrinsics: one "key value" per line, keys fx fy cx cy width height.
-* Sequence manifest: "target <index>" then one frame path per line.
+* Intrinsics: one "key value" per line, each of fx fy cx cy width height once.
+* Sequence manifest: "target <index>" once, then one frame path per line.
 * PGM/PPM (binary, maxval 255) previews.
 * Trajectory: one pose per line, 12 floats = row-major 3x4 [R|t]
   (camera-to-world), printed with 17 significant digits.
@@ -121,7 +121,7 @@ def save_intrinsics(path, K: Intrinsics) -> None:
 
 
 def load_intrinsics(path) -> Intrinsics:
-    vals = {}
+    fields = {}
     lines = {}
     for ln, line in _read_lines(path):
         if not line or line.startswith("#"):
@@ -129,18 +129,18 @@ def load_intrinsics(path) -> Intrinsics:
         parts = line.split()
         if len(parts) != 2:
             raise FileFormatError(f"{path}:{ln}: malformed line {line!r}")
-        vals[parts[0]] = parts[1]
-        lines[parts[0]] = ln
-    for k in _K_KEYS:
-        if k not in vals:
-            raise FileFormatError(f"{path}: missing key {k!r}")
-    fields = {}
-    for k in _K_KEYS:
+        k, value = parts
+        if k in fields or k not in _K_KEYS:
+            raise FileFormatError(f"{path}:{ln}: {'repeated' if k in fields else 'unknown'} key {k!r}")
         kind = int if k in ("width", "height") else float
         try:
-            fields[k] = kind(vals[k])
+            fields[k] = kind(value)
         except ValueError as e:
-            raise FileFormatError(f"{path}:{lines[k]}: invalid {k}: {e}") from e
+            raise FileFormatError(f"{path}:{ln}: invalid {k}: {e}") from e
+        lines[k] = ln
+    for k in _K_KEYS:
+        if k not in fields:
+            raise FileFormatError(f"{path}: missing key {k!r}")
     try:
         return Intrinsics(**fields)
     except InvalidIntrinsics as e:
@@ -164,6 +164,8 @@ def load_manifest(path):
         if not line:
             continue
         if line.startswith("target "):
+            if target is not None:
+                raise FileFormatError(f"{path}:{ln}: repeated key 'target'")
             try:
                 target = int(line.split()[1])
             except (IndexError, ValueError) as e:

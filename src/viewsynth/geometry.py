@@ -158,17 +158,22 @@ def transform_points(T: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
     A (B, 4, 4) stack of transforms maps (3, H, W) or (3, B, H, W) points to
     (3, B, H, W), each slice by a product of its own, which rounds as the
-    4x4 case does.
+    4x4 case does. A point's transform never depends on how many points
+    share its product: NumPy's BLAS multiplies a lone (3, 1) or (B, 3, 1)
+    point as a vector, which may round unlike a matrix, so it goes as two
+    equal columns and the first is kept.
     """
     if T.ndim == 2:
-        out = T[:3, :3] @ pts.reshape(3, -1)
+        P = pts.reshape(3, -1)
+        out = T[:3, :3] @ (P.repeat(2, axis=1) if P.shape[1] == 1 else P)
         out += T[:3, 3:]
-        return out.reshape(pts.shape)
-    out = np.empty((3, len(T)) + pts.shape[-2:])
-    np.matmul(T[:, :3, :3], pts.reshape(3, -1, out[0, 0].size).swapaxes(0, 1),
-              out=out.reshape(3, len(T), -1).swapaxes(0, 1))
-    out += T[:, :3, 3].T[..., None, None]
-    return out
+        return out[:, :P.shape[1]].reshape(pts.shape)
+    n = pts.shape[-2] * pts.shape[-1]
+    P = pts.reshape(3, -1, n).swapaxes(0, 1)
+    out = np.empty((3, len(T), max(n, 2)))
+    np.matmul(T[:, :3, :3], P.repeat(2, axis=2) if n == 1 else P, out=out.swapaxes(0, 1))
+    out += T[:, :3, 3].T[..., None]
+    return out[..., :n].reshape((3, len(T)) + pts.shape[-2:])
 
 
 def points_at_depth(depth: np.ndarray, rays: np.ndarray) -> np.ndarray:

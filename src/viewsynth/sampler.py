@@ -223,9 +223,9 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     (geometry.transform_points multiplies each transform on its own).
     A forward-only warp of a depth stack through one 4x4 T warps element 0,
     then only the (element, pixel) entries whose depth differs from element
-    0's, and copies element 0's values everywhere else: the warp of a pixel
-    depends on that pixel's depth alone. It forms only the points of those
-    entries and of element 0, and refuses `points`.
+    0's, and copies element 0's values everywhere else: a pixel's warp
+    depends on its own depth alone, in any product. It forms only the points
+    of those entries and of element 0, and refuses `points`.
 
     points, when given, is geometry.points_at_depth(depth, grid.rays), the
     (3, ...) points on this grid, formed by a caller that warps several
@@ -259,28 +259,18 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
 def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
     """Forward-only inverse_warp of a depth stack through one transform:
     element 0's warp, with the entries whose depth differs from element 0's
-    warped and written into copies of its maps."""
+    warped as one (1, n) row and written into copies of its maps."""
     first = _warp(src, depth[0], T, grid, False, geometry.points_at_depth(depth[0], grid.rays))
     out = [np.repeat(x[None], len(depth), axis=0) for x in (first.warped, first.valid)]
     changed = np.nonzero(depth != depth[0])   # (elements, then the pixels)
-    # The entries form a (1, n) row, whose (3, n) points multiply as the
-    # grid's do. A (3, 1) column multiplies as a vector and may round
-    # differently: a lone entry goes twice, and on a one-pixel grid, whose
-    # element 0 is such a column, each changed element goes alone.
-    for b in changed[0] if grid.u.size == 1 else ():
-        part = _warp(src, depth[b], T, grid, False, geometry.points_at_depth(depth[b], grid.rays))
-        out[0][b], out[1][b] = part.warped, part.valid
-    if changed[0].size and grid.u.size > 1:
-        if changed[0].size == 1:
-            changed = tuple(np.repeat(c, 2) for c in changed)
 
-        def at(x):   # the changed pixels of a grid map as a row, or a grid constant
-            return x[(..., *changed[1:])][..., None, :] if isinstance(x, np.ndarray) else x
+    def at(x):   # the changed pixels of a grid map as a row, or a grid constant
+        return x[(..., *changed[1:])][..., None, :] if isinstance(x, np.ndarray) else x
 
-        sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
-        sub_depth = depth[changed].reshape(1, -1)
-        part = _warp(src, sub_depth, T, sub, False, geometry.points_at_depth(sub_depth, sub.rays))
-        out[0][changed], out[1][changed] = part.warped[0], part.valid[0]
+    sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
+    sub_depth = depth[changed].reshape(1, -1)
+    part = _warp(src, sub_depth, T, sub, False, geometry.points_at_depth(sub_depth, sub.rays))
+    out[0][changed], out[1][changed] = part.warped[0], part.valid[0]
     return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None, src_points=None)
 
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from viewsynth import cli, fileio, geometry, gradcheck, losses
+from viewsynth import cli, fileio, geometry, gradcheck, losses, model, synth
 
 
 def _run(argv):
@@ -86,6 +86,23 @@ def test_warp_with_too_few_gt_poses_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(f"\nviewsynth warp: {traj}: 2 poses for 3 frames\n")
 
 
+@pytest.mark.parametrize("name, extra, message", [
+    ("intrinsics.txt", "fx 999\n", "repeated key 'fx'"),
+    ("intrinsics.txt", "fz 3\n", "unknown key 'fz'"),
+    ("sequence.txt", "target 0\n", "repeated key 'target'")])
+def test_warp_with_a_repeated_or_unknown_key_names_the_file(tmp_path, capsys, name, extra,
+                                                            message):
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    path = seq_dir / name
+    lines = len(path.read_text().splitlines())
+    path.write_text(path.read_text() + extra)
+    assert _run(["warp", "--in", str(seq_dir), "--out", str(tmp_path / "warped")]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"viewsynth warp: {path}:{lines + 1}: {message}\n")
+    assert not (tmp_path / "warped").exists()
+
+
 @pytest.mark.parametrize("depth", [np.full((16, 24, 1), np.nan), np.full((16, 24, 1), -1.0),
                                    np.full((16, 24, 1), np.inf), np.full((16, 20, 1), 2.0),
                                    np.full((16, 24, 2), 2.0)],
@@ -121,6 +138,44 @@ def test_fit_no_explainability_writes_no_masks(tmp_path):
                  "--levels", "2", "--lr", "0.01", "--max-iters", "20",
                  "--no-explainability"]) == 0
     assert not any(n.startswith("mask_") for n in os.listdir(out))
+
+
+@pytest.mark.parametrize("order", [("--lambda-e", "50", "--no-explainability"),
+                                   ("--no-explainability", "--lambda-e", "0.2")])
+def test_fit_lambda_e_without_masks_is_usage_error(tmp_path, capsys, order):
+    # The mask regularizer's weight is unused without masks, so giving both
+    # is refused rather than read and dropped.
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+              "--max-iters", "3", *order])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--lambda-e" in err and "--no-explainability" in err and "not allowed" in err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_fit_depth_prior_is_the_initial_depth(tmp_path):
+    # fit --depth-prior 3 starts from init_state's constant depth 3: its
+    # checkpoint equals the API fit's from that state, and differs from the
+    # default prior's.
+    seq_dir = tmp_path / "seq"
+    _synth(seq_dir)
+    argv = ["fit", "--in", str(seq_dir), "--levels", "2", "--lr", "0.01", "--max-iters", "5"]
+    assert _run(argv + ["--out", str(tmp_path / "prior3"), "--depth-prior", "3"]) == 0
+    assert _run(argv + ["--out", str(tmp_path / "prior1")]) == 0
+    seq = synth.load_sequence(seq_dir)
+    cfg = losses.LossConfig(num_levels=2)
+    state = model.init_state(seq.frames, seq.target_index, seq.intrinsics, cfg, depth_prior=3.0)
+    assert np.allclose(state.depth(), 3.0)
+    result = model.fit_snippet(seq.frames, seq.target_index, seq.intrinsics, cfg,
+                               model.AdamConfig(lr=0.01, max_iters=5), state=state)
+    model.save_checkpoint(tmp_path / "api.bin", result.state)
+    cli_bytes = (tmp_path / "prior3" / "checkpoint.bin").read_bytes()
+    assert cli_bytes == (tmp_path / "api.bin").read_bytes()
+    assert cli_bytes != (tmp_path / "prior1" / "checkpoint.bin").read_bytes()
 
 
 def test_fit_identical_frames_keeps_identity_poses(tmp_path):

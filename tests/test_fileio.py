@@ -66,6 +66,23 @@ def test_intrinsics_bad_value_names_its_line(tmp_path, key, value, line):
         fileio.load_intrinsics(p)
 
 
+@pytest.mark.parametrize("extra, line, message", [
+    ("fx 999\n", 7, "repeated key 'fx'"), ("fz 3\n", 7, "unknown key 'fz'"),
+    ("height 8\n", 7, "repeated key 'height'")])
+def test_intrinsics_repeated_or_unknown_key_names_its_line(tmp_path, extra, line, message):
+    p = tmp_path / "K.txt"
+    p.write_text("fx 10\nfy 10\ncx 5\ncy 4\nwidth 10\nheight 8\n" + extra)
+    with pytest.raises(FileFormatError, match=re.escape(f"{p}:{line}: {message}")):
+        fileio.load_intrinsics(p)
+
+
+def test_manifest_repeated_target_names_its_line(tmp_path):
+    p = tmp_path / "seq.txt"
+    p.write_text("target 0\na.wf01\ntarget 1\nb.wf01\n")
+    with pytest.raises(FileFormatError, match=re.escape(f"{p}:3: repeated key 'target'")):
+        fileio.load_manifest(p)
+
+
 def test_manifest_roundtrip(tmp_path):
     p = tmp_path / "seq.txt"
     fileio.save_manifest(p, ["a.wf01", "b.wf01", "c.wf01"], 1)

@@ -316,6 +316,30 @@ def test_transform_stack_equals_each_transform_bitwise(height, width, batch, sta
         assert out[:, b].tobytes() == own.tobytes(), b
 
 
+@given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_transform_of_one_point_equals_its_column_of_a_wider_product(
+        height, width, batch, stacked, seed):
+    # A lone point multiplies as a (3, 1) column or a (B, 3, 1) stack, which
+    # BLAS may round unlike the same point's column of a wider product; its
+    # transform must not depend on how many points share the product.
+    rng = np.random.default_rng(seed)
+    T = geometry.pose_to_transform(rng.uniform(-3.0, 3.0, 6))
+    Ts = geometry.pose_to_transform(rng.uniform(-3.0, 3.0, (batch, 6)))
+    pts = rng.uniform(-5.0, 5.0, (3,) + ((batch,) if stacked else ()) + (height, width))
+    all_T, all_Ts = geometry.transform_points(T, pts), geometry.transform_points(Ts, pts)
+    for i in range(height):
+        for j in range(width):
+            one = pts[..., i:i + 1, j:j + 1]
+            assert geometry.transform_points(T, one).tobytes() == \
+                all_T[..., i:i + 1, j:j + 1].tobytes(), (i, j)
+            assert geometry.transform_points(Ts, one).tobytes() == \
+                all_Ts[..., i:i + 1, j:j + 1].tobytes(), (i, j)
+            assert geometry.transform_points(T, pts[:, ..., i, j]).tobytes() == \
+                all_T[..., i, j].tobytes(), (i, j)
+
+
 def test_transform_points_is_R_times_the_rows_plus_t():
     rng = np.random.default_rng(1)
     T = geometry.pose_to_transform([0.4, -0.3, 0.2, 1.0, -2.0, 0.5])

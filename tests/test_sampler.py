@@ -353,27 +353,6 @@ def test_forward_depth_batch_warp_samples_element_0_and_the_changed_entries(monk
     assert sampled == [6 * 96]
 
 
-@pytest.mark.parametrize("changes", ["one", "few", "all"])
-def test_forward_depth_batch_warp_on_one_pixel_multiplies_each_point_alone(changes, monkeypatch):
-    # Element 0's one point multiplies as a vector, so every changed
-    # element's must too: a (3, n) product of several may round differently.
-    rng = np.random.default_rng(15)
-    grid = sampler.pixel_grid(_camera(1, 1))
-    depth = _depth_batch(rng.uniform(1.0, 3.0, (1, 1)), changes, rng)
-    shapes = []
-    transform_points = geometry.transform_points
-
-    def recording(T, pts):
-        shapes.append(pts.shape)
-        return transform_points(T, pts)
-
-    monkeypatch.setattr(geometry, "transform_points", recording)
-    sampler.inverse_warp(rng.random((1, 1, 2)), depth, _TRANSFORMS["generic"], grid,
-                         want_grads=False)
-    changed = np.count_nonzero((depth != depth[0]).any(axis=(1, 2)))
-    assert changed and shapes == [(3, 1, 1)] * (1 + changed)
-
-
 def test_forward_depth_batch_warp_refuses_points():
     # It forms only element 0's and the changed entries' points, so it would
     # ignore points formed by its caller: they are refused instead.
