@@ -353,6 +353,39 @@ def test_forward_depth_batch_warp_samples_element_0_and_the_changed_entries(monk
     assert sampled == [6 * 96]
 
 
+@pytest.mark.parametrize("changes", ["one", "few", "all"])
+def test_forward_depth_batch_warp_on_one_pixel_multiplies_each_point_alone(changes, monkeypatch):
+    # Element 0's one point and the changed entries' row go through
+    # transform_points, which must give every point of the row what it
+    # gives that point alone, so each element warps as it does on its own.
+    rng = np.random.default_rng(15)
+    grid = sampler.pixel_grid(_camera(1, 1))
+    src = rng.random((1, 1, 2))
+    T = _TRANSFORMS["generic"]
+    depth = _depth_batch(rng.uniform(1.0, 3.0, (1, 1)), changes, rng)
+    calls = []
+    transform_points = geometry.transform_points
+
+    def recording(T, pts):
+        out = transform_points(T, pts)
+        calls.append((T, pts, out))
+        return out
+
+    monkeypatch.setattr(geometry, "transform_points", recording)
+    w = sampler.inverse_warp(src, depth, T, grid, want_grads=False)
+    monkeypatch.undo()
+    changed = np.count_nonzero(depth != depth[0])
+    assert changed and [pts.shape for _, pts, _ in calls] == [(3, 1, 1), (3, 1, changed)]
+    for T_, pts, out in calls:
+        for k in range(pts.shape[-1]):
+            alone = transform_points(T_, np.ascontiguousarray(pts[..., k:k + 1]))
+            assert alone.tobytes() == np.ascontiguousarray(out[..., k:k + 1]).tobytes(), k
+    for b, d in enumerate(depth):
+        one = sampler.inverse_warp(src, d, T, grid, want_grads=False)
+        for name in ("warped", "valid"):
+            assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (b, name)
+
+
 def test_forward_depth_batch_warp_refuses_points():
     # It forms only element 0's and the changed entries' points, so it would
     # ignore points formed by its caller: they are refused instead.
