@@ -155,7 +155,8 @@ class _LevelGroup(NamedTuple):
     """Consecutive pyramid levels that total_loss warps in one pass per
     source, laid out as one (1, N) row of their pixels (see
     sampler.join_grids), with the target's and each source's levels stacked
-    in the same order."""
+    in the same order. total_loss lays out each per-level map (depth, mask
+    probabilities) along the same row with sampler.join_rows."""
 
     levels: range
     spans: tuple            # [i] -> (start, stop) of levels[i] in the row
@@ -195,17 +196,6 @@ def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
                                   sampler.join_grids([grids[l] for l in levels]),
                                   stack(target)[None], tuple(map(stack, sources))))
     return SnippetPyramids(len(target), tuple(groups))
-
-
-def _as_row(x: np.ndarray) -> np.ndarray:
-    """x with its two trailing (spatial) axes as one row: (..., 1, H * W)."""
-    return x.reshape(x.shape[:-2] + (1, -1))
-
-
-def _group_map(maps: list) -> np.ndarray:
-    """A group's levels of a per-level map, as one row of the group."""
-    rows = [_as_row(m) for m in maps]
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=-1)
 
 
 def _split(x: np.ndarray, spans) -> list:
@@ -267,7 +257,8 @@ def view_synthesis_loss(target, warp, spans, mask_prob=None, want_grads: bool = 
     matching (1, N, C) image, and spans are the (start, stop) pixel ranges of
     the row's levels: each level counts as a warp of its own. mask_prob,
     when given, is a list with each level's (..., 1, n_l) row of that
-    source's mask_probability values; they weight each pixel's error.
+    source's mask_probability values (sampler.join_rows of the level's
+    map); they weight each pixel's error.
 
     Returns (loss, grad_warped, grad_mask_logits, n_valid): the loss and the
     valid count are lists with one entry per level; grad_warped is the
@@ -307,7 +298,7 @@ def view_synthesis_loss(target, warp, spans, mask_prob=None, want_grads: bool = 
     weight = valid
     grad_mask = None
     if mask_prob is not None:
-        prob = _group_map(mask_prob)
+        prob = sampler.join_rows(mask_prob)
         weight = valid * prob
         grad_mask = valid * e
         for (a, b), n in zip(spans, counts):
@@ -539,9 +530,10 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     model.SnippetState). Masks are on when the state has mask logits;
     config.use_explainability must say the same, or a ValueError names it.
     `pyramids` is build_snippet_pyramids(state, config), built here when not
-    given. Returns (LossReport, SnippetGrads); the
-    gradient buffers are None when want_grads is off (cheaper forward pass,
-    used by the finite-difference harness).
+    given; pyramids of another level count are refused by num_levels.
+    Returns (LossReport, SnippetGrads); the gradient buffers are None when
+    want_grads is off (cheaper forward pass, used by the finite-difference
+    harness).
 
     Level groups: the coarsest levels with fewer than PARALLEL_MIN_ELEMENTS
     pixels together form one group, and every other level is a group of its
@@ -577,6 +569,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     if pyramids is None:
         pyramids = build_snippet_pyramids(state, config)
     L = pyramids.num_levels
+    if L != (built := min(config.num_levels, max_pyramid_levels(*np.shape(state.target)[:2]))):
+        raise ValueError(f"pyramids have {L} levels, but num_levels={config.num_levels} builds "
+                         f"{built} for this snippet")
 
     use_masks = state.mask_logits is not None
     if use_masks != config.use_explainability:
@@ -617,7 +612,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
 
     for group in pyramids.groups:
         levels, spans = group.levels, group.spans
-        depth = _group_map([depth_pyr[l] for l in levels])
+        depth = sampler.join_rows([depth_pyr[l] for l in levels])
         # One (S, H_l, W_l) or (B, S, H_l, W_l) probability stack per level.
         probs = [mask_probability(state.mask_logits[l]) for l in levels] if use_masks else None
         P = geometry.points_at_depth(depth, group.grid.rays) if depth.ndim == 2 else None
@@ -625,7 +620,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         def source_terms(s) -> _SourceTerms:
             w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
                                      want_grads=want_grads, points=P)
-            src_probs = [_as_row(p[..., s, :, :]) for p in probs] if use_masks else None
+            src_probs = [sampler.join_rows([p[..., s, :, :]]) for p in probs] if use_masks else None
             vs, g_warped, g_mask_row, n_valid = view_synthesis_loss(
                 group.target, w, spans, src_probs, want_grads)
             if not want_grads:

@@ -179,29 +179,30 @@ def pixel_grid(K: Intrinsics) -> PixelGrid:
                      layout=image_layout(K.height, K.width))
 
 
+def join_rows(maps: list) -> np.ndarray:
+    """Each (..., H_l, W_l) map of maps laid out as a (..., 1, H_l * W_l)
+    row, one after another along the last axis: the row layout of
+    join_grids. A single map is its reshape view."""
+    rows = [m.reshape(m.shape[:-2] + (1, -1)) for m in maps]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=-1)
+
+
 def join_grids(grids: list) -> PixelGrid:
     """The grids of one or more images, each at least 2x2 when there are
-    several, as one: their pixels one after another in a (1, N) row, with
-    each image's constants. The images' stack must hold them in the same
-    order. A single grid keeps its scalar constants and layout."""
-    def row(m):   # (..., H, W) as a (..., 1, H * W) row: (3, 1, N) rays
-        return m.reshape(m.shape[:-2] + (1, -1))
-
+    several, as one: their pixels one after another in a (1, N) row (u, v
+    and the (3, 1, N) rays by join_rows), with each image's constants. The
+    images' stack must hold them in the same order. A single grid keeps its
+    scalar constants and layout, and its maps are reshape views."""
+    u, v, rays = (join_rows(maps) for maps in zip(*((g.u, g.v, g.rays) for g in grids)))
     if len(grids) == 1:
-        g = grids[0]
-        return g._replace(u=row(g.u), v=row(g.v), rays=row(g.rays))
+        return grids[0]._replace(u=u, v=v, rays=rays)
     sizes = [g.u.size for g in grids]
-
-    def join(maps):
-        return np.concatenate([row(m) for m in maps], axis=-1)
 
     def repeat(values):
         return np.repeat(values, sizes)[None]
 
     layout = SampleLayout(*map(repeat, zip(*(g.layout for g in grids))))
-    return PixelGrid(join([g.u for g in grids]), join([g.v for g in grids]),
-                     join([g.rays for g in grids]),
-                     *map(repeat, zip(*((g.fx, g.fy, g.cx, g.cy) for g in grids))),
+    return PixelGrid(u, v, rays, *map(repeat, zip(*((g.fx, g.fy, g.cx, g.cy) for g in grids))),
                      layout._replace(offset=repeat(np.cumsum([0] + sizes[:-1]))))
 
 
@@ -214,8 +215,12 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     skips the per-pixel jacobian buffers (forward-only evaluation).
 
     K may also be a PixelGrid: pixel_grid(K), or a join_grids row, for which
-    src is the (rows, C) stack of the row's images and depth holds one value
-    per grid pixel.
+    src is the (rows, C) stack of the row's images. An Intrinsics K warps
+    as pixel_grid(K), and one check covers both forms: depth is shaped like
+    the grid's u map, after at most one batch axis; src holds the grid's
+    pixels, shaped like u or flattened to (u.size,), then a channel axis
+    (a src shaped exactly like u is one channel); and points, when given,
+    is (3,) + depth.shape. A ValueError names the shapes that differ.
 
     depth may be a (B, H, W) stack and T a (B, 4, 4) stack, one per parameter
     set of a batch; an unbatched one is shared by the batch. The result then
@@ -232,19 +237,18 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     sources at one positive depth; the warp then reads it and forms nothing
     of its own. Without it, the warp checks that the depth is positive.
     """
+    grid = K if isinstance(K, PixelGrid) else pixel_grid(K)
     depth = np.asarray(depth, dtype=float)
-    if isinstance(K, PixelGrid):
-        grid = K
-        if depth.shape[-2:] != grid.u.shape or depth.ndim > 3:
-            raise ValueError(f"depth shape {depth.shape} does not match grid {grid.u.shape}")
-    else:
-        src = _as_image(src)
-        H, W, _ = src.shape
-        if depth.shape[-2:] != (H, W) or depth.ndim > 3:
-            raise ValueError(f"depth shape {depth.shape} does not match image {(H, W)}")
-        if (K.width, K.height) != (W, H):
-            raise ValueError("intrinsics dimensions do not match image")
-        grid = pixel_grid(K)
+    src = np.asarray(src, dtype=float)
+    if src.shape == grid.u.shape:   # one channel
+        src = src[..., None]
+    if depth.shape[-2:] != grid.u.shape or depth.ndim > 3:
+        raise ValueError(f"depth shape {depth.shape} does not match grid {grid.u.shape}")
+    if src.shape[:-1] not in (grid.u.shape, (grid.u.size,)):
+        raise ValueError(f"source shape {src.shape} does not hold the pixels of grid {grid.u.shape}"
+                         f": expected {grid.u.shape} or ({grid.u.size},), then channels")
+    if points is not None and points.shape != (3,) + depth.shape:
+        raise ValueError(f"points shape {points.shape} is not (3,) + depth shape {depth.shape}")
     if points is None and np.any(depth <= 0):
         raise ValueError("depth must be positive")
     if depth.ndim == 3 and T.ndim == 2 and not want_grads:

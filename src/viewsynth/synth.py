@@ -39,12 +39,14 @@ class SceneSpec:
     # two_plane: depth of the near plane, at world x < 0 (see FAR_DEPTH).
     depth: float = 2.0
     trajectory: np.ndarray = ()     # (N, 6) camera-to-world poses, N >= 2; kept read-only
-    intrinsics: Intrinsics = None
+    intrinsics: Intrinsics = None   # required; checked in __post_init__
     noise_sigma: float = 0.0
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
+        if not isinstance(self.intrinsics, Intrinsics):
+            raise ValueError(f"intrinsics must be an Intrinsics, got {self.intrinsics!r}")
         if not (math.isfinite(self.depth) and self.depth > 0):
             raise ValueError(f"depth must be finite and > 0, got {self.depth}")
         traj = np.array(self.trajectory, dtype=float)   # a copy: the caller's may change
@@ -137,8 +139,6 @@ def _intersect(spec: SceneSpec, origin, dirs):
 def render_scene(spec: SceneSpec) -> SnippetSequence:
     """Render all frames of the trajectory with exact depth/pose ground truth."""
     K = spec.intrinsics
-    if K is None:
-        raise ValueError("scene spec needs intrinsics")
     freqs, phases, amps = _texture_params(spec.texture_seed)
     noise_rng = np.random.default_rng(spec.texture_seed + 1)
 

@@ -25,6 +25,10 @@ and says so in CHANGES.md.
 writes nothing: it prints, for every float.hex entry, the largest relative
 difference between the table and the current code (for a history, also the
 first iteration that differs), and lists the sha256 entries that changed.
+It also re-runs each history's fit with its learning rate one ulp up: next
+to a history's drift from the table it prints that fit's drift from the
+current history, the fit's own rounding sensitivity, and the ratio of the
+two. A ratio near or below 1 is a drift that rounding alone can make.
 
 The last bits of these outputs depend on the machine and the NumPy build
 (SIMD math, BLAS kernels), so the table records the platform it was made
@@ -135,8 +139,13 @@ def cli_digests(name: str, workdir: Path) -> dict:
             for d, path in dirs.items() if path.exists()}
 
 
-def api_fit_digests() -> dict:
-    """A 60-iteration 64x48 plane fit through fit_snippet (L=3, no masks)."""
+def _lr(lr: float, ulp_up: bool) -> float:
+    return float(np.nextafter(lr, np.inf)) if ulp_up else lr
+
+
+def api_fit_digests(ulp_up: bool = False) -> dict:
+    """A 60-iteration 64x48 plane fit through fit_snippet (L=3, no masks);
+    ulp_up runs it with its learning rate one ulp up."""
     K = Intrinsics(fx=64.0, fy=64.0, cx=32.0, cy=24.0, width=64, height=48)
     spec = synth.SceneSpec(kind="plane", texture_seed=5, depth=2.0,
                            trajectory=synth.linear_trajectory(3, (0.1, 0.0, 0.0)),
@@ -144,7 +153,7 @@ def api_fit_digests() -> dict:
     seq = synth.render_scene(spec)
     res = model.fit_snippet(seq.frames, seq.target_index, K,
                             LossConfig(num_levels=3, use_explainability=False),
-                            AdamConfig(lr=0.01, max_iters=60, tol=0.0))
+                            AdamConfig(lr=_lr(0.01, ulp_up), max_iters=60, tol=0.0))
     return {"depth_logits": _sha256(res.state.depth_logits), "poses": _sha256(res.state.poses),
             "total": [r.total.hex() for r in res.history]}
 
@@ -177,8 +186,9 @@ def api_warp_digests() -> dict:
             for name, arrays in warps.items()}
 
 
-def criterion4_digests() -> dict:
-    """Criterion 4's two fits, without and with the mask regularizer."""
+def criterion4_digests(ulp_up: bool = False) -> dict:
+    """Criterion 4's two fits, without and with the mask regularizer;
+    ulp_up runs them with their learning rates one ulp up."""
     K = Intrinsics(fx=16.0, fy=16.0, cx=16.0, cy=12.0, width=32, height=24)
     spec = synth.SceneSpec(kind="plane", texture_seed=5, depth=2.0,
                            trajectory=synth.linear_trajectory(3, (0.15, 0.0, 0.0)),
@@ -188,7 +198,7 @@ def criterion4_digests() -> dict:
     for name, lambda_e, lr in (("unregularized", 0.0, 0.02), ("regularized", 0.2, 0.01)):
         cfg = LossConfig(lambda_e=lambda_e, num_levels=2, use_explainability=True)
         res = model.fit_snippet(seq.frames, seq.target_index, K, cfg,
-                                AdamConfig(lr=lr, max_iters=300, tol=0.0))
+                                AdamConfig(lr=_lr(lr, ulp_up), max_iters=300, tol=0.0))
         out[name] = {"total": [r.total.hex() for r in res.history],
                      "mean_mask": [r.mean_mask.hex() for r in res.history]}
     return out
@@ -240,6 +250,31 @@ def test_compare_lines_report_each_entry_of_the_table():
     ]
 
 
+def test_compare_lines_set_each_history_beside_its_one_ulp_drift():
+    def histories(total, mean_mask):
+        return {"api_fit": {"depth_logits": "a" * 64, "total": [x.hex() for x in total]},
+                "criterion4": {"regularized": {"mean_mask": [x.hex() for x in mean_mask]}}}
+
+    old = {"platform": _platform(), "encoding": ENCODING,
+           "gradcheck": {"0": {"errors": {"poses": (0.5).hex()}}},
+           **histories([1.0, 2.0, 4.0], [0.5, 0.5])}
+    new = {**old, **histories([1.0, 2.0, 5.0], [0.5, 0.5])}
+    one_ulp = histories([1.0, 2.0, 4.75], [0.5, 0.25])
+    assert compare_lines(old, new, one_ulp) == [
+        "api_fit.total: max rel diff 0.2, first differs at iteration 2; "
+        "one-ulp lr drift 0.05, ratio 4",
+        "criterion4.regularized.mean_mask: max rel diff 0, identical; "
+        "one-ulp lr drift 0.5, ratio 0",
+        "gradcheck.0.errors.poses: rel diff 0 (0.5 -> 0.5)",
+    ]
+    assert compare_lines(old, new, histories([1.0, 2.0, 5.0], [0.5, 0.5]))[:2] == [
+        "api_fit.total: max rel diff 0.2, first differs at iteration 2; "
+        "one-ulp lr drift 0, ratio inf",
+        "criterion4.regularized.mean_mask: max rel diff 0, identical; "
+        "one-ulp lr drift 0, ratio 0",
+    ]
+
+
 def current_table() -> dict:
     """The table that write_table commits, for the current code."""
     table = {"platform": _platform(), "encoding": ENCODING,
@@ -252,6 +287,13 @@ def current_table() -> dict:
     return table
 
 
+def one_ulp_histories() -> dict:
+    """The history entries of current_table, each fit run with its learning
+    rate one ulp up."""
+    return {"api_fit": api_fit_digests(ulp_up=True),
+            "criterion4": criterion4_digests(ulp_up=True)}
+
+
 def write_table() -> None:
     TABLE_PATH.write_text(json.dumps(current_table(), indent=1) + "\n")
 
@@ -261,18 +303,25 @@ def _relative_difference(old: str, new: str) -> float:
     return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
 
 
-def compare_lines(old: dict, new: dict) -> list:
+def _max_relative_difference(a: list, b: list) -> float:
+    return max((_relative_difference(x, y) for x, y in zip(a, b)), default=0.0)
+
+
+def compare_lines(old: dict, new: dict, one_ulp: dict | None = None) -> list:
     """How the digest table `new` differs from `old`, one line per entry:
     a float.hex value or history by its largest relative difference (and a
     history by its first differing iteration, 0-based), a changed sha256 by
-    its path."""
+    its path. A history that one_ulp (see one_ulp_histories) also holds gets
+    that history's largest relative difference from new's, and the ratio of
+    new's drift from old to it (0 when new's drift is 0, inf when only the
+    reference's is)."""
     lines = []
 
-    def walk(path, a, b):
+    def walk(path, a, b, r):
         if isinstance(a, dict) or isinstance(b, dict):
-            a, b = a or {}, b or {}
+            a, b, r = a or {}, b or {}, r or {}
             for key in sorted(set(a) | set(b), key=str):
-                walk(path + [key], a.get(key), b.get(key))
+                walk(path + [key], a.get(key), b.get(key), r.get(key))
             return
         name = ".".join(path)
         if a is None or b is None:
@@ -280,10 +329,14 @@ def compare_lines(old: dict, new: dict) -> list:
         elif isinstance(a, list):
             n = min(len(a), len(b))
             first = next((i for i in range(n) if a[i] != b[i]), None)
-            worst = max((_relative_difference(x, y) for x, y in zip(a, b)), default=0.0)
+            worst = _max_relative_difference(a, b)
             lengths = "" if len(a) == len(b) else f", length {len(a)} -> {len(b)}"
             where = "identical" if first is None else f"first differs at iteration {first}"
             lines.append(f"{name}: max rel diff {worst:.3g}, {where}{lengths}")
+            if r is not None:
+                ref = _max_relative_difference(b, r)
+                ratio = (worst / ref if ref else float("inf")) if worst else 0.0
+                lines[-1] += f"; one-ulp lr drift {ref:.3g}, ratio {ratio:.3g}"
         elif len(a) == 64 and not a.startswith(("0x", "-0x")):   # a sha256
             if a != b:
                 lines.append(f"{name}: sha256 changed")
@@ -292,7 +345,7 @@ def compare_lines(old: dict, new: dict) -> list:
                          f" ({float.fromhex(a):.6g} -> {float.fromhex(b):.6g})")
 
     walk([], {k: v for k, v in old.items() if k not in ("platform", "encoding")},
-         {k: v for k, v in new.items() if k not in ("platform", "encoding")})
+         {k: v for k, v in new.items() if k not in ("platform", "encoding")}, one_ulp)
     return lines
 
 
@@ -302,6 +355,6 @@ if __name__ == "__main__":
                     help="print how the current code's digests differ from the table; "
                          "write nothing")
     if ap.parse_args().compare:
-        print("\n".join(compare_lines(TABLE, current_table())))
+        print("\n".join(compare_lines(TABLE, current_table(), one_ulp_histories())))
     else:
         write_table()

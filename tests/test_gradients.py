@@ -350,7 +350,7 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
     group, = pyramids.groups
     assert group.levels == range(2)
     grid = group.grid
-    depth = losses._group_map(losses.build_pyramid(state.depth(), 2))
+    depth = sampler.join_rows(losses.build_pyramid(state.depth(), 2))
     # The shift to the left leaves the left columns without a source pixel.
     pose = np.array([0.02, -0.03, 0.01, -0.3, -0.05, 0.02])
     T = geometry.pose_to_transform(pose)
@@ -452,7 +452,7 @@ def _two_level_group():
     state, cfg = gradcheck.random_instance(3, height=8, width=12, levels=2)
     group, = losses.build_snippet_pyramids(state, cfg).groups
     assert group.levels == range(2)
-    return group, losses._group_map(losses.build_pyramid(state.depth(), 2))
+    return group, sampler.join_rows(losses.build_pyramid(state.depth(), 2))
 
 
 def test_projection_adjoint_matches_per_pixel_reference_over_a_two_level_group():

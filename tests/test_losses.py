@@ -391,6 +391,20 @@ def test_total_loss_with_given_pyramids_is_bitwise_equal():
             assert grads.mask_logits is None and ref_grads.mask_logits is None
 
 
+def test_total_loss_refuses_pyramids_with_another_level_count():
+    # 16x24 images have a pyramid of up to 4 levels.
+    state, cfg = gradcheck.random_instance(0, height=16, width=24, levels=2, use_masks=False)
+    pyramids = {n: losses.build_snippet_pyramids(state, replace(cfg, num_levels=n))
+                for n in (2, 3, 4)}
+    for config_levels, pyramid_levels in ((3, 2), (2, 3), (9, 3)):
+        with pytest.raises(ValueError, match="num_levels"):
+            losses.total_loss(state, replace(cfg, num_levels=config_levels),
+                              pyramids=pyramids[pyramid_levels])
+    # A config of more levels than the images allow builds as many as they have.
+    report, _ = losses.total_loss(state, replace(cfg, num_levels=9), pyramids=pyramids[4])
+    assert report == losses.total_loss(state, replace(cfg, num_levels=4))[0]
+
+
 def test_forward_only_total_loss_skips_rotation_jacobians(monkeypatch):
     # With gradients, one call for all sources' (S, 3) angle stack.
     state, cfg = _small_state(seed=2)

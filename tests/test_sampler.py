@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -183,6 +184,49 @@ def test_dimension_mismatch_raises():
 def _warp_bits(w):
     return [None if a is None else (a.shape, a.tobytes())
             for a in (w.warped, w.valid, w.d_du, w.d_dv, w.src_points)]
+
+
+def _warp_target(form):
+    """A 6x8 image's Intrinsics, its pixel_grid or that grid's join_grids
+    row, with a depth map shaped like the target's pixels."""
+    K = _camera(8, 6)
+    depth = np.full((6, 8), 2.0)
+    if form == "intrinsics":
+        return K, depth
+    if form == "grid":
+        return sampler.pixel_grid(K), depth
+    return sampler.join_grids([sampler.pixel_grid(K)]), depth.reshape(1, 48)
+
+
+@pytest.mark.parametrize("form", ["intrinsics", "grid", "row"])
+@pytest.mark.parametrize("src_shape, points_shape", [
+    ((6, 9, 1), None), ((8, 6, 1), None), ((60, 1), None), ((40, 1), None),
+    ((48, 1), (3, 5, 8)),   # the points of a 5x8 map
+], ids=["wider", "transposed", "more_pixels", "fewer_pixels", "points_of_5x8"])
+def test_warp_refuses_a_source_or_points_off_the_grid(form, src_shape, points_shape):
+    target, depth = _warp_target(form)
+    grid = target if isinstance(target, sampler.PixelGrid) else sampler.pixel_grid(target)
+    T = geometry.pose_to_transform([0.01, 0, 0, 0.05, 0, 0])
+    points = None if points_shape is None else np.ones(points_shape)
+    if points is None:
+        message = f"source shape {src_shape} does not hold the pixels of grid {grid.u.shape}"
+    else:
+        message = f"points shape {points_shape} is not (3,) + depth shape {depth.shape}"
+    for want_grads in (True, False):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sampler.inverse_warp(np.ones(src_shape), depth, T, target, want_grads, points)
+
+
+def test_one_channel_source_warps_alike_through_intrinsics_and_its_grid():
+    rng = np.random.default_rng(9)
+    K = _camera(8, 6)
+    src = rng.random((6, 8))
+    depth = rng.uniform(0.5, 3.0, (6, 8))
+    T = geometry.pose_to_transform([0.02, -0.01, 0, 0.1, 0.02, 0])
+    expected = _warp_bits(sampler.inverse_warp(src[..., None], depth, T, K))
+    assert expected[0][0] == (6, 8, 1)
+    for camera in (K, sampler.pixel_grid(K)):
+        assert _warp_bits(sampler.inverse_warp(src, depth, T, camera)) == expected
 
 
 @pytest.mark.parametrize("want_grads", [True, False])

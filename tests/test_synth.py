@@ -117,6 +117,12 @@ def test_spec_validation():
         _plane_spec(trajectory=np.zeros((1, 6)))
 
 
+@pytest.mark.parametrize("intrinsics", [None, (40.0, 40.0, 16.0, 12.0, 32, 24)])
+def test_spec_refuses_anything_but_intrinsics(intrinsics):
+    with pytest.raises(ValueError, match="intrinsics must be an Intrinsics"):
+        _plane_spec(intrinsics=intrinsics)
+
+
 @pytest.mark.parametrize("trajectory", [(), np.zeros(6), np.zeros((3, 5)), np.zeros((3, 7)),
                                         np.zeros((2, 3, 6)), [[0.0] * 6, [0.0] * 5]])
 def test_spec_rejects_a_trajectory_not_shaped_n_by_6(trajectory):
