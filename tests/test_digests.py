@@ -248,6 +248,10 @@ def test_compare_lines_report_each_entry_of_the_table():
         "gradcheck.0.central_differences.poses: sha256 changed",
         "gradcheck.0.errors.poses: rel diff 0.5 (0.5 -> 0.25)",
     ]
+    warps = {"api_warp": {"frames": ["a" * 64, "b" * 64]}}
+    assert compare_lines(warps, warps) == []
+    assert compare_lines(warps, {"api_warp": {"frames": ["a" * 64, "c" * 64, "d" * 64]}}) == [
+        "api_warp.frames: sha256 changed at [1, 2]"]
 
 
 def test_compare_lines_set_each_history_beside_its_one_ulp_drift():
@@ -303,6 +307,10 @@ def _relative_difference(old: str, new: str) -> float:
     return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
 
 
+def _is_sha256(x) -> bool:
+    return isinstance(x, str) and len(x) == 64 and not x.startswith(("0x", "-0x"))
+
+
 def _max_relative_difference(a: list, b: list) -> float:
     return max((_relative_difference(x, y) for x, y in zip(a, b)), default=0.0)
 
@@ -311,10 +319,11 @@ def compare_lines(old: dict, new: dict, one_ulp: dict | None = None) -> list:
     """How the digest table `new` differs from `old`, one line per entry:
     a float.hex value or history by its largest relative difference (and a
     history by its first differing iteration, 0-based), a changed sha256 by
-    its path. A history that one_ulp (see one_ulp_histories) also holds gets
-    that history's largest relative difference from new's, and the ratio of
-    new's drift from old to it (0 when new's drift is 0, inf when only the
-    reference's is)."""
+    its path, and a list of them by the indices that changed. A history
+    that one_ulp (see one_ulp_histories) also holds gets that history's
+    largest relative difference from new's, and the ratio of new's drift
+    from old to it (0 when new's drift is 0, inf when only the reference's
+    is)."""
     lines = []
 
     def walk(path, a, b, r):
@@ -326,6 +335,10 @@ def compare_lines(old: dict, new: dict, one_ulp: dict | None = None) -> list:
         name = ".".join(path)
         if a is None or b is None:
             lines.append(f"{name}: {'added' if a is None else 'removed'}")
+        elif isinstance(a, list) and all(map(_is_sha256, a + b)):   # api_warp's maps
+            changed = [i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1]]
+            if changed:
+                lines.append(f"{name}: sha256 changed at {changed}")
         elif isinstance(a, list):
             n = min(len(a), len(b))
             first = next((i for i in range(n) if a[i] != b[i]), None)
@@ -337,7 +350,7 @@ def compare_lines(old: dict, new: dict, one_ulp: dict | None = None) -> list:
                 ref = _max_relative_difference(b, r)
                 ratio = (worst / ref if ref else float("inf")) if worst else 0.0
                 lines[-1] += f"; one-ulp lr drift {ref:.3g}, ratio {ratio:.3g}"
-        elif len(a) == 64 and not a.startswith(("0x", "-0x")):   # a sha256
+        elif _is_sha256(a):
             if a != b:
                 lines.append(f"{name}: sha256 changed")
         else:
