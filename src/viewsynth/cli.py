@@ -122,10 +122,10 @@ def cmd_fit(args) -> int:
         use_explainability=not args.no_explainability,
     )
     adam_cfg = model.AdamConfig(lr=args.lr, max_iters=args.max_iters)
-    result = model.fit_snippet(
-        seq.frames, seq.target_index, seq.intrinsics, loss_cfg, adam_cfg,
-        depth_prior=args.depth_prior,
-    )
+    state = model.init_state(seq.frames, seq.target_index, seq.intrinsics, loss_cfg,
+                             args.depth_prior)
+    result = model.fit_snippet(seq.frames, seq.target_index, seq.intrinsics, loss_cfg, adam_cfg,
+                               state=state)
     os.makedirs(args.out, exist_ok=True)
     st = result.state
     fileio.save_wf01(os.path.join(args.out, "depth.wf01"), st.depth())

@@ -3,7 +3,7 @@
 Depth: median scaling to resolve monocular scale ambiguity, then the seven
 standard error/accuracy statistics. Odometry: snippet-level absolute
 trajectory error after first-frame re-basing and a single least-squares
-scale on predicted translations, plus the dataset-mean motion baseline.
+scale on predicted translations.
 """
 
 from __future__ import annotations
@@ -157,33 +157,4 @@ def split_snippets(traj, length: int):
         raise ValueError("snippet length must be >= 2")
     return [rebase(traj[i: i + length], index=length // 2)
             for i in range(len(traj) - length + 1)]
-
-
-def mean_odometry_baseline(train_snippets):
-    """Canonical snippet built from per-step mean motion of the training set.
-
-    Each training snippet is reduced to inter-frame motions; translations
-    are averaged directly and rotations via per-axis Euler-angle averaging
-    (adequate for the small inter-frame rotations this baseline targets).
-    """
-    if not train_snippets:
-        raise ValueError("need at least one training snippet")
-    length = len(train_snippets[0])
-    steps = length - 1
-    eulers = np.zeros((steps, 3))
-    trans = np.zeros((steps, 3))
-    for snip in train_snippets:
-        if len(snip) != length:
-            raise ValueError("all snippets must have the same length")
-        for k in range(steps):
-            delta = geometry.invert(snip[k]) @ snip[k + 1]
-            eulers[k] += geometry.rotation_to_euler(delta[:3, :3])
-            trans[k] += delta[:3, 3]
-    eulers /= len(train_snippets)
-    trans /= len(train_snippets)
-
-    poses = [np.eye(4)]
-    for delta in geometry.pose_to_transform(np.concatenate([eulers, trans], axis=1)):
-        poses.append(poses[-1] @ delta)
-    return poses
 

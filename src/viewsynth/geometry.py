@@ -89,16 +89,6 @@ def _elemental_rotations(c: np.ndarray, s: np.ndarray):
     return Rx, Ry, Rz
 
 
-def rotation_to_euler(R: np.ndarray) -> tuple[float, float, float]:
-    """The angles (rx, ry, rz) of R = Rz @ Ry @ Rx, the rotation block of
-    pose_to_transform, away from the ry = +-pi/2 singularity."""
-    R = np.asarray(R, dtype=float)
-    ry = np.arcsin(np.clip(-R[2, 0], -1.0, 1.0))
-    rx = np.arctan2(R[2, 1], R[2, 2])
-    rz = np.arctan2(R[1, 0], R[0, 0])
-    return float(rx), float(ry), float(rz)
-
-
 def pose_to_transform(poses) -> np.ndarray:
     """4x4 rigid transforms of (..., 6) pose arrays (rx, ry, rz, tx, ty, tz),
     Euler angles in radians and a translation in scene units, with

@@ -563,7 +563,9 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     shared by the whole batch. Each report value that depends on a batched
     parameter then holds one entry per batch element, equal bit for bit to
     the total_loss of that parameter set alone. Batches are forward-only:
-    want_grads must be off.
+    want_grads must be off. Depth logits not shaped (H, W) and poses not
+    shaped (S, 6), after at most one leading batch axis, are refused with a
+    ValueError that names them and both shapes.
     """
     S = len(state.sources)
     if pyramids is None:
@@ -578,6 +580,11 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         raise ValueError(f"config.use_explainability is {config.use_explainability}, but the "
                          f"state has {'' if use_masks else 'no '}mask logits")
     poses = np.asarray(state.poses, dtype=float)
+    for name, shape, expected in (("depth_logits", np.shape(state.depth_logits),
+                                   np.shape(state.target)[:2]), ("poses", poses.shape, (S, 6))):
+        if shape[-2:] != expected or len(shape) > 3:
+            raise ValueError(f"{name} must be {expected}, with at most one leading batch axis; "
+                             f"got {shape}")
     depth0 = activate_depth(state.depth_logits)
     batched = (depth0.ndim == 3 or poses.ndim == 3
                or (use_masks and any(m.ndim == 4 for m in state.mask_logits)))

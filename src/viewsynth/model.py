@@ -237,7 +237,6 @@ def fit_snippet(
     K: Intrinsics,
     loss_config: LossConfig,
     adam_config: AdamConfig,
-    depth_prior: float | None = None,
     state: SnippetState | None = None,
 ) -> FitResult:
     """Minimize the multi-scale objective over one snippet with Adam.
@@ -247,19 +246,14 @@ def fit_snippet(
     NoValidPixels if no source pixel is valid. Sets the process's allocator
     policy first (`_keep_freed_memory`).
 
-    Without a `state`, the fit starts from init_state at `depth_prior`
-    (1.0 when not given). A given `state` is fitted in place of init_state's.
-    It must hold K and `images` as its target and sources, or a ValueError
-    names K or images; its depth is already set, so a depth_prior with it is
-    refused with a ValueError that names depth_prior.
+    Without a `state`, the fit starts from init_state's default; a caller
+    that wants another start, such as another depth prior, builds it with
+    init_state and passes it as `state`. A given state must hold K and
+    `images` as its target and sources, or a ValueError names K or images.
     """
     _keep_freed_memory()
     if state is None:
-        state = init_state(images, target_index, K, loss_config,
-                           1.0 if depth_prior is None else depth_prior)
-    elif depth_prior is not None:
-        raise ValueError(f"depth_prior {depth_prior} has no effect on a given state, "
-                         "whose depth is already set; pass one or the other")
+        state = init_state(images, target_index, K, loss_config)
     elif state.intrinsics != K:
         raise ValueError(f"K {K} is not the state's intrinsics {state.intrinsics}")
     else:

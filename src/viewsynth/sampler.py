@@ -281,19 +281,14 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
 def _warp(src, depth, T, grid: PixelGrid, want_grads: bool, points) -> WarpResult:
     """inverse_warp of checked arguments, with the points of depth on grid."""
     pts = geometry.transform_points(T, points)
+    us, vs, zs = geometry.project_points(pts, grid)
     identity = (T == _IDENTITY).all(axis=(-2, -1))   # one flag per transform
-    if (identity.all() if T.ndim == 3 else identity):
-        # Identity map is exact; skip the float round-trip through K so the
-        # warp reproduces the source bit-for-bit.
-        us, vs, zs = grid.u, grid.v, depth
-    else:
-        us, vs, zs = geometry.project_points(pts, grid)
-        if T.ndim == 3 and identity.any():
-            # A batch of transforms takes the same shortcut per element.
-            keep = identity[:, None, None]
-            us = np.where(keep, grid.u, us)
-            vs = np.where(keep, grid.v, vs)
-            zs = np.where(keep, depth, zs)
+    if identity.any():
+        # An identity transform maps each pixel to itself exactly: its
+        # entries skip the float round-trip through K, so its warp
+        # reproduces the source bit for bit, in a stack as on its own.
+        keep = identity[..., None, None]
+        us, vs, zs = (np.where(keep, x, y) for x, y in ((grid.u, us), (grid.v, vs), (depth, zs)))
     in_front = zs > BEHIND_EPS
 
     warped, d_du, d_dv, valid = bilinear_sample(src, us, vs, want_grads, in_front, grid.layout)

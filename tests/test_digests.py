@@ -25,10 +25,12 @@ and says so in CHANGES.md.
 writes nothing: it prints, for every float.hex entry, the largest relative
 difference between the table and the current code (for a history, also the
 first iteration that differs), and lists the sha256 entries that changed.
-It also re-runs each history's fit with its learning rate one ulp up: next
-to a history's drift from the table it prints that fit's drift from the
-current history, the fit's own rounding sensitivity, and the ratio of the
-two. A ratio near or below 1 is a drift that rounding alone can make.
+It also re-runs each history's fit with its learning rate moved by -2,
+-1, +1 and +2 ulp: next to a history's drift from the table it prints the
+largest drift of those fits from the current history, the fit's own
+rounding sensitivity, and the ratio of the two. A ratio near or below 1 is
+a drift that rounding alone can make. One shifted fit is a single sample
+of a chaotic fit; the largest drift of four is a steadier yardstick.
 
 The last bits of these outputs depend on the machine and the NumPy build
 (SIMD math, BLAS kernels), so the table records the platform it was made
@@ -139,13 +141,21 @@ def cli_digests(name: str, workdir: Path) -> dict:
             for d, path in dirs.items() if path.exists()}
 
 
-def _lr(lr: float, ulp_up: bool) -> float:
-    return float(np.nextafter(lr, np.inf)) if ulp_up else lr
+# The learning-rate moves, in ulps, of the fits that measure a history's
+# own rounding sensitivity.
+ULP_SHIFTS = (-2, -1, 1, 2)
 
 
-def api_fit_digests(ulp_up: bool = False) -> dict:
-    """A 60-iteration 64x48 plane fit through fit_snippet (L=3, no masks);
-    ulp_up runs it with its learning rate one ulp up."""
+def _lr(lr: float, ulps: int) -> float:
+    """lr moved by `ulps` units in the last place."""
+    for _ in range(abs(ulps)):
+        lr = float(np.nextafter(lr, np.copysign(np.inf, ulps)))
+    return lr
+
+
+def api_fit_digests(ulps: int = 0) -> dict:
+    """A 60-iteration 64x48 plane fit through fit_snippet (L=3, no masks),
+    with its learning rate moved by `ulps` ulps."""
     K = Intrinsics(fx=64.0, fy=64.0, cx=32.0, cy=24.0, width=64, height=48)
     spec = synth.SceneSpec(kind="plane", texture_seed=5, depth=2.0,
                            trajectory=synth.linear_trajectory(3, (0.1, 0.0, 0.0)),
@@ -153,7 +163,7 @@ def api_fit_digests(ulp_up: bool = False) -> dict:
     seq = synth.render_scene(spec)
     res = model.fit_snippet(seq.frames, seq.target_index, K,
                             LossConfig(num_levels=3, use_explainability=False),
-                            AdamConfig(lr=_lr(0.01, ulp_up), max_iters=60, tol=0.0))
+                            AdamConfig(lr=_lr(0.01, ulps), max_iters=60, tol=0.0))
     return {"depth_logits": _sha256(res.state.depth_logits), "poses": _sha256(res.state.poses),
             "total": [r.total.hex() for r in res.history]}
 
@@ -186,9 +196,9 @@ def api_warp_digests() -> dict:
             for name, arrays in warps.items()}
 
 
-def criterion4_digests(ulp_up: bool = False) -> dict:
-    """Criterion 4's two fits, without and with the mask regularizer;
-    ulp_up runs them with their learning rates one ulp up."""
+def criterion4_digests(ulps: int = 0) -> dict:
+    """Criterion 4's two fits, without and with the mask regularizer, with
+    their learning rates moved by `ulps` ulps."""
     K = Intrinsics(fx=16.0, fy=16.0, cx=16.0, cy=12.0, width=32, height=24)
     spec = synth.SceneSpec(kind="plane", texture_seed=5, depth=2.0,
                            trajectory=synth.linear_trajectory(3, (0.15, 0.0, 0.0)),
@@ -198,7 +208,7 @@ def criterion4_digests(ulp_up: bool = False) -> dict:
     for name, lambda_e, lr in (("unregularized", 0.0, 0.02), ("regularized", 0.2, 0.01)):
         cfg = LossConfig(lambda_e=lambda_e, num_levels=2, use_explainability=True)
         res = model.fit_snippet(seq.frames, seq.target_index, K, cfg,
-                                AdamConfig(lr=_lr(lr, ulp_up), max_iters=300, tol=0.0))
+                                AdamConfig(lr=_lr(lr, ulps), max_iters=300, tol=0.0))
         out[name] = {"total": [r.total.hex() for r in res.history],
                      "mean_mask": [r.mean_mask.hex() for r in res.history]}
     return out
@@ -264,19 +274,34 @@ def test_compare_lines_set_each_history_beside_its_one_ulp_drift():
            **histories([1.0, 2.0, 4.0], [0.5, 0.5])}
     new = {**old, **histories([1.0, 2.0, 5.0], [0.5, 0.5])}
     one_ulp = histories([1.0, 2.0, 4.75], [0.5, 0.25])
-    assert compare_lines(old, new, one_ulp) == [
+    assert compare_lines(old, new, [one_ulp]) == [
         "api_fit.total: max rel diff 0.2, first differs at iteration 2; "
-        "one-ulp lr drift 0.05, ratio 4",
+        "ulp-shifted lr drift 0.05, ratio 4",
         "criterion4.regularized.mean_mask: max rel diff 0, identical; "
-        "one-ulp lr drift 0.5, ratio 0",
+        "ulp-shifted lr drift 0.5, ratio 0",
         "gradcheck.0.errors.poses: rel diff 0 (0.5 -> 0.5)",
     ]
-    assert compare_lines(old, new, histories([1.0, 2.0, 5.0], [0.5, 0.5]))[:2] == [
+    assert compare_lines(old, new, [histories([1.0, 2.0, 5.0], [0.5, 0.5])])[:2] == [
         "api_fit.total: max rel diff 0.2, first differs at iteration 2; "
-        "one-ulp lr drift 0, ratio inf",
+        "ulp-shifted lr drift 0, ratio inf",
         "criterion4.regularized.mean_mask: max rel diff 0, identical; "
-        "one-ulp lr drift 0, ratio 0",
+        "ulp-shifted lr drift 0, ratio 0",
     ]
+
+
+def test_compare_lines_set_each_history_beside_the_largest_of_its_shifted_drifts():
+    old = {"platform": _platform(), "encoding": ENCODING,
+           "api_fit": {"total": [x.hex() for x in (1.0, 2.0, 4.0)]}}
+    new = {**old, "api_fit": {"total": [x.hex() for x in (1.0, 2.0, 5.0)]}}
+    shifted = [{"api_fit": {"total": [x.hex() for x in total]}}
+               for total in ([1.0, 2.0, 4.75], [1.0, 2.5, 5.0], [1.0, 2.0, 5.0])]
+    line = ("api_fit.total: max rel diff 0.2, first differs at iteration 2; "
+            "ulp-shifted lr drift {}")
+    assert compare_lines(old, new, shifted) == [line.format("0.2, ratio 1")]
+    assert compare_lines(old, new, shifted[::-1]) == [line.format("0.2, ratio 1")]
+    assert compare_lines(old, new, shifted[:1]) == [line.format("0.05, ratio 4")]
+    assert compare_lines(old, new, [{"criterion4": {}}]) == [
+        "api_fit.total: max rel diff 0.2, first differs at iteration 2"]
 
 
 def current_table() -> dict:
@@ -291,11 +316,11 @@ def current_table() -> dict:
     return table
 
 
-def one_ulp_histories() -> dict:
-    """The history entries of current_table, each fit run with its learning
-    rate one ulp up."""
-    return {"api_fit": api_fit_digests(ulp_up=True),
-            "criterion4": criterion4_digests(ulp_up=True)}
+def shifted_histories() -> list:
+    """The history entries of current_table, once for each of ULP_SHIFTS,
+    with every fit's learning rate moved by that many ulps."""
+    return [{"api_fit": api_fit_digests(u), "criterion4": criterion4_digests(u)}
+            for u in ULP_SHIFTS]
 
 
 def write_table() -> None:
@@ -315,22 +340,23 @@ def _max_relative_difference(a: list, b: list) -> float:
     return max((_relative_difference(x, y) for x, y in zip(a, b)), default=0.0)
 
 
-def compare_lines(old: dict, new: dict, one_ulp: dict | None = None) -> list:
+def compare_lines(old: dict, new: dict, shifted: list = ()) -> list:
     """How the digest table `new` differs from `old`, one line per entry:
     a float.hex value or history by its largest relative difference (and a
     history by its first differing iteration, 0-based), a changed sha256 by
     its path, and a list of them by the indices that changed. A history
-    that one_ulp (see one_ulp_histories) also holds gets that history's
-    largest relative difference from new's, and the ratio of new's drift
-    from old to it (0 when new's drift is 0, inf when only the reference's
-    is)."""
+    that tables of `shifted` (see shifted_histories) also hold gets the
+    largest relative difference of theirs from new's, and the ratio of
+    new's drift from old to it (0 when new's drift is 0, inf when only the
+    reference's is)."""
     lines = []
 
-    def walk(path, a, b, r):
+    def walk(path, a, b, refs):
         if isinstance(a, dict) or isinstance(b, dict):
-            a, b, r = a or {}, b or {}, r or {}
+            a, b = a or {}, b or {}
             for key in sorted(set(a) | set(b), key=str):
-                walk(path + [key], a.get(key), b.get(key), r.get(key))
+                walk(path + [key], a.get(key), b.get(key),
+                     [r[key] for r in refs if key in r])
             return
         name = ".".join(path)
         if a is None or b is None:
@@ -346,10 +372,10 @@ def compare_lines(old: dict, new: dict, one_ulp: dict | None = None) -> list:
             lengths = "" if len(a) == len(b) else f", length {len(a)} -> {len(b)}"
             where = "identical" if first is None else f"first differs at iteration {first}"
             lines.append(f"{name}: max rel diff {worst:.3g}, {where}{lengths}")
-            if r is not None:
-                ref = _max_relative_difference(b, r)
+            if refs:
+                ref = max(_max_relative_difference(b, r) for r in refs)
                 ratio = (worst / ref if ref else float("inf")) if worst else 0.0
-                lines[-1] += f"; one-ulp lr drift {ref:.3g}, ratio {ratio:.3g}"
+                lines[-1] += f"; ulp-shifted lr drift {ref:.3g}, ratio {ratio:.3g}"
         elif _is_sha256(a):
             if a != b:
                 lines.append(f"{name}: sha256 changed")
@@ -358,7 +384,7 @@ def compare_lines(old: dict, new: dict, one_ulp: dict | None = None) -> list:
                          f" ({float.fromhex(a):.6g} -> {float.fromhex(b):.6g})")
 
     walk([], {k: v for k, v in old.items() if k not in ("platform", "encoding")},
-         {k: v for k, v in new.items() if k not in ("platform", "encoding")}, one_ulp)
+         {k: v for k, v in new.items() if k not in ("platform", "encoding")}, list(shifted))
     return lines
 
 
@@ -368,6 +394,6 @@ if __name__ == "__main__":
                     help="print how the current code's digests differ from the table; "
                          "write nothing")
     if ap.parse_args().compare:
-        print("\n".join(compare_lines(TABLE, current_table(), one_ulp_histories())))
+        print("\n".join(compare_lines(TABLE, current_table(), shifted_histories())))
     else:
         write_table()

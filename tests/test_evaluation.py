@@ -181,31 +181,6 @@ def test_split_snippets_constant_velocity_invariance():
             assert np.allclose(a, b, atol=1e-12)
 
 
-def test_mean_baseline_identical_snippets():
-    snip = evaluation.rebase(_traj([(0.1 * k, 0, k) for k in range(5)],
-                                   yaws=[0.02 * k for k in range(5)]))
-    baseline = evaluation.mean_odometry_baseline([snip, snip, snip])
-    r = evaluation.snippet_ate(baseline, snip)
-    assert r.ate < 1e-9
-
-
-def test_mean_baseline_opposite_translations_cancel():
-    a = _traj([(0, 0, 0), (1, 0, 0)])
-    b = _traj([(0, 0, 0), (-1, 0, 0)])
-    baseline = evaluation.mean_odometry_baseline([a, b])
-    assert np.allclose(baseline[1][:3, 3], 0.0, atol=1e-15)
-
-
-def test_mean_baseline_constant_velocity_generalizes():
-    # Dataset of identical constant-velocity snippets: the baseline nails a
-    # held-out snippet with the same motion by construction.
-    train = [evaluation.rebase(_traj([(0.2 * k, 0, 1.0 * k) for k in range(5)]))
-             for _ in range(4)]
-    held_out = evaluation.rebase(_traj([(0.2 * k, 0, 1.0 * k) for k in range(5)]))
-    baseline = evaluation.mean_odometry_baseline(train)
-    assert evaluation.snippet_ate(baseline, held_out).ate < 1e-9
-
-
 def test_format_metrics_report_columns():
     m = evaluation.depth_metrics(np.full((3, 3), 2.0), np.full((3, 3), 2.0))
     rep = evaluation.format_metrics_report(m)

@@ -140,12 +140,6 @@ def test_invert_roundtrip(p):
     assert np.max(np.abs(geometry.invert(geometry.invert(T)) - T)) < 1e-9
 
 
-def test_rotation_to_euler_roundtrip():
-    rx, ry, rz = 0.3, -0.7, 1.1
-    R = geometry.pose_to_transform([rx, ry, rz, 0, 0, 0])[:3, :3]
-    assert np.allclose(geometry.rotation_to_euler(R), (rx, ry, rz), atol=1e-12)
-
-
 K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
 
 

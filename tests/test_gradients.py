@@ -133,6 +133,18 @@ def test_batched_depth_with_identity_poses_equals_per_call():
     assert _batched_totals(state, cfg, sets, ("depth",), 4) == expected
 
 
+@pytest.mark.parametrize("use_masks", [True, False])
+def test_zero_pose_batch_reports_one_total_per_element(use_masks):
+    # Each source warps through a stack of identity transforms.
+    state, cfg = gradcheck.random_instance(0, use_masks=use_masks)
+    state.poses[:] = 0.0
+    one, _ = losses.total_loss(state, cfg, want_grads=False)
+    batch = replace(state, poses=np.zeros((4,) + state.poses.shape))
+    report, _ = losses.total_loss(batch, cfg, want_grads=False)
+    assert np.shape(report.total) == (4,)
+    assert report.total.tolist() == [one.total] * 4
+
+
 def test_batched_report_holds_per_element_terms():
     state, cfg = gradcheck.random_instance(7, n_sources=3)
     sets = _parameter_sets(state, np.random.default_rng(2), 5)

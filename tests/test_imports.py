@@ -69,7 +69,7 @@ def test_every_exported_name_resolves():
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # Public names that only tests refer to, each with the reason it stays.
-UNCALLED_ALLOWED = {"evaluation.mean_odometry_baseline": "ROADMAP item 3"}
+UNCALLED_ALLOWED = {}
 
 
 def _names_used(nodes) -> set:

@@ -494,6 +494,23 @@ def test_total_loss_refuses_mask_logits_off_the_pyramid(case):
             losses.total_loss(state, cfg, want_grads)
 
 
+@pytest.mark.parametrize("use_masks", [True, False])
+@pytest.mark.parametrize("want_grads", [True, False])
+@pytest.mark.parametrize("name, shape", [
+    ("poses", (3, 6)), ("poses", (1, 6)), ("poses", (6,)), ("poses", (2, 2, 2, 6)),
+    ("depth_logits", (8, 11)), ("depth_logits", (96,)), ("depth_logits", (2, 2, 8, 12)),
+])
+def test_total_loss_refuses_parameters_that_do_not_fit_the_snippet(name, shape, use_masks,
+                                                                   want_grads):
+    # The instance is an 8x12 target with S = 2 sources.
+    state, cfg = gradcheck.random_instance(0, use_masks=use_masks)
+    expected = {"poses": (2, 6), "depth_logits": (8, 12)}[name]
+    message = re.escape(f"{name} must be {expected}, with at most one leading batch axis; "
+                        f"got {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        losses.total_loss(replace(state, **{name: np.zeros(shape)}), cfg, want_grads)
+
+
 def test_fit_refuses_mask_levels_the_config_does_not_have():
     state, cfg = gradcheck.random_instance(0, height=16, width=24, levels=3)
     images = [state.target, *state.sources]

@@ -275,23 +275,6 @@ def test_fit_refuses_a_state_of_other_intrinsics():
             model.fit_snippet(imgs, 1, k, CFG, AdamConfig(max_iters=2), state=state)
 
 
-@pytest.mark.parametrize("depth_prior", [1.0, 5.0])
-def test_fit_refuses_a_depth_prior_with_a_state(depth_prior):
-    # The state's depth is already set: the prior would be dropped.
-    imgs = _images(seed=21)
-    state = model.init_state(imgs, 1, K, CFG)
-    before = state.depth_logits.copy()
-    with pytest.raises(ValueError, match="^depth_prior "):
-        model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=2), depth_prior=depth_prior,
-                          state=state)
-    assert np.array_equal(state.depth_logits, before)
-    # Without a state, the fit starts from init_state at the prior.
-    res = model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=1), depth_prior=depth_prior)
-    ref = model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=1),
-                            state=model.init_state(imgs, 1, K, CFG, depth_prior))
-    assert np.array_equal(res.state.depth_logits, ref.state.depth_logits)
-
-
 def test_fit_refuses_a_state_of_other_images_or_order():
     imgs = _images(seed=21)
     state = model.init_state(imgs, 1, K, CFG)

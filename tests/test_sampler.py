@@ -148,6 +148,26 @@ def test_identity_pose_warp_is_bit_exact():
     assert w.valid.all()
 
 
+@pytest.mark.parametrize("want_grads", [True, False])
+def test_identity_transform_stack_keeps_its_batch_axis(want_grads):
+    # Each element of a stack of identities warps as one identity alone.
+    rng = np.random.default_rng(3)
+    src = rng.random((8, 12, 3))
+    depth = rng.uniform(0.5, 3.0, (8, 12))
+    K = _camera(12, 8)
+    one = sampler.inverse_warp(src, depth, np.eye(4), K, want_grads)
+    stack = sampler.inverse_warp(src, depth, np.stack([np.eye(4)] * 3), K, want_grads)
+    assert stack.warped.shape == (3, 8, 12, 3)
+    # Each field's batch axis; src_points keeps its coordinate axis first.
+    for name, axis in (("warped", 0), ("valid", 0), ("d_du", 0), ("d_dv", 0), ("src_points", 1)):
+        a, b = getattr(stack, name), getattr(one, name)
+        if b is None:   # forward-only
+            assert a is None
+            continue
+        for k in range(3):
+            assert np.take(a, k, axis=axis).tobytes() == b.tobytes()
+
+
 def test_pure_translation_integer_shift():
     # fx * tx / D = 5 pixels exactly: bilinear lands on the integer grid and
     # the warp must equal the shifted source on the valid strip.
