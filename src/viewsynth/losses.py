@@ -128,6 +128,14 @@ def max_pyramid_levels(height: int, width: int) -> int:
     return levels
 
 
+def check_num_levels(num_levels: int, height: int, width: int) -> None:
+    """Refuse, with a ValueError naming num_levels, more pyramid levels than
+    height x width images make (max_pyramid_levels)."""
+    if num_levels > (most := max_pyramid_levels(height, width)):
+        raise ValueError(f"num_levels {num_levels} is more than {width}x{height} images "
+                         f"allow: losses.max_pyramid_levels({height}, {width}) is {most}")
+
+
 def build_pyramid(img, levels: int, batched: bool = False) -> list:
     """Box-filtered 2x downsampling pyramid; level 0 is the input.
 
@@ -179,7 +187,9 @@ class SnippetPyramids(NamedTuple):
 
 def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
     """Image pyramids of the target and every source, as total_loss's level
-    groups (see _level_groups) of each level's pixels."""
+    groups (see _level_groups) of each level's pixels. A config of more
+    levels than the images make is refused (check_num_levels)."""
+    check_num_levels(config.num_levels, *np.shape(state.target)[:2])
     target, *sources = [build_pyramid(sampler._as_image(img), config.num_levels)
                         for img in [state.target, *state.sources]]
     grids = [sampler.pixel_grid(geometry.scale_intrinsics(state.intrinsics, l))
@@ -195,7 +205,7 @@ def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
         groups.append(_LevelGroup(levels, tuple(zip([0] + stops[:-1], stops)),
                                   sampler.join_grids([grids[l] for l in levels]),
                                   stack(target)[None], tuple(map(stack, sources))))
-    return SnippetPyramids(len(target), tuple(groups))
+    return SnippetPyramids(config.num_levels, tuple(groups))
 
 
 def _split(x: np.ndarray, spans) -> list:
@@ -506,16 +516,6 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     return g_depth.reshape(valid.shape), g_pose
 
 
-class _SourceTerms(NamedTuple):
-    """One source's share of one level group, for the caller to add (see total_loss)."""
-
-    vs: list                        # photometric terms, one per level
-    n_valid: list
-    g_mask: np.ndarray | None       # photometric gradient of the source's mask row
-    g_depth: np.ndarray | None      # gradient of the group's depth map
-    g_pose: np.ndarray | None       # (levels, 6) pose gradients, one row per level
-
-
 def _by_source(x: np.ndarray) -> list:
     """x's entries along its last axis: floats, or (B,) arrays if x is (B, S)."""
     return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
@@ -530,10 +530,17 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     model.SnippetState). Masks are on when the state has mask logits;
     config.use_explainability must say the same, or a ValueError names it.
     `pyramids` is build_snippet_pyramids(state, config), built here when not
-    given; pyramids of another level count are refused by num_levels.
+    given; a config of more levels than the images make, and pyramids of
+    another level count than config.num_levels, are refused by num_levels.
     Returns (LossReport, SnippetGrads); the gradient buffers are None when
     want_grads is off (cheaper forward pass, used by the finite-difference
     harness).
+
+    The total is the paper's sum over levels of the photometric term,
+    lambda_s / 2^level times the smoothness and lambda_e times the mask
+    regularizer. Only the first needs a warp: one loop over the level groups
+    runs the source tasks (below), then one loop over the levels adds the
+    other terms, the mean-mask sums and the total.
 
     Level groups: the coarsest levels with fewer than PARALLEL_MIN_ELEMENTS
     pixels together form one group, and every other level is a group of its
@@ -549,13 +556,13 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     photometric term and adjoint) depends only on the group's depth, that
     source's pose and that source's mask. It runs as one task that writes
     nothing shared, and the caller adds the tasks' results in source order,
-    so every sum is formed in the same order whether the tasks ran one after
-    another or, on groups of at least PARALLEL_MIN_ELEMENTS pixels (a batch
-    counts as one set), on several threads at once. The mask regularizer and
-    mean_mask's sums depend on no warp: one pass over each level's stack.
-    The sources of a group share the target-frame points of an unbatched
-    depth, which activate_depth keeps positive; a forward-only depth batch's
-    warps form their own (see sampler.inverse_warp).
+    so every sum is formed in the same order (sources within a level, then
+    levels) whether the tasks ran one after another or, on groups of at
+    least PARALLEL_MIN_ELEMENTS pixels (a batch counts as one set), on
+    several threads at once. The sources of a group share the target-frame
+    points of an unbatched depth, which activate_depth keeps positive; a
+    forward-only depth batch's warps form their own (see
+    sampler.inverse_warp).
 
     Batch axis: the parameters may describe a batch of B parameter sets
     instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
@@ -571,9 +578,8 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     if pyramids is None:
         pyramids = build_snippet_pyramids(state, config)
     L = pyramids.num_levels
-    if L != (built := min(config.num_levels, max_pyramid_levels(*np.shape(state.target)[:2]))):
-        raise ValueError(f"pyramids have {L} levels, but num_levels={config.num_levels} builds "
-                         f"{built} for this snippet")
+    if L != config.num_levels:
+        raise ValueError(f"pyramids have {L} levels, but num_levels is {config.num_levels}")
 
     use_masks = state.mask_logits is not None
     if use_masks != config.use_explainability:
@@ -597,6 +603,8 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
         if len(got) != L or any(len(g) not in (3, 4) or g[-3:] != e for g, e in zip(got, expected)):
             raise ValueError(f"mask logits must be one (S, H_l, W_l) array per pyramid level, "
                              f"{expected} for num_levels={config.num_levels}; got {got}")
+    # One (S, H_l, W_l) or (B, S, H_l, W_l) probability stack per level.
+    probs = [mask_probability(m) for m in state.mask_logits] if use_masks else None
 
     if want_grads:
         g_depth_lv = [np.zeros_like(d) for d in depth_pyr]
@@ -608,91 +616,82 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     if want_grads:   # (S, 3, 9): each source's dR/drx, dR/dry, dR/drz, flattened
         rot_jacs = np.stack(geometry.rotation_jacobians(poses[:, :3]), axis=1).reshape(S, 3, 9)
 
-    total = 0.0
-    vs_per_level = []
-    smooth_per_level = []
-    reg_per_level = []
-    valid_per_level = []
-    mask_prob_sum = 0.0
-    mask_prob_n = 0
-    valid_px = 0
-
+    vs_per_level = [0.0] * L
+    valid_per_level = [[] for _ in range(L)]
     for group in pyramids.groups:
         levels, spans = group.levels, group.spans
         depth = sampler.join_rows([depth_pyr[l] for l in levels])
-        # One (S, H_l, W_l) or (B, S, H_l, W_l) probability stack per level.
-        probs = [mask_probability(state.mask_logits[l]) for l in levels] if use_masks else None
         P = geometry.points_at_depth(depth, group.grid.rays) if depth.ndim == 2 else None
 
-        def source_terms(s) -> _SourceTerms:
+        def source_terms(s):
+            """Source s's per-level vs and valid counts, then its gradients
+            of the mask row, depth row and per-level poses (None without)."""
             w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
                                      want_grads=want_grads, points=P)
-            src_probs = [sampler.join_rows([p[..., s, :, :]]) for p in probs] if use_masks else None
+            src_probs = ([sampler.join_rows([probs[l][..., s, :, :]]) for l in levels]
+                         if use_masks else None)
             vs, g_warped, g_mask_row, n_valid = view_synthesis_loss(
                 group.target, w, spans, src_probs, want_grads)
             if not want_grads:
-                return _SourceTerms(vs, n_valid, None, None, None)
+                return vs, n_valid, None, None, None
 
             gu = _sum_channels(g_warped * w.d_du)
             gv = _sum_channels(g_warped * w.d_dv)
             g_depth, g_pose_lv = projection_adjoint(gu, gv, w, group.grid, transforms[s][:3, :3],
                                                     rot_jacs[s], P, spans)
-            return _SourceTerms(vs, n_valid, g_mask_row, g_depth, g_pose_lv)
+            return vs, n_valid, g_mask_row, g_depth, g_pose_lv
 
-        # Sources in order; per level, every sum then runs in level and
-        # source order, as for levels warped one at a time.
-        terms = []
         parallel = S > 1 and depth.shape[-1] >= PARALLEL_MIN_ELEMENTS
-        for s, t in enumerate(_in_source_order(source_terms, S, parallel)):
-            terms.append(t._replace(g_mask=None, g_depth=None))
+        for s, (vs, n_valid, g_mask_row, g_depth, g_pose_lv) in enumerate(
+                _in_source_order(source_terms, S, parallel)):
+            for l, vs_l, n in zip(levels, vs, n_valid):
+                vs_per_level[l] += vs_l
+                valid_per_level[l].append(n)
             if want_grads:
-                for l, g_part, g_p in zip(levels, _split(t.g_depth, spans), t.g_pose):
+                for l, g_part, g_p in zip(levels, _split(g_depth, spans), g_pose_lv):
                     g_pose[s] += g_p
                     g_depth_lv[l] += g_part.reshape(g_depth_lv[l].shape)
                 if use_masks:
-                    for l, g_part in zip(levels, _split(t.g_mask, spans)):
+                    for l, g_part in zip(levels, _split(g_mask_row, spans)):
                         g_mask[l][s] += g_part.reshape(g_mask[l][s].shape)
 
-        for i, l in enumerate(levels):
-            regs = [0.0] * S
-            if use_masks:
-                reg, g_reg = explainability_regularizer(state.mask_logits[l], probs[i],
-                                                        want_grads=want_grads)
-                regs = _by_source(reg)
-                for prob_sum in _by_source(probs[i].sum(axis=(-2, -1))):
-                    mask_prob_sum += prob_sum
-                mask_prob_n += S * probs[i].shape[-2] * probs[i].shape[-1]
-                if want_grads:
-                    g_mask[l] += config.lambda_e * g_reg
-            vs_l = reg_l = 0.0
-            for t, r in zip(terms, regs):
-                vs_l += t.vs[i]
+    total = 0.0
+    smooth_per_level = []
+    reg_per_level = []
+    mask_prob_sum = 0.0
+    for l in range(L):
+        regs, reg_l = [0.0] * S, 0.0
+        if use_masks:
+            reg, g_reg = explainability_regularizer(state.mask_logits[l], probs[l],
+                                                    want_grads=want_grads)
+            regs = _by_source(reg)
+            for r, prob_sum in zip(regs, _by_source(probs[l].sum(axis=(-2, -1)))):
                 reg_l += r
-            vs_per_level.append(vs_l)
-            valid_per_level.append([t.n_valid[i] for t in terms])
-            valid_px += sum(valid_per_level[-1])
-            reg_per_level.append(regs)
-
-            smooth_l, g_sm = smoothness_loss(depth_pyr[l], want_grads=want_grads)
-            smooth_per_level.append(smooth_l)
-            w_s = config.smooth_weight(l)
+                mask_prob_sum += prob_sum
             if want_grads:
-                g_depth_lv[l] += w_s * g_sm
+                g_mask[l] += config.lambda_e * g_reg
+        reg_per_level.append(regs)
+        smooth_l, g_sm = smoothness_loss(depth_pyr[l], want_grads=want_grads)
+        smooth_per_level.append(smooth_l)
+        w_s = config.smooth_weight(l)
+        if want_grads:
+            g_depth_lv[l] += w_s * g_sm
 
-            total += vs_l + w_s * smooth_l + config.lambda_e * reg_l
+        total += vs_per_level[l] + w_s * smooth_l + config.lambda_e * reg_l
 
     grads = None
     if want_grads:
         g_logits = _pyramid_adjoint(g_depth_lv) * activate_depth_grad(state.depth_logits)
         grads = SnippetGrads(depth_logits=g_logits, poses=g_pose, mask_logits=g_mask)
 
+    mask_px = sum(math.prod(p.shape[-3:]) for p in probs) if use_masks else 0
     report = LossReport(
         total=total,
         vs_per_level=vs_per_level,
         smooth_per_level=smooth_per_level,
         reg_per_level=reg_per_level,
         valid_per_level=valid_per_level,
-        mean_mask=(mask_prob_sum / mask_prob_n) if mask_prob_n else None,
-        all_invalid=valid_px == 0,
+        mean_mask=mask_prob_sum / mask_px if mask_px else None,
+        all_invalid=sum(map(sum, valid_per_level)) == 0,
     )
     return report, grads

@@ -102,6 +102,8 @@ class AdamConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -128,22 +130,23 @@ def init_state(
 ) -> SnippetState:
     """Deterministic initial state: constant depth prior, zero poses,
     zero mask logits (probability 0.5 everywhere). A ValueError refuses
-    a loss_config with more levels than the images' pyramid has."""
+    an image with a non-finite pixel, naming its index, and a loss_config
+    with more levels than the images' pyramid has (losses.check_num_levels)."""
     if len(images) < 2:
         raise ValueError("need at least 2 images")
     images = [sampler._as_image(im) for im in images]
     shape = images[0].shape
-    for im in images[1:]:
+    for i, im in enumerate(images):
         if im.shape != shape:
             raise ValueError("all images must have the same size")
+        if not np.isfinite(im).all():
+            raise ValueError(f"images[{i}] has a non-finite pixel")
     if not 0 <= target_index < len(images):
         raise ValueError("target index out of range")
     H, W, _ = shape
     if (K.width, K.height) != (W, H):
         raise ValueError("intrinsics dimensions do not match images")
-    if loss_config.num_levels > (most := losses.max_pyramid_levels(H, W)):
-        raise ValueError(f"num_levels {loss_config.num_levels} is more than {W}x{H} images "
-                         f"allow: losses.max_pyramid_levels({H}, {W}) is {most}")
+    losses.check_num_levels(loss_config.num_levels, H, W)
 
     target = images[target_index]
     sources = [im for i, im in enumerate(images) if i != target_index]

@@ -147,11 +147,13 @@ def test_zero_pose_batch_reports_one_total_per_element(use_masks):
 
 def test_batched_report_holds_per_element_terms():
     state, cfg = gradcheck.random_instance(7, n_sources=3)
-    sets = _parameter_sets(state, np.random.default_rng(2), 5)
+    sets = _parameter_sets(state, np.random.default_rng(2), 6)
+    sets[5][1][:, 3] = 50.0   # every source of the last set out of its image
     batch = replace(state, depth_logits=np.stack([d for d, _, _ in sets]),
                     poses=np.stack([p for _, p, _ in sets]),
                     mask_logits=[np.stack([m[l] for _, _, m in sets]) for l in range(2)])
     report, _ = losses.total_loss(batch, cfg, want_grads=False)
+    assert report.all_invalid.tolist() == [False] * 5 + [True]
     for k, (depth, poses, masks) in enumerate(sets):
         one, _ = losses.total_loss(replace(state, depth_logits=depth, poses=poses,
                                            mask_logits=masks), cfg, want_grads=False)
@@ -160,7 +162,7 @@ def test_batched_report_holds_per_element_terms():
             assert report.smooth_per_level[l][k] == one.smooth_per_level[l]
             assert [r[k] for r in report.reg_per_level[l]] == one.reg_per_level[l]
             assert [n[k] for n in report.valid_per_level[l]] == one.valid_per_level[l]
-        assert report.mean_mask[k] == one.mean_mask
+        assert float(report.mean_mask[k]).hex() == one.mean_mask.hex()
         assert report.all_invalid[k] == one.all_invalid
 
 

@@ -400,9 +400,14 @@ def test_total_loss_refuses_pyramids_with_another_level_count():
         with pytest.raises(ValueError, match="num_levels"):
             losses.total_loss(state, replace(cfg, num_levels=config_levels),
                               pyramids=pyramids[pyramid_levels])
-    # A config of more levels than the images allow builds as many as they have.
-    report, _ = losses.total_loss(state, replace(cfg, num_levels=9), pyramids=pyramids[4])
-    assert report == losses.total_loss(state, replace(cfg, num_levels=4))[0]
+    # A config of more levels than the images allow is refused, not capped,
+    # with pyramids of as many levels as the images have or without.
+    with pytest.raises(ValueError, match="pyramids have 4 levels, but num_levels is 9"):
+        losses.total_loss(state, replace(cfg, num_levels=9), pyramids=pyramids[4])
+    for call in (losses.build_snippet_pyramids, losses.total_loss):
+        with pytest.raises(ValueError, match=r"num_levels 9 is more than 24x16 images allow: "
+                                             r"losses.max_pyramid_levels\(16, 24\) is 4"):
+            call(state, replace(cfg, num_levels=9))
 
 
 def test_forward_only_total_loss_skips_rotation_jacobians(monkeypatch):

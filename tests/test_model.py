@@ -91,6 +91,19 @@ def test_init_state_validation():
         model.init_state(bad, 0, K, CFG)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_init_state_refuses_a_non_finite_pixel_by_image_index(bad, index):
+    # The target (index 1) or a source; a fit without a state stops there
+    # too, before any loss is evaluated.
+    imgs = _images(seed=4)
+    imgs[index][2, 3, 0] = bad
+    with pytest.raises(ValueError, match=rf"^images\[{index}\] has a non-finite pixel$"):
+        model.init_state(imgs, 1, K, CFG)
+    with pytest.raises(ValueError, match=rf"^images\[{index}\] has a non-finite pixel$"):
+        model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=1))
+
+
 @pytest.mark.parametrize("use_masks", [True, False])
 def test_init_state_refuses_more_levels_than_the_images_allow(use_masks):
     # 24 x 16 frames make a pyramid of 4 levels (down to 3 x 2).
@@ -104,9 +117,14 @@ def test_init_state_refuses_more_levels_than_the_images_allow(use_masks):
         with pytest.raises(ValueError, match=rf"num_levels {levels} is more than 24x16 images "
                                              r"allow: losses.max_pyramid_levels\(16, 24\) is 4"):
             model.init_state(imgs, 1, K24, cfg)
-        # A fit without a state starts from init_state.
-        with pytest.raises(ValueError, match=f"num_levels {levels}"):
-            model.fit_snippet(imgs, 1, K24, cfg, AdamConfig(max_iters=1))
+        # A fit without a state starts from init_state; a given state of
+        # fewer levels is no way around the check, in a fit or an FD check.
+        for run in (lambda: model.fit_snippet(imgs, 1, K24, cfg, AdamConfig(max_iters=1)),
+                    lambda: model.fit_snippet(imgs, 1, K24, cfg, AdamConfig(max_iters=1),
+                                              state=state),
+                    lambda: gradcheck.check_instance(state, cfg)):
+            with pytest.raises(ValueError, match=f"num_levels {levels} is more than"):
+                run()
 
 
 def _scalar_state(x0):
@@ -187,6 +205,14 @@ def test_adam_config_validation(name, value):
 def test_adam_config_rejects_nonfinite_or_nonpositive_lr(lr):
     with pytest.raises(ValueError, match=f"lr must be finite and positive, got {lr}"):
         AdamConfig(lr=lr)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_adam_config_rejects_nonfinite_or_negative_tol(tol):
+    # NaN or a negative tol makes the convergence test always false, inf always true.
+    with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+        AdamConfig(tol=tol)
+    assert AdamConfig(tol=0.0).tol == 0.0
 
 
 def _adam_expression_form(state, grads, moments, config, t):
