@@ -172,17 +172,22 @@ def points_at_depth(depth: np.ndarray, rays: np.ndarray) -> np.ndarray:
     return depth * (rays if depth.ndim < rays.ndim else rays[:, None])
 
 
-def project_points(pts: np.ndarray, K: Intrinsics):
+def project_points(pts: np.ndarray, K: Intrinsics, in_front=None):
     """Perspective projection of (3, ...) points; returns (u, v, z), each
     shaped like one of pts' rows. Caller must mask z <= BEHIND_EPS.
 
     K needs only fx, fy, cx and cy; a sampler.PixelGrid may give them per
-    point.
+    point. in_front, when given, is the caller's z > BEHIND_EPS of pts.
     """
     x, y, z = pts
-    safe_z = np.where(z > BEHIND_EPS, z, 1.0)
-    u = K.fx * x / safe_z + K.cx
-    v = K.fy * y / safe_z + K.cy
+    safe_z = np.where(z > BEHIND_EPS if in_front is None else in_front, z, 1.0)
+    # fx x / safe_z + cx and fy y / safe_z + cy, in place.
+    u = K.fx * x
+    u /= safe_z
+    u += K.cx
+    v = K.fy * y
+    v /= safe_z
+    v += K.cy
     return u, v, z
 
 

@@ -288,40 +288,52 @@ def view_synthesis_loss(target, warp, spans, mask_prob=None, want_grads: bool = 
     C = target.shape[2]
     valid = warp.valid
     counts = [_count_hw(part) for part in _split(valid, spans)]
+    # Every map below is a buffer of this function's own, written in place.
+    # With gradients, r becomes sign(r) and then the gradient of the warp;
+    # without them, |r| takes r's memory and goes once summed over channels.
     r = warp.warped - target
-    # Without gradients r is read no more: |r| takes its memory, and r is
-    # dropped before the mask terms below. Each saves a batch's map.
-    e = _sum_channels(np.abs(r, out=None if want_grads else r))
-    e /= C
-    if not want_grads:
+    e = np.abs(r, out=None if want_grads else r)
+    if want_grads:
+        np.sign(r, out=r)
+    else:
         del r
+    e = _sum_channels(e)
+    if C != 1:
+        e /= C
     # Per level with masks: a level's mask may have a batch axis of its own.
     # _mean_hw gives a level (or batch element) without valid pixels 0.
-    loss = [_mean_hw(x, n) for x, n in zip(
-        _split(e * valid, spans) if mask_prob is None else
-        [p * e_l * v for p, e_l, v in zip(mask_prob, _split(e, spans), _split(valid, spans))],
-        counts)]
+    if mask_prob is None:
+        terms = _split(e * valid, spans)
+    else:
+        terms = []
+        for p, e_l, v in zip(mask_prob, _split(e, spans), _split(valid, spans)):
+            term = p * e_l
+            term *= v
+            terms.append(term)
+    loss = [_mean_hw(x, n) for x, n in zip(terms, counts)]
+    del terms
     if not want_grads:
         return loss, None, None, counts
     # Each pixel divides by its own level's count, span by span; a level
     # without valid pixels has only zero numerators, so its gradients are 0.
-    weight = valid
     grad_mask = None
+    scale = np.empty(valid.shape)
+    weight = valid
     if mask_prob is not None:
         prob = sampler.join_rows(mask_prob)
-        weight = valid * prob
         grad_mask = valid * e
         for (a, b), n in zip(spans, counts):
             grad_mask[..., a:b] /= max(n, 1)
-        grad_mask *= prob * (1 - prob)
-    scale = np.empty(valid.shape)
+        np.subtract(1, prob, out=scale)
+        scale *= prob   # prob (1 - prob)
+        grad_mask *= scale
+        weight = np.multiply(valid, prob, out=scale)
     for (a, b), n in zip(spans, counts):
         np.divide(weight[..., a:b], C * max(n, 1), out=scale[..., a:b])
     # sign(r) * (weight / (C n)) is weight * sign(r) / (C n) bit for bit, as
     # sign(r) is -1, 0 or 1, with one product over the channels.
-    grad_warped = np.sign(r)
-    grad_warped *= scale[..., None]
-    return loss, grad_warped, grad_mask, counts
+    r *= scale[..., None]
+    return loss, r, grad_mask, counts
 
 
 def explainability_regularizer(logits, prob=None, want_grads: bool = True):
@@ -338,13 +350,19 @@ def explainability_regularizer(logits, prob=None, want_grads: bool = True):
     # Where exp(-x) overflows, prob is subnormal or 0 and log(prob) is
     # imprecise or -inf; log(sigmoid(x)) = x - log1p(exp(x)) rounds to x there.
     with np.errstate(divide="ignore"):
-        log_prob = np.where(logits < -_LOG_MAX_FLOAT, logits, np.log(prob))
+        log_prob = np.log(prob)
+    low = logits < -_LOG_MAX_FLOAT
+    if low.any():
+        log_prob = np.where(low, logits, log_prob)
     pixels = log_prob.shape[-2] * log_prob.shape[-1]
     loss = -_mean_hw(log_prob, pixels)
     if not want_grads:
         return loss, None
-    # d(-log sigmoid(x))/dx = -(1 - prob)
-    return loss, -(1 - prob) / pixels
+    # d(-log sigmoid(x))/dx = -(1 - prob), formed in one array
+    grad = np.subtract(1, prob)
+    np.negative(grad, out=grad)
+    grad /= pixels
+    return loss, grad
 
 
 def smoothness_loss(depth, want_grads: bool = True):
@@ -431,8 +449,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_source_order(task, n: int, parallel: bool):
-    """Yield task(0), ..., task(n - 1) in that order; the tasks must write
-    nothing shared, so the caller alone combines their results.
+    """Yield (s, task(s)) for s = 0, ..., n - 1 in that order; the tasks
+    must write nothing shared, so the caller alone combines their results.
+    Each result is let go once yielded, so a caller that drops it frees it
+    before the next task's arrays are made.
 
     In parallel, k = min(workers, n - 1) pool threads take part: the caller
     runs every (k + 1)-th source, starting with source 0, and the pool runs
@@ -445,13 +465,13 @@ def _in_source_order(task, n: int, parallel: bool):
     lanes = min(workers, n - 1) + 1
     if lanes == 1:
         for s in range(n):
-            yield task(s)
+            yield s, task(s)
         return
     pending = {s: pool.submit(contextvars.copy_context().run, task, s)
                for s in range(n) if s % lanes}
     try:
         for s in range(n):
-            yield pending[s].result() if s in pending else task(s)
+            yield s, pending.pop(s).result() if s in pending else task(s)
     finally:
         for f in pending.values():
             if not f.cancel():
@@ -498,6 +518,7 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     gz += gy * y
     gz *= inv_z
     np.negative(gz, out=gz)
+    del inv_z
     G = G.reshape(3, -1)
     P = P.reshape(3, -1)
     J = np.reshape(rot_jacs, (3, 9))
@@ -509,9 +530,10 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
         np.matmul(J, (G[:, a:b] @ P_T).ravel(), out=out[:3])
         np.sum(G[:, a:b], axis=1, out=out[3:])
     RtG = R.T @ G
+    del G
     RtG *= grid.rays.reshape(3, -1)
-    g_depth = RtG[0]
-    g_depth += RtG[1]
+    # A map of its own, so the caller does not keep RtG's three rows alive.
+    g_depth = RtG[0] + RtG[1]
     g_depth += RtG[2]
     return g_depth.reshape(valid.shape), g_pose
 
@@ -635,15 +657,18 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
             if not want_grads:
                 return vs, n_valid, None, None, None
 
-            gu = _sum_channels(g_warped * w.d_du)
-            gv = _sum_channels(g_warped * w.d_dv)
+            # The task's own warp takes the products g_warped * d/du, d/dv.
+            w.d_du *= g_warped
+            w.d_dv *= g_warped
+            del g_warped
+            gu, gv = _sum_channels(w.d_du), _sum_channels(w.d_dv)
             g_depth, g_pose_lv = projection_adjoint(gu, gv, w, group.grid, transforms[s][:3, :3],
                                                     rot_jacs[s], P, spans)
             return vs, n_valid, g_mask_row, g_depth, g_pose_lv
 
         parallel = S > 1 and depth.shape[-1] >= PARALLEL_MIN_ELEMENTS
-        for s, (vs, n_valid, g_mask_row, g_depth, g_pose_lv) in enumerate(
-                _in_source_order(source_terms, S, parallel)):
+        for s, (vs, n_valid, g_mask_row, g_depth, g_pose_lv) in _in_source_order(
+                source_terms, S, parallel):
             for l, vs_l, n in zip(levels, vs, n_valid):
                 vs_per_level[l] += vs_l
                 valid_per_level[l].append(n)
@@ -654,6 +679,8 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
                 if use_masks:
                     for l, g_part in zip(levels, _split(g_mask_row, spans)):
                         g_mask[l][s] += g_part.reshape(g_mask[l][s].shape)
+            # Free this source's rows before the next task runs.
+            del g_mask_row, g_depth
 
     total = 0.0
     smooth_per_level = []

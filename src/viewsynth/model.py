@@ -61,11 +61,14 @@ def _keep_freed_memory() -> None:
     runs as an offline fitting job, the setting changes no result, and it
     only decides when freed memory goes back to the kernel.
 
-    A 416x128 fit iteration allocates and frees tens of MB of array
-    temporaries. By default glibc maps large arrays afresh and hands the
-    free top of its heap back to the kernel, so each such iteration faulted
-    in about 10k new zeroed pages, a fifth or more of its time; a 64x48
-    iteration faulted in about 230 and an 8x12 FD check about 2k. Large
+    A 416x128 fit iteration (S=4, L=4, masks) holds at most 13.4 MB of
+    array temporaries at once on one thread and about 19 MB on two (20.3
+    and about 30 MB before the warp, photometric term and adjoint worked
+    in buffers of their own), and allocates and frees them per source and
+    level. By default glibc maps large arrays afresh and hands the free top
+    of its heap back to the kernel, so each such iteration faulted in about
+    7k new zeroed pages (11k before); a 64x48 iteration faulted in about
+    230 and an 8x12 FD check about 2k. Large
     arrays from the heap, a trim threshold above that working set and one
     arena for all threads (each arena keeps its own high-water mark, which
     would raise the peak resident set) reuse those pages instead. The one
@@ -121,6 +124,14 @@ class SnippetState:
         return activate_depth(self.depth_logits)
 
 
+def _check_finite(named_images) -> None:
+    """Refuse, with a ValueError naming it, the first (name, image) pair
+    whose image has a non-finite pixel."""
+    for name, im in named_images:
+        if not np.isfinite(im).all():
+            raise ValueError(f"{name} has a non-finite pixel")
+
+
 def init_state(
     images: list,
     target_index: int,
@@ -136,11 +147,9 @@ def init_state(
         raise ValueError("need at least 2 images")
     images = [sampler._as_image(im) for im in images]
     shape = images[0].shape
-    for i, im in enumerate(images):
-        if im.shape != shape:
-            raise ValueError("all images must have the same size")
-        if not np.isfinite(im).all():
-            raise ValueError(f"images[{i}] has a non-finite pixel")
+    if any(im.shape != shape for im in images):
+        raise ValueError("all images must have the same size")
+    _check_finite((f"images[{i}]", im) for i, im in enumerate(images))
     if not 0 <= target_index < len(images):
         raise ValueError("target index out of range")
     H, W, _ = shape
@@ -252,7 +261,9 @@ def fit_snippet(
     Without a `state`, the fit starts from init_state's default; a caller
     that wants another start, such as another depth prior, builds it with
     init_state and passes it as `state`. A given state must hold K and
-    `images` as its target and sources, or a ValueError names K or images.
+    `images` as its target and sources, or a ValueError names K or images;
+    one that holds a non-finite pixel is refused first, by the name of the
+    state's image (state.target or state.sources[j]).
     """
     _keep_freed_memory()
     if state is None:
@@ -261,6 +272,8 @@ def fit_snippet(
         raise ValueError(f"K {K} is not the state's intrinsics {state.intrinsics}")
     else:
         own = [state.target, *state.sources]
+        _check_finite([("state.target", state.target)]
+                      + [(f"state.sources[{j}]", im) for j, im in enumerate(state.sources)])
         order = [target_index, *(i for i in range(len(images)) if i != target_index)]
         if (len(images) != len(own) or target_index not in range(len(own)) or not all(
                 np.array_equal(sampler._as_image(images[i]), im) for i, im in zip(order, own))):

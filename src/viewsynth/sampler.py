@@ -95,56 +95,78 @@ def bilinear_sample(img, u, v, want_grads: bool = True, keep=None, layout=None):
         layout = image_layout(img.shape[0], img.shape[1])
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    # Every map below is an array of this function's own: written with out=
+    # and in-place operators, the working set is the outputs and the four
+    # corner arrays, and a 0-d coordinate keeps 0-d arrays (not scalars).
+    du = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    dv = np.empty(du.shape)
     # fmin/fmax map a NaN coordinate to 0, so the integer cast below never
     # sees NaN; finite values clamp as np.clip. A coordinate is in bounds
     # exactly when clamping leaves it as it is.
-    uc = np.fmin(np.fmax(u, 0), layout.u_max)
-    vc = np.fmin(np.fmax(v, 0), layout.v_max)
-    valid = (uc == u) & (vc == v)
+    np.fmin(np.fmax(u, 0, out=du), layout.u_max, out=du)
+    np.fmin(np.fmax(v, 0, out=dv), layout.v_max, out=dv)
+    valid = du == u
+    valid &= dv == v
     if keep is not None:
         valid = valid & keep
-    # The integer cast floors the clamped, nonnegative coordinates.
-    x0 = np.minimum(uc.astype(int), layout.x0_max)
-    y0 = np.minimum(vc.astype(int), layout.y0_max)
-    du = uc - x0
-    dv = vc - y0
+    # The integer cast floors the clamped, nonnegative coordinates; the
+    # cell's fractions du, dv replace them, and idx (the cell's row) becomes
+    # the stack row of the top-left corner, which steps to the other three.
+    x0 = du.astype(np.intp)
+    np.minimum(x0, layout.x0_max, out=x0)
+    idx = dv.astype(np.intp)
+    np.minimum(idx, layout.y0_max, out=idx)
+    du -= x0
+    dv -= idx
+    idx *= layout.down
+    idx += x0
+    del x0
+    if isinstance(layout.offset, np.ndarray):
+        idx += layout.offset
 
     # Gather the four corners from the flattened image: take on one axis is
     # several times faster than 2-D fancy indexing.
     flat = img.reshape(-1, img.shape[-1])
-    tl = y0 * layout.down
-    tl += x0
-    if isinstance(layout.offset, np.ndarray):
-        tl += layout.offset
-    tr = tl + layout.right
-    bl = tl + layout.down
-    br = bl + layout.right
-    # The differences and blends are built in place. They compute
-    # top = Itl + du (Itr - Itl), bot = Ibl + du (Ibr - Ibl) and
-    # value = top + dv (bot - top) bit for bit: a float sum or product does
-    # not depend on the order of its two operands.
-    Itl = flat.take(tl, axis=0)
-    Ibl = flat.take(bl, axis=0)
-    d_top = flat.take(tr, axis=0)
-    d_top -= Itl
-    d_bot = flat.take(br, axis=0)
+    Itl = flat.take(idx, axis=0)
+    idx += layout.down
+    Ibl = flat.take(idx, axis=0)
+    idx += layout.right
+    d_bot = flat.take(idx, axis=0)
     d_bot -= Ibl
+    idx -= layout.down
+    d_top = flat.take(idx, axis=0)
+    d_top -= Itl
+    del idx
+    # The blends are built in place. They compute
+    # top = Itl + du (Itr - Itl), bot = Ibl + du (Ibr - Ibl),
+    # value = top + dv (bot - top) and d/du = (1 - dv) (Itr - Itl) + dv (Ibr - Ibl)
+    # bit for bit: a float sum or product does not depend on the order of
+    # its two operands.
     du_ = du[..., None]
     dv_ = dv[..., None]
-    top = du_ * d_top
-    top += Itl
-    bot = du_ * d_bot
-    bot += Ibl
-    grad_v = bot - top
-    value = dv_ * grad_v
-    value += top
-
-    m = valid[..., None]
+    value = du_ * d_top
+    Itl += value         # top
+    np.multiply(du_, d_bot, out=value)
+    Ibl += value         # bot
+    grad_v = Ibl
+    grad_v -= Itl
+    np.multiply(dv_, grad_v, out=value)
+    value += Itl
+    del Itl
+    # Invalid entries become 0, as np.where(valid, x, 0.0) would give.
+    invalid = ~valid[..., None]
+    np.copyto(value, 0.0, where=invalid)
     if not want_grads:
-        return np.where(m, value, 0.0), None, None, valid
-    grad_u = (1 - dv_) * d_top
-    grad_u += dv_ * d_bot
-    return np.where(m, value, 0.0), np.where(m, grad_u, 0.0), np.where(m, grad_v, 0.0), valid
+        return value, None, None, valid
+    np.subtract(1, dv, out=du)   # du_ is now 1 - dv
+    grad_u = d_top
+    grad_u *= du_
+    d_bot *= dv_
+    grad_u += d_bot
+    del d_bot
+    np.copyto(grad_u, 0.0, where=invalid)
+    np.copyto(grad_v, 0.0, where=invalid)
+    return value, grad_u, grad_v, valid
 
 
 class PixelGrid(NamedTuple):
@@ -281,16 +303,18 @@ def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
 def _warp(src, depth, T, grid: PixelGrid, want_grads: bool, points) -> WarpResult:
     """inverse_warp of checked arguments, with the points of depth on grid."""
     pts = geometry.transform_points(T, points)
-    us, vs, zs = geometry.project_points(pts, grid)
+    in_front = pts[2] > BEHIND_EPS
+    us, vs = geometry.project_points(pts, grid, in_front)[:2]
+    if not want_grads:
+        pts = None   # read no more: freed before sampling
     identity = (T == _IDENTITY).all(axis=(-2, -1))   # one flag per transform
     if identity.any():
         # An identity transform maps each pixel to itself exactly: its
         # entries skip the float round-trip through K, so its warp
         # reproduces the source bit for bit, in a stack as on its own.
         keep = identity[..., None, None]
-        us, vs, zs = (np.where(keep, x, y) for x, y in ((grid.u, us), (grid.v, vs), (depth, zs)))
-    in_front = zs > BEHIND_EPS
+        for x, y in ((us, grid.u), (vs, grid.v), (in_front, depth > BEHIND_EPS)):
+            np.copyto(x, y, where=keep)
 
     warped, d_du, d_dv, valid = bilinear_sample(src, us, vs, want_grads, in_front, grid.layout)
-    return WarpResult(warped=warped, valid=valid, d_du=d_du, d_dv=d_dv,
-                      src_points=pts if want_grads else None)
+    return WarpResult(warped=warped, valid=valid, d_du=d_du, d_dv=d_dv, src_points=pts)

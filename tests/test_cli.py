@@ -358,7 +358,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
 def test_fit_reuses_the_memory_its_iterations_free(tmp_path):
     # In a fresh process, a second 4-iteration 416x128 fit: with glibc's
-    # default policy each iteration faults in about 10k fresh pages.
+    # default policy each iteration faults in about 7k fresh pages.
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + sys.path))
     out = subprocess.run([sys.executable, "-c", _REFIT_FAULTS, str(tmp_path / "seq"),

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -320,6 +321,23 @@ def test_fit_refuses_a_state_of_other_images_or_order():
     res = model.fit_snippet([im[..., 0] for im in imgs], 1, K, CFG, AdamConfig(max_iters=2),
                             state=state)
     assert res.iterations == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["state.target", "state.sources[1]"])
+def test_fit_names_a_given_state_s_non_finite_image(bad, where):
+    # A state built or edited by hand, fitted with the images it holds: NaN
+    # is not equal to itself, so the image check alone would call them other
+    # images. The state's image is named first, with or without the images.
+    imgs = _images(seed=22)
+    clean = [im.copy() for im in imgs]
+    state = model.init_state(imgs, 1, K, CFG)
+    image = state.target if where == "state.target" else state.sources[1]
+    image[2, 3, 0] = bad
+    held = [state.sources[0], state.target, state.sources[1]]
+    for images in (held, clean):
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)} has a non-finite pixel$"):
+            model.fit_snippet(images, 1, K, CFG, AdamConfig(max_iters=1), state=state)
 
 
 def test_fit_depth_bounds_hold_after_every_step():
