@@ -129,7 +129,7 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     st = result.state
     fileio.save_wf01(os.path.join(args.out, "depth.wf01"), st.depth())
-    model.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), st)
+    model.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.snippet, st)
 
     # Camera-to-world poses (world = target camera frame), in frame order:
     # the sources' poses, with the identity at the target's index.

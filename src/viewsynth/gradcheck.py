@@ -13,13 +13,13 @@ drawn from seeded generic configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import losses, model
 from .geometry import Intrinsics
-from .losses import LossConfig
+from .losses import LossConfig, Params, Snippet
 
 
 # Seeds screened to generic (FD-differentiable) instances: central
@@ -30,16 +30,24 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 16, 18, 19, 20, 21,
                  22, 24, 25, 26, 27)
 
 
+@dataclass
+class Instance(Params):
+    """Parameters of a gradient check, with the snippet they are checked on."""
+
+    snippet: Snippet = field(kw_only=True)
+
+
 def random_instance(seed: int, height: int = 8, width: int = 12,
                     n_sources: int = 2, levels: int = 2,
                     use_masks: bool = True) -> tuple:
-    """A small generic snippet state plus its loss config."""
+    """A small generic Instance plus its loss config."""
     rng = np.random.default_rng(seed)
     K = Intrinsics(fx=float(width), fy=float(width), cx=width / 2 + 0.15,
                    cy=height / 2 - 0.1, width=width, height=height)
     images = [rng.random((height, width, 2)) for _ in range(n_sources + 1)]
     config = LossConfig(num_levels=levels, use_explainability=use_masks)
-    state = model.init_state(images, 0, K, config, depth_prior=1.0)
+    state = Instance(**vars(model.init_state(images, 0, K, config, depth_prior=1.0)),
+                     snippet=Snippet.build(images, 0, K, config))
     state.depth_logits += rng.normal(0.0, 0.3, state.depth_logits.shape)
     state.poses[:, :3] = rng.normal(0.0, 0.01, (n_sources, 3))
     state.poses[:, 3:] = rng.normal(0.0, 0.03, (n_sources, 3))
@@ -57,8 +65,9 @@ def random_instance(seed: int, height: int = 8, width: int = 12,
 FD_STEP = 1e-5
 
 
-def check_instance(state, config: LossConfig, inject_bug: bool = False) -> dict:
-    """Max relative gradient error per parameter group.
+def check_instance(state: Instance, config: LossConfig, inject_bug: bool = False) -> dict:
+    """Max relative gradient error per parameter group of `state` over its
+    snippet.
 
     The relative error of a group is ||analytic - fd||_inf normalized by
     max(||analytic||_inf, ||fd||_inf), with fd from central_differences at
@@ -68,19 +77,18 @@ def check_instance(state, config: LossConfig, inject_bug: bool = False) -> dict:
     (`model._keep_freed_memory`).
     """
     model._keep_freed_memory()
-    pyramids = losses.build_snippet_pyramids(state, config)
-    _, grads = losses.total_loss(state, config, pyramids=pyramids)
-    analytic = dict(model._param_items(grads))
+    _, grads = losses.total_loss(state.snippet, state, config)
+    analytic = dict(grads.items())
     if inject_bug:
         analytic["poses"] = analytic["poses"] * 1.01
 
-    params = dict(model._param_items(state))
+    params = dict(state.items())
     fds = {}
     for names in (["depth_logits"], ["poses"],
                   [name for name in params if name.startswith("mask_logits")]):
         if names:
             fds.update(zip(names, central_differences(
-                state, config, [params[name] for name in names], FD_STEP, pyramids)))
+                state.snippet, state, config, [params[name] for name in names], FD_STEP)))
     errors = {}
     for name, fd in fds.items():
         a = analytic[name]
@@ -107,11 +115,12 @@ def check_instance(state, config: LossConfig, inject_bug: bool = False) -> dict:
 FD_CHUNK = 64
 
 
-def central_differences(state, config: LossConfig, params: list, step: float,
-                        pyramids: losses.SnippetPyramids) -> list:
+def central_differences(snippet: Snippet, params: Params, config: LossConfig, arrays: list,
+                        step: float) -> list:
     """(f(x + step e_i) - f(x - step e_i)) / (2 step) for every coordinate i
-    of each array in `params`, a list of the state's parameter arrays; one
-    array of differences per parameter array, shaped like it.
+    of each array in `arrays`, a list of the parameter arrays of `params`,
+    where f is total_loss over `snippet`; one array of differences per
+    parameter array, shaped like it.
 
     The 2 * n perturbed parameter sets of all n coordinates go through
     forward-only total_loss calls in shared batches. In a batch, an array
@@ -125,24 +134,24 @@ def central_differences(state, config: LossConfig, params: list, step: float,
     sampler.inverse_warp), and batches hold up to 3 * FD_CHUNK sets. Without
     depth logits each source is warped once per batch, only the per-pixel
     mask terms carry the batch axis, and batches hold up to 8 * FD_CHUNK.
-    Every array of `params` must be the state's own (by identity), and step
-    finite and > 0.
+    Every array of `arrays` must be one of params' own (by identity), and
+    step finite and > 0.
     """
-    if isinstance(params, np.ndarray):
-        raise TypeError("params must be a list of parameter arrays")
-    own = [state.depth_logits, state.poses] + list(state.mask_logits or [])
-    for i, p in enumerate(params):
+    if isinstance(arrays, np.ndarray):
+        raise TypeError("arrays must be a list of parameter arrays")
+    own = [p for _, p in params.items()]
+    for i, p in enumerate(arrays):
         if not any(p is q for q in own):
-            raise ValueError(f"params[{i}] is not the state's depth logits, poses or a "
-                             "mask level (a copy or a view would stay unperturbed)")
+            raise ValueError(f"arrays[{i}] is not the depth logits, poses or a mask level "
+                             "of params (a copy or a view would stay unperturbed)")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
-    chunk = (FD_CHUNK if any(p is state.poses for p in params) else
-             3 * FD_CHUNK if any(p is state.depth_logits for p in params) else 8 * FD_CHUNK)
-    flat = np.concatenate([p.reshape(-1) for p in params])
+    chunk = (FD_CHUNK if any(p is params.poses for p in arrays) else
+             3 * FD_CHUNK if any(p is params.depth_logits for p in arrays) else 8 * FD_CHUNK)
+    flat = np.concatenate([p.reshape(-1) for p in arrays])
     # Set k moves coordinate k // 2 by +step for even k and by -step for odd
-    # k; coordinates run through params in order, array i from bounds[i].
-    bounds = np.cumsum([0] + [p.size for p in params])
+    # k; coordinates run through arrays in order, array i from bounds[i].
+    bounds = np.cumsum([0] + [p.size for p in arrays])
     coords = np.repeat(np.arange(flat.size), 2)
     values = np.empty(2 * flat.size)
     values[0::2] = flat + step
@@ -151,27 +160,22 @@ def central_differences(state, config: LossConfig, params: list, step: float,
     for start in range(0, totals.size, chunk):
         ks = np.arange(start, min(start + chunk, totals.size))
         batches = []
-        for p, lo, hi in zip(params, bounds[:-1], bounds[1:]):
+        for p, lo, hi in zip(arrays, bounds[:-1], bounds[1:]):
             mine = ks[(coords[ks] >= lo) & (coords[ks] < hi)]
             if mine.size:
                 batch = np.repeat(p[None], ks.size, axis=0)
                 batch.reshape(ks.size, -1)[mine - start, coords[mine] - lo] = values[mine]
                 batches.append((p, batch))
-        report, _ = losses.total_loss(_with_batches(state, batches), config,
-                                      want_grads=False, pyramids=pyramids)
+
+        def swap(p):   # p's batch, or p itself where no set of this chunk perturbs it
+            return next((batch for q, batch in batches if q is p), p)
+
+        batch = replace(params, depth_logits=swap(params.depth_logits), poses=swap(params.poses),
+                        mask_logits=params.mask_logits and list(map(swap, params.mask_logits)))
+        report, _ = losses.total_loss(snippet, batch, config, want_grads=False)
         totals[ks] = report.total
     fd = (totals[0::2] - totals[1::2]) / (2 * step)
-    return [fd[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, bounds[:-1], bounds[1:])]
-
-
-def _with_batches(state, batches: list):
-    """A copy of `state` with each parameter array p of the (p, batch) pairs
-    `batches` replaced by its batch."""
-    def swap(p):
-        return next((batch for q, batch in batches if q is p), p)
-
-    return replace(state, depth_logits=swap(state.depth_logits), poses=swap(state.poses),
-                   mask_logits=state.mask_logits and [swap(m) for m in state.mask_logits])
+    return [fd[lo:hi].reshape(p.shape) for p, lo, hi in zip(arrays, bounds[:-1], bounds[1:])]
 
 
 def run(seeds, inject_bug: bool = False):

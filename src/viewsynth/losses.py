@@ -60,12 +60,25 @@ class LossReport:
 
 
 @dataclass
-class SnippetGrads:
-    """Gradient buffers for every trainable parameter group."""
+class Params:
+    """The parameters of one snippet's objective, or their gradients: the
+    target's depth logits, one pose per source and, with masks on, one mask
+    logit per pixel, level and source. In a forward-only batch (see
+    total_loss) any of them may carry a leading batch axis."""
 
-    depth_logits: np.ndarray
-    poses: np.ndarray                      # (S, 6)
+    depth_logits: np.ndarray               # (H, W)
+    poses: np.ndarray                      # (S, 6): rx ry rz tx ty tz
     mask_logits: list | None = None        # [level] -> (S, H_l, W_l)
+
+    def depth(self) -> np.ndarray:
+        return activate_depth(self.depth_logits)
+
+    def items(self):
+        """(name, array) of each parameter group; each mask level is a group."""
+        yield "depth_logits", self.depth_logits
+        yield "poses", self.poses
+        for l, m in enumerate(self.mask_logits or []):
+            yield f"mask_logits_{l}", m
 
 
 # Largest x with finite exp(x); below -_LOG_MAX_FLOAT, exp(-logit) overflows.
@@ -173,39 +186,72 @@ class _LevelGroup(NamedTuple):
     sources: tuple          # [source] -> its (N, C) stack
 
 
-class SnippetPyramids(NamedTuple):
-    """The parts of the objective that stay constant for one snippet.
+def check_frames(images: list, target_index: int, K: geometry.Intrinsics,
+                 num_levels: int) -> tuple:
+    """(target, sources) of a snippet's frames, each a float (H, W, C) image.
 
-    Only depth, poses and masks change between evaluations of total_loss,
-    so fits and gradient checks build this once with build_snippet_pyramids
-    and pass it to every call.
+    A ValueError refuses fewer than 2 images, images of different sizes, an
+    image with a non-finite pixel (naming its index), a target index out of
+    range, intrinsics of another size, and more levels than the images'
+    pyramid has (check_num_levels)."""
+    if len(images) < 2:
+        raise ValueError("need at least 2 images")
+    images = [sampler._as_image(im) for im in images]
+    shape = images[0].shape
+    if any(im.shape != shape for im in images):
+        raise ValueError("all images must have the same size")
+    for i, im in enumerate(images):
+        if not np.isfinite(im).all():
+            raise ValueError(f"images[{i}] has a non-finite pixel")
+    if not 0 <= target_index < len(images):
+        raise ValueError("target index out of range")
+    H, W, _ = shape
+    if (K.width, K.height) != (W, H):
+        raise ValueError("intrinsics dimensions do not match images")
+    check_num_levels(num_levels, H, W)
+    return images[target_index], [im for i, im in enumerate(images) if i != target_index]
+
+
+@dataclass(frozen=True, eq=False)
+class Snippet:
+    """The fixed half of the objective: one snippet's frames, their
+    intrinsics, the level count and mask setting of the config it was built
+    for, and total_loss's level groups of the frames' pyramids.
+
+    Only the Params change between evaluations of total_loss, so fits and
+    gradient checks build this once, with Snippet.build.
     """
 
+    target: np.ndarray       # (H, W, C)
+    sources: tuple           # S arrays of (H, W, C)
+    K: geometry.Intrinsics
     num_levels: int
-    groups: tuple        # total_loss's _LevelGroups, finest first
+    use_explainability: bool
+    groups: tuple            # total_loss's _LevelGroups, finest first
 
+    @classmethod
+    def build(cls, images: list, target_index: int, K: geometry.Intrinsics,
+              config: LossConfig) -> Snippet:
+        """The snippet of images[target_index] and the other images, in
+        order, as sources; the frames must pass check_frames."""
+        target, sources = check_frames(images, target_index, K, config.num_levels)
+        target_pyr, *source_pyrs = [build_pyramid(img, config.num_levels)
+                                    for img in [target, *sources]]
+        grids = [sampler.pixel_grid(geometry.scale_intrinsics(K, l))
+                 for l in range(len(target_pyr))]
+        groups = []
+        for levels in _level_groups([g.u.size for g in grids]):
+            stops = np.cumsum([grids[l].u.size for l in levels]).tolist()
 
-def build_snippet_pyramids(state, config: LossConfig) -> SnippetPyramids:
-    """Image pyramids of the target and every source, as total_loss's level
-    groups (see _level_groups) of each level's pixels. A config of more
-    levels than the images make is refused (check_num_levels)."""
-    check_num_levels(config.num_levels, *np.shape(state.target)[:2])
-    target, *sources = [build_pyramid(sampler._as_image(img), config.num_levels)
-                        for img in [state.target, *state.sources]]
-    grids = [sampler.pixel_grid(geometry.scale_intrinsics(state.intrinsics, l))
-             for l in range(len(target))]
-    groups = []
-    for levels in _level_groups([g.u.size for g in grids]):
-        stops = np.cumsum([grids[l].u.size for l in levels]).tolist()
+            def stack(images):   # a reshape view for one level
+                parts = [images[l].reshape(-1, images[l].shape[-1]) for l in levels]
+                return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        def stack(images):   # a reshape view for one level
-            parts = [images[l].reshape(-1, images[l].shape[-1]) for l in levels]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-        groups.append(_LevelGroup(levels, tuple(zip([0] + stops[:-1], stops)),
-                                  sampler.join_grids([grids[l] for l in levels]),
-                                  stack(target)[None], tuple(map(stack, sources))))
-    return SnippetPyramids(config.num_levels, tuple(groups))
+            groups.append(_LevelGroup(levels, tuple(zip([0] + stops[:-1], stops)),
+                                      sampler.join_grids([grids[l] for l in levels]),
+                                      stack(target_pyr)[None], tuple(map(stack, source_pyrs))))
+        return cls(target, tuple(sources), K, config.num_levels, config.use_explainability,
+                   tuple(groups))
 
 
 def _split(x: np.ndarray, spans) -> list:
@@ -377,24 +423,19 @@ def smoothness_loss(depth, want_grads: bool = True):
         raise ValueError("depth must be (H, W) or a (B, H, W) stack")
     loss = 0.0
     grad = np.zeros_like(D) if want_grads else None
-    if D.shape[-1] >= 3:
-        duu = D[..., :-2] - 2 * D[..., 1:-1] + D[..., 2:]
-        count = duu.shape[-2] * duu.shape[-1]
-        loss += _mean_hw(np.abs(duu), count)
+    for axis in (-1, -2):   # u, then v
+        if D.shape[axis] < 3:
+            continue
+        lo, mid, hi = ((Ellipsis, slice(a, b)) + (slice(None),) * (-1 - axis)
+                       for a, b in ((None, -2), (1, -1), (2, None)))
+        d2 = D[lo] - 2 * D[mid] + D[hi]
+        count = d2.shape[-2] * d2.shape[-1]
+        loss += _mean_hw(np.abs(d2), count)
         if want_grads:
-            sg = np.sign(duu) / count
-            grad[..., :-2] += sg
-            grad[..., 1:-1] -= 2 * sg
-            grad[..., 2:] += sg
-    if D.shape[-2] >= 3:
-        dvv = D[..., :-2, :] - 2 * D[..., 1:-1, :] + D[..., 2:, :]
-        count = dvv.shape[-2] * dvv.shape[-1]
-        loss += _mean_hw(np.abs(dvv), count)
-        if want_grads:
-            sg = np.sign(dvv) / count
-            grad[..., :-2, :] += sg
-            grad[..., 1:-1, :] -= 2 * sg
-            grad[..., 2:, :] += sg
+            sg = np.sign(d2) / count
+            grad[lo] += sg
+            grad[mid] -= 2 * sg
+            grad[hi] += sg
     return loss, grad
 
 
@@ -543,18 +584,14 @@ def _by_source(x: np.ndarray) -> list:
     return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
 
 
-def total_loss(state, config: LossConfig, want_grads: bool = True, *,
-               pyramids: SnippetPyramids | None = None):
-    """Multi-scale objective over a snippet state, with gradients.
+def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads: bool = True):
+    """Multi-scale objective of `params` over `snippet`, with gradients.
 
-    `state` carries target/source images, depth logits, per-source pose
-    parameters, optional per-level mask logits, and intrinsics (see
-    model.SnippetState). Masks are on when the state has mask logits;
-    config.use_explainability must say the same, or a ValueError names it.
-    `pyramids` is build_snippet_pyramids(state, config), built here when not
-    given; a config of more levels than the images make, and pyramids of
-    another level count than config.num_levels, are refused by num_levels.
-    Returns (LossReport, SnippetGrads); the gradient buffers are None when
+    The snippet must have been built for config's num_levels and
+    use_explainability, or a ValueError names both. Masks are on when the
+    snippet's use_explainability is; params must then hold one mask logit
+    array per level, and none with masks off. Returns (LossReport, Params):
+    the second holds the gradient of each parameter and is None when
     want_grads is off (cheaper forward pass, used by the finite-difference
     harness).
 
@@ -566,13 +603,13 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
 
     Level groups: the coarsest levels with fewer than PARALLEL_MIN_ELEMENTS
     pixels together form one group, and every other level is a group of its
-    own. build_snippet_pyramids makes the groups once per snippet, from each
-    level's pixel count, so a batch of parameter sets is grouped as one set.
-    Every group lays its levels' pixels out along one (1, N) row, so each
-    source warps them in one pass, with each pixel's own level constants
-    (scalars for a group of one level). Every per-level sum still runs over
-    that level's pixels alone, in the same order as for a level on its own,
-    so the grouping changes no result.
+    own. Snippet.build makes the groups once per snippet, from each level's
+    pixel count, so a batch of parameter sets is grouped as one set. Every
+    group lays its levels' pixels out along one (1, N) row, so each source
+    warps them in one pass, with each pixel's own level constants (scalars
+    for a group of one level). Every per-level sum still runs over that
+    level's pixels alone, in the same order as for a level on its own, so
+    the grouping changes no result.
 
     Per source: given the parameters, each source's share of a group (warp,
     photometric term and adjoint) depends only on the group's depth, that
@@ -592,46 +629,44 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     shared by the whole batch. Each report value that depends on a batched
     parameter then holds one entry per batch element, equal bit for bit to
     the total_loss of that parameter set alone. Batches are forward-only:
-    want_grads must be off. Depth logits not shaped (H, W) and poses not
-    shaped (S, 6), after at most one leading batch axis, are refused with a
-    ValueError that names them and both shapes.
+    want_grads must be off. A parameter of another shape than the snippet's,
+    after at most one leading batch axis, is refused with a ValueError that
+    names it and both shapes.
     """
-    S = len(state.sources)
-    if pyramids is None:
-        pyramids = build_snippet_pyramids(state, config)
-    L = pyramids.num_levels
-    if L != config.num_levels:
-        raise ValueError(f"pyramids have {L} levels, but num_levels is {config.num_levels}")
-
-    use_masks = state.mask_logits is not None
-    if use_masks != config.use_explainability:
-        raise ValueError(f"config.use_explainability is {config.use_explainability}, but the "
-                         f"state has {'' if use_masks else 'no '}mask logits")
-    poses = np.asarray(state.poses, dtype=float)
-    for name, shape, expected in (("depth_logits", np.shape(state.depth_logits),
-                                   np.shape(state.target)[:2]), ("poses", poses.shape, (S, 6))):
+    L, use_masks = snippet.num_levels, snippet.use_explainability
+    if (config.num_levels, config.use_explainability) != (L, use_masks):
+        raise ValueError(f"config has num_levels {config.num_levels} and use_explainability "
+                         f"{config.use_explainability}, but the snippet was built for "
+                         f"num_levels {L} and use_explainability {use_masks}")
+    S = len(snippet.sources)
+    poses = np.asarray(params.poses, dtype=float)
+    for name, shape, expected in (("depth_logits", np.shape(params.depth_logits),
+                                   snippet.target.shape[:2]), ("poses", poses.shape, (S, 6))):
         if shape[-2:] != expected or len(shape) > 3:
             raise ValueError(f"{name} must be {expected}, with at most one leading batch axis; "
                              f"got {shape}")
-    depth0 = activate_depth(state.depth_logits)
-    batched = (depth0.ndim == 3 or poses.ndim == 3
-               or (use_masks and any(m.ndim == 4 for m in state.mask_logits)))
+    depth0 = activate_depth(params.depth_logits)
+    batched = depth0.ndim == 3 or poses.ndim == 3 or use_masks and any(
+        np.ndim(m) == 4 for m in params.mask_logits or [])
     if batched and want_grads:
         raise ValueError("gradients need a single parameter set, not a batch")
     depth_pyr = build_pyramid(depth0, L, depth0.ndim == 3)  # batched
+    got = None if params.mask_logits is None else [np.shape(m) for m in params.mask_logits]
     if use_masks:
         expected = [(S,) + d.shape[-2:] for d in depth_pyr]
-        got = [np.shape(m) for m in state.mask_logits]
-        if len(got) != L or any(len(g) not in (3, 4) or g[-3:] != e for g, e in zip(got, expected)):
-            raise ValueError(f"mask logits must be one (S, H_l, W_l) array per pyramid level, "
-                             f"{expected} for num_levels={config.num_levels}; got {got}")
+        if got is None or len(got) != L or any(
+                len(g) not in (3, 4) or g[-3:] != e for g, e in zip(got, expected)):
+            raise ValueError(f"mask_logits must be one (S, H_l, W_l) array per pyramid level, "
+                             f"{expected} for num_levels={L}; got {got}")
+    elif got is not None:
+        raise ValueError(f"mask_logits must be None with masks off; got {got}")
     # One (S, H_l, W_l) or (B, S, H_l, W_l) probability stack per level.
-    probs = [mask_probability(m) for m in state.mask_logits] if use_masks else None
+    probs = [mask_probability(m) for m in params.mask_logits] if use_masks else None
 
     if want_grads:
         g_depth_lv = [np.zeros_like(d) for d in depth_pyr]
         g_pose = np.zeros((S, 6))
-        g_mask = [np.zeros_like(state.mask_logits[l]) for l in range(L)] if use_masks else None
+        g_mask = [np.zeros_like(params.mask_logits[l]) for l in range(L)] if use_masks else None
 
     transforms = _source_transforms(poses)
     rot_jacs = None   # _source_transforms has checked that the poses are finite
@@ -640,7 +675,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
 
     vs_per_level = [0.0] * L
     valid_per_level = [[] for _ in range(L)]
-    for group in pyramids.groups:
+    for group in snippet.groups:
         levels, spans = group.levels, group.spans
         depth = sampler.join_rows([depth_pyr[l] for l in levels])
         P = geometry.points_at_depth(depth, group.grid.rays) if depth.ndim == 2 else None
@@ -689,7 +724,7 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
     for l in range(L):
         regs, reg_l = [0.0] * S, 0.0
         if use_masks:
-            reg, g_reg = explainability_regularizer(state.mask_logits[l], probs[l],
+            reg, g_reg = explainability_regularizer(params.mask_logits[l], probs[l],
                                                     want_grads=want_grads)
             regs = _by_source(reg)
             for r, prob_sum in zip(regs, _by_source(probs[l].sum(axis=(-2, -1)))):
@@ -708,8 +743,8 @@ def total_loss(state, config: LossConfig, want_grads: bool = True, *,
 
     grads = None
     if want_grads:
-        g_logits = _pyramid_adjoint(g_depth_lv) * activate_depth_grad(state.depth_logits)
-        grads = SnippetGrads(depth_logits=g_logits, poses=g_pose, mask_logits=g_mask)
+        g_logits = _pyramid_adjoint(g_depth_lv) * activate_depth_grad(params.depth_logits)
+        grads = Params(depth_logits=g_logits, poses=g_pose, mask_logits=g_mask)
 
     mask_px = sum(math.prod(p.shape[-3:]) for p in probs) if use_masks else 0
     report = LossReport(

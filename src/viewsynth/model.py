@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses, sampler
+from . import losses
 from .geometry import Intrinsics
-# activate_depth_grad is not used here: perfbench/tracing.py wraps it, with
-# activate_depth, by its name in this module.
-from .losses import LossConfig, LossReport, activate_depth, activate_depth_grad, depth_to_logit
+# activate_depth and activate_depth_grad are not used here: perfbench/tracing.py
+# wraps them by their names in this module.
+from .losses import (LossConfig, LossReport, Params, Snippet, activate_depth,
+                     activate_depth_grad, depth_to_logit)
 
 CHECKPOINT_MAGIC = b"VSCK"
 CHECKPOINT_VERSION = 2
@@ -109,84 +110,27 @@ class AdamConfig:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
-@dataclass
-class SnippetState:
-    """Everything that defines one snippet-fitting problem."""
-
-    target: np.ndarray               # (H, W, C)
-    sources: list                    # S arrays of (H, W, C)
-    depth_logits: np.ndarray         # (H, W)
-    poses: np.ndarray                # (S, 6): rx ry rz tx ty tz
-    mask_logits: list | None         # [level] -> (S, H_l, W_l)
-    intrinsics: Intrinsics
-
-    def depth(self) -> np.ndarray:
-        return activate_depth(self.depth_logits)
-
-
-def _check_finite(named_images) -> None:
-    """Refuse, with a ValueError naming it, the first (name, image) pair
-    whose image has a non-finite pixel."""
-    for name, im in named_images:
-        if not np.isfinite(im).all():
-            raise ValueError(f"{name} has a non-finite pixel")
-
-
 def init_state(
     images: list,
     target_index: int,
     K: Intrinsics,
     loss_config: LossConfig,
     depth_prior: float = 1.0,
-) -> SnippetState:
-    """Deterministic initial state: constant depth prior, zero poses,
-    zero mask logits (probability 0.5 everywhere). A ValueError refuses
-    an image with a non-finite pixel, naming its index, and a loss_config
-    with more levels than the images' pyramid has (losses.check_num_levels)."""
-    if len(images) < 2:
-        raise ValueError("need at least 2 images")
-    images = [sampler._as_image(im) for im in images]
-    shape = images[0].shape
-    if any(im.shape != shape for im in images):
-        raise ValueError("all images must have the same size")
-    _check_finite((f"images[{i}]", im) for i, im in enumerate(images))
-    if not 0 <= target_index < len(images):
-        raise ValueError("target index out of range")
-    H, W, _ = shape
-    if (K.width, K.height) != (W, H):
-        raise ValueError("intrinsics dimensions do not match images")
-    losses.check_num_levels(loss_config.num_levels, H, W)
-
-    target = images[target_index]
-    sources = [im for i, im in enumerate(images) if i != target_index]
+) -> Params:
+    """Deterministic starting parameters: constant depth prior, zero poses,
+    zero mask logits (probability 0.5 everywhere). The frames must pass
+    losses.check_frames, the checks of Snippet.build, which this runs
+    without building the frames' pyramids."""
+    target, sources = losses.check_frames(images, target_index, K, loss_config.num_levels)
+    H, W, _ = target.shape
     S = len(sources)
-
     depth_logits = np.full((H, W), depth_to_logit(depth_prior))
     poses = np.zeros((S, 6))
-
     mask_logits = None
     if loss_config.use_explainability:
-        level_shapes = [p.shape[:2] for p in losses.build_pyramid(np.zeros((H, W)), loss_config.num_levels)]
-        mask_logits = [np.zeros((S, h, w)) for h, w in level_shapes]
-
-    return SnippetState(
-        target=target,
-        sources=sources,
-        depth_logits=depth_logits,
-        poses=poses,
-        mask_logits=mask_logits,
-        intrinsics=K,
-    )
-
-
-def _param_items(params: SnippetState | losses.SnippetGrads):
-    """(name, array) of each parameter group of a state, or of its gradients,
-    which have the same fields."""
-    yield "depth_logits", params.depth_logits
-    yield "poses", params.poses
-    if params.mask_logits is not None:
-        for l, m in enumerate(params.mask_logits):
-            yield f"mask_logits_{l}", m
+        mask_logits = [np.zeros((S,) + p.shape)
+                       for p in losses.build_pyramid(np.zeros((H, W)), loss_config.num_levels)]
+    return Params(depth_logits=depth_logits, poses=poses, mask_logits=mask_logits)
 
 
 @dataclass
@@ -195,12 +139,12 @@ class AdamMoments:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(state: SnippetState, grads, moments: AdamMoments, config: AdamConfig, t: int):
-    """One bias-corrected Adam update, in place on the state arrays."""
+def adam_step(state: Params, grads: Params, moments: AdamMoments, config: AdamConfig, t: int):
+    """One bias-corrected Adam update, in place on the state's arrays."""
     if t < 1:
         raise ValueError("step index t must be >= 1")
-    params = dict(_param_items(state))
-    gdict = dict(_param_items(grads))
+    params = dict(state.items())
+    gdict = dict(grads.items())
     if set(params) != set(gdict):
         raise ValueError("gradient buffers do not match parameters")
     for name, p in params.items():
@@ -237,7 +181,8 @@ def adam_step(state: SnippetState, grads, moments: AdamMoments, config: AdamConf
 
 @dataclass
 class FitResult:
-    state: SnippetState
+    state: Params
+    snippet: Snippet
     history: list                # LossReport per iteration (pre-update)
     converged: bool
     iterations: int
@@ -249,7 +194,7 @@ def fit_snippet(
     K: Intrinsics,
     loss_config: LossConfig,
     adam_config: AdamConfig,
-    state: SnippetState | None = None,
+    state: Params | None = None,
 ) -> FitResult:
     """Minimize the multi-scale objective over one snippet with Adam.
 
@@ -258,33 +203,22 @@ def fit_snippet(
     NoValidPixels if no source pixel is valid. Sets the process's allocator
     policy first (`_keep_freed_memory`).
 
-    Without a `state`, the fit starts from init_state's default; a caller
-    that wants another start, such as another depth prior, builds it with
-    init_state and passes it as `state`. A given state must hold K and
-    `images` as its target and sources, or a ValueError names K or images;
-    one that holds a non-finite pixel is refused first, by the name of the
-    state's image (state.target or state.sources[j]).
+    The frames make one losses.Snippet, checked once by Snippet.build. The
+    fit starts from `state`, which it updates in place, or without one from
+    init_state's default; a caller that wants another start, such as another
+    depth prior, builds it with init_state. A state shaped for another
+    snippet or config is refused by the first total_loss call, with a
+    ValueError that names the parameter and both shapes.
     """
     _keep_freed_memory()
+    snippet = Snippet.build(images, target_index, K, loss_config)
     if state is None:
         state = init_state(images, target_index, K, loss_config)
-    elif state.intrinsics != K:
-        raise ValueError(f"K {K} is not the state's intrinsics {state.intrinsics}")
-    else:
-        own = [state.target, *state.sources]
-        _check_finite([("state.target", state.target)]
-                      + [(f"state.sources[{j}]", im) for j, im in enumerate(state.sources)])
-        order = [target_index, *(i for i in range(len(images)) if i != target_index)]
-        if (len(images) != len(own) or target_index not in range(len(own)) or not all(
-                np.array_equal(sampler._as_image(images[i]), im) for i, im in zip(order, own))):
-            raise ValueError(f"images (target index {target_index}) are not the state's "
-                             "target and sources, in order")
-    pyramids = losses.build_snippet_pyramids(state, loss_config)
     moments = AdamMoments()
     history: list[LossReport] = []
     converged = False
     for t in range(1, adam_config.max_iters + 1):
-        report, grads = losses.total_loss(state, loss_config, pyramids=pyramids)
+        report, grads = losses.total_loss(snippet, state, loss_config)
         if not np.isfinite(report.total):
             raise FitDiverged(t)
         if report.all_invalid:
@@ -299,15 +233,17 @@ def fit_snippet(
             if (prev == 0 and cur == 0) or (prev > 0 and abs(prev - cur) / prev < adam_config.tol):
                 converged = True
                 break
-    return FitResult(state=state, history=history, converged=converged, iterations=t)
+    return FitResult(state=state, snippet=snippet, history=history, converged=converged,
+                     iterations=t)
 
 
-def save_checkpoint(path, state: SnippetState) -> None:
-    """Write the state's parameters as exact float64 (layout: README,
-    "Checkpoint"). The package does not read the file: it holds no Adam step,
-    moments or convergence window, so a fit cannot be resumed from it."""
-    H, W, C = state.target.shape
-    S = len(state.sources)
+def save_checkpoint(path, snippet: Snippet, state: Params) -> None:
+    """Write the parameters of a fit over `snippet` as exact float64 (layout:
+    README, "Checkpoint"). The package does not read the file: it holds no
+    Adam step, moments or convergence window, so a fit cannot be resumed
+    from it."""
+    H, W, C = snippet.target.shape
+    S = len(snippet.sources)
     levels = state.mask_logits or []
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)

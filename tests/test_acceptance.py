@@ -13,7 +13,7 @@ import numpy as np
 from viewsynth import (cli, evaluation, fileio, geometry, gradcheck, losses,
                        model, sampler, synth)
 from viewsynth.geometry import Intrinsics
-from viewsynth.losses import LossConfig
+from viewsynth.losses import LossConfig, Snippet
 from viewsynth.model import AdamConfig
 
 
@@ -178,7 +178,7 @@ def test_criterion_5_loss_decomposition():
     for m in state.mask_logits:
         m += rng.normal(0, 0.5, m.shape)
 
-    report, _ = losses.total_loss(state, cfg)
+    report, _ = losses.total_loss(Snippet.build(imgs, 1, K, cfg), state, cfg)
     recomposed = sum(
         report.vs_per_level[l]
         + cfg.smooth_weight(l) * report.smooth_per_level[l]
@@ -196,8 +196,8 @@ def test_criterion_5_loss_decomposition():
     state_nomask.poses[:] = state.poses
     for m in state.mask_logits:
         m[...] = 50.0  # sigmoid(50) == 1.0 in double precision
-    masked, _ = losses.total_loss(state, cfg)
-    plain, _ = losses.total_loss(state_nomask, cfg_nomask)
+    masked, _ = losses.total_loss(Snippet.build(imgs, 1, K, cfg), state, cfg)
+    plain, _ = losses.total_loss(Snippet.build(imgs, 1, K, cfg_nomask), state_nomask, cfg_nomask)
     for a, b in zip(masked.vs_per_level, plain.vs_per_level):
         assert a == b, "unit-mask photometric loss differs from unmasked"
 

@@ -172,7 +172,7 @@ def test_fit_depth_prior_is_the_initial_depth(tmp_path):
     assert np.allclose(state.depth(), 3.0)
     result = model.fit_snippet(seq.frames, seq.target_index, seq.intrinsics, cfg,
                                model.AdamConfig(lr=0.01, max_iters=5), state=state)
-    model.save_checkpoint(tmp_path / "api.bin", result.state)
+    model.save_checkpoint(tmp_path / "api.bin", result.snippet, result.state)
     cli_bytes = (tmp_path / "prior3" / "checkpoint.bin").read_bytes()
     assert cli_bytes == (tmp_path / "api.bin").read_bytes()
     assert cli_bytes != (tmp_path / "prior1" / "checkpoint.bin").read_bytes()
@@ -410,8 +410,8 @@ def test_gradcheck_fails_on_a_nan_error(capsys, monkeypatch):
     total_loss = losses.total_loss
     seen = []
 
-    def nan_poses(state, config, want_grads=True, **kwargs):
-        report, grads = total_loss(state, config, want_grads, **kwargs)
+    def nan_poses(snippet, params, config, want_grads=True):
+        report, grads = total_loss(snippet, params, config, want_grads)
         if grads is not None and not seen:
             seen.append(grads)
             grads.poses[:] = np.nan

@@ -120,10 +120,10 @@ def fd_oracle_digests(seed: int) -> dict:
     fds = {}
     central_differences = gradcheck.central_differences
 
-    def recording(state, config, params, *args):
-        out = central_differences(state, config, params, *args)
-        names = {id(p): name for name, p in model._param_items(state)}
-        fds.update((names[id(p)], _sha256(fd)) for p, fd in zip(params, out))
+    def recording(snippet, params, config, arrays, *args):
+        out = central_differences(snippet, params, config, arrays, *args)
+        names = {id(p): name for name, p in params.items()}
+        fds.update((names[id(p)], _sha256(fd)) for p, fd in zip(arrays, out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:

@@ -101,7 +101,7 @@ def test_total_loss_rejects_nonfinite_poses(batch, bad):
     poses[..., -1, 4] = bad
     state.poses = poses
     with pytest.raises(ValueError, match="pose parameters must be finite"):
-        losses.total_loss(state, cfg, want_grads=batch is None)
+        losses.total_loss(state.snippet, state, cfg, want_grads=batch is None)
     with pytest.raises(ValueError, match="pose parameters must be finite"):
         geometry.pose_to_transform(poses)
 

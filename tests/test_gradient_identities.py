@@ -41,7 +41,7 @@ def _residual(terms: list) -> tuple:
 
 
 def scale_identity(state, config) -> tuple:
-    report, grads = losses.total_loss(state, config)
+    report, grads = losses.total_loss(state.snippet, state, config)
     smooth = [config.smooth_weight(l) * s for l, s in enumerate(report.smooth_per_level)]
     return _residual([_depth_gradient(state, grads) * state.depth(),
                       grads.poses[:, 3:] * state.poses[:, 3:], -np.array(smooth)])
@@ -49,7 +49,7 @@ def scale_identity(state, config) -> tuple:
 
 def mask_identity(state, config) -> tuple:
     config = replace(config, lambda_e=0.0)
-    report, grads = losses.total_loss(state, config)
+    report, grads = losses.total_loss(state.snippet, state, config)
     return _residual([g / (1 - losses.mask_probability(m))
                       for g, m in zip(grads.mask_logits, state.mask_logits)]
                      + [-np.array(report.vs_per_level)])
@@ -77,7 +77,7 @@ def zero_translation_depth_gradient(state, config) -> tuple:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(losses, "projection_adjoint", recording)
-        _, grads = losses.total_loss(state, config)
+        _, grads = losses.total_loss(state.snippet, state, config)
     return np.sum(np.abs(_depth_gradient(state, grads)) * state.depth()), math.fsum(terms)
 
 
@@ -92,7 +92,7 @@ def test_identities_at_416_x_128_with_masks():
     state, config = gradcheck.random_instance(0, height=128, width=416, n_sources=4, levels=4)
     _check_identities(state, config)
     # None of them holds trivially: the photometric parts are not zero.
-    _, grads = losses.total_loss(state, config)
+    _, grads = losses.total_loss(state.snippet, state, config)
     assert np.all(grads.poses[:, 3:] != 0.0)
     assert min(zero_translation_depth_gradient(state, config)[1],
                mask_identity(state, config)[1]) > 1e-3
@@ -103,9 +103,11 @@ def test_identities_at_416_x_128_with_masks():
 @settings(max_examples=25, deadline=None)
 def test_identities_on_drawn_instances(height, width, n_sources, levels, use_masks, joined, seed):
     levels = min(levels, losses.max_pyramid_levels(height, width))
-    state, config = gradcheck.random_instance(seed, height, width, n_sources, levels, use_masks)
     # All levels in one group, or each level a group of its own (with the
     # sources on threads where there are several).
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(losses, "PARALLEL_MIN_ELEMENTS", 1 << 30 if joined else 1)
+        state, config = gradcheck.random_instance(seed, height, width, n_sources, levels,
+                                                  use_masks)
+        assert len(state.snippet.groups) == (1 if joined else levels)
         _check_identities(state, config)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viewsynth import geometry, gradcheck, losses, model, sampler
+from viewsynth import geometry, gradcheck, losses, sampler
 from viewsynth.geometry import Intrinsics
 from viewsynth.losses import LossConfig
 
@@ -39,14 +39,14 @@ def test_injected_bug_is_detected():
 def test_depth_gradient_through_pyramid():
     # Direct FD on one depth logit through a 2-level objective.
     state, cfg = gradcheck.random_instance(3)
-    _, grads = losses.total_loss(state, cfg)
+    _, grads = losses.total_loss(state.snippet, state, cfg)
     h = 1e-5
     for idx in [(0, 0), (3, 7), (5, 11)]:
         orig = state.depth_logits[idx]
         state.depth_logits[idx] = orig + h
-        hi, _ = losses.total_loss(state, cfg, want_grads=False)
+        hi, _ = losses.total_loss(state.snippet, state, cfg, want_grads=False)
         state.depth_logits[idx] = orig - h
-        lo, _ = losses.total_loss(state, cfg, want_grads=False)
+        lo, _ = losses.total_loss(state.snippet, state, cfg, want_grads=False)
         state.depth_logits[idx] = orig
         fd = (hi.total - lo.total) / (2 * h)
         assert abs(grads.depth_logits[idx] - fd) <= 1e-4 * max(1.0, abs(fd))
@@ -84,13 +84,13 @@ def _batched_totals(state, cfg, sets, batched, chunk):
         part = sets[start:start + chunk]
         batch = replace(state)
         if "depth" in batched:
-            batch.depth_logits = np.stack([d for d, _, _ in part])
+            batch = replace(batch, depth_logits=np.stack([d for d, _, _ in part]))
         if "poses" in batched:
-            batch.poses = np.stack([p for _, p, _ in part])
+            batch = replace(batch, poses=np.stack([p for _, p, _ in part]))
         if "masks" in batched and state.mask_logits is not None:
-            batch.mask_logits = [np.stack([m[l] for _, _, m in part])
-                                 for l in range(len(state.mask_logits))]
-        report, grads = losses.total_loss(batch, cfg, want_grads=False)
+            batch = replace(batch, mask_logits=[np.stack([m[l] for _, _, m in part])
+                                                for l in range(len(state.mask_logits))])
+        report, grads = losses.total_loss(batch.snippet, batch, cfg, want_grads=False)
         assert grads is None
         totals.extend(np.broadcast_to(report.total, (len(part),)).tolist())
     return totals
@@ -114,7 +114,7 @@ def test_batched_totals_equal_per_call_totals(use_masks, levels, n_sources):
                           depth_logits=depth if "depth" in batched else state.depth_logits,
                           poses=poses if "poses" in batched else state.poses,
                           mask_logits=masks if "masks" in batched else state.mask_logits)
-            report, _ = losses.total_loss(one, cfg, want_grads=False)
+            report, _ = losses.total_loss(one.snippet, one, cfg, want_grads=False)
             expected.append(report.total)
             if "poses" in batched and poses[0, 3] == 50.0:
                 assert all(n[0] == 0 for n in report.valid_per_level)
@@ -128,8 +128,8 @@ def test_batched_depth_with_identity_poses_equals_per_call():
     state, cfg = gradcheck.random_instance(6)
     state.poses[:] = 0.0
     sets = _parameter_sets(state, np.random.default_rng(1), 6)
-    expected = [losses.total_loss(replace(state, depth_logits=d), cfg, False)[0].total
-                for d, _, _ in sets]
+    expected = [losses.total_loss(state.snippet, replace(state, depth_logits=d), cfg,
+                                  False)[0].total for d, _, _ in sets]
     assert _batched_totals(state, cfg, sets, ("depth",), 4) == expected
 
 
@@ -138,9 +138,9 @@ def test_zero_pose_batch_reports_one_total_per_element(use_masks):
     # Each source warps through a stack of identity transforms.
     state, cfg = gradcheck.random_instance(0, use_masks=use_masks)
     state.poses[:] = 0.0
-    one, _ = losses.total_loss(state, cfg, want_grads=False)
+    one, _ = losses.total_loss(state.snippet, state, cfg, want_grads=False)
     batch = replace(state, poses=np.zeros((4,) + state.poses.shape))
-    report, _ = losses.total_loss(batch, cfg, want_grads=False)
+    report, _ = losses.total_loss(batch.snippet, batch, cfg, want_grads=False)
     assert np.shape(report.total) == (4,)
     assert report.total.tolist() == [one.total] * 4
 
@@ -152,10 +152,10 @@ def test_batched_report_holds_per_element_terms():
     batch = replace(state, depth_logits=np.stack([d for d, _, _ in sets]),
                     poses=np.stack([p for _, p, _ in sets]),
                     mask_logits=[np.stack([m[l] for _, _, m in sets]) for l in range(2)])
-    report, _ = losses.total_loss(batch, cfg, want_grads=False)
+    report, _ = losses.total_loss(batch.snippet, batch, cfg, want_grads=False)
     assert report.all_invalid.tolist() == [False] * 5 + [True]
     for k, (depth, poses, masks) in enumerate(sets):
-        one, _ = losses.total_loss(replace(state, depth_logits=depth, poses=poses,
+        one, _ = losses.total_loss(state.snippet, replace(state, depth_logits=depth, poses=poses,
                                            mask_logits=masks), cfg, want_grads=False)
         for l in range(2):
             assert report.vs_per_level[l][k] == one.vs_per_level[l]
@@ -194,11 +194,13 @@ def test_depth_batch_reports_equal_per_call_reports(levels, changes, poses):
         flat += rng.normal(0.0, 0.2, flat.shape)
         if near:
             flat[1:4, rng.integers(flat.shape[1], size=3)] = 5.0
-    report, _ = losses.total_loss(replace(state, depth_logits=batch), cfg, want_grads=False)
+    report, _ = losses.total_loss(state.snippet, replace(state, depth_logits=batch), cfg,
+                                  want_grads=False)
     if near and changes != "none":   # the near pixels are invalid
         assert len(set(report.valid_per_level[0][0].tolist())) > 1
     for k, logits in enumerate(batch):
-        one, _ = losses.total_loss(replace(state, depth_logits=logits), cfg, want_grads=False)
+        one, _ = losses.total_loss(state.snippet, replace(state, depth_logits=logits), cfg,
+                                   want_grads=False)
         assert report.total[k] == one.total
         for l in range(levels):
             assert report.vs_per_level[l][k] == one.vs_per_level[l]
@@ -211,26 +213,25 @@ def test_batched_total_loss_refuses_gradients():
     state, cfg = gradcheck.random_instance(0)
     batch = replace(state, depth_logits=np.stack([state.depth_logits] * 2))
     with pytest.raises(ValueError, match="batch"):
-        losses.total_loss(batch, cfg)
+        losses.total_loss(batch.snippet, batch, cfg)
 
 
 def _per_coordinate_check(state, config, step=1e-5):
     """check_instance as one forward-only total_loss call per perturbation:
     the reference the batched oracle must reproduce bit for bit."""
-    pyramids = losses.build_snippet_pyramids(state, config)
-    _, grads = losses.total_loss(state, config, pyramids=pyramids)
-    analytic = dict(model._param_items(grads))
+    _, grads = losses.total_loss(state.snippet, state, config)
+    analytic = dict(grads.items())
     errors, fds = {}, {}
-    for name, param in model._param_items(state):
+    for name, param in state.items():
         fd = np.zeros_like(param)
         flat = param.reshape(-1)
         fdflat = fd.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi, _ = losses.total_loss(state, config, want_grads=False, pyramids=pyramids)
+            hi, _ = losses.total_loss(state.snippet, state, config, want_grads=False)
             flat[i] = orig - step
-            lo, _ = losses.total_loss(state, config, want_grads=False, pyramids=pyramids)
+            lo, _ = losses.total_loss(state.snippet, state, config, want_grads=False)
             flat[i] = orig
             fdflat[i] = (hi.total - lo.total) / (2 * step)
         a = analytic[name]
@@ -244,7 +245,7 @@ def _oracle_lists(state):
     """check_instance's lists of parameter arrays (depth logits, poses, every
     mask level), then depth logits and poses in one list, where a batch can
     hold sets of both."""
-    params = dict(model._param_items(state))
+    params = dict(state.items())
     masks = [name for name in params if name.startswith("mask_logits")]
     lists = [["depth_logits"], ["poses"], masks, ["depth_logits", "poses"]]
     return [names for names in lists if names], params
@@ -260,14 +261,13 @@ def _oracle_lists(state):
 def test_check_instance_equals_per_coordinate_loop(seed, kwargs, monkeypatch):
     state, cfg = gradcheck.random_instance(seed, **kwargs)
     ref_errors, ref_fds = _per_coordinate_check(state, cfg)
-    pyramids = losses.build_snippet_pyramids(state, cfg)
     lists, params = _oracle_lists(state)
     for chunk in (1, 7, 64, 10 ** 6):
         monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
         assert gradcheck.check_instance(state, cfg) == ref_errors
         for names in lists:
-            fds = gradcheck.central_differences(state, cfg, [params[n] for n in names],
-                                                1e-5, pyramids)
+            fds = gradcheck.central_differences(state.snippet, state, cfg,
+                                                [params[n] for n in names], 1e-5)
             for name, fd in zip(names, fds, strict=True):
                 assert np.array_equal(fd, ref_fds[name]), (name, chunk)
 
@@ -280,18 +280,16 @@ def test_check_instance_equals_per_coordinate_loop(seed, kwargs, monkeypatch):
 def test_central_differences_refuses_arrays_not_of_the_state(pick):
     # A copy or a view stays unperturbed: its differences would all be 0.
     state, cfg = gradcheck.random_instance(0)
-    params = pick(state)
-    with pytest.raises(ValueError, match=rf"params\[{len(params) - 1}\]"):
-        gradcheck.central_differences(state, cfg, params, 1e-5,
-                                      losses.build_snippet_pyramids(state, cfg))
+    arrays = pick(state)
+    with pytest.raises(ValueError, match=rf"arrays\[{len(arrays) - 1}\]"):
+        gradcheck.central_differences(state.snippet, state, cfg, arrays, 1e-5)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
 def test_central_differences_refuses_a_step_it_cannot_take(step):
     state, cfg = gradcheck.random_instance(0)
     with pytest.raises(ValueError, match=f"step must be finite and > 0, got {step}"):
-        gradcheck.central_differences(state, cfg, [state.poses], step,
-                                      losses.build_snippet_pyramids(state, cfg))
+        gradcheck.central_differences(state.snippet, state, cfg, [state.poses], step)
 
 
 def _nan_pose_gradients(monkeypatch, instances):
@@ -300,8 +298,8 @@ def _nan_pose_gradients(monkeypatch, instances):
     total_loss = losses.total_loss
     seen = []
 
-    def nan_poses(state, config, want_grads=True, **kwargs):
-        report, grads = total_loss(state, config, want_grads, **kwargs)
+    def nan_poses(snippet, params, config, want_grads=True):
+        report, grads = total_loss(snippet, params, config, want_grads)
         if grads is not None:
             if len(seen) in instances:
                 grads.poses[:] = np.nan
@@ -324,8 +322,7 @@ def test_central_differences_refuses_a_bare_array():
     # state and return differences of an unperturbed objective.
     state, cfg = gradcheck.random_instance(0)
     with pytest.raises(TypeError, match="list"):
-        gradcheck.central_differences(state, cfg, state.poses, 1e-5,
-                                      losses.build_snippet_pyramids(state, cfg))
+        gradcheck.central_differences(state.snippet, state, cfg, state.poses, 1e-5)
 
 
 def test_check_instance_batches_mask_levels_with_an_unbatched_warp(monkeypatch):
@@ -339,10 +336,10 @@ def test_check_instance_batches_mask_levels_with_an_unbatched_warp(monkeypatch):
     calls = []
     total_loss = losses.total_loss
 
-    def counting(state, config, want_grads=True, **kwargs):
-        calls.append((want_grads, np.shape(state.depth_logits), np.shape(state.poses),
-                      [np.shape(m) for m in state.mask_logits]))
-        return total_loss(state, config, want_grads, **kwargs)
+    def counting(snippet, params, config, want_grads=True):
+        calls.append((want_grads, np.shape(params.depth_logits), np.shape(params.poses),
+                      [np.shape(m) for m in params.mask_logits]))
+        return total_loss(snippet, params, config, want_grads)
 
     monkeypatch.setattr(losses, "total_loss", counting)
     gradcheck.check_instance(state, cfg)
@@ -360,8 +357,7 @@ def test_projection_adjoint_matches_fd_over_a_two_level_group():
     # for fixed weights a, b: projection_adjoint(a, b, ...) is its gradient
     # with respect to each pixel's depth and, per level, the pose.
     state, cfg = gradcheck.random_instance(3, height=8, width=12, levels=2)
-    pyramids = losses.build_snippet_pyramids(state, cfg)
-    group, = pyramids.groups
+    group, = state.snippet.groups
     assert group.levels == range(2)
     grid = group.grid
     depth = sampler.join_rows(losses.build_pyramid(state.depth(), 2))
@@ -464,7 +460,7 @@ def _check_adjoint_against_reference(grid, spans, depth, pose, source, invalid_s
 
 def _two_level_group():
     state, cfg = gradcheck.random_instance(3, height=8, width=12, levels=2)
-    group, = losses.build_snippet_pyramids(state, cfg).groups
+    group, = state.snippet.groups
     assert group.levels == range(2)
     return group, sampler.join_rows(losses.build_pyramid(state.depth(), 2))
 

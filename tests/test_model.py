@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewsynth import gradcheck, losses, model
+from viewsynth import cli, gradcheck, losses, model, synth
 from viewsynth.geometry import Intrinsics
-from viewsynth.losses import LossConfig
-from viewsynth.model import AdamConfig, AdamMoments, SnippetState
+from viewsynth.losses import LossConfig, Params, Snippet
+from viewsynth.model import AdamConfig, AdamMoments
 
 
 def _images(seed=0, n=3, h=8, w=10):
@@ -72,13 +72,26 @@ def test_init_state_defaults():
         assert np.all(losses.mask_probability(m) == 0.5)
 
 
+@pytest.mark.parametrize("masked", [True, False])
+def test_init_state_checks_the_frames_without_building_their_pyramids(masked, monkeypatch):
+    # Only the mask shapes come from a pyramid: one of an (H, W) map of zeros.
+    calls = []
+    orig = losses.build_pyramid
+    monkeypatch.setattr(losses, "build_pyramid",
+                        lambda img, *a: calls.append(np.shape(img)) or orig(img, *a))
+    model.init_state(_images(), 1, K, replace(CFG, use_explainability=masked))
+    assert calls == ([(8, 10)] if masked else [])
+    Snippet.build(_images(), 1, K, CFG)
+    assert calls[-3:] == [(8, 10, 1)] * 3
+
+
 def test_init_state_initial_vs_is_mean_abs_difference():
     # Zero poses make the initial warp the identity, so L_vs at full
     # resolution is the per-source mean |target - source|.
     imgs = _images(seed=5)
     cfg = LossConfig(num_levels=1, use_explainability=False)
     state = model.init_state(imgs, 1, K, cfg)
-    report, _ = losses.total_loss(state, cfg)
+    report, _ = losses.total_loss(Snippet.build(imgs, 1, K, cfg), state, cfg)
     expected = sum(np.abs(imgs[1] - imgs[i]).mean() for i in (0, 2))
     assert abs(report.vs_per_level[0] - expected) < 1e-12
 
@@ -95,14 +108,16 @@ def test_init_state_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_init_state_refuses_a_non_finite_pixel_by_image_index(bad, index):
-    # The target (index 1) or a source; a fit without a state stops there
-    # too, before any loss is evaluated.
+    # The target (index 1) or a source; a fit, with or without a state,
+    # stops there too, before any loss is evaluated.
     imgs = _images(seed=4)
+    state = model.init_state(imgs, 1, K, CFG)
     imgs[index][2, 3, 0] = bad
     with pytest.raises(ValueError, match=rf"^images\[{index}\] has a non-finite pixel$"):
         model.init_state(imgs, 1, K, CFG)
-    with pytest.raises(ValueError, match=rf"^images\[{index}\] has a non-finite pixel$"):
-        model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=1))
+    for given in (None, state):
+        with pytest.raises(ValueError, match=rf"^images\[{index}\] has a non-finite pixel$"):
+            model.fit_snippet(imgs, 1, K, CFG, AdamConfig(max_iters=1), state=given)
 
 
 @pytest.mark.parametrize("use_masks", [True, False])
@@ -118,27 +133,23 @@ def test_init_state_refuses_more_levels_than_the_images_allow(use_masks):
         with pytest.raises(ValueError, match=rf"num_levels {levels} is more than 24x16 images "
                                              r"allow: losses.max_pyramid_levels\(16, 24\) is 4"):
             model.init_state(imgs, 1, K24, cfg)
-        # A fit without a state starts from init_state; a given state of
-        # fewer levels is no way around the check, in a fit or an FD check.
+        # A fit builds its Snippet with the same check; a given state of
+        # fewer levels is no way around it.
         for run in (lambda: model.fit_snippet(imgs, 1, K24, cfg, AdamConfig(max_iters=1)),
                     lambda: model.fit_snippet(imgs, 1, K24, cfg, AdamConfig(max_iters=1),
                                               state=state),
-                    lambda: gradcheck.check_instance(state, cfg)):
+                    lambda: Snippet.build(imgs, 1, K24, cfg)):
             with pytest.raises(ValueError, match=f"num_levels {levels} is more than"):
                 run()
 
 
 def _scalar_state(x0):
     """1-parameter state for exercising the Adam update rule in isolation."""
-    return SnippetState(
-        target=np.zeros((1, 1, 1)), sources=[], depth_logits=np.array([[x0]]),
-        poses=np.zeros((0, 6)), mask_logits=None,
-        intrinsics=Intrinsics(fx=1, fy=1, cx=0.5, cy=0.5, width=1, height=1),
-    )
+    return Params(depth_logits=np.array([[x0]]), poses=np.zeros((0, 6)))
 
 
 def _scalar_grads(g):
-    return losses.SnippetGrads(depth_logits=np.array([[g]]), poses=np.zeros((0, 6)))
+    return Params(depth_logits=np.array([[g]]), poses=np.zeros((0, 6)))
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -159,7 +170,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_shape_mismatch_raises():
     state = _scalar_state(0.0)
-    bad = losses.SnippetGrads(depth_logits=np.zeros((2, 2)), poses=np.zeros((0, 6)))
+    bad = Params(depth_logits=np.zeros((2, 2)), poses=np.zeros((0, 6)))
     with pytest.raises(ValueError):
         model.adam_step(state, bad, AdamMoments(), AdamConfig(), t=1)
 
@@ -219,8 +230,8 @@ def test_adam_config_rejects_nonfinite_or_negative_tol(tol):
 def _adam_expression_form(state, grads, moments, config, t):
     """adam_step as whole-array expressions, each forming fresh arrays: the
     reference that the in-place update must reproduce bit for bit."""
-    params = dict(model._param_items(state))
-    gdict = dict(model._param_items(grads))
+    params = dict(state.items())
+    gdict = dict(grads.items())
     for name, p in params.items():
         g = gdict[name]
         m = moments.m.setdefault(name, np.zeros_like(p))
@@ -235,7 +246,7 @@ def _adam_expression_form(state, grads, moments, config, t):
 
 
 def _param_bits(state, moments):
-    return ([p.tobytes() for _, p in model._param_items(state)]
+    return ([p.tobytes() for _, p in state.items()]
             + [moments.m[k].tobytes() for k in sorted(moments.m)]
             + [moments.v[k].tobytes() for k in sorted(moments.v)])
 
@@ -249,7 +260,7 @@ def test_adam_step_in_place_equals_expression_form_bitwise():
     adam = AdamConfig(lr=0.05)
     moments, ref_moments = AdamMoments(), AdamMoments()
     for t in range(1, 7):
-        _, grads = losses.total_loss(state, cfg)
+        _, grads = losses.total_loss(state.snippet, state, cfg)
         model.adam_step(state, grads, moments, adam, t)
         _adam_expression_form(ref, grads, ref_moments, adam, t)
         assert _param_bits(state, moments) == _param_bits(ref, ref_moments)
@@ -293,51 +304,14 @@ def test_fit_is_deterministic():
     assert [r.total for r in r1.history] == [r.total for r in r2.history]
 
 
-def test_fit_refuses_a_state_of_other_intrinsics():
+def test_fit_takes_a_state_and_images_as_h_w_maps():
+    # The same images as (H, W) maps make the snippet of (H, W, 1) images.
     imgs = _images(seed=21)
     state = model.init_state(imgs, 1, K, CFG)
-    other = Intrinsics(fx=3.0, fy=3.0, cx=2.5, cy=2.5, width=5, height=5)
-    for k in (replace(K, fx=11.0), other):
-        with pytest.raises(ValueError, match="^K "):
-            model.fit_snippet(imgs, 1, k, CFG, AdamConfig(max_iters=2), state=state)
-
-
-def test_fit_refuses_a_state_of_other_images_or_order():
-    imgs = _images(seed=21)
-    state = model.init_state(imgs, 1, K, CFG)
-    for images, target_index in [
-        ([np.zeros((8, 10, 1))] * 3, 1),             # other images
-        ([np.zeros((5, 5))] * 3, 1),                 # other size
-        (imgs, 0),                                   # other target
-        ([imgs[2], imgs[1], imgs[0]], 1),            # sources swapped
-        (imgs[:2], 1),                               # a source missing
-        (imgs + imgs[:1], 1),                        # a source too many
-        (imgs, 3),                                   # target index out of range
-    ]:
-        with pytest.raises(ValueError, match="^images "):
-            model.fit_snippet(images, target_index, K, CFG, AdamConfig(max_iters=2),
-                              state=state)
-    # The same images as (H, W) maps are the state's (H, W, 1) images.
     res = model.fit_snippet([im[..., 0] for im in imgs], 1, K, CFG, AdamConfig(max_iters=2),
                             state=state)
-    assert res.iterations == 2
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("where", ["state.target", "state.sources[1]"])
-def test_fit_names_a_given_state_s_non_finite_image(bad, where):
-    # A state built or edited by hand, fitted with the images it holds: NaN
-    # is not equal to itself, so the image check alone would call them other
-    # images. The state's image is named first, with or without the images.
-    imgs = _images(seed=22)
-    clean = [im.copy() for im in imgs]
-    state = model.init_state(imgs, 1, K, CFG)
-    image = state.target if where == "state.target" else state.sources[1]
-    image[2, 3, 0] = bad
-    held = [state.sources[0], state.target, state.sources[1]]
-    for images in (held, clean):
-        with pytest.raises(ValueError, match=rf"^{re.escape(where)} has a non-finite pixel$"):
-            model.fit_snippet(images, 1, K, CFG, AdamConfig(max_iters=1), state=state)
+    assert res.iterations == 2 and res.state is state
+    assert res.snippet.target.shape == (8, 10, 1)
 
 
 def test_fit_depth_bounds_hold_after_every_step():
@@ -346,8 +320,9 @@ def test_fit_depth_bounds_hold_after_every_step():
     moments = AdamMoments()
     lo = 1.0 / (losses.DEPTH_ALPHA + losses.DEPTH_BETA)
     hi = 1.0 / losses.DEPTH_BETA
+    snippet = Snippet.build(imgs, 1, K, CFG)
     for t in range(1, 40):
-        _, grads = losses.total_loss(state, CFG)
+        _, grads = losses.total_loss(snippet, state, CFG)
         model.adam_step(state, grads, moments, AdamConfig(lr=0.05), t)
         d = state.depth()
         assert d.min() > lo and d.max() < hi
@@ -365,20 +340,65 @@ def test_fit_diverged_raises_with_iteration():
         assert e.value.iteration == 1
 
 
+# Parameters shaped for another snippet of the 8x10 frames (two sources, two
+# levels), whether the snippet has masks on, and the message that refuses
+# them: it names the parameter, the snippet's shape and theirs.
+OTHER_SNIPPET_PARAMS = {
+    "one source short": (
+        lambda imgs: model.init_state(imgs[:2], 1, K, CFG), True,
+        "poses must be (2, 6), with at most one leading batch axis; got (1, 6)"),
+    "another size": (
+        lambda imgs: model.init_state([im[:4, :5] for im in imgs], 1,
+                                      Intrinsics(fx=5.0, fy=5.0, cx=2.5, cy=2.0, width=5,
+                                                 height=4), LossConfig(num_levels=1)), True,
+        "depth_logits must be (8, 10), with at most one leading batch axis; got (4, 5)"),
+    "masks missing": (
+        lambda imgs: model.init_state(imgs, 1, K, replace(CFG, use_explainability=False)), True,
+        "mask_logits must be one (S, H_l, W_l) array per pyramid level, "
+        "[(2, 8, 10), (2, 4, 5)] for num_levels=2; got None"),
+    "masks off": (
+        lambda imgs: model.init_state(imgs, 1, K, CFG), False,
+        "mask_logits must be None with masks off; got [(2, 8, 10), (2, 4, 5)]"),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_SNIPPET_PARAMS)
+def test_params_of_another_snippet_are_refused_naming_both_shapes(case, capsys, monkeypatch,
+                                                                  tmp_path):
+    # A Params holds no frames: the first total_loss call checks its shapes
+    # against the snippet, in a fit, an FD check and the CLI's fit.
+    make, masked, message = OTHER_SNIPPET_PARAMS[case]
+    imgs, cfg = _images(seed=23), replace(CFG, use_explainability=masked)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model.fit_snippet(imgs, 1, K, cfg, AdamConfig(max_iters=2), state=make(imgs))
+    instance = gradcheck.Instance(**vars(make(imgs)), snippet=Snippet.build(imgs, 1, K, cfg))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gradcheck.check_instance(instance, cfg)
+
+    seq = synth.SnippetSequence(frames=imgs, intrinsics=K, target_index=1)
+    monkeypatch.setattr(synth, "load_sequence", lambda path: seq)
+    params = make(imgs)
+    monkeypatch.setattr(model, "init_state", lambda *args: params)
+    argv = ["fit", "--in", "seq", "--out", str(tmp_path / "fit"), "--levels", "2",
+            "--max-iters", "2"]
+    assert cli.main(argv + ([] if masked else ["--no-explainability"])) == 1
+    assert capsys.readouterr().err == f"viewsynth fit: {message}\n"
+    assert not (tmp_path / "fit").exists()
+
+
 @pytest.mark.parametrize("masked", [True, False])
-@pytest.mark.parametrize("call", ["fit", "check"])
-def test_config_that_disagrees_with_the_state_on_masks_is_refused(masked, call):
-    # The state alone has or lacks mask logits; a config that says the
-    # opposite is an error, not a switch that silently wins or loses.
+def test_config_that_disagrees_with_the_snippet_is_refused(masked):
+    # A snippet is built for one level count and mask setting; a config
+    # that says otherwise is an error, not a switch that silently wins.
     state, cfg = gradcheck.random_instance(0, use_masks=masked)
-    cfg = replace(cfg, use_explainability=not masked)
-    run = {
-        "fit": lambda: model.fit_snippet([state.target] + state.sources, 0, state.intrinsics,
-                                         cfg, AdamConfig(max_iters=2), state=state),
-        "check": lambda: gradcheck.check_instance(state, cfg),
-    }[call]
-    with pytest.raises(ValueError, match="use_explainability"):
-        run()
+    for other in (replace(cfg, use_explainability=not masked), replace(cfg, num_levels=1)):
+        message = (f"config has num_levels {other.num_levels} and use_explainability "
+                   f"{other.use_explainability}, but the snippet was built for num_levels 2 "
+                   f"and use_explainability {masked}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gradcheck.check_instance(state, other)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            losses.total_loss(state.snippet, state, other, want_grads=False)
 
 
 def test_no_valid_pixels_stops_the_fit_with_its_iteration():
@@ -438,7 +458,8 @@ def test_checkpoint_file_layout(tmp_path, masked):
     for m in state.mask_logits or []:
         m += rng.normal(0, 1, m.shape)
     path = tmp_path / "checkpoint.bin"
-    model.save_checkpoint(path, state)
+    model.save_checkpoint(path, Snippet.build(imgs, 1, K, replace(CFG, use_explainability=masked)),
+                          state)
     data = path.read_bytes()
 
     levels = state.mask_logits or []

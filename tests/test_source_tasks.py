@@ -55,9 +55,19 @@ def _result_bits(report, grads):
     return bits
 
 
-def _run(monkeypatch, min_elements, state, cfg, want_grads=True, **kwargs):
+def _run(monkeypatch, min_elements, state, cfg, want_grads=True, snippet=None):
+    """total_loss of the instance `state` over `snippet`, or over its own
+    snippet grouped anew at min_elements."""
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", min_elements)
-    return _result_bits(*losses.total_loss(state, cfg, want_grads, **kwargs))
+    if snippet is None:
+        snippet = _regrouped(state.snippet, cfg)
+    return _result_bits(*losses.total_loss(snippet, state, cfg, want_grads))
+
+
+def _regrouped(snippet, cfg):
+    """The snippet of the same frames, its level groups made anew under the
+    current PARALLEL_MIN_ELEMENTS."""
+    return losses.Snippet.build([snippet.target, *snippet.sources], 0, snippet.K, cfg)
 
 
 @pytest.mark.parametrize("use_masks", [True, False])
@@ -70,7 +80,7 @@ def test_parallel_equals_serial_bitwise(use_masks, levels, n_sources, one_worker
     # The last source sees nothing: all its warped pixels land out of bounds.
     blind = state.poses.copy()
     blind[-1, 3] = 50.0
-    report, _ = losses.total_loss(replace(state, poses=blind), cfg)
+    report, _ = losses.total_loss(state.snippet, replace(state, poses=blind), cfg)
     assert all(n[-1] == 0 for n in report.valid_per_level)
     for poses in (state.poses, blind):
         one = replace(state, poses=poses)
@@ -110,11 +120,11 @@ def test_parallel_stress_more_workers_than_cores(monkeypatch):
         pool.shutdown()
 
 
-def _before_warps_of(monkeypatch, pyramids, index, action):
+def _before_warps_of(monkeypatch, snippet, index, action):
     """Make sampler.inverse_warp call action() first whenever it warps an
     image of source `index`."""
     orig = sampler.inverse_warp
-    images = [group.sources[index] for group in pyramids.groups]
+    images = [group.sources[index] for group in snippet.groups]
 
     def wrapper(src, *args, **kwargs):
         if any(src is img for img in images):
@@ -126,8 +136,7 @@ def _before_warps_of(monkeypatch, pyramids, index, action):
 
 def test_worker_exception_reaches_the_caller(one_worker, monkeypatch):
     state, cfg = gradcheck.random_instance(4, n_sources=4)
-    pyramids = losses.build_snippet_pyramids(state, cfg)
-    expected = _run(monkeypatch, SERIAL, state, cfg, pyramids=pyramids)
+    expected = _run(monkeypatch, SERIAL, state, cfg, snippet=state.snippet)
     error = RuntimeError("source 1 failed")
     threads = []
 
@@ -136,27 +145,27 @@ def test_worker_exception_reaches_the_caller(one_worker, monkeypatch):
         raise error
 
     orig = sampler.inverse_warp
-    _before_warps_of(monkeypatch, pyramids, 1, fail)
+    _before_warps_of(monkeypatch, state.snippet, 1, fail)
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", PARALLEL)
     with pytest.raises(RuntimeError) as caught:
-        losses.total_loss(state, cfg, pyramids=pyramids)
+        losses.total_loss(state.snippet, state, cfg)
     assert caught.value is error
     assert threads and threads[0] is not threading.main_thread()
 
     # The pool serves the next call, which gives the serial results.
     monkeypatch.setattr(sampler, "inverse_warp", orig)
-    assert _run(monkeypatch, PARALLEL, state, cfg, pyramids=pyramids) == expected
+    assert _run(monkeypatch, PARALLEL, state, cfg, snippet=state.snippet) == expected
 
 
 def test_caller_errstate_holds_in_workers(one_worker, monkeypatch):
     state, cfg = gradcheck.random_instance(5, n_sources=2)
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", PARALLEL)   # one group per level
-    pyramids = losses.build_snippet_pyramids(state, cfg)
+    snippet = _regrouped(state.snippet, cfg)
     seen = []
-    _before_warps_of(monkeypatch, pyramids, 1, lambda: seen.append(
+    _before_warps_of(monkeypatch, snippet, 1, lambda: seen.append(
         (threading.current_thread(), np.geterr()["invalid"])))
     with np.errstate(invalid="raise"):
-        losses.total_loss(state, cfg, pyramids=pyramids)
+        losses.total_loss(snippet, state, cfg)
     assert len(seen) == cfg.num_levels
     assert all(thread is not threading.main_thread() for thread, _ in seen)
     assert all(invalid == "raise" for _, invalid in seen)
@@ -168,10 +177,11 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
     # it would wait forever for its first worker task.
     state, cfg = gradcheck.random_instance(1, n_sources=3)
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", PARALLEL)
-    expected = _result_bits(*losses.total_loss(state, cfg))
+    snippet = _regrouped(state.snippet, cfg)
+    expected = _result_bits(*losses.total_loss(snippet, state, cfg))
 
     def child(queue):
-        queue.put(_result_bits(*losses.total_loss(state, cfg)))
+        queue.put(_result_bits(*losses.total_loss(snippet, state, cfg)))
 
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -212,7 +222,7 @@ def test_level_groups_join_the_coarsest_levels_below_the_threshold():
 
 def test_snippet_groups_of_a_416_x_128_four_level_pyramid():
     state, cfg = gradcheck.random_instance(0, height=128, width=416, n_sources=2, levels=4)
-    groups = losses.build_snippet_pyramids(state, cfg).groups
+    groups = state.snippet.groups
     assert [g.levels for g in groups] == [range(0, 1), range(1, 2), range(2, 4)]
     assert [g.spans for g in groups] == [((0, 53248),), ((0, 13312),), ((0, 3328), (3328, 4160))]
     for g in groups:
@@ -220,8 +230,9 @@ def test_snippet_groups_of_a_416_x_128_four_level_pyramid():
     # A one-level group keeps its level's scalar constants, and level 0's
     # images are reshape views of the snippet's own.
     assert isinstance(groups[1].grid.fx, float) and isinstance(groups[2].grid.fx, np.ndarray)
-    assert np.shares_memory(groups[0].target, state.target)
-    assert all(np.shares_memory(groups[0].sources[s], src) for s, src in enumerate(state.sources))
+    assert np.shares_memory(groups[0].target, state.snippet.target)
+    assert all(np.shares_memory(groups[0].sources[s], src)
+               for s, src in enumerate(state.snippet.sources))
 
 
 def _count_warps(monkeypatch) -> list:
@@ -239,12 +250,11 @@ def test_forward_depth_batch_warps_as_often_as_one_set(monkeypatch):
     rng = np.random.default_rng(3)
     batch = replace(state, depth_logits=state.depth_logits
                     + rng.normal(0, 0.2, (192,) + state.depth_logits.shape))
-    pyramids = losses.build_snippet_pyramids(state, cfg)
     calls = _count_warps(monkeypatch)
-    losses.total_loss(state, cfg, False, pyramids=pyramids)
+    losses.total_loss(state.snippet, state, cfg, False)
     assert len(calls) == 2
     calls.clear()
-    losses.total_loss(batch, cfg, False, pyramids=pyramids)
+    losses.total_loss(batch.snippet, batch, cfg, False)
     assert len(calls) == 2
 
 
@@ -267,7 +277,7 @@ def test_one_warp_per_source_and_group(monkeypatch):
     state, cfg = gradcheck.random_instance(0, height=48, width=64, n_sources=2, levels=3,
                                            use_masks=False)
     calls = _count_warps(monkeypatch)
-    losses.total_loss(state, cfg)
+    losses.total_loss(state.snippet, state, cfg)
     assert len(calls) == 2
 
 
@@ -286,10 +296,11 @@ def test_points_formed_once_per_level_group(min_elements, monkeypatch):
     monkeypatch.setattr(geometry, "points_at_depth",
                         lambda *a: calls.append(a[0].shape) or orig(*a))
     groups = 1 if min_elements == SERIAL else cfg.num_levels
-    losses.total_loss(state, cfg)
+    snippet = _regrouped(state.snippet, cfg)
+    losses.total_loss(snippet, state, cfg)
     assert len(calls) == groups
     calls.clear()
-    losses.total_loss(batch, cfg, False)
+    losses.total_loss(snippet, batch, cfg, False)
     assert len(calls) == 2 * 3 * groups
     assert all(len(shape) == 2 for shape in calls)   # no (4, ...) stack of points
 
@@ -318,7 +329,7 @@ def test_joined_levels_equal_separate_levels_bitwise(use_masks, levels, n_source
     if levels == 4:
         blind_at_3 = state.poses.copy()
         blind_at_3[-1, 3] = TX_BLIND_AT_LEVEL_3
-        report, _ = losses.total_loss(replace(state, poses=blind_at_3), cfg)
+        report, _ = losses.total_loss(state.snippet, replace(state, poses=blind_at_3), cfg)
         assert [n[-1] > 0 for n in report.valid_per_level] == [True, True, True, False]
         pose_sets.append(blind_at_3)
     for poses in pose_sets:
@@ -330,7 +341,9 @@ def test_source_blind_at_one_level_of_a_group_adds_nothing_there(monkeypatch):
     state, cfg = gradcheck.random_instance(71, height=H, width=W, n_sources=1, levels=4)
     state.poses[0, 3] = TX_BLIND_AT_LEVEL_3
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", SERIAL)   # one group of 4 levels
-    report, grads = losses.total_loss(state, cfg)
+    snippet = _regrouped(state.snippet, cfg)
+    assert [g.levels for g in snippet.groups] == [range(4)]
+    report, grads = losses.total_loss(snippet, state, cfg)
     assert [n[0] for n in report.valid_per_level][3] == 0
     assert report.vs_per_level[3] == 0.0 and all(v > 0 for v in report.vs_per_level[:3])
     for g in [grads.depth_logits, grads.poses] + grads.mask_logits:

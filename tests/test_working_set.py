@@ -24,7 +24,7 @@ def _warp_fields(w):
 
 
 def _state_arrays(state):
-    return _bits(state.target, *state.sources, state.depth_logits, state.poses,
+    return _bits(state.snippet.target, *state.snippet.sources, state.depth_logits, state.poses,
                  *(state.mask_logits or []))
 
 
@@ -32,16 +32,17 @@ def _instance(channels, levels, use_masks=True, n_sources=2):
     """random_instance with its images cut to `channels` channels."""
     state, cfg = gradcheck.random_instance(5, height=8, width=12, n_sources=n_sources,
                                            levels=levels, use_masks=use_masks)
-    return replace(state, target=state.target[..., :channels].copy(),
-                   sources=[s[..., :channels].copy() for s in state.sources]), cfg
+    frames = [im[..., :channels].copy() for im in (state.snippet.target, *state.snippet.sources)]
+    return replace(state, snippet=losses.Snippet.build(frames, 0, state.snippet.K, cfg)), cfg
 
 
-def _groups(state, cfg, monkeypatch, joined):
-    """The state's level groups: all levels joined in one, or one per level."""
+def _snippet(state, cfg, monkeypatch, joined):
+    """The state's snippet with all levels joined in one group, or one per level."""
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", float("inf") if joined else 0)
-    groups = losses.build_snippet_pyramids(state, cfg).groups
-    assert len(groups) == (1 if joined else cfg.num_levels)
-    return groups
+    snippet = losses.Snippet.build([state.snippet.target, *state.snippet.sources], 0,
+                                   state.snippet.K, cfg)
+    assert len(snippet.groups) == (1 if joined else cfg.num_levels)
+    return snippet
 
 
 def _depth_row(state, group, cfg):
@@ -55,7 +56,7 @@ def _depth_row(state, group, cfg):
 def test_the_source_chain_leaves_its_inputs_untouched(channels, joined, want_grads,
                                                       monkeypatch):
     state, cfg = _instance(channels, levels=2)
-    for group in _groups(state, cfg, monkeypatch, joined):
+    for group in _snippet(state, cfg, monkeypatch, joined).groups:
         depth = _depth_row(state, group, cfg)
         P = geometry.points_at_depth(depth, group.grid.rays)
         pose = state.poses[0]
@@ -125,8 +126,8 @@ def test_a_batched_warp_and_its_photometric_term_leave_their_inputs_untouched(tr
 def test_total_loss_leaves_the_state_and_pyramids_untouched(channels, joined, use_masks,
                                                             monkeypatch):
     state, cfg = _instance(channels, levels=3, use_masks=use_masks)
-    groups = _groups(state, cfg, monkeypatch, joined)
-    pyramids = losses.SnippetPyramids(cfg.num_levels, groups)
+    snippet = _snippet(state, cfg, monkeypatch, joined)
+    groups = snippet.groups
     pyramid_bits = [_bits(g.target, *g.sources, *g.grid[:-1]) for g in groups]
     rng = np.random.default_rng(3)
     batch = replace(
@@ -134,7 +135,7 @@ def test_total_loss_leaves_the_state_and_pyramids_untouched(channels, joined, us
         poses=state.poses + rng.normal(0, 0.01, (3,) + state.poses.shape))
     for one, want_grads in ((state, True), (state, False), (batch, False)):
         before = _state_arrays(one)
-        losses.total_loss(one, cfg, want_grads, pyramids=pyramids)
+        losses.total_loss(snippet, one, cfg, want_grads)
         assert _state_arrays(one) == before
     assert [_bits(g.target, *g.sources, *g.grid[:-1]) for g in groups] == pyramid_bits
 
@@ -148,7 +149,9 @@ def _training_shape_state():
     rng = np.random.default_rng(11)
     K = Intrinsics(fx=240.0, fy=240.0, cx=_W / 2, cy=_H / 2, width=_W, height=_H)
     cfg = losses.LossConfig(num_levels=4, use_explainability=True)
-    state = model.init_state([rng.random((_H, _W, 1)) for _ in range(5)], 2, K, cfg)
+    frames = [rng.random((_H, _W, 1)) for _ in range(5)]
+    state = gradcheck.Instance(**vars(model.init_state(frames, 2, K, cfg)),
+                               snippet=losses.Snippet.build(frames, 2, K, cfg))
     state.depth_logits += rng.normal(0.0, 0.1, state.depth_logits.shape)
     state.poses[:] = rng.normal(0.0, 0.01, state.poses.shape)
     for m in state.mask_logits:
@@ -175,11 +178,11 @@ def test_the_warp_working_set_at_the_training_shape():
     # points, as a source task runs it: its outputs (a map each of value,
     # valid, d/du and d/dv, and three of source points) are 2.6 MB.
     state, _ = _training_shape_state()
-    K = state.intrinsics
+    K = state.snippet.K
     depth = state.depth()
     P = geometry.points_at_depth(depth, sampler.pixel_grid(K).rays)
     T = geometry.pose_to_transform(state.poses[0])
-    assert _traced_peak_mb(lambda: sampler.inverse_warp(state.sources[0], depth, T, K,
+    assert _traced_peak_mb(lambda: sampler.inverse_warp(state.snippet.sources[0], depth, T, K,
                                                         points=P)) <= 6.0
 
 
@@ -189,6 +192,5 @@ def test_the_total_loss_working_set_at_the_training_shape(monkeypatch):
     # are as in a fit. The mask probabilities and gradients alone are 4.5 MB.
     monkeypatch.setattr(losses, "_source_pool", lambda: (None, 0))
     state, cfg = _training_shape_state()
-    pyramids = losses.build_snippet_pyramids(state, cfg)
-    assert [g.levels for g in pyramids.groups] == [range(1), range(1, 2), range(2, 4)]
-    assert _traced_peak_mb(lambda: losses.total_loss(state, cfg, pyramids=pyramids)) <= 15.0
+    assert [g.levels for g in state.snippet.groups] == [range(1), range(1, 2), range(2, 4)]
+    assert _traced_peak_mb(lambda: losses.total_loss(state.snippet, state, cfg)) <= 15.0
