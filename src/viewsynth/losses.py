@@ -17,6 +17,7 @@ so each batch element's value equals the unbatched call's bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import math
@@ -219,7 +220,9 @@ class Snippet:
     for, and total_loss's level groups of the frames' pyramids.
 
     Only the Params change between evaluations of total_loss, so fits and
-    gradient checks build this once, with Snippet.build.
+    gradient checks build this once, with Snippet.build. Every array it
+    holds is its own and read-only: source tasks and the level terms read
+    them from several threads at once.
     """
 
     target: np.ndarray       # (H, W, C)
@@ -232,9 +235,10 @@ class Snippet:
     @classmethod
     def build(cls, images: list, target_index: int, K: geometry.Intrinsics,
               config: LossConfig) -> Snippet:
-        """The snippet of images[target_index] and the other images, in
-        order, as sources; the frames must pass check_frames."""
+        """The snippet of copies of images[target_index] and the other
+        images, in order, as sources; the frames must pass check_frames."""
         target, sources = check_frames(images, target_index, K, config.num_levels)
+        target, *sources = (np.array(im) for im in [target, *sources])
         target_pyr, *source_pyrs = [build_pyramid(img, config.num_levels)
                                     for img in [target, *sources]]
         grids = [sampler.pixel_grid(geometry.scale_intrinsics(K, l))
@@ -250,8 +254,18 @@ class Snippet:
             groups.append(_LevelGroup(levels, tuple(zip([0] + stops[:-1], stops)),
                                       sampler.join_grids([grids[l] for l in levels]),
                                       stack(target_pyr)[None], tuple(map(stack, source_pyrs))))
-        return cls(target, tuple(sources), K, config.num_levels, config.use_explainability,
-                   tuple(groups))
+        return cls(*_read_only((target, tuple(sources))), K, config.num_levels,
+                   config.use_explainability, _read_only(tuple(groups)))
+
+
+def _read_only(x):
+    """x, with every array in it and in its (nested) tuples made read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, tuple):
+        for item in x:
+            _read_only(item)
+    return x
 
 
 def _split(x: np.ndarray, spans) -> list:
@@ -515,8 +529,30 @@ def _in_source_order(task, n: int, parallel: bool):
             yield s, pending.pop(s).result() if s in pending else task(s)
     finally:
         for f in pending.values():
-            if not f.cancel():
-                f.exception()  # waits for a task that is still running
+            _settle(f)
+
+
+def _settle(future) -> None:
+    """Cancel a pool task that has not started, or wait for one that has."""
+    if not future.cancel():
+        future.exception()
+
+
+@contextlib.contextmanager
+def _beside(task):
+    """Run task() on a pool worker, in a copy of the caller's context, while
+    the with-block runs on the caller; the block gets a function that returns
+    task's result, or raises its exception. Without a worker, that function
+    runs task itself. No task is left running once the block is left."""
+    pool, workers = _source_pool()
+    if not workers:
+        yield task
+        return
+    future = pool.submit(contextvars.copy_context().run, task)
+    try:
+        yield future.result
+    finally:
+        _settle(future)
 
 
 def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarray, spans):
@@ -599,7 +635,11 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     lambda_s / 2^level times the smoothness and lambda_e times the mask
     regularizer. Only the first needs a warp: one loop over the level groups
     runs the source tasks (below), then one loop over the levels adds the
-    other terms, the mean-mask sums and the total.
+    other terms, the mean-mask sums and the total. Those other terms depend
+    on the parameters alone. Once the last threaded group (below) has handed
+    the pool its source tasks, the pool takes the finest level's terms, the
+    largest, while the caller runs the remaining groups and the coarser
+    levels' terms; the level loop adds them in level order all the same.
 
     Level groups: the coarsest levels with fewer than PARALLEL_MIN_ELEMENTS
     pixels together form one group, and every other level is a group of its
@@ -664,7 +704,13 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     probs = [mask_probability(m) for m in params.mask_logits] if use_masks else None
 
     if want_grads:
-        g_depth_lv = [np.zeros_like(d) for d in depth_pyr]
+        # One depth-gradient row per level group, laid out like the group's
+        # depth row; each level's gradient map is a view of its part.
+        g_depth_rows = [np.zeros((1, group.spans[-1][1])) for group in snippet.groups]
+        g_depth_lv = [None] * L
+        for group, row in zip(snippet.groups, g_depth_rows):
+            for l, part in zip(group.levels, _split(row, group.spans)):
+                g_depth_lv[l] = part.reshape(depth_pyr[l].shape)
         g_pose = np.zeros((S, 6))
         g_mask = [np.zeros_like(params.mask_logits[l]) for l in range(L)] if use_masks else None
 
@@ -673,73 +719,102 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     if want_grads:   # (S, 3, 9): each source's dR/drx, dR/dry, dR/drz, flattened
         rot_jacs = np.stack(geometry.rotation_jacobians(poses[:, :3]), axis=1).reshape(S, 3, 9)
 
+    def level_terms(l):
+        """Level l's terms that need no warp: each source's mask regularizer
+        and probability sum (floats, or (B,) arrays; [0.0] * S and None
+        without masks) and the smoothness, then the gradients of the
+        regularizer and the smoothness times their weights (None without)."""
+        regs, prob_sums, g_reg = [0.0] * S, None, None
+        if use_masks:
+            reg, g_reg = explainability_regularizer(params.mask_logits[l], probs[l],
+                                                    want_grads=want_grads)
+            regs, prob_sums = _by_source(reg), _by_source(probs[l].sum(axis=(-2, -1)))
+        smooth, g_sm = smoothness_loss(depth_pyr[l], want_grads=want_grads)
+        if want_grads:   # in place, on the terms' own gradients
+            g_sm *= config.smooth_weight(l)
+            if use_masks:
+                g_reg *= config.lambda_e
+        return regs, prob_sums, smooth, g_reg, g_sm
+
+    threaded = [i for i, group in enumerate(snippet.groups)
+                if S > 1 and group.spans[-1][1] >= PARALLEL_MIN_ELEMENTS]
+    last_threaded = max(threaded, default=None)
+    finest = None   # without a pool lane, the caller forms the finest level's terms too
     vs_per_level = [0.0] * L
     valid_per_level = [[] for _ in range(L)]
-    for group in snippet.groups:
-        levels, spans = group.levels, group.spans
-        depth = sampler.join_rows([depth_pyr[l] for l in levels])
-        P = geometry.points_at_depth(depth, group.grid.rays) if depth.ndim == 2 else None
+    with contextlib.ExitStack() as pool_lane:
+        for i, group in enumerate(snippet.groups):
+            levels, spans = group.levels, group.spans
+            depth = sampler.join_rows([depth_pyr[l] for l in levels])
+            P = geometry.points_at_depth(depth, group.grid.rays) if depth.ndim == 2 else None
 
-        def source_terms(s):
-            """Source s's per-level vs and valid counts, then its gradients
-            of the mask row, depth row and per-level poses (None without)."""
-            w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
-                                     want_grads=want_grads, points=P)
-            src_probs = ([sampler.join_rows([probs[l][..., s, :, :]]) for l in levels]
-                         if use_masks else None)
-            vs, g_warped, g_mask_row, n_valid = view_synthesis_loss(
-                group.target, w, spans, src_probs, want_grads)
-            if not want_grads:
-                return vs, n_valid, None, None, None
+            def source_terms(s):
+                """Source s's per-level vs and valid counts, then its gradients
+                of the mask row, depth row and per-level poses (None without)."""
+                w = sampler.inverse_warp(group.sources[s], depth, transforms[s], group.grid,
+                                         want_grads=want_grads, points=P)
+                src_probs = ([sampler.join_rows([probs[l][..., s, :, :]]) for l in levels]
+                             if use_masks else None)
+                vs, g_warped, g_mask_row, n_valid = view_synthesis_loss(
+                    group.target, w, spans, src_probs, want_grads)
+                if not want_grads:
+                    return vs, n_valid, None, None, None
 
-            # The task's own warp takes the products g_warped * d/du, d/dv.
-            w.d_du *= g_warped
-            w.d_dv *= g_warped
-            del g_warped
-            gu, gv = _sum_channels(w.d_du), _sum_channels(w.d_dv)
-            g_depth, g_pose_lv = projection_adjoint(gu, gv, w, group.grid, transforms[s][:3, :3],
-                                                    rot_jacs[s], P, spans)
-            return vs, n_valid, g_mask_row, g_depth, g_pose_lv
+                # The task's own warp takes the products g_warped * d/du, d/dv.
+                w.d_du *= g_warped
+                w.d_dv *= g_warped
+                del g_warped
+                gu, gv = _sum_channels(w.d_du), _sum_channels(w.d_dv)
+                g_depth, g_pose_lv = projection_adjoint(gu, gv, w, group.grid,
+                                                        transforms[s][:3, :3], rot_jacs[s], P,
+                                                        spans)
+                return vs, n_valid, g_mask_row, g_depth, g_pose_lv
 
-        parallel = S > 1 and depth.shape[-1] >= PARALLEL_MIN_ELEMENTS
-        for s, (vs, n_valid, g_mask_row, g_depth, g_pose_lv) in _in_source_order(
-                source_terms, S, parallel):
-            for l, vs_l, n in zip(levels, vs, n_valid):
-                vs_per_level[l] += vs_l
-                valid_per_level[l].append(n)
-            if want_grads:
-                for l, g_part, g_p in zip(levels, _split(g_depth, spans), g_pose_lv):
-                    g_pose[s] += g_p
-                    g_depth_lv[l] += g_part.reshape(g_depth_lv[l].shape)
-                if use_masks:
-                    for l, g_part in zip(levels, _split(g_mask_row, spans)):
-                        g_mask[l][s] += g_part.reshape(g_mask[l][s].shape)
-            # Free this source's rows before the next task runs.
-            del g_mask_row, g_depth
+            for s, (vs, n_valid, g_mask_row, g_depth, g_pose_lv) in _in_source_order(
+                    source_terms, S, i in threaded):
+                if s == 0 and i == last_threaded:
+                    # The pool holds its share of the last threaded group's
+                    # sources; the finest level's terms follow them there.
+                    finest = pool_lane.enter_context(_beside(functools.partial(level_terms, 0)))
+                for l, vs_l, n in zip(levels, vs, n_valid):
+                    vs_per_level[l] += vs_l
+                    valid_per_level[l].append(n)
+                if want_grads:
+                    g_depth_rows[i] += g_depth
+                    for g_p in g_pose_lv:
+                        g_pose[s] += g_p
+                    if use_masks:
+                        for l, g_part in zip(levels, _split(g_mask_row, spans)):
+                            g_mask[l][s] += g_part.reshape(g_mask[l][s].shape)
+                # Free this source's rows before the next task runs.
+                del g_mask_row, g_depth
+
+        # Every level's warp-free terms. With a pool lane, the caller forms
+        # the coarser levels' while the pool may still run the finest level's.
+        if finest is None:
+            terms = [level_terms(l) for l in range(L)]
+        else:
+            terms = [level_terms(l) for l in range(1, L)]
+            terms.insert(0, finest())
 
     total = 0.0
     smooth_per_level = []
     reg_per_level = []
     mask_prob_sum = 0.0
-    for l in range(L):
-        regs, reg_l = [0.0] * S, 0.0
+    for l, (regs, prob_sums, smooth_l, g_reg, g_sm) in enumerate(terms):
+        reg_l = 0.0
         if use_masks:
-            reg, g_reg = explainability_regularizer(params.mask_logits[l], probs[l],
-                                                    want_grads=want_grads)
-            regs = _by_source(reg)
-            for r, prob_sum in zip(regs, _by_source(probs[l].sum(axis=(-2, -1)))):
+            for r, prob_sum in zip(regs, prob_sums):
                 reg_l += r
                 mask_prob_sum += prob_sum
             if want_grads:
-                g_mask[l] += config.lambda_e * g_reg
+                g_mask[l] += g_reg
         reg_per_level.append(regs)
-        smooth_l, g_sm = smoothness_loss(depth_pyr[l], want_grads=want_grads)
         smooth_per_level.append(smooth_l)
-        w_s = config.smooth_weight(l)
         if want_grads:
-            g_depth_lv[l] += w_s * g_sm
+            g_depth_lv[l] += g_sm
 
-        total += vs_per_level[l] + w_s * smooth_l + config.lambda_e * reg_l
+        total += vs_per_level[l] + config.smooth_weight(l) * smooth_l + config.lambda_e * reg_l
 
     grads = None
     if want_grads:

@@ -73,8 +73,9 @@ def _keep_freed_memory() -> None:
     arrays from the heap, a trim threshold above that working set and one
     arena for all threads (each arena keeps its own high-water mark, which
     would raise the peak resident set) reuse those pages instead. The one
-    arena must be set before the first threaded level starts the worker
-    threads. Where there is no mallopt, the allocator keeps its defaults.
+    arena must be set before the first threaded level, or the first
+    adam_step that halves a parameter group, starts the worker threads.
+    Where there is no mallopt, the allocator keeps its defaults.
     """
     try:
         import ctypes
@@ -140,7 +141,13 @@ class AdamMoments:
 
 
 def adam_step(state: Params, grads: Params, moments: AdamMoments, config: AdamConfig, t: int):
-    """One bias-corrected Adam update, in place on the state's arrays."""
+    """One bias-corrected Adam update, in place on the state's arrays.
+
+    A parameter group whose leading axis splits into two halves of at least
+    losses.PARALLEL_MIN_ELEMENTS elements each steps as those two views at
+    once: the caller's and a pool worker's (see losses._in_source_order).
+    Every element's update reads only its own entries, so the bits are the
+    same however the halves ran."""
     if t < 1:
         raise ValueError("step index t must be >= 1")
     params = dict(state.items())
@@ -157,26 +164,40 @@ def adam_step(state: Params, grads: Params, moments: AdamMoments, config: AdamCo
             moments.v[name] = np.zeros_like(p)
         v = moments.v[name]
         lr = config.lr * MASK_LR_SCALE if name.startswith("mask_logits") else config.lr
-        # In place, with two scratch arrays. Each product and sum takes the
-        # operands it takes in the expression form
-        #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
-        #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  c = 1 - b**t,
-        # and a float product or sum does not depend on the order of its
-        # two operands, so every bit is as there.
-        a = np.multiply(g, 1 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m += a
-        np.multiply(g, 1 - ADAM_BETA2, out=a)
-        a *= g
-        v *= ADAM_BETA2
-        v += a
-        np.divide(m, 1 - ADAM_BETA1 ** t, out=a)
-        a *= lr
-        b = np.divide(v, 1 - ADAM_BETA2 ** t)
-        np.sqrt(b, out=b)
-        b += ADAM_EPSILON
-        a /= b
-        p -= a
+        half = len(p) // 2
+        if not half or p[:half].size < losses.PARALLEL_MIN_ELEMENTS:
+            _adam_update(p, g, m, v, lr, t)
+            continue
+        # The caller steps the first half while a pool worker steps the second.
+        halves = (slice(None, half), slice(half, None))
+        for _ in losses._in_source_order(
+                lambda i: _adam_update(p[halves[i]], g[halves[i]], m[halves[i]], v[halves[i]],
+                                       lr, t), 2, True):
+            pass
+
+
+def _adam_update(p, g, m, v, lr: float, t: int) -> None:
+    """Adam's update of p and its moments m, v, in place, given the gradient g."""
+    # In place, with two scratch arrays. Each product and sum takes the
+    # operands it takes in the expression form
+    #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
+    #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  c = 1 - b**t,
+    # and a float product or sum does not depend on the order of its
+    # two operands, so every bit is as there.
+    a = np.multiply(g, 1 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += a
+    np.multiply(g, 1 - ADAM_BETA2, out=a)
+    a *= g
+    v *= ADAM_BETA2
+    v += a
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=a)
+    a *= lr
+    b = np.divide(v, 1 - ADAM_BETA2 ** t)
+    np.sqrt(b, out=b)
+    b += ADAM_EPSILON
+    a /= b
+    p -= a
 
 
 @dataclass

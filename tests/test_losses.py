@@ -441,6 +441,51 @@ def test_total_loss_refuses_a_config_of_another_level_count():
         Snippet.build(frames, 0, state.snippet.K, replace(cfg, num_levels=9))
 
 
+def _snippet_arrays(snippet):
+    """(name, array) of every array a snippet holds, its groups' included."""
+    yield "target", snippet.target
+    for s, src in enumerate(snippet.sources):
+        yield f"sources[{s}]", src
+    for i, group in enumerate(snippet.groups):
+        yield f"groups[{i}].target", group.target
+        for s, src in enumerate(group.sources):
+            yield f"groups[{i}].sources[{s}]", src
+        for field in ("u", "v", "rays", "fx", "fy", "cx", "cy"):
+            yield f"groups[{i}].grid.{field}", getattr(group.grid, field)
+        for field, value in group.grid.layout._asdict().items():
+            yield f"groups[{i}].grid.layout.{field}", value
+
+
+@pytest.mark.parametrize("height, width, levels", [(16, 24, 1), (16, 24, 3), (128, 416, 4)])
+def test_snippet_is_frozen_against_its_frames(height, width, levels):
+    # Level 0 of a one-level group is a reshape view of the snippet's frames,
+    # so a snippet that kept views of the caller's frames would follow an
+    # edit of one there, and the coarser levels would not.
+    state, cfg = gradcheck.random_instance(0, height=height, width=width, n_sources=2,
+                                           levels=levels)
+    frames = [f.copy() for f in (state.snippet.target, *state.snippet.sources)]
+    snippet = Snippet.build(frames, 0, state.snippet.K, cfg)
+    before = {name: np.array(a) for name, a in _snippet_arrays(snippet)}
+    for f in frames:
+        f[...] = 7.0
+    for name, a in _snippet_arrays(snippet):
+        assert np.array_equal(a, before[name]), name
+    report, _ = losses.total_loss(snippet, state, cfg)
+    assert report == losses.total_loss(state.snippet, state, cfg)[0]
+
+
+def test_snippet_arrays_are_read_only():
+    state, _ = gradcheck.random_instance(0, height=16, width=24, n_sources=2, levels=3)
+    arrays = [(name, a) for name, a in _snippet_arrays(state.snippet)
+              if isinstance(a, np.ndarray)]
+    # Joined groups carry per-pixel constants and layouts as arrays.
+    assert any(name.startswith("groups[0].grid.layout") for name, _ in arrays)
+    for name, a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+        assert not a.flags.writeable, name
+
+
 def test_forward_only_total_loss_skips_rotation_jacobians(monkeypatch):
     # With gradients, one call for all sources' (S, 3) angle stack.
     state, cfg = _small_state(seed=2)

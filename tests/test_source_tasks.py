@@ -1,11 +1,14 @@
 """total_loss runs each source's share of a level group as one task, in
-parallel on large levels, and warps the coarsest small levels together: the
-results must not depend on where the tasks ran or how levels were grouped."""
+parallel on large levels, and warps the coarsest small levels together; the
+pool also takes the finest level's warp-free terms and the second half of
+each Adam group that splits into two large halves. The results must not
+depend on where the tasks ran or how levels were grouped."""
 
 import multiprocessing
 import os
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -13,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viewsynth import geometry, gradcheck, losses, sampler
+from viewsynth import geometry, gradcheck, losses, model, sampler
 
 # PARALLEL_MIN_ELEMENTS that no level reaches, so every level joins one
 # group, which runs serially.
@@ -26,7 +29,9 @@ PARALLEL = 0
 @pytest.fixture
 def one_worker(monkeypatch):
     """A one-thread pool in place of the CPU-sized one, so the threaded path
-    runs on any host: the caller takes sources 0, 2, ... and the worker 1, 3, ..."""
+    runs on any host: the caller takes sources 0, 2, ... and the worker 1, 3,
+    ..., then the finest level's terms; in Adam, the worker takes the second
+    half of each group that splits into two large halves."""
     pool = ThreadPoolExecutor(1)
     monkeypatch.setattr(losses, "_source_pool", lambda: (pool, 1))
     yield
@@ -105,16 +110,26 @@ def test_parallel_stress_more_workers_than_cores(monkeypatch):
     # Four workers and the caller take one source each of five, while the
     # interpreter switches threads as often as it can. Only the caller writes
     # the shared gradient buffers, in source order: a task that wrote one, or
-    # a sum taken out of order, would change the bits.
+    # a sum taken out of order, would change the bits. Adam's halves of one
+    # group are disjoint views, so a step writes each element once.
     state, cfg = gradcheck.random_instance(9, height=12, width=16, n_sources=5, levels=2)
-    expected = _run(monkeypatch, SERIAL, state, cfg)
+    _, grads = losses.total_loss(state.snippet, state, cfg)
+
+    def adam_bits():
+        params = replace(state, depth_logits=state.depth_logits.copy(),
+                         poses=state.poses.copy(), mask_logits=[m.copy() for m in state.mask_logits])
+        moments = model.AdamMoments()
+        model.adam_step(params, grads, moments, model.AdamConfig(lr=0.01), 1)
+        return _adam_bits(params, moments)
+
+    expected = _run(monkeypatch, SERIAL, state, cfg), adam_bits()
     pool = ThreadPoolExecutor(4)
     monkeypatch.setattr(losses, "_source_pool", lambda: (pool, 4))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            assert _run(monkeypatch, PARALLEL, state, cfg) == expected
+            assert (_run(monkeypatch, PARALLEL, state, cfg), adam_bits()) == expected
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
@@ -273,6 +288,24 @@ def test_fd_oracle_batches_are_threaded_like_one_set(monkeypatch):
     assert max(errs.values()) < 1e-4
 
 
+@pytest.mark.parametrize("n_sources, use_masks", [(2, False), (4, True)])
+def test_64_x_48_fit_stays_off_the_pool(n_sources, use_masks, monkeypatch):
+    # The plane fit's shape (64 x 48, 3 frames, L=3, masks off), and a masked
+    # one with 4 sources: the joined group of 4032 pixels is below
+    # PARALLEL_MIN_ELEMENTS, where a task on another thread costs more than
+    # it saves, and so is every half of a parameter group (at most 6144 of
+    # level 0's 12,288 mask logits): neither total_loss nor Adam may hand
+    # out a task.
+    monkeypatch.setattr(losses, "_source_pool", lambda: (_RefusingPool(), 1))
+    state, cfg = gradcheck.random_instance(0, height=48, width=64, n_sources=n_sources,
+                                           levels=3, use_masks=use_masks)
+    frames, K = [state.snippet.target, *state.snippet.sources], state.snippet.K
+    fit = model.fit_snippet(frames, 0, K, cfg, model.AdamConfig(lr=0.01, max_iters=2, tol=0))
+    assert fit.iterations == 2
+    _, grads = losses.total_loss(fit.snippet, fit.state, cfg)
+    model.adam_step(fit.state, grads, model.AdamMoments(), model.AdamConfig(lr=0.01), 1)
+
+
 def test_one_warp_per_source_and_group(monkeypatch):
     state, cfg = gradcheck.random_instance(0, height=48, width=64, n_sources=2, levels=3,
                                            use_masks=False)
@@ -370,3 +403,196 @@ def test_joined_levels_equal_separate_levels_batched(batched, one_worker, monkey
         state = replace(state, mask_logits=masks)
     assert (_run(monkeypatch, PARALLEL, state, cfg, want_grads=False)
             == _run(monkeypatch, SERIAL, state, cfg, want_grads=False))
+
+
+# PARALLEL_MIN_ELEMENTS at which a 17 x 26 pyramid (442, 104, 24 and 6
+# pixels) is grouped like a 416 x 128 one: levels 0 and 1 are groups of their
+# own, threaded, and levels 2 and 3 one joined, serial group.
+LIKE_416_X_128 = 100
+
+
+def _record_threads(monkeypatch, module, name) -> list:
+    """Make module.name record the thread and its first argument's shape on
+    every call, in a list that it returns."""
+    orig = getattr(module, name)
+    calls = []
+
+    def wrapper(x, *args, **kwargs):
+        calls.append((threading.current_thread(), np.shape(x)))
+        return orig(x, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _off_the_caller(calls) -> list:
+    return [shape for thread, shape in calls if thread is not threading.main_thread()]
+
+
+def _pool_off(monkeypatch):
+    monkeypatch.setattr(losses, "_source_pool", lambda: (None, 0))
+
+
+@pytest.mark.parametrize("min_elements", [LIKE_416_X_128, PARALLEL])
+@pytest.mark.parametrize("use_masks", [True, False])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_sources", [1, 2, 3, 4])
+def test_finest_level_terms_on_the_worker_equal_the_serial_call(
+        min_elements, use_masks, levels, n_sources, one_worker, monkeypatch):
+    state, cfg = gradcheck.random_instance(80 + n_sources, height=H, width=W,
+                                           n_sources=n_sources, levels=levels,
+                                           use_masks=use_masks)
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", min_elements)
+    snippet = _regrouped(state.snippet, cfg)
+    smooth = _record_threads(monkeypatch, losses, "smoothness_loss")
+    reg = _record_threads(monkeypatch, losses, "explainability_regularizer")
+    for want_grads in (True, False):
+        threaded = _result_bits(*losses.total_loss(snippet, state, cfg, want_grads))
+        # With a threaded group (more than one source), the worker took the
+        # finest level's terms and no other level's.
+        worker = n_sources > 1
+        assert _off_the_caller(smooth) == [state.depth_logits.shape] * worker
+        assert _off_the_caller(reg) == ([state.mask_logits[0].shape] if worker and use_masks
+                                        else [])
+        smooth.clear()
+        reg.clear()
+        with monkeypatch.context() as m:
+            _pool_off(m)
+            assert _result_bits(*losses.total_loss(snippet, state, cfg, want_grads)) == threaded
+        assert not _off_the_caller(smooth) and not _off_the_caller(reg)
+        smooth.clear()
+        reg.clear()
+
+
+def test_finest_level_terms_of_a_batch_on_the_worker_equal_the_serial_call(one_worker,
+                                                                             monkeypatch):
+    state, cfg = gradcheck.random_instance(8, height=H, width=W, n_sources=3, levels=4)
+    rng = np.random.default_rng(2)
+    batch = replace(state, depth_logits=state.depth_logits
+                    + rng.normal(0, 0.2, (4,) + state.depth_logits.shape),
+                    mask_logits=[m + rng.normal(0, 0.5, (4,) + m.shape)
+                                 for m in state.mask_logits])
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", LIKE_416_X_128)
+    snippet = _regrouped(state.snippet, cfg)
+    smooth = _record_threads(monkeypatch, losses, "smoothness_loss")
+    threaded = _result_bits(*losses.total_loss(snippet, batch, cfg, False))
+    assert _off_the_caller(smooth) == [batch.depth_logits.shape]
+    _pool_off(monkeypatch)
+    assert _result_bits(*losses.total_loss(snippet, batch, cfg, False)) == threaded
+
+
+def _adam_bits(params, moments):
+    return ([(name, _bits(a)) for name, a in params.items()]
+            + [(name, _bits(moments.m[name]), _bits(moments.v[name])) for name in moments.m])
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3])
+def test_adam_halves_on_the_worker_equal_the_serial_step(n_sources, one_worker, monkeypatch):
+    # At 20 elements, the halves of the 7 x 9 depth (3 and 4 rows) and of
+    # two or three sources' 7 x 9 mask level are large, with odd leading
+    # sizes; a one-source mask level cannot be halved, and halves of the
+    # poses and of the 3 x 4 mask level are small.
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", 20)
+    rng = np.random.default_rng(n_sources)
+
+    def draw():
+        return losses.Params(rng.normal(size=(7, 9)), rng.normal(size=(n_sources, 6)),
+                             [rng.normal(size=(n_sources, 7, 9)),
+                              rng.normal(size=(n_sources, 3, 4))])
+
+    start, steps = draw(), [draw() for _ in range(3)]
+    cfg = model.AdamConfig(lr=0.01)
+    calls = _record_threads(monkeypatch, model, "_adam_update")
+
+    def run():
+        state = replace(start, depth_logits=start.depth_logits.copy(),
+                        poses=start.poses.copy(), mask_logits=[m.copy() for m in start.mask_logits])
+        moments = model.AdamMoments()
+        for t, grads in enumerate(steps, 1):   # step 1 creates the moments
+            model.adam_step(state, grads, moments, cfg, t)
+        return _adam_bits(state, moments)
+
+    threaded = run()
+    halves = [(len(a) - len(a) // 2,) + a.shape[1:] for _, a in start.items()
+              if len(a) // 2 and a[:len(a) // 2].size >= 20]
+    assert _off_the_caller(calls) == halves * len(steps)
+    assert len(halves) == (1 if n_sources == 1 else 2)
+    calls.clear()
+    _pool_off(monkeypatch)
+    assert run() == threaded
+    assert not _off_the_caller(calls)
+
+
+def test_fit_with_one_worker_equals_the_pool_off_fit(one_worker, monkeypatch):
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", LIKE_416_X_128)
+    state, cfg = gradcheck.random_instance(5, height=H, width=W, n_sources=3, levels=4)
+    frames = [state.snippet.target, *state.snippet.sources]
+    smooth = _record_threads(monkeypatch, losses, "smoothness_loss")
+    adam = _record_threads(monkeypatch, model, "_adam_update")
+
+    def fit():
+        start = replace(state, depth_logits=state.depth_logits.copy(), poses=state.poses.copy(),
+                        mask_logits=[m.copy() for m in state.mask_logits])
+        result = model.fit_snippet(frames, 0, state.snippet.K, cfg,
+                                   model.AdamConfig(lr=0.01, max_iters=4, tol=0), state=start)
+        return ([_result_bits(report, None) for report in result.history],
+                [(name, _bits(a)) for name, a in result.state.items()])
+
+    threaded = fit()
+    assert _off_the_caller(smooth) and _off_the_caller(adam)
+    smooth.clear()
+    adam.clear()
+    _pool_off(monkeypatch)
+    assert fit() == threaded
+    assert not _off_the_caller(smooth) and not _off_the_caller(adam)
+
+
+def test_worker_level_task_exception_reaches_the_caller(one_worker, monkeypatch):
+    state, cfg = gradcheck.random_instance(4, height=H, width=W, n_sources=2, levels=2)
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", LIKE_416_X_128)
+    snippet = _regrouped(state.snippet, cfg)
+    expected = _result_bits(*losses.total_loss(snippet, state, cfg))
+    error = RuntimeError("the finest level failed")
+    orig = losses.smoothness_loss
+
+    def smoothness(depth, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return orig(depth, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "smoothness_loss", smoothness)
+    with pytest.raises(RuntimeError) as caught:
+        losses.total_loss(snippet, state, cfg)
+    assert caught.value is error
+
+    # The pool serves the next call, which gives the serial results.
+    monkeypatch.setattr(losses, "smoothness_loss", orig)
+    assert _result_bits(*losses.total_loss(snippet, state, cfg)) == expected
+
+
+def test_caller_exception_leaves_no_level_task_running(one_worker, monkeypatch):
+    # The caller fails on level 1 while the worker still runs level 0's
+    # terms: total_loss raises only once that task has finished.
+    state, cfg = gradcheck.random_instance(4, height=H, width=W, n_sources=2, levels=2)
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", LIKE_416_X_128)
+    snippet = _regrouped(state.snippet, cfg)
+    error = RuntimeError("level 1 failed")
+    orig = losses.smoothness_loss
+    started = threading.Event()
+    finished = []
+
+    def smoothness(depth, *args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            assert started.wait(30)
+            raise error
+        started.set()
+        time.sleep(0.2)
+        result = orig(depth, *args, **kwargs)
+        finished.append(depth.shape)
+        return result
+
+    monkeypatch.setattr(losses, "smoothness_loss", smoothness)
+    with pytest.raises(RuntimeError) as caught:
+        losses.total_loss(snippet, state, cfg)
+    assert caught.value is error
+    assert finished == [state.depth_logits.shape]
