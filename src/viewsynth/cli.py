@@ -1,6 +1,7 @@
 """Command-line surface: synth | fit | warp | gradcheck | eval-depth | eval-odom.
 
-Exit codes: 0 success, 1 runtime/numeric failure, 2 usage error.
+`main` returns every exit code and raises none: 0 success (or --help),
+1 runtime/numeric failure, 2 usage error, such as a flag's own bad value.
 Diagnostics go to stderr; data and reports go to files or stdout.
 """
 
@@ -17,6 +18,27 @@ from . import evaluation, fileio, geometry, gradcheck, losses, model, sampler, s
 from .geometry import Intrinsics
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse type: `convert` a flag's text, and refuse a value for
+    which ok(value) is false as "argument FLAG: must be RULE, got VALUE".
+    Unreadable text reads "invalid int value: 'x'" by convert's name."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    check.__name__ = convert.__name__
+    return check
+
+
+def _int_at_least(least: int):
+    return _checked(int, lambda n: n >= least, f">= {least}")
+
+
+_FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="viewsynth",
@@ -27,20 +49,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="render a synthetic snippet with ground truth")
     p.add_argument("--out", required=True, help="output sequence directory")
     p.add_argument("--scene", default="plane", choices=synth.SCENE_KINDS)
-    p.add_argument("--frames", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=48)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--focal", type=float, default=50.0)
+    p.add_argument("--frames", type=_int_at_least(2), default=3)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--width", type=_int_at_least(1), default=48)
+    p.add_argument("--height", type=_int_at_least(1), default=32)
+    p.add_argument("--focal", type=_POSITIVE, default=50.0)
     p.add_argument("--depth", type=float, default=2.0, help="plane depth in scene units")
-    p.add_argument("--step-x", type=float, default=0.1, help="per-frame camera x translation")
-    p.add_argument("--step-z", type=float, default=0.0, help="per-frame camera z translation")
+    p.add_argument("--step-x", type=_FINITE, default=0.1, help="per-frame camera x translation")
+    p.add_argument("--step-z", type=_FINITE, default=0.0, help="per-frame camera z translation")
     p.add_argument("--noise", type=float, default=0.0, help="additive Gaussian sigma")
 
     p = sub.add_parser("fit", help="optimize depth, poses, and masks on a snippet")
     p.add_argument("--in", dest="indir", required=True, help="sequence directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=_int_at_least(1), default=3)
     p.add_argument("--lambda-s", type=float, default=0.5)
     masks = p.add_mutually_exclusive_group()   # the weight is read only with masks on
     masks.add_argument("--lambda-e", type=float, default=0.2)
@@ -54,40 +76,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--instances", type=int, default=5,
+    n_seeds = len(gradcheck.DEFAULT_SEEDS)
+    p.add_argument("--instances", default=5,
+                   type=_checked(int, lambda n: 1 <= n <= n_seeds, f"in 1..{n_seeds}"),
                    help="number of screened instances to check")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_POSITIVE, default=1e-4)
     p.add_argument("--inject-grad-bug", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("eval-depth", help="median-scaled depth metrics")
     p.add_argument("--in", dest="pred", required=True, help="predicted depth (WF01)")
     p.add_argument("--gt", required=True, help="ground-truth depth (WF01)")
-    p.add_argument("--cap", type=float, default=None, help="exclude gt deeper than this")
-    p.add_argument("--crop", type=float, default=None, help="central crop fraction in (0, 1]")
+    p.add_argument("--cap", type=_POSITIVE, default=None, help="exclude gt deeper than this")
+    p.add_argument("--crop", type=_checked(float, lambda x: 0 < x <= 1, "in (0, 1]"),
+                   default=None, help="central crop fraction in (0, 1]")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("eval-odom", help="snippet ATE between two trajectory files")
     p.add_argument("--in", dest="pred", required=True, help="predicted trajectory")
     p.add_argument("--gt", required=True, help="ground-truth trajectory")
-    p.add_argument("--snippet-len", type=int, default=5)
+    p.add_argument("--snippet-len", type=_int_at_least(2), default=5)
     p.add_argument("--out", default=None)
     return ap
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0 or args.frames < 2:
-        print("synth: need --frames >= 2 and --seed >= 0", file=sys.stderr)
-        return 2
-    for flag, size in (("--width", args.width), ("--height", args.height)):
-        if size < 1:
-            print(f"synth: {flag} must be >= 1, got {size}", file=sys.stderr)
-            return 2
-    for flag, step in (("--step-x", args.step_x), ("--step-z", args.step_z)):
-        if not math.isfinite(step):
-            print(f"synth: {flag} must be finite, got {step}", file=sys.stderr)
-            return 2
-    if not _is_positive("synth", "--focal", args.focal):
-        return 2
     K = Intrinsics(fx=args.focal, fy=args.focal, cx=args.width / 2,
                    cy=args.height / 2, width=args.width, height=args.height)
     spec = synth.SceneSpec(
@@ -105,9 +117,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.levels < 1:
-        print(f"fit: --levels must be >= 1, got {args.levels}", file=sys.stderr)
-        return 2
     seq = synth.load_sequence(args.indir)
     H, W = seq.frames[0].shape[:2]
     most = losses.max_pyramid_levels(H, W)
@@ -170,22 +179,7 @@ def cmd_warp(args) -> int:
     return 0
 
 
-def _is_positive(command: str, flag: str, value: float) -> bool:
-    """Whether `value` is finite and positive; if not, says so on stderr."""
-    if math.isfinite(value) and value > 0:
-        return True
-    print(f"{command}: {flag} must be finite and > 0, got {value}", file=sys.stderr)
-    return False
-
-
 def cmd_gradcheck(args) -> int:
-    n_seeds = len(gradcheck.DEFAULT_SEEDS)
-    if not 1 <= args.instances <= n_seeds:
-        print(f"gradcheck: --instances must be in 1..{n_seeds} (the screened "
-              f"instances), got {args.instances}", file=sys.stderr)
-        return 2
-    if not _is_positive("gradcheck", "--tolerance", args.tolerance):
-        return 2
     worst = gradcheck.run(gradcheck.DEFAULT_SEEDS[: args.instances],
                           inject_bug=args.inject_grad_bug)
     ok = True
@@ -206,11 +200,6 @@ def _write_report(report: str, path: str | None) -> None:
 
 
 def cmd_eval_depth(args) -> int:
-    if args.cap is not None and not _is_positive("eval-depth", "--cap", args.cap):
-        return 2
-    if args.crop is not None and not 0 < args.crop <= 1:  # NaN fails too
-        print(f"eval-depth: --crop must be in (0, 1], got {args.crop}", file=sys.stderr)
-        return 2
     pred = fileio.load_depth_map(args.pred)
     gt = fileio.load_depth_map(args.gt)
     m = evaluation.depth_metrics(pred, gt, cap=args.cap, crop=args.crop)
@@ -219,9 +208,6 @@ def cmd_eval_depth(args) -> int:
 
 
 def cmd_eval_odom(args) -> int:
-    if args.snippet_len < 2:
-        print(f"eval-odom: --snippet-len must be >= 2, got {args.snippet_len}", file=sys.stderr)
-        return 2
     pred = fileio.load_trajectory(args.pred)
     gt = fileio.load_trajectory(args.gt)
     if len(pred) != len(gt):
@@ -254,7 +240,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the command in `argv` (default sys.argv[1:]) and return its exit
+    code, argparse's included: 2 for a usage error, 0 after --help."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, model.FitDiverged, model.NoValidPixels) as e:

@@ -107,11 +107,11 @@ def check_instance(state: Instance, config: LossConfig, inject_bug: bool = False
 # 10 s runs, 2-core x86 host): 32 sets 61-65k evals/s, 64 sets 76-78k,
 # 128 sets 80k at 49.4 MB peak RSS against 44.8. tracemalloc peaks of one
 # forward-only call (S=2, L=2, masks; MiB, 15 calls): 3 * 64 depth sets
-# 1.8-3.0, 14-23 and 88-92 at 8x12, 24x32 and 48x64, against 2.3, 23-27 and
-# 78-106 for 64 sets warped in full; 4 * 64 sets 27-31 and 117-123 at the
-# larger two. A batch is threaded like one set (losses.PARALLEL_MIN_ELEMENTS),
-# so the 192 sets of 8x12, one level group of 120 pixels, warp their two
-# sources one after the other, at a steady 1.8 MiB peak.
+# 1.8-3.0, 14-23 and 88-92 at 8x12, 24x32 and 48x64; 4 * 64 sets 27-31 and
+# 117-123 at the larger two. A batch is threaded like one set
+# (losses.PARALLEL_MIN_ELEMENTS), so the 192 sets of 8x12, one level group of
+# 120 pixels, warp their two sources one after the other, at a steady 1.8 MiB
+# peak.
 FD_CHUNK = 64
 
 

@@ -63,13 +63,11 @@ def _keep_freed_memory() -> None:
     only decides when freed memory goes back to the kernel.
 
     A 416x128 fit iteration (S=4, L=4, masks) holds at most 13.4 MB of
-    array temporaries at once on one thread and about 19 MB on two (20.3
-    and about 30 MB before the warp, photometric term and adjoint worked
-    in buffers of their own), and allocates and frees them per source and
-    level. By default glibc maps large arrays afresh and hands the free top
-    of its heap back to the kernel, so each such iteration faulted in about
-    7k new zeroed pages (11k before); a 64x48 iteration faulted in about
-    230 and an 8x12 FD check about 2k. Large
+    array temporaries at once on one thread and about 19 MB on two, and
+    allocates and frees them per source and level. By default glibc maps
+    large arrays afresh and hands the free top of its heap back to the
+    kernel, so each such iteration faulted in about 7k new zeroed pages; a
+    64x48 iteration faulted in about 230 and an 8x12 FD check about 2k. Large
     arrays from the heap, a trim threshold above that working set and one
     arena for all threads (each arena keeps its own high-water mark, which
     would raise the peak resident set) reuse those pages instead. The one
@@ -145,9 +143,9 @@ def adam_step(state: Params, grads: Params, moments: AdamMoments, config: AdamCo
 
     A parameter group whose leading axis splits into two halves of at least
     losses.PARALLEL_MIN_ELEMENTS elements each steps as those two views at
-    once: the caller's and a pool worker's (see losses._in_source_order).
-    Every element's update reads only its own entries, so the bits are the
-    same however the halves ran."""
+    once: the second on a pool worker (losses._beside), the first on the
+    caller. Every element's update reads only its own entries, so the bits
+    are the same however the halves ran."""
     if t < 1:
         raise ValueError("step index t must be >= 1")
     params = dict(state.items())
@@ -168,12 +166,10 @@ def adam_step(state: Params, grads: Params, moments: AdamMoments, config: AdamCo
         if not half or p[:half].size < losses.PARALLEL_MIN_ELEMENTS:
             _adam_update(p, g, m, v, lr, t)
             continue
-        # The caller steps the first half while a pool worker steps the second.
-        halves = (slice(None, half), slice(half, None))
-        for _ in losses._in_source_order(
-                lambda i: _adam_update(p[halves[i]], g[halves[i]], m[halves[i]], v[halves[i]],
-                                       lr, t), 2, True):
-            pass
+        second = functools.partial(_adam_update, p[half:], g[half:], m[half:], v[half:], lr, t)
+        with losses._beside(second) as second_done:
+            _adam_update(p[:half], g[:half], m[:half], v[:half], lr, t)
+            second_done()
 
 
 def _adam_update(p, g, m, v, lr: float, t: int) -> None:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import os
 import platform
 import subprocess
@@ -14,6 +15,19 @@ from viewsynth import cli, fileio, geometry, gradcheck, losses, model, synth
 
 def _run(argv):
     return cli.main(argv)
+
+
+def _subparsers():
+    """{command: its argparse subparser}, from cli._build_parser()."""
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _usage_error(command, flag, rule, value):
+    """The whole stderr of a flag's value refused by its checked type."""
+    return (_subparsers()[command].format_usage()
+            + f"viewsynth {command}: error: argument {flag}: must be {rule}, got {value}\n")
 
 
 def _dir_bytes(path):
@@ -33,16 +47,24 @@ def _synth(outdir, **over):
     assert _run(argv) == 0
 
 
-def test_missing_required_flag_is_usage_error():
-    with pytest.raises(SystemExit) as e:
-        _run(["synth"])  # no --out
-    assert e.value.code == 2
+def test_missing_required_flag_is_usage_error(capsys):
+    assert _run(["synth"]) == 2  # no --out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "viewsynth synth: error: the following arguments are required: --out\n")
 
 
-def test_unknown_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as e:
-        _run(["frobnicate"])
-    assert e.value.code == 2
+def test_unknown_subcommand_is_usage_error(capsys):
+    assert _run(["frobnicate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'frobnicate'" in captured.err
+
+
+def test_help_returns_0(capsys):
+    assert _run(["synth", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: viewsynth synth ")
 
 
 def test_synth_same_seed_byte_identical(tmp_path):
@@ -148,11 +170,11 @@ def test_fit_lambda_e_without_masks_is_usage_error(tmp_path, capsys, order):
     seq_dir = tmp_path / "seq"
     _synth(seq_dir)
     capsys.readouterr()
-    with pytest.raises(SystemExit) as e:
-        _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
-              "--max-iters", "3", *order])
-    assert e.value.code == 2
-    err = capsys.readouterr().err
+    assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
+                 "--max-iters", "3", *order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert "--lambda-e" in err and "--no-explainability" in err and "not allowed" in err
     assert not (tmp_path / "fit").exists()
 
@@ -251,8 +273,8 @@ def test_fit_nonpositive_max_iters_is_runtime_error(tmp_path, capsys, iters):
 
 
 @pytest.mark.parametrize("levels, message", [
-    ("0", "fit: --levels must be >= 1, got 0\n"),
-    ("-1", "fit: --levels must be >= 1, got -1\n"),
+    ("0", _usage_error("fit", "--levels", ">= 1", 0)),
+    ("-1", _usage_error("fit", "--levels", ">= 1", -1)),
     ("5", "fit: --levels 5 is more than 24x16 frames allow; at most 4\n"),
     ("9", "fit: --levels 9 is more than 24x16 frames allow; at most 4\n"),
 ])
@@ -263,7 +285,9 @@ def test_fit_levels_out_of_range_is_usage_error(tmp_path, capsys, levels, messag
     capsys.readouterr()
     assert _run(["fit", "--in", str(seq_dir), "--out", str(tmp_path / "fit"),
                  "--max-iters", "3", "--levels", levels]) == 2
-    assert capsys.readouterr().err == message
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
     assert not (tmp_path / "fit").exists()
 
 
@@ -304,6 +328,48 @@ def test_fit_bad_hyperparameter_names_it(tmp_path, capsys, flag, value, field):
     assert not (tmp_path / "fit").exists()
 
 
+# Every numeric option of every subcommand, as (command, flag, bad value):
+# NaN for a float, -1 for an int.
+_NUMERIC_FLAGS = [(command, action.option_strings[-1], bad)
+                  for command, parser in _subparsers().items()
+                  for action in parser._actions
+                  for kind, bad in (("float", "nan"), ("int", "-1"))
+                  if action.option_strings and getattr(action.type, "__name__", None) == kind]
+# The flags whose values only the library checks: their bad values exit 1,
+# naming the API field, not the flag.
+_LIBRARY_CHECKED = {("fit", "--lr"), ("fit", "--depth-prior"), ("fit", "--lambda-s"),
+                    ("fit", "--lambda-e"), ("fit", "--max-iters"), ("synth", "--noise"),
+                    ("synth", "--depth")}
+
+
+def test_numeric_flag_walk_sees_the_library_checked_flags():
+    assert _LIBRARY_CHECKED < {(command, flag) for command, flag, _ in _NUMERIC_FLAGS}
+
+
+@pytest.mark.parametrize("command, flag, bad", _NUMERIC_FLAGS,
+                         ids=[f"{c}{f}={b}" for c, f, b in _NUMERIC_FLAGS])
+def test_every_numeric_flag_refuses_a_bad_value(tmp_path, capsys, command, flag, bad):
+    # The other flags are valid, so the flag under test is the only fault.
+    seq, depth, traj, out = (tmp_path / n for n in ("seq", "d.wf01", "t.txt", "out"))
+    _synth(seq)
+    fileio.save_wf01(depth, np.full((6, 8, 1), 2.0))
+    fileio.save_trajectory(traj, [np.eye(4)] * 5)
+    base = {"synth": ["--out", str(out)],
+            "fit": ["--in", str(seq), "--out", str(out), "--max-iters", "3"],
+            "gradcheck": ["--instances", "1"],
+            "eval-depth": ["--in", str(depth), "--gt", str(depth), "--out", str(out)],
+            "eval-odom": ["--in", str(traj), "--gt", str(traj), "--out", str(out)]}[command]
+    capsys.readouterr()
+    code = _run([command, *base, f"{flag}={bad}"])
+    captured = capsys.readouterr()
+    assert code == (1 if (command, flag) in _LIBRARY_CHECKED else 2), captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert f"viewsynth {command}: error: argument {flag}: must be " in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
 def test_synth_bad_noise_is_runtime_error(tmp_path, capsys, noise):
     assert _run(["synth", "--out", str(tmp_path / "seq"), "--noise", noise]) == 1
@@ -313,21 +379,23 @@ def test_synth_bad_noise_is_runtime_error(tmp_path, capsys, noise):
 
 
 @pytest.mark.parametrize("flag, value, rule", [
-    ("--step-x", "nan", "must be finite"),
-    ("--step-x", "inf", "must be finite"),
-    ("--step-z", "-inf", "must be finite"),
-    ("--step-z", "nan", "must be finite"),
-    ("--width", "0", "must be >= 1"),
-    ("--height", "-2", "must be >= 1"),
-    ("--focal", "0", "must be finite and > 0"),
-    ("--focal", "nan", "must be finite and > 0"),
-    ("--focal", "-3", "must be finite and > 0"),
-    ("--focal", "inf", "must be finite and > 0"),
+    ("--step-x", "nan", "finite"),
+    ("--step-x", "inf", "finite"),
+    ("--step-z", "-inf", "finite"),
+    ("--step-z", "nan", "finite"),
+    ("--width", "0", ">= 1"),
+    ("--height", "-2", ">= 1"),
+    ("--focal", "0", "finite and > 0"),
+    ("--focal", "nan", "finite and > 0"),
+    ("--focal", "-3", "finite and > 0"),
+    ("--focal", "inf", "finite and > 0"),
 ])
 def test_synth_bad_step_or_size_is_usage_error(tmp_path, capsys, flag, value, rule):
     assert _run(["synth", "--out", str(tmp_path / "seq"), f"{flag}={value}"]) == 2
     parsed = value if flag in ("--width", "--height") else float(value)
-    assert capsys.readouterr().err == f"synth: {flag} {rule}, got {parsed}\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _usage_error("synth", flag, rule, parsed)
     assert not (tmp_path / "seq").exists()
 
 
@@ -384,7 +452,8 @@ def test_gradcheck_instances_out_of_range_is_usage_error(capsys, n):
     assert _run(["gradcheck", "--instances", n]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"1..{len(gradcheck.DEFAULT_SEEDS)}" in captured.err and n in captured.err
+    assert captured.err == _usage_error("gradcheck", "--instances",
+                                        f"in 1..{len(gradcheck.DEFAULT_SEEDS)}", n)
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
@@ -392,8 +461,8 @@ def test_gradcheck_bad_tolerance_is_usage_error(capsys, tolerance):
     assert _run(["gradcheck", "--instances", "1", "--tolerance", tolerance]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"gradcheck: --tolerance must be finite and > 0, got {float(tolerance)}\n")
+    assert captured.err == _usage_error("gradcheck", "--tolerance", "finite and > 0",
+                                        float(tolerance))
 
 
 def test_gradcheck_passes_and_detects_injected_bug(capsys):
@@ -437,20 +506,24 @@ def test_eval_depth_perfect_prediction(tmp_path, capsys):
 def test_eval_depth_bad_cap_is_usage_error(tmp_path, capsys, cap):
     p = tmp_path / "d.wf01"
     fileio.save_wf01(p, np.full((6, 8, 1), 2.0))
-    assert _run(["eval-depth", "--in", str(p), "--gt", str(p), "--cap", cap]) == 2
+    assert _run(["eval-depth", "--in", str(p), "--gt", str(p), "--cap", cap,
+                 "--out", str(tmp_path / "report")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"eval-depth: --cap must be finite and > 0, got {float(cap)}\n"
+    assert captured.err == _usage_error("eval-depth", "--cap", "finite and > 0", float(cap))
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("crop", ["nan", "0", "-0.5", "1.5"])
 def test_eval_depth_bad_crop_is_usage_error(tmp_path, capsys, crop):
     p = tmp_path / "d.wf01"
     fileio.save_wf01(p, np.full((6, 8, 1), 2.0))
-    assert _run(["eval-depth", "--in", str(p), "--gt", str(p), "--crop", crop]) == 2
+    assert _run(["eval-depth", "--in", str(p), "--gt", str(p), "--crop", crop,
+                 "--out", str(tmp_path / "report")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"eval-depth: --crop must be in (0, 1], got {float(crop)}\n"
+    assert captured.err == _usage_error("eval-depth", "--crop", "in (0, 1]", float(crop))
+    assert not (tmp_path / "report").exists()
 
 
 def _degenerate(bad):
@@ -524,10 +597,12 @@ def test_eval_odom_identity_and_mismatch(tmp_path, capsys):
 def test_eval_odom_short_snippet_len_is_usage_error(tmp_path, capsys, length):
     p = tmp_path / "t.txt"
     fileio.save_trajectory(p, [np.eye(4)] * 5)
-    assert _run(["eval-odom", "--in", str(p), "--gt", str(p), "--snippet-len", length]) == 2
+    assert _run(["eval-odom", "--in", str(p), "--gt", str(p), "--snippet-len", length,
+                 "--out", str(tmp_path / "report")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"eval-odom: --snippet-len must be >= 2, got {length}\n"
+    assert captured.err == _usage_error("eval-odom", "--snippet-len", ">= 2", length)
+    assert not (tmp_path / "report").exists()
 
 
 def test_eval_odom_hand_worked_example(tmp_path, capsys):

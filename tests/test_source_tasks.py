@@ -172,6 +172,29 @@ def test_worker_exception_reaches_the_caller(one_worker, monkeypatch):
     assert _run(monkeypatch, PARALLEL, state, cfg, snippet=state.snippet) == expected
 
 
+def test_adam_worker_exception_reaches_the_caller(one_worker, monkeypatch):
+    # Every group halves; the worker's half of the first group raises once
+    # the caller has stepped its own half, and no later group steps.
+    state, cfg = gradcheck.random_instance(2, n_sources=2)
+    _, grads = losses.total_loss(state.snippet, state, cfg)
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", 1)
+    caller, error, calls = threading.current_thread(), RuntimeError("half failed"), []
+    update = model._adam_update
+
+    def fail_off_the_caller(p, *rest):
+        calls.append((threading.current_thread() is caller, p.shape))
+        if not calls[-1][0]:
+            raise error
+        update(p, *rest)
+
+    monkeypatch.setattr(model, "_adam_update", fail_off_the_caller)
+    with pytest.raises(RuntimeError) as caught:
+        model.adam_step(state, grads, model.AdamMoments(), model.AdamConfig(lr=0.01), 1)
+    assert caught.value is error
+    H, W = state.depth_logits.shape
+    assert sorted(calls) == [(False, (H - H // 2, W)), (True, (H // 2, W))]
+
+
 def test_caller_errstate_holds_in_workers(one_worker, monkeypatch):
     state, cfg = gradcheck.random_instance(5, n_sources=2)
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", PARALLEL)   # one group per level
