@@ -70,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.0002)
     p.add_argument("--max-iters", type=int, default=3000)
     p.add_argument("--depth-prior", type=float, default=1.0)
+    p.set_defaults(parser=p)   # cmd_fit refuses --levels beyond the frames through it
 
     p = sub.add_parser("warp", help="inverse-warp sources to the target with ground truth")
     p.add_argument("--in", dest="indir", required=True, help="sequence directory with ground truth")
@@ -120,10 +121,9 @@ def cmd_fit(args) -> int:
     seq = synth.load_sequence(args.indir)
     H, W = seq.frames[0].shape[:2]
     most = losses.max_pyramid_levels(H, W)
-    if args.levels > most:
-        print(f"fit: --levels {args.levels} is more than {W}x{H} frames allow; "
-              f"at most {most}", file=sys.stderr)
-        return 2
+    if args.levels > most:   # argparse's usage error, exit 2, as for the flag's own value
+        args.parser.error(f"argument --levels: {args.levels} is more than {W}x{H} frames "
+                          f"allow; at most {most}")
     loss_cfg = losses.LossConfig(
         lambda_s=args.lambda_s,
         lambda_e=args.lambda_e,
@@ -244,10 +244,9 @@ def main(argv=None) -> int:
     code, argparse's included: 2 for a usage error, 0 after --help."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return e.code
-    try:
         return _COMMANDS[args.command](args)
+    except SystemExit as e:   # a parser's exit, while parsing or from a command
+        return e.code
     except (ValueError, OSError, model.FitDiverged, model.NoValidPixels) as e:
         print(f"viewsynth {args.command}: {e}", file=sys.stderr)
         return 1

@@ -89,36 +89,52 @@ def _elemental_rotations(c: np.ndarray, s: np.ndarray):
     return Rx, Ry, Rz
 
 
+def _rotations(angles: np.ndarray, jacobians: bool):
+    """R = Rz @ Ry @ Rx of (..., 3) angle arrays (rx, ry, rz) and, with
+    jacobians, (dR/drx, dR/dry, dR/drz), else None: (..., 3, 3) stacks from
+    one pass of cos and sin, sharing Rz @ Ry between R and dR/drx.
+
+    An elemental rotation's derivative is the rotation by angle + pi/2
+    (cosine -sin, sine cos) with its fixed-axis 1 set to 0."""
+    c, s = np.cos(angles), np.sin(angles)
+    Rx, Ry, Rz = _elemental_rotations(c, s)
+    RzRy = Rz @ Ry
+    R = RzRy @ Rx
+    if not jacobians:
+        return R, None
+    dRx, dRy, dRz = _elemental_rotations(-s, c)
+    dRx[..., 0, 0] = dRy[..., 1, 1] = dRz[..., 2, 2] = 0.0
+    return R, (RzRy @ dRx, Rz @ dRy @ Rx, dRz @ Ry @ Rx)
+
+
+def _pose_transforms(poses, jacobians: bool = False):
+    """(T, rot_jacs) of (..., 6) poses: pose_to_transform's transforms and,
+    with jacobians, rotation_jacobians of the poses' angles (else None),
+    from one _rotations pass."""
+    poses = np.asarray(poses, dtype=float)
+    if not np.isfinite(poses).all():
+        raise ValueError("pose parameters must be finite")
+    R, rot_jacs = _rotations(poses[..., :3], jacobians)
+    T = np.zeros(poses.shape[:-1] + (4, 4))
+    T[..., :3, :3] = R
+    T[..., :3, 3] = poses[..., 3:]
+    T[..., 3, 3] = 1.0
+    return T, rot_jacs
+
+
 def pose_to_transform(poses) -> np.ndarray:
     """4x4 rigid transforms of (..., 6) pose arrays (rx, ry, rz, tx, ty, tz),
     Euler angles in radians and a translation in scene units, with
     R = Rz @ Ry @ Rx: a (6,) pose gives (4, 4), an (S, 6) array (S, 4, 4)
     and a (B, S, 6) batch (B, S, 4, 4), in one pass over all of them. A zero
     pose gives exactly np.eye(4)."""
-    poses = np.asarray(poses, dtype=float)
-    if not np.isfinite(poses).all():
-        raise ValueError("pose parameters must be finite")
-    angles = poses[..., :3]
-    Rx, Ry, Rz = _elemental_rotations(np.cos(angles), np.sin(angles))
-    T = np.zeros(poses.shape[:-1] + (4, 4))
-    T[..., :3, :3] = Rz @ Ry @ Rx
-    T[..., :3, 3] = poses[..., 3:]
-    T[..., 3, 3] = 1.0
-    return T
+    return _pose_transforms(poses)[0]
 
 
 def rotation_jacobians(angles):
     """dR/drx, dR/dry, dR/drz for R = Rz @ Ry @ Rx of (..., 3) angle arrays
-    (rx, ry, rz): three (..., 3, 3) stacks.
-
-    An elemental rotation's derivative is the rotation by angle + pi/2
-    (cosine -sin, sine cos) with its fixed-axis 1 set to 0."""
-    angles = np.asarray(angles, dtype=float)
-    c, s = np.cos(angles), np.sin(angles)
-    Rx, Ry, Rz = _elemental_rotations(c, s)
-    dRx, dRy, dRz = _elemental_rotations(-s, c)
-    dRx[..., 0, 0] = dRy[..., 1, 1] = dRz[..., 2, 2] = 0.0
-    return Rz @ Ry @ dRx, Rz @ dRy @ Rx, dRz @ Ry @ Rx
+    (rx, ry, rz): three (..., 3, 3) stacks."""
+    return _rotations(np.asarray(angles, dtype=float), True)[1]
 
 
 def invert(T: np.ndarray) -> np.ndarray:

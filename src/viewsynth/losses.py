@@ -109,15 +109,31 @@ DEPTH_ALPHA = 10.0
 DEPTH_BETA = 0.01
 
 
+def _depth_activation(logits, slope: bool):
+    """(depth, d depth / d logit) of unconstrained logits, from one sigmoid;
+    the slope is None unless asked for."""
+    s = sigmoid(logits)
+    denom = DEPTH_ALPHA * s + DEPTH_BETA
+    depth = 1.0 / denom
+    if not slope:
+        return depth, None
+    # -DEPTH_ALPHA * s * (1 - s) / denom ** 2, in the buffers of s and
+    # denom: a fresh 416x128 map costs more to allocate than to compute.
+    one_minus_s = 1 - s
+    s *= -DEPTH_ALPHA
+    s *= one_minus_s
+    denom *= denom
+    s /= denom
+    return depth, s
+
+
 def activate_depth(logits):
     """Depth map from unconstrained logits; always in (1/(alpha+beta), 1/beta)."""
-    return 1.0 / (DEPTH_ALPHA * sigmoid(logits) + DEPTH_BETA)
+    return _depth_activation(logits, False)[0]
 
 
 def activate_depth_grad(logits):
-    s = sigmoid(logits)
-    denom = DEPTH_ALPHA * s + DEPTH_BETA
-    return -DEPTH_ALPHA * s * (1 - s) / denom ** 2
+    return _depth_activation(logits, True)[1]
 
 
 def depth_to_logit(depth: float) -> float:
@@ -165,11 +181,25 @@ def build_pyramid(img, levels: int, batched: bool = False) -> list:
     for _ in range(min(levels, max_pyramid_levels(*img.shape[lead:lead + 2])) - 1):
         prev = out[-1]
         h2, w2 = prev.shape[lead] // 2, prev.shape[lead + 1] // 2
-        t = prev[(slice(None),) * lead + (slice(2 * h2), slice(2 * w2))]
-        blocks = t.shape[:lead] + (h2, 2, w2, 2) + t.shape[lead + 2:]
-        # sum / 4 is what ndarray.mean computes, without its Python-level
-        # dispatch; the same holds for every sum / count in this module.
-        out.append(t.reshape(blocks).sum(axis=(lead + 1, lead + 3)) / 4)
+        # Each level is its 2x2 blocks' sum / 4, which is what ndarray.mean
+        # computes, without its Python-level dispatch; the same holds for
+        # every sum / count in this module.
+        if prev.ndim == lead + 2:
+            # A map's blocks add as (a00 + a01) + (a10 + a11), from four
+            # strided views: the order of NumPy's sum over the blocks' axes
+            # when h2, w2 >= 2, as here (max_pyramid_levels), at a few times
+            # its speed.
+            top, bottom = prev[..., 0:2 * h2:2, :], prev[..., 1:2 * h2:2, :]
+            level = top[..., 0:2 * w2:2] + top[..., 1:2 * w2:2]
+            level += bottom[..., 0:2 * w2:2] + bottom[..., 1:2 * w2:2]
+            level /= 4
+        else:
+            # With two or more channels NumPy adds a block's four pixels in
+            # sequence. Images are filtered once per snippet: they keep sum.
+            t = prev[(slice(None),) * lead + (slice(2 * h2), slice(2 * w2))]
+            blocks = t.shape[:lead] + (h2, 2, w2, 2) + t.shape[lead + 2:]
+            level = t.reshape(blocks).sum(axis=(lead + 1, lead + 3)) / 4
+        out.append(level)
     return out
 
 
@@ -313,9 +343,14 @@ def _pyramid_adjoint(g_levels: list) -> np.ndarray:
     g = g_levels[-1]
     for g_l in g_levels[-2::-1]:
         h2, w2 = g.shape
-        up = np.zeros(g_l.shape)
-        up[: 2 * h2, : 2 * w2] = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4.0
-        g = g_l + up
+        up = g_l.copy()
+        # Each 2x2 block of the finer level takes a quarter of its coarse
+        # pixel, through a view (the reshape only splits axes). An odd
+        # trailing row or column keeps g_l, which is g_l + 0.0 for gradients
+        # that start at +0.0 and so never hold -0.0.
+        blocks = up[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2)
+        blocks += (g / 4.0)[:, None, :, None]
+        g = up
     return g
 
 
@@ -453,11 +488,16 @@ def smoothness_loss(depth, want_grads: bool = True):
     return loss, grad
 
 
-def _source_transforms(poses: np.ndarray) -> list:
-    """Target-to-source transform of every source: a 4x4 matrix for (S, 6)
-    poses, a contiguous (B, 4, 4) stack for a (B, S, 6) batch of them."""
-    T = geometry.pose_to_transform(poses)
-    return list(T if T.ndim == 3 else np.ascontiguousarray(np.moveaxis(T, 1, 0)))
+def _source_transforms(poses: np.ndarray, jacobians: bool = False) -> tuple:
+    """(transforms, rot_jacs) of (S, 6) or (B, S, 6) poses, from one pass.
+
+    transforms has every source's target-to-source transform: a 4x4 matrix
+    for (S, 6) poses, a contiguous (B, 4, 4) stack for a (B, S, 6) batch of
+    them. rot_jacs, with jacobians, is the (S, 3, 9) stack of each source's
+    dR/drx, dR/dry, dR/drz, flattened; else None."""
+    T, jacs = geometry._pose_transforms(poses, jacobians)
+    transforms = list(T if T.ndim == 3 else np.ascontiguousarray(np.moveaxis(T, 1, 0)))
+    return transforms, None if jacs is None else np.stack(jacs, axis=1).reshape(len(T), 3, 9)
 
 
 # The coarsest levels whose pixel counts add up to less than this are warped
@@ -685,7 +725,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
         if shape[-2:] != expected or len(shape) > 3:
             raise ValueError(f"{name} must be {expected}, with at most one leading batch axis; "
                              f"got {shape}")
-    depth0 = activate_depth(params.depth_logits)
+    depth0, depth_slope = _depth_activation(params.depth_logits, want_grads)
     batched = depth0.ndim == 3 or poses.ndim == 3 or use_masks and any(
         np.ndim(m) == 4 for m in params.mask_logits or [])
     if batched and want_grads:
@@ -714,10 +754,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
         g_pose = np.zeros((S, 6))
         g_mask = [np.zeros_like(params.mask_logits[l]) for l in range(L)] if use_masks else None
 
-    transforms = _source_transforms(poses)
-    rot_jacs = None   # _source_transforms has checked that the poses are finite
-    if want_grads:   # (S, 3, 9): each source's dR/drx, dR/dry, dR/drz, flattened
-        rot_jacs = np.stack(geometry.rotation_jacobians(poses[:, :3]), axis=1).reshape(S, 3, 9)
+    transforms, rot_jacs = _source_transforms(poses, want_grads)
 
     def level_terms(l):
         """Level l's terms that need no warp: each source's mask regularizer
@@ -818,7 +855,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
 
     grads = None
     if want_grads:
-        g_logits = _pyramid_adjoint(g_depth_lv) * activate_depth_grad(params.depth_logits)
+        g_logits = _pyramid_adjoint(g_depth_lv) * depth_slope
         grads = Params(depth_logits=g_logits, poses=g_pose, mask_logits=g_mask)
 
     mask_px = sum(math.prod(p.shape[-3:]) for p in probs) if use_masks else 0

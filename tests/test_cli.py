@@ -275,8 +275,10 @@ def test_fit_nonpositive_max_iters_is_runtime_error(tmp_path, capsys, iters):
 @pytest.mark.parametrize("levels, message", [
     ("0", _usage_error("fit", "--levels", ">= 1", 0)),
     ("-1", _usage_error("fit", "--levels", ">= 1", -1)),
-    ("5", "fit: --levels 5 is more than 24x16 frames allow; at most 4\n"),
-    ("9", "fit: --levels 9 is more than 24x16 frames allow; at most 4\n"),
+    ("5", _subparsers()["fit"].format_usage() + "viewsynth fit: error: argument --levels: "
+          "5 is more than 24x16 frames allow; at most 4\n"),
+    ("9", _subparsers()["fit"].format_usage() + "viewsynth fit: error: argument --levels: "
+          "9 is more than 24x16 frames allow; at most 4\n"),
 ])
 def test_fit_levels_out_of_range_is_usage_error(tmp_path, capsys, levels, message):
     # 24x16 halves to 12x8, 6x4 and 3x2; a fifth level would be 1 pixel high.

@@ -88,7 +88,7 @@ def test_zero_poses_give_exact_identities_and_identity_warps(shape):
     # inverse_warp's identity shortcut returns the source bit for bit.
     K = Intrinsics(fx=10.0, fy=10.0, cx=5.7, cy=3.9, width=12, height=8)
     src = np.random.default_rng(0).random((8, 12, 2))
-    for transform in losses._source_transforms(np.zeros(shape)):
+    for transform in losses._source_transforms(np.zeros(shape))[0]:
         warp = sampler.inverse_warp(src, np.full((8, 12), 2.0), transform, K, want_grads=False)
         assert np.array_equal(warp.warped, np.broadcast_to(src, warp.warped.shape))
 
@@ -256,7 +256,8 @@ def test_stacked_rotation_jacobians_equal_each_row_bitwise(S):
     rng = np.random.default_rng(S)
     for trial in range(20):
         poses = rng.uniform(-3.0, 3.0, (S, 6))
-        poses[trial % S, :3] = 0.0   # a zero row, as for an initial pose
+        if trial % 2:   # a zero row, as for an initial pose; S = 1 checks both
+            poses[trial % S, :3] = 0.0
         stacks = geometry.rotation_jacobians(poses[:, :3])
         assert [J.shape for J in stacks] == [(S, 3, 3)] * 3
         for s in range(S):
@@ -264,6 +265,30 @@ def test_stacked_rotation_jacobians_equal_each_row_bitwise(S):
             ref = _scalar_rotation_jacobians(*poses[s, :3].tolist())
             for J, J_row, J_ref in zip(stacks, row, ref, strict=True):
                 assert J[s].tobytes() == J_row.tobytes() == J_ref.tobytes(), (trial, s)
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (3, 6), (2, 4, 6)])
+def test_one_pass_transforms_and_jacobians_equal_scalar_arithmetic_bitwise(shape):
+    # The one trig pass of a gradient call gives the transforms and the
+    # Jacobians that the scalar references and the two public functions give.
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    for trial in range(10):
+        poses = rng.uniform(-3.0, 3.0, shape)
+        if trial == 0:   # a zero row, as for an initial pose
+            poses.reshape(-1, 6)[-1, :3] = 0.0
+        T, jacs = geometry._pose_transforms(poses, jacobians=True)
+        assert T.shape == shape[:-1] + (4, 4)
+        assert [J.shape for J in jacs] == [shape[:-1] + (3, 3)] * 3
+        assert T.tobytes() == geometry.pose_to_transform(poses).tobytes()
+        for J, J_pub in zip(jacs, geometry.rotation_jacobians(poses[..., :3]), strict=True):
+            assert J.tobytes() == J_pub.tobytes()
+        for idx in np.ndindex(shape[:-1]):
+            assert T[idx].tobytes() == _scalar_pose_to_transform(poses[idx]).tobytes(), idx
+            ref = _scalar_rotation_jacobians(*poses[idx][:3].tolist())
+            for J, J_ref in zip(jacs, ref, strict=True):
+                assert J[idx].tobytes() == J_ref.tobytes(), (trial, idx)
+        T_only, none = geometry._pose_transforms(poses)
+        assert none is None and T_only.tobytes() == T.tobytes()
 
 
 # -- Points and rays: (3, ...) arrays, one contiguous row per coordinate -------

@@ -356,6 +356,105 @@ def test_pyramid_stops_early():
     assert len(pyr) == 2  # 2x2 would go below the minimum at the next level
 
 
+def _block_mean(x):
+    """A map's (or a (B, H, W) stack's) 2x2 block means by NumPy's sum over
+    the block axes: the form build_pyramid had before its strided views."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    t = x[..., :2 * h2, :2 * w2]
+    return t.reshape(t.shape[:-2] + (h2, 2, w2, 2)).sum(axis=(-3, -1)) / 4
+
+
+def test_pyramid_block_means_equal_numpy_sum_bitwise_on_every_small_shape():
+    # Every shape whose halves are both >= 2, the only ones build_pyramid
+    # downsamples (max_pyramid_levels).
+    rng = np.random.default_rng(30)
+    for h in range(4, 71):
+        for w in range(4, 71):
+            x = rng.normal(size=(h, w))
+            level = losses.build_pyramid(x, 2)[1]
+            assert level.tobytes() == _block_mean(x).tobytes(), (h, w)
+
+
+@pytest.mark.parametrize("shape", [(48, 64), (128, 416), (192, 8, 12), (1, 17, 26),
+                                   (3, 9, 13), (64, 20, 7)])
+def test_pyramid_levels_equal_numpy_sum_bitwise(shape):
+    # The workloads' depth maps (64x48, 416x128 and the FD oracle's 8x12
+    # stack of 192), odd sizes and stacks, at every level.
+    x = np.random.default_rng(sum(shape)).uniform(0.1, 100.0, shape)
+    pyr = losses.build_pyramid(x, 5, batched=len(shape) == 3)
+    ref = x
+    for level in pyr[1:]:
+        ref = _block_mean(ref)
+        assert level.shape == ref.shape and level.tobytes() == ref.tobytes()
+    assert len(pyr) == min(5, losses.max_pyramid_levels(*shape[-2:]))
+
+
+def _repeat_adjoint(g_levels):
+    """_pyramid_adjoint by upsampling each level with np.repeat into zeros:
+    the form it had before the block view, the bitwise reference."""
+    g = g_levels[-1]
+    for g_l in g_levels[-2::-1]:
+        h2, w2 = g.shape
+        up = np.zeros(g_l.shape)
+        up[: 2 * h2, : 2 * w2] = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4.0
+        g = g_l + up
+    return g
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (9, 13), (17, 26), (35, 6), (48, 64), (128, 416)])
+def test_pyramid_adjoint_equals_repeat_form_bitwise(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for L in (1, 2, 3, 4):
+        levels = losses.build_pyramid(np.zeros(shape), L)
+        g = [rng.normal(size=level.shape) for level in levels]
+        g[-1][0, 0] = 0.0   # zeros, one in an odd level's trailing corner
+        g[0][-1, -1] = 0.0
+        before = [g_l.copy() for g_l in g]
+        got = losses._pyramid_adjoint(g)
+        assert got.tobytes() == _repeat_adjoint(g).tobytes(), L
+        assert all(np.array_equal(a, b) for a, b in zip(g, before))   # inputs untouched
+
+
+def test_depth_activation_equals_its_separate_forms_bitwise():
+    # depth and slope from one sigmoid equal the two expressions
+    # activate_depth and activate_depth_grad each evaluated on their own.
+    x = np.random.default_rng(31).normal(0.0, 4.0, (17, 26))
+    x[0, :6] = [-1e6, -800.0, -40.0, 0.0, 40.0, 800.0]
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    denom = losses.DEPTH_ALPHA * s + losses.DEPTH_BETA
+    depth, slope = losses._depth_activation(x, True)
+    assert depth.tobytes() == (1.0 / denom).tobytes() == losses.activate_depth(x).tobytes()
+    ref = -losses.DEPTH_ALPHA * s * (1 - s) / denom ** 2
+    assert slope.tobytes() == ref.tobytes() == losses.activate_depth_grad(x).tobytes()
+    assert losses._depth_activation(x, False)[1] is None
+
+
+@pytest.mark.parametrize("use_masks", [True, False])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_total_loss_depth_gradient_is_pyramid_adjoint_times_activation_slope(
+        monkeypatch, use_masks, levels):
+    # total_loss's depth map is activate_depth(logits), and its logit
+    # gradient is _pyramid_adjoint(...) * activate_depth_grad(logits), bit
+    # for bit, though it forms depth and slope from one sigmoid.
+    state, cfg = gradcheck.random_instance(levels, height=17, width=26, n_sources=2,
+                                           levels=levels, use_masks=use_masks)
+    seen = {}
+    adjoint, pyramid = losses._pyramid_adjoint, losses.build_pyramid
+
+    def build_pyramid(img, *args):   # total_loss builds the depth pyramid only
+        seen["depth"] = img
+        return pyramid(img, *args)
+
+    monkeypatch.setattr(losses, "_pyramid_adjoint",
+                        lambda g: seen.setdefault("adjoint", adjoint(g)))
+    monkeypatch.setattr(losses, "build_pyramid", build_pyramid)
+    _, grads = losses.total_loss(state.snippet, state, cfg)
+    assert seen["depth"].tobytes() == losses.activate_depth(state.depth_logits).tobytes()
+    ref = seen["adjoint"] * losses.activate_depth_grad(state.depth_logits)
+    assert grads.depth_logits.tobytes() == ref.tobytes()
+
+
 def _small_state(seed=0, levels=2, use_masks=True):
     rng = np.random.default_rng(seed)
     K = Intrinsics(fx=10.0, fy=10.0, cx=5.0, cy=4.0, width=10, height=8)
@@ -487,24 +586,33 @@ def test_snippet_arrays_are_read_only():
 
 
 def test_forward_only_total_loss_skips_rotation_jacobians(monkeypatch):
-    # With gradients, one call for all sources' (S, 3) angle stack.
+    # Each call makes one trig pass (geometry._rotations) for all sources'
+    # (S, 3) angle stack; it forms the Jacobians with gradients only.
     state, cfg = _small_state(seed=2)
     calls = []
-    orig = geometry.rotation_jacobians
-    monkeypatch.setattr(geometry, "rotation_jacobians",
-                        lambda angles: calls.append(np.shape(angles)) or orig(angles))
+    orig = geometry._rotations
+    monkeypatch.setattr(geometry, "_rotations", lambda angles, jacobians: calls.append(
+        (np.shape(angles), jacobians)) or orig(angles, jacobians))
+    S = len(state.snippet.sources)
     losses.total_loss(state.snippet, state, cfg, want_grads=False)
-    assert calls == []
+    assert calls == [((S, 3), False)]
+    calls.clear()
+    losses.total_loss(state.snippet, replace(state, poses=np.stack([state.poses] * 3)), cfg,
+                      want_grads=False)
+    assert calls == [((3, S, 3), False)]
+    calls.clear()
     losses.total_loss(state.snippet, state, cfg)
-    assert calls == [(len(state.snippet.sources), 3)]
+    assert calls == [((S, 3), True)]
 
 
 def test_total_loss_converts_poses_in_one_pose_to_transform_call(monkeypatch):
+    # geometry._pose_transforms is pose_to_transform with the Jacobians
+    # beside: total_loss converts all its poses in one call of it.
     state, cfg = _small_state(seed=2)
     calls = []
-    orig = geometry.pose_to_transform
-    monkeypatch.setattr(geometry, "pose_to_transform",
-                        lambda poses: calls.append(np.shape(poses)) or orig(poses))
+    orig = geometry._pose_transforms
+    monkeypatch.setattr(geometry, "_pose_transforms", lambda poses, jacobians=False: calls.append(
+        np.shape(poses)) or orig(poses, jacobians))
     S = len(state.snippet.sources)
     losses.total_loss(state.snippet, state, cfg)
     assert calls == [(S, 6)]
