@@ -8,6 +8,9 @@ Conventions (fixed for the whole package):
   (u, v) = (j, i), top-left origin, u along width.
 * Rotations are intrinsic Euler rotations composed as
   R = Rz(rz) @ Ry(ry) @ Rx(rx).
+* A pose is a 6-vector (rx, ry, rz, tx, ty, tz), and a 3-D point or ray a
+  coordinate-first (3, ...) array, one contiguous row per coordinate: there
+  is no other pose type or point layout.
 """
 
 from __future__ import annotations

@@ -103,15 +103,8 @@ def check_instance(state: Instance, config: LossConfig, inject_bug: bool = False
 # bitwise independent of the batch size; larger batches make fewer calls but
 # keep more temporaries alive at once, and the allocator policy
 # (model._keep_freed_memory) lets a batch reuse the previous one's pages.
-# With depth and pose sets warped in full, at 8x12 (perfbench gradcheck_fd,
-# 10 s runs, 2-core x86 host): 32 sets 61-65k evals/s, 64 sets 76-78k,
-# 128 sets 80k at 49.4 MB peak RSS against 44.8. tracemalloc peaks of one
-# forward-only call (S=2, L=2, masks; MiB, 15 calls): 3 * 64 depth sets
-# 1.8-3.0, 14-23 and 88-92 at 8x12, 24x32 and 48x64; 4 * 64 sets 27-31 and
-# 117-123 at the larger two. A batch is threaded like one set
-# (losses.PARALLEL_MIN_ELEMENTS), so the 192 sets of 8x12, one level group of
-# 120 pixels, warp their two sources one after the other, at a steady 1.8 MiB
-# peak.
+# Measured: 64 sets in fb56c0e (BENCH_ca65993.json), the depth multiple in
+# 508712f (BENCH_1094904.json), the mask multiple in d45b747 (BENCH_7fc11a4.json).
 FD_CHUNK = 64
 
 
@@ -180,7 +173,7 @@ def central_differences(snippet: Snippet, params: Params, config: LossConfig, ar
 
 def run(seeds, inject_bug: bool = False):
     """check_instance on the default random_instance of each seed; returns
-    {group: worst error over instances}."""
+    {group: worst error over instances}, where a NaN error is the worst."""
     worst: dict[str, float] = {}
     for seed in seeds:
         state, config = random_instance(seed)

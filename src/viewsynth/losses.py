@@ -13,6 +13,10 @@ Batch axis: the forward pass evaluates a batch of parameter sets in one call
 (see total_loss). Every layer then reduces only over its trailing axes, with
 the batch axis leading, and keeps the unbatched call's order of operations,
 so each batch element's value equals the unbatched call's bit for bit.
+
+In place: as in sampler, a layer overwrites only arrays it allocated, or,
+in total_loss, arrays its source task owns. This module imports no model
+(tests/test_imports.py checks that the import graph has no cycle).
 """
 
 from __future__ import annotations
@@ -87,11 +91,17 @@ _LOG_MAX_FLOAT = float(np.log(np.finfo(float).max))
 
 
 def sigmoid(x):
-    """The logistic function 1 / (1 + exp(-x)), elementwise."""
-    # exp(-x) overflows to inf below x = -_LOG_MAX_FLOAT. The result there,
-    # 1 / inf = 0, is the limit and within 1e-308 of the true value.
+    """The logistic function 1 / (1 + exp(-x)), elementwise, as a fresh
+    array (a NumPy scalar for a 0-d x); x is never written."""
+    x = np.asarray(x, dtype=float)
+    # -x, exp, + 1 and 1 / in one buffer, with the expression form's bits.
+    # Where exp overflows (x < -_LOG_MAX_FLOAT), 1 / inf = 0 is the limit.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+        s = np.negative(x, out=np.empty_like(x))
+        np.exp(s, out=s)
+        s += 1
+        np.divide(1.0, s, out=s)
+    return s if s.ndim else s[()]
 
 
 def mask_probability(logits: np.ndarray) -> np.ndarray:
@@ -505,7 +515,7 @@ def _source_transforms(poses: np.ndarray, jacobians: bool = False) -> tuple:
 # group of at least this many pixels fits its sources concurrently. A batch
 # of parameter sets counts as one set in both rules. On small levels, such
 # as every level of a 64x48 fit, a thread hand-off or a separate pass per
-# level costs more than the arithmetic.
+# level costs more than the arithmetic (measured in a671f53, BENCH_2e4828c.json).
 PARALLEL_MIN_ELEMENTS = 8192
 
 
@@ -526,7 +536,9 @@ def _level_groups(sizes: list) -> list:
 def _source_pool():
     """(executor, workers): a thread pool created on first use, with one
     worker per CPU this process may run on, minus the calling thread; no
-    executor on a single CPU. Threads start only when tasks need them."""
+    executor on a single CPU. Threads start only when tasks need them. No
+    flag, config field or environment variable sets it, and no result
+    depends on it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
@@ -618,7 +630,8 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     target points, each coordinate a contiguous row, the rotation gradient
     sum_i G_i . (J P_i) is <J, G P^T>: one 3x3 moment per level, contracted
     with the Jacobians. The translation gradient is G's row sums, and the
-    depth gradient the column sums of (R^T G) * rays.
+    depth gradient the column sums of (R^T G) * rays. Levels (and sources,
+    one call each) never share a product, which would round differently.
     """
     valid = warp.valid
     x, y, z = warp.src_points
@@ -641,8 +654,9 @@ def projection_adjoint(gu, gv, warp, grid, R: np.ndarray, rot_jacs, P: np.ndarra
     J = np.reshape(rot_jacs, (3, 9))
     g_pose = np.empty((len(spans), 6))
     for (a, b), out in zip(spans, g_pose):
-        # A view of P's rows multiplies several times faster than an (n, 3)
-        # copy, but NumPy's OpenBLAS rounds it differently at 16 <= n < 32.
+        # A view of P's rows multiplies faster than an (n, 3) copy (b5f2f17,
+        # BENCH_f9bab20.json), but NumPy's OpenBLAS rounds it differently at
+        # 16 <= n < 32; both give the same bits at every other n there.
         P_T = P[:, a:b].T if b - a >= 32 else P[:, a:b].T.copy()
         np.matmul(J, (G[:, a:b] @ P_T).ravel(), out=out[:3])
         np.sum(G[:, a:b], axis=1, out=out[3:])
@@ -675,33 +689,25 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     lambda_s / 2^level times the smoothness and lambda_e times the mask
     regularizer. Only the first needs a warp: one loop over the level groups
     runs the source tasks (below), then one loop over the levels adds the
-    other terms, the mean-mask sums and the total. Those other terms depend
-    on the parameters alone. Once the last threaded group (below) has handed
-    the pool its source tasks, the pool takes the finest level's terms, the
-    largest, while the caller runs the remaining groups and the coarser
-    levels' terms; the level loop adds them in level order all the same.
+    other terms, the mean-mask sums and the total. The finest level's other
+    terms run on the pool once the last threaded group has handed it its
+    sources; the level loop adds every level's in level order.
 
-    Level groups: the coarsest levels with fewer than PARALLEL_MIN_ELEMENTS
-    pixels together form one group, and every other level is a group of its
-    own. Snippet.build makes the groups once per snippet, from each level's
-    pixel count, so a batch of parameter sets is grouped as one set. Every
-    group lays its levels' pixels out along one (1, N) row, so each source
-    warps them in one pass, with each pixel's own level constants (scalars
-    for a group of one level). Every per-level sum still runs over that
-    level's pixels alone, in the same order as for a level on its own, so
-    the grouping changes no result.
+    Level groups (_level_groups; Snippet.build makes them once, so a batch
+    is grouped as one set) lay their levels' pixels out along one (1, N)
+    row, so each source warps them in one pass, with each pixel's own level
+    constants. Every per-level sum still runs over that level's pixels
+    alone, in the same order, so the grouping changes no result.
 
-    Per source: given the parameters, each source's share of a group (warp,
-    photometric term and adjoint) depends only on the group's depth, that
-    source's pose and that source's mask. It runs as one task that writes
-    nothing shared, and the caller adds the tasks' results in source order,
-    so every sum is formed in the same order (sources within a level, then
-    levels) whether the tasks ran one after another or, on groups of at
-    least PARALLEL_MIN_ELEMENTS pixels (a batch counts as one set), on
-    several threads at once. The sources of a group share the target-frame
-    points of an unbatched depth, which activate_depth keeps positive; a
-    forward-only depth batch's warps form their own (see
-    sampler.inverse_warp).
+    Per source: a source's share of a group (warp, photometric term and
+    adjoint) depends only on the group's depth, that source's pose and its
+    mask. It runs as one task that writes nothing shared, and the caller
+    adds the tasks' results in source order, so every sum keeps its order
+    (sources within a level, then levels) whether the tasks ran one after
+    another or, on groups of at least PARALLEL_MIN_ELEMENTS pixels, on
+    several threads. The sources of a group share the target-frame points of
+    an unbatched depth, which activate_depth keeps positive; a forward-only
+    depth batch's warps form their own (see sampler.inverse_warp).
 
     Batch axis: the parameters may describe a batch of B parameter sets
     instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
@@ -776,7 +782,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     threaded = [i for i, group in enumerate(snippet.groups)
                 if S > 1 and group.spans[-1][1] >= PARALLEL_MIN_ELEMENTS]
     last_threaded = max(threaded, default=None)
-    finest = None   # without a pool lane, the caller forms the finest level's terms too
+    finest = functools.partial(level_terms, 0)   # a pool lane replaces it
     vs_per_level = [0.0] * L
     valid_per_level = [[] for _ in range(L)]
     with contextlib.ExitStack() as pool_lane:
@@ -812,7 +818,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
                 if s == 0 and i == last_threaded:
                     # The pool holds its share of the last threaded group's
                     # sources; the finest level's terms follow them there.
-                    finest = pool_lane.enter_context(_beside(functools.partial(level_terms, 0)))
+                    finest = pool_lane.enter_context(_beside(finest))
                 for l, vs_l, n in zip(levels, vs, n_valid):
                     vs_per_level[l] += vs_l
                     valid_per_level[l].append(n)
@@ -826,13 +832,10 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
                 # Free this source's rows before the next task runs.
                 del g_mask_row, g_depth
 
-        # Every level's warp-free terms. With a pool lane, the caller forms
-        # the coarser levels' while the pool may still run the finest level's.
-        if finest is None:
-            terms = [level_terms(l) for l in range(L)]
-        else:
-            terms = [level_terms(l) for l in range(1, L)]
-            terms.insert(0, finest())
+        # The coarser levels' warp-free terms first, while a pool lane may
+        # still run the finest level's; the level loop adds all in level order.
+        terms = [level_terms(l) for l in range(1, L)]
+        terms.insert(0, finest())
 
     total = 0.0
     smooth_per_level = []

@@ -62,24 +62,19 @@ def _keep_freed_memory() -> None:
     runs as an offline fitting job, the setting changes no result, and it
     only decides when freed memory goes back to the kernel.
 
-    A 416x128 fit iteration (S=4, L=4, masks) holds at most 13.4 MB of
-    array temporaries at once on one thread and about 19 MB on two, and
-    allocates and frees them per source and level. By default glibc maps
-    large arrays afresh and hands the free top of its heap back to the
-    kernel, so each such iteration faulted in about 7k new zeroed pages; a
-    64x48 iteration faulted in about 230 and an 8x12 FD check about 2k. Large
-    arrays from the heap, a trim threshold above that working set and one
-    arena for all threads (each arena keeps its own high-water mark, which
-    would raise the peak resident set) reuse those pages instead. The one
-    arena must be set before the first threaded level, or the first
-    adam_step that halves a parameter group, starts the worker threads.
-    Where there is no mallopt, the allocator keeps its defaults.
+    Each loss evaluation frees its temporaries, which glibc's defaults hand
+    back to the kernel to be faulted in anew (tests/test_cli.py and
+    tests/test_model.py bound the faults). Large arrays from the heap, a trim
+    threshold above the working set and one arena (an arena per thread would
+    raise the peak resident set), set before the first worker thread starts,
+    reuse them instead. Without mallopt the allocator keeps its defaults.
     """
     try:
         import ctypes
         mallopt = ctypes.CDLL(None).mallopt
     except (ImportError, OSError, TypeError, AttributeError):
         return
+    # Thresholds measured in ca65993 (BENCH_d5b66d7.json).
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     mallopt(_M_ARENA_MAX, 1)
@@ -139,13 +134,15 @@ class AdamMoments:
 
 
 def adam_step(state: Params, grads: Params, moments: AdamMoments, config: AdamConfig, t: int):
-    """One bias-corrected Adam update, in place on the state's arrays.
+    """One bias-corrected Adam update, in place on the state's arrays: the
+    package's one function that writes into arrays its caller holds.
 
     A parameter group whose leading axis splits into two halves of at least
     losses.PARALLEL_MIN_ELEMENTS elements each steps as those two views at
     once: the second on a pool worker (losses._beside), the first on the
-    caller. Every element's update reads only its own entries, so the bits
-    are the same however the halves ran."""
+    caller (the rule on halves: 5b68448, BENCH_c0c3895.json). Every
+    element's update reads only its own entries, so the bits are the same
+    however the halves ran."""
     if t < 1:
         raise ValueError("step index t must be >= 1")
     params = dict(state.items())

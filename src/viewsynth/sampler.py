@@ -3,6 +3,9 @@
 All images are float arrays of shape (H, W, C) with values in [0, 1].
 Out-of-bounds and behind-camera pixels get zero value and zero gradient and
 are excluded from losses via the valid mask.
+
+In place: a function here overwrites only arrays it allocated, never one its
+caller can see (tests/test_working_set.py checks every input byte for byte).
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ def bilinear_sample(img, u, v, want_grads: bool = True, keep=None, layout=None):
 
     Returns (value, d_du, d_dv, valid), each broadcast over the shape of
     u/v with a trailing channel axis on the first three. Coordinates outside
-    [0, W-1] x [0, H-1] are invalid: value 0, gradient 0. keep, when given,
-    is a boolean map that invalidates more pixels the same way (inverse_warp
+    [0, W-1] x [0, H-1], NaN and +-inf among them, are invalid: value 0,
+    gradient 0, and no floating-point warning. keep, when given, is a
+    boolean map that invalidates more pixels the same way (inverse_warp
     passes its in-front-of-camera test), so the outputs are masked once.
 
     layout, when given, is img's SampleLayout: img may then be a (rows, C)

@@ -18,26 +18,30 @@ alters these outputs on purpose rewrites the table with
 
     PYTHONPATH=src python tests/test_digests.py
 
-and says so in CHANGES.md.
+and says so in CHANGES.md, recording there what
 
     PYTHONPATH=src python tests/test_digests.py --compare
 
-writes nothing: it prints, for every float.hex entry, the largest relative
-difference between the table and the current code (for a history, also the
-first iteration that differs), and lists the sha256 entries that changed.
-It also re-runs each history's fit with its learning rate moved by -2,
--1, +1 and +2 ulp: next to a history's drift from the table it prints the
-largest drift of those fits from the current history, the fit's own
-rounding sensitivity, and the ratio of the two. A ratio near or below 1 is
+prints (before the table is rewritten). That command writes nothing: it
+prints, for every float.hex entry, the largest relative difference between
+the table and the current code (for a history, also the first iteration
+that differs), and lists the sha256 entries that changed. It also re-runs
+each history's fit with its learning rate moved by -2, -1, +1 and +2 ulp:
+next to a history's drift from the table it prints the largest drift of
+those fits from the current history, the fit's own rounding sensitivity,
+and the ratio of the two. A ratio near or below 1 is
 a drift that rounding alone can make. One shifted fit is a single sample
 of a chaotic fit; the largest drift of four is a steadier yardstick.
 
-The last bits of these outputs depend on the machine and the NumPy build
-(SIMD math, BLAS kernels), so the table records the platform it was made
-on. On any other platform the tests skip and say why.
+The last bits of these outputs depend on the machine, the NumPy build and
+two kernels picked from the CPU at run time: the SIMD target of the float64
+exp and log loops, and OpenBLAS's core. The table records all four as its
+platform key; under any other key the tests skip and name the parts that
+differ.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import platform
@@ -97,15 +101,36 @@ CLI_RUNS = {
 
 
 def _require_table_platform():
-    made = TABLE["platform"]
-    here = _platform()
-    if here != made:
-        pytest.skip(f"digests were made on {made['machine']} with NumPy {made['numpy']}; "
-                    f"this is {here['machine']} with NumPy {here['numpy']}")
+    made, here = TABLE["platform"], _platform()
+    differ = [f"{key} {made.get(key)} (here {here[key]})" for key in here
+              if made.get(key) != here[key]]
+    if differ:
+        pytest.skip(f"digests were made with another {', '.join(differ)}")
 
 
 def _platform() -> dict:
-    return {"machine": platform.machine(), "numpy": np.__version__}
+    return {"machine": platform.machine(), "numpy": np.__version__,
+            "exp_log_target": _exp_log_target(), "openblas_core": _openblas_core()}
+
+
+def _exp_log_target() -> str:
+    """The SIMD target NumPy dispatches the float64 exp and log loops to."""
+    from numpy.lib.introspect import opt_func_info
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    return "/".join(sorted({info[f]["dd"]["current"] for f in ("exp", "log")}))
+
+
+def _openblas_core() -> str:
+    """The core NumPy's bundled OpenBLAS chose for this CPU, or "unknown"
+    where the library or its scipy_openblas_get_corename64_ is not found."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _sha256(a) -> str:

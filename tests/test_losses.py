@@ -108,6 +108,48 @@ def test_zero_valid_pixels_forward_only_gives_no_gradients(masked):
         assert gm is None
 
 
+@pytest.mark.parametrize("C", [1, 2])
+@pytest.mark.parametrize("masked", [False, True])
+def test_view_synthesis_gradients_match_central_differences(C, masked):
+    # A two-level row (spans) with invalid pixels on both levels, and every
+    # residual at least 10 steps from 0, so no step crosses the L1 kink.
+    rng = np.random.default_rng(20 + C)
+    h, spans = 1e-6, ((0, 12), (12, 15))
+    target = rng.random((1, 15, C))
+    warped = target + rng.choice([-1.0, 1.0], target.shape) * rng.uniform(0.01, 0.5, target.shape)
+    assert np.abs(warped - target).min() >= 10 * h
+    valid = rng.random((1, 15)) > 0.3
+    valid[0, [0, 12]], valid[0, [1, 13]] = False, True
+    logits = rng.normal(0.0, 1.0, (1, 15))
+
+    def vs(warped, logits, want_grads=False):
+        probs = [losses.mask_probability(logits[:, a:b]) for a, b in spans] if masked else None
+        warp = sampler.WarpResult(warped=warped, valid=valid, d_du=None, d_dv=None,
+                                  src_points=None)
+        return losses.view_synthesis_loss(target, warp, spans, probs, want_grads)
+
+    _, g_warped, g_mask, _ = vs(warped, logits, want_grads=True)
+    assert (g_mask is None) != masked
+
+    def central_differences(x, f):
+        fd = np.empty(x.shape)
+        for i in np.ndindex(x.shape):
+            plus, minus = x.copy(), x.copy()
+            plus[i] += h
+            minus[i] -= h
+            fd[i] = (sum(f(plus)[0]) - sum(f(minus)[0])) / (2 * h)
+        return fd
+
+    checks = [(g_warped, central_differences(warped, lambda w: vs(w, logits)), valid[..., None])]
+    if masked:
+        checks.append((g_mask, central_differences(logits, lambda m: vs(warped, m)), valid))
+    for g, fd, v in checks:
+        v = np.broadcast_to(v, g.shape)
+        # An invalid pixel's value and mask do not reach the loss.
+        assert np.all(g[~v] == 0.0) and np.all(fd[~v] == 0.0)
+        np.testing.assert_allclose(g[v], fd[v], rtol=1e-6, atol=1e-9)
+
+
 def test_sum_channels_equals_numpy_sum():
     rng = np.random.default_rng(3)
     for C in (1, 2, 3, 4):
@@ -156,6 +198,17 @@ def test_regularizer_extreme_logits_are_finite(x):
         assert loss == 0.0
         assert np.all(g == 0.0)
         assert np.all(losses.mask_probability(logits) == 1.0)
+    # sigmoid works in one buffer of its own: bit for bit the expression
+    # form, the input left as it was, and a NumPy scalar for a 0-d input.
+    edges = np.array([x, 709.7, -709.7, 1e4, -1e4, np.inf, -np.inf, 0.0, -0.0])
+    kept = edges.tobytes()
+    with np.errstate(over="ignore"):
+        expected = 1.0 / (1.0 + np.exp(-edges))
+    assert losses.sigmoid(edges).tobytes() == expected.tobytes()
+    assert edges.tobytes() == kept
+    for scalar in (x, np.array(x)):
+        s = losses.sigmoid(scalar)
+        assert type(s) is np.float64 and s.tobytes() == expected[0].tobytes()
 
 
 def test_regularizer_matches_scalar_oracle():
@@ -640,6 +693,7 @@ def test_masked_total_loss_computes_mask_probability_once_per_level(monkeypatch)
 def test_masked_total_loss_regularizes_each_level_once(monkeypatch):
     # The regularizer depends on no warp: one call per level over the whole
     # (S, H_l, W_l) or (B, S, H_l, W_l) stack, not one per source and level.
+    # The coarser levels' terms are formed first, then the finest level's.
     state, cfg = _small_state(seed=5, levels=3)
     batch = [m + np.random.default_rng(5).normal(0, 0.5, (4,) + m.shape)
              for m in state.mask_logits]
@@ -651,7 +705,7 @@ def test_masked_total_loss_regularizes_each_level_once(monkeypatch):
     for one, want_grads in ((state, True), (state, False), (batched, False)):
         calls.clear()
         losses.total_loss(one.snippet, one, cfg, want_grads)
-        assert calls == [m.shape for m in one.mask_logits]
+        assert calls == [m.shape for m in one.mask_logits[1:] + one.mask_logits[:1]]
 
 
 _OFF_THE_PYRAMID = ("one level too many", "one level too few", "a level one column short",
