@@ -73,10 +73,8 @@ def check_instance(state: Instance, config: LossConfig, inject_bug: bool = False
     max(||analytic||_inf, ||fd||_inf), with fd from central_differences at
     FD_STEP: one call each for the depth logits, the poses and all mask
     levels. inject_bug perturbs the analytic gradient (negative-control hook
-    for the CLI). Sets the process's allocator policy first
-    (`model._keep_freed_memory`).
+    for the CLI).
     """
-    model._keep_freed_memory()
     _, grads = losses.total_loss(state.snippet, state, config)
     analytic = dict(grads.items())
     if inject_bug:
@@ -97,15 +95,13 @@ def check_instance(state: Instance, config: LossConfig, inject_bug: bool = False
     return errors
 
 
-# Perturbed parameter sets per batched total_loss call that moves the poses,
-# and so every pixel's warp; depth-logit batches take 3 times as many and
-# mask batches 8 times (see central_differences). Each set's total is
-# bitwise independent of the batch size; larger batches make fewer calls but
-# keep more temporaries alive at once, and the allocator policy
-# (model._keep_freed_memory) lets a batch reuse the previous one's pages.
-# Measured: 64 sets in fb56c0e (BENCH_ca65993.json), the depth multiple in
-# 508712f (BENCH_1094904.json), the mask multiple in d45b747 (BENCH_7fc11a4.json).
-FD_CHUNK = 64
+# Perturbed parameter sets per evaluation: a batched total_loss call over
+# pose sets, or one losses.EntryTotals call over depth-logit or mask-logit
+# sets. Each set's total is bitwise independent of the batch size; larger
+# batches make fewer calls but keep more temporaries alive at once. One
+# value serves all three kinds: each parameter array of a screened 8x12
+# instance then fits one batch (measured in BENCH_72e385b.json).
+FD_CHUNK = 512
 
 
 def central_differences(snippet: Snippet, params: Params, config: LossConfig, arrays: list,
@@ -115,20 +111,15 @@ def central_differences(snippet: Snippet, params: Params, config: LossConfig, ar
     where f is total_loss over `snippet`; one array of differences per
     parameter array, shaped like it.
 
-    The 2 * n perturbed parameter sets of all n coordinates go through
-    forward-only total_loss calls in shared batches. In a batch, an array
-    gets a batch axis only if one of the batch's sets perturbs it; every
-    other parameter stays unbatched and is shared. Each total equals the one
-    of perturbing the coordinate in place bit for bit.
-
-    Batches hold up to FD_CHUNK sets when `params` holds the poses, whose
-    sets move every pixel's warp. Otherwise the transforms stay unbatched:
-    a depth-logit set re-warps only the pixels it moves (see
-    sampler.inverse_warp), and batches hold up to 3 * FD_CHUNK sets. Without
-    depth logits each source is warped once per batch, only the per-pixel
-    mask terms carry the batch axis, and batches hold up to 8 * FD_CHUNK.
-    Every array of `arrays` must be one of params' own (by identity), and
-    step finite and > 0.
+    The 2 * n perturbed parameter sets of an array's n coordinates are
+    evaluated in batches of up to FD_CHUNK sets. A pose set moves every
+    pixel's warp, so pose batches go through forward-only total_loss calls
+    with only the poses batched. A depth-logit or mask-logit set moves a few
+    pixels, so those batches go to one losses.EntryTotals of params, which
+    evaluates the base point once and recomputes only what each set moves.
+    Each total equals the total_loss of perturbing the coordinate in place,
+    bit for bit. Every array of `arrays` must be one of params' own (by
+    identity), and step finite and > 0.
     """
     if isinstance(arrays, np.ndarray):
         raise TypeError("arrays must be a list of parameter arrays")
@@ -139,36 +130,29 @@ def central_differences(snippet: Snippet, params: Params, config: LossConfig, ar
                              "of params (a copy or a view would stay unperturbed)")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
-    chunk = (FD_CHUNK if any(p is params.poses for p in arrays) else
-             3 * FD_CHUNK if any(p is params.depth_logits for p in arrays) else 8 * FD_CHUNK)
-    flat = np.concatenate([p.reshape(-1) for p in arrays])
-    # Set k moves coordinate k // 2 by +step for even k and by -step for odd
-    # k; coordinates run through arrays in order, array i from bounds[i].
-    bounds = np.cumsum([0] + [p.size for p in arrays])
-    coords = np.repeat(np.arange(flat.size), 2)
-    values = np.empty(2 * flat.size)
-    values[0::2] = flat + step
-    values[1::2] = flat - step
-    totals = np.empty(2 * flat.size)
-    for start in range(0, totals.size, chunk):
-        ks = np.arange(start, min(start + chunk, totals.size))
-        batches = []
-        for p, lo, hi in zip(arrays, bounds[:-1], bounds[1:]):
-            mine = ks[(coords[ks] >= lo) & (coords[ks] < hi)]
-            if mine.size:
-                batch = np.repeat(p[None], ks.size, axis=0)
-                batch.reshape(ks.size, -1)[mine - start, coords[mine] - lo] = values[mine]
-                batches.append((p, batch))
+    entry_totals = None
 
-        def swap(p):   # p's batch, or p itself where no set of this chunk perturbs it
-            return next((batch for q, batch in batches if q is p), p)
+    def pose_totals(entries, values):
+        batch = np.repeat(params.poses[None], len(values), axis=0)
+        batch.reshape(len(values), -1)[np.arange(len(values)), entries] = values
+        report, _ = losses.total_loss(snippet, replace(params, poses=batch), config,
+                                      want_grads=False)
+        return report.total
 
-        batch = replace(params, depth_logits=swap(params.depth_logits), poses=swap(params.poses),
-                        mask_logits=params.mask_logits and list(map(swap, params.mask_logits)))
-        report, _ = losses.total_loss(snippet, batch, config, want_grads=False)
-        totals[ks] = report.total
-    fd = (totals[0::2] - totals[1::2]) / (2 * step)
-    return [fd[lo:hi].reshape(p.shape) for p, lo, hi in zip(arrays, bounds[:-1], bounds[1:])]
+    fds = []
+    for p in arrays:
+        if p is not params.poses and entry_totals is None:
+            entry_totals = losses.EntryTotals(snippet, params, config)
+        # Set k moves entry k // 2 by +step for even k and by -step for odd k.
+        entries = np.repeat(np.arange(p.size), 2)
+        values = np.stack([p.reshape(-1) + step, p.reshape(-1) - step], axis=1).reshape(-1)
+        totals = np.empty(values.size)
+        for start in range(0, values.size, FD_CHUNK):
+            ks = slice(start, start + FD_CHUNK)
+            totals[ks] = (pose_totals(entries[ks], values[ks]) if p is params.poses else
+                          entry_totals(p, entries[ks], values[ks]))
+        fds.append(((totals[0::2] - totals[1::2]) / (2 * step)).reshape(p.shape))
+    return fds
 
 
 def run(seeds, inject_bug: bool = False):

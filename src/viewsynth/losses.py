@@ -345,6 +345,29 @@ def _sum_channels(x) -> np.ndarray:
     return total
 
 
+def _mean_channels(x) -> np.ndarray:
+    """x's mean over its trailing channel axis: _sum_channels, then / C."""
+    mean = _sum_channels(x)
+    if x.shape[-1] != 1:
+        mean /= x.shape[-1]
+    return mean
+
+
+def _weighted_errors(e, valid, spans, mask_prob=None) -> list:
+    """Each level's row of photometric terms: the per-pixel error e on the
+    valid pixels, weighted by the level's mask probability row when masks
+    are on (view_synthesis_loss's arguments). A level's mask may carry a
+    batch axis of its own."""
+    if mask_prob is None:
+        return _split(e * valid, spans)
+    terms = []
+    for p, e_l, v in zip(mask_prob, _split(e, spans), _split(valid, spans)):
+        term = p * e_l
+        term *= v
+        terms.append(term)
+    return terms
+
+
 def _pyramid_adjoint(g_levels: list) -> np.ndarray:
     """Adjoint of build_pyramid: the gradient with respect to its input of
     per-level gradients g_levels, each shaped like its level. An odd
@@ -402,19 +425,9 @@ def view_synthesis_loss(target, warp, spans, mask_prob=None, want_grads: bool = 
         np.sign(r, out=r)
     else:
         del r
-    e = _sum_channels(e)
-    if C != 1:
-        e /= C
-    # Per level with masks: a level's mask may have a batch axis of its own.
+    e = _mean_channels(e)
     # _mean_hw gives a level (or batch element) without valid pixels 0.
-    if mask_prob is None:
-        terms = _split(e * valid, spans)
-    else:
-        terms = []
-        for p, e_l, v in zip(mask_prob, _split(e, spans), _split(valid, spans)):
-            term = p * e_l
-            term *= v
-            terms.append(term)
+    terms = _weighted_errors(e, valid, spans, mask_prob)
     loss = [_mean_hw(x, n) for x, n in zip(terms, counts)]
     del terms
     if not want_grads:
@@ -441,6 +454,16 @@ def view_synthesis_loss(target, warp, spans, mask_prob=None, want_grads: bool = 
     return loss, r, grad_mask, counts
 
 
+def _log_probability(logits, prob) -> np.ndarray:
+    """log(prob) of prob = mask_probability(logits), elementwise. Where
+    exp(-x) overflows, prob is subnormal or 0 and log(prob) is imprecise or
+    -inf; log(sigmoid(x)) = x - log1p(exp(x)) rounds to x there."""
+    with np.errstate(divide="ignore"):
+        log_prob = np.log(prob)
+    low = logits < -_LOG_MAX_FLOAT
+    return np.where(low, logits, log_prob) if low.any() else log_prob
+
+
 def explainability_regularizer(logits, prob=None, want_grads: bool = True):
     """Cross-entropy toward constant label 1: mean of -log(mask_probability).
 
@@ -452,13 +475,7 @@ def explainability_regularizer(logits, prob=None, want_grads: bool = True):
     logits = np.asarray(logits, dtype=float)
     if prob is None:
         prob = mask_probability(logits)
-    # Where exp(-x) overflows, prob is subnormal or 0 and log(prob) is
-    # imprecise or -inf; log(sigmoid(x)) = x - log1p(exp(x)) rounds to x there.
-    with np.errstate(divide="ignore"):
-        log_prob = np.log(prob)
-    low = logits < -_LOG_MAX_FLOAT
-    if low.any():
-        log_prob = np.where(low, logits, log_prob)
+    log_prob = _log_probability(logits, prob)
     pixels = log_prob.shape[-2] * log_prob.shape[-1]
     loss = -_mean_hw(log_prob, pixels)
     if not want_grads:
@@ -468,6 +485,18 @@ def explainability_regularizer(logits, prob=None, want_grads: bool = True):
     np.negative(grad, out=grad)
     grad /= pixels
     return loss, grad
+
+
+def _second_differences(D):
+    """Yield (axis, (lo, mid, hi), d2) for each axis of the depth map(s) D
+    with at least 3 samples, u (-1) then v (-2): d2 = D[lo] - 2 D[mid] + D[hi]
+    over the slices lo, mid and hi of that axis."""
+    for axis in (-1, -2):
+        if D.shape[axis] < 3:
+            continue
+        lo, mid, hi = ((Ellipsis, slice(a, b)) + (slice(None),) * (-1 - axis)
+                       for a, b in ((None, -2), (1, -1), (2, None)))
+        yield axis, (lo, mid, hi), D[lo] - 2 * D[mid] + D[hi]
 
 
 def smoothness_loss(depth, want_grads: bool = True):
@@ -482,12 +511,7 @@ def smoothness_loss(depth, want_grads: bool = True):
         raise ValueError("depth must be (H, W) or a (B, H, W) stack")
     loss = 0.0
     grad = np.zeros_like(D) if want_grads else None
-    for axis in (-1, -2):   # u, then v
-        if D.shape[axis] < 3:
-            continue
-        lo, mid, hi = ((Ellipsis, slice(a, b)) + (slice(None),) * (-1 - axis)
-                       for a, b in ((None, -2), (1, -1), (2, None)))
-        d2 = D[lo] - 2 * D[mid] + D[hi]
+    for _, (lo, mid, hi), d2 in _second_differences(D):
         count = d2.shape[-2] * d2.shape[-1]
         loss += _mean_hw(np.abs(d2), count)
         if want_grads:
@@ -674,6 +698,56 @@ def _by_source(x: np.ndarray) -> list:
     return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
 
 
+def _check_params(snippet: Snippet, params: Params, config: LossConfig) -> tuple:
+    """(poses, batched): params' poses as a float array, and whether any
+    parameter carries a batch axis, once config and params fit the snippet
+    (see total_loss); else a ValueError names what differs."""
+    L, use_masks = snippet.num_levels, snippet.use_explainability
+    if (config.num_levels, config.use_explainability) != (L, use_masks):
+        raise ValueError(f"config has num_levels {config.num_levels} and use_explainability "
+                         f"{config.use_explainability}, but the snippet was built for "
+                         f"num_levels {L} and use_explainability {use_masks}")
+    S = len(snippet.sources)
+    H, W = snippet.target.shape[:2]
+    poses = np.asarray(params.poses, dtype=float)
+    depth_shape = np.shape(params.depth_logits)
+    for name, shape, expected in (("depth_logits", depth_shape, (H, W)),
+                                  ("poses", poses.shape, (S, 6))):
+        if shape[-2:] != expected or len(shape) > 3:
+            raise ValueError(f"{name} must be {expected}, with at most one leading batch axis; "
+                             f"got {shape}")
+    got = None if params.mask_logits is None else [np.shape(m) for m in params.mask_logits]
+    if use_masks:
+        expected = [(S, H >> l, W >> l) for l in range(L)]   # build_pyramid's level sizes
+        if got is None or len(got) != L or any(
+                len(g) not in (3, 4) or g[-3:] != e for g, e in zip(got, expected)):
+            raise ValueError(f"mask_logits must be one (S, H_l, W_l) array per pyramid level, "
+                             f"{expected} for num_levels={L}; got {got}")
+    elif got is not None:
+        raise ValueError(f"mask_logits must be None with masks off; got {got}")
+    batched = len(depth_shape) == 3 or poses.ndim == 3 or any(len(g) == 4 for g in got or [])
+    return poses, batched
+
+
+def _level_sums(vs, smooth, regs, config: LossConfig) -> tuple:
+    """(total, vs_per_level) in total_loss's order: vs[l] and regs[l] hold
+    level l's photometric terms and mask regularizers, one per source, each
+    added to 0.0 in source order, and the total adds vs + smooth_weight *
+    smooth[l] + lambda_e * reg of each level to 0.0 in level order. The
+    terms are floats, or (B,) arrays of one entry per parameter set."""
+    total = 0.0
+    vs_per_level = []
+    for l, (vs_l, smooth_l, regs_l) in enumerate(zip(vs, smooth, regs)):
+        vs_sum = reg_sum = 0.0
+        for x in vs_l:
+            vs_sum += x
+        for r in regs_l:
+            reg_sum += r
+        vs_per_level.append(vs_sum)
+        total += vs_sum + config.smooth_weight(l) * smooth_l + config.lambda_e * reg_sum
+    return total, vs_per_level
+
+
 def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads: bool = True):
     """Multi-scale objective of `params` over `snippet`, with gradients.
 
@@ -706,8 +780,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     (sources within a level, then levels) whether the tasks ran one after
     another or, on groups of at least PARALLEL_MIN_ELEMENTS pixels, on
     several threads. The sources of a group share the target-frame points of
-    an unbatched depth, which activate_depth keeps positive; a forward-only
-    depth batch's warps form their own (see sampler.inverse_warp).
+    its depth, a batch's too, which activate_depth keeps positive.
 
     Batch axis: the parameters may describe a batch of B parameter sets
     instead of one. depth_logits is then (B, H, W), poses (B, S, 6) and a
@@ -719,33 +792,12 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     after at most one leading batch axis, is refused with a ValueError that
     names it and both shapes.
     """
-    L, use_masks = snippet.num_levels, snippet.use_explainability
-    if (config.num_levels, config.use_explainability) != (L, use_masks):
-        raise ValueError(f"config has num_levels {config.num_levels} and use_explainability "
-                         f"{config.use_explainability}, but the snippet was built for "
-                         f"num_levels {L} and use_explainability {use_masks}")
-    S = len(snippet.sources)
-    poses = np.asarray(params.poses, dtype=float)
-    for name, shape, expected in (("depth_logits", np.shape(params.depth_logits),
-                                   snippet.target.shape[:2]), ("poses", poses.shape, (S, 6))):
-        if shape[-2:] != expected or len(shape) > 3:
-            raise ValueError(f"{name} must be {expected}, with at most one leading batch axis; "
-                             f"got {shape}")
-    depth0, depth_slope = _depth_activation(params.depth_logits, want_grads)
-    batched = depth0.ndim == 3 or poses.ndim == 3 or use_masks and any(
-        np.ndim(m) == 4 for m in params.mask_logits or [])
+    poses, batched = _check_params(snippet, params, config)
+    L, use_masks, S = snippet.num_levels, snippet.use_explainability, len(snippet.sources)
     if batched and want_grads:
         raise ValueError("gradients need a single parameter set, not a batch")
+    depth0, depth_slope = _depth_activation(params.depth_logits, want_grads)
     depth_pyr = build_pyramid(depth0, L, depth0.ndim == 3)  # batched
-    got = None if params.mask_logits is None else [np.shape(m) for m in params.mask_logits]
-    if use_masks:
-        expected = [(S,) + d.shape[-2:] for d in depth_pyr]
-        if got is None or len(got) != L or any(
-                len(g) not in (3, 4) or g[-3:] != e for g, e in zip(got, expected)):
-            raise ValueError(f"mask_logits must be one (S, H_l, W_l) array per pyramid level, "
-                             f"{expected} for num_levels={L}; got {got}")
-    elif got is not None:
-        raise ValueError(f"mask_logits must be None with masks off; got {got}")
     # One (S, H_l, W_l) or (B, S, H_l, W_l) probability stack per level.
     probs = [mask_probability(m) for m in params.mask_logits] if use_masks else None
 
@@ -783,13 +835,13 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
                 if S > 1 and group.spans[-1][1] >= PARALLEL_MIN_ELEMENTS]
     last_threaded = max(threaded, default=None)
     finest = functools.partial(level_terms, 0)   # a pool lane replaces it
-    vs_per_level = [0.0] * L
+    vs_rows = [[] for _ in range(L)]   # [level][source]
     valid_per_level = [[] for _ in range(L)]
     with contextlib.ExitStack() as pool_lane:
         for i, group in enumerate(snippet.groups):
             levels, spans = group.levels, group.spans
             depth = sampler.join_rows([depth_pyr[l] for l in levels])
-            P = geometry.points_at_depth(depth, group.grid.rays) if depth.ndim == 2 else None
+            P = geometry.points_at_depth(depth, group.grid.rays)
 
             def source_terms(s):
                 """Source s's per-level vs and valid counts, then its gradients
@@ -820,7 +872,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
                     # sources; the finest level's terms follow them there.
                     finest = pool_lane.enter_context(_beside(finest))
                 for l, vs_l, n in zip(levels, vs, n_valid):
-                    vs_per_level[l] += vs_l
+                    vs_rows[l].append(vs_l)
                     valid_per_level[l].append(n)
                 if want_grads:
                     g_depth_rows[i] += g_depth
@@ -837,15 +889,12 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
         terms = [level_terms(l) for l in range(1, L)]
         terms.insert(0, finest())
 
-    total = 0.0
     smooth_per_level = []
     reg_per_level = []
     mask_prob_sum = 0.0
     for l, (regs, prob_sums, smooth_l, g_reg, g_sm) in enumerate(terms):
-        reg_l = 0.0
         if use_masks:
-            for r, prob_sum in zip(regs, prob_sums):
-                reg_l += r
+            for prob_sum in prob_sums:
                 mask_prob_sum += prob_sum
             if want_grads:
                 g_mask[l] += g_reg
@@ -853,8 +902,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
         smooth_per_level.append(smooth_l)
         if want_grads:
             g_depth_lv[l] += g_sm
-
-        total += vs_per_level[l] + config.smooth_weight(l) * smooth_l + config.lambda_e * reg_l
+    total, vs_per_level = _level_sums(vs_rows, smooth_per_level, reg_per_level, config)
 
     grads = None
     if want_grads:
@@ -872,3 +920,205 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
         all_invalid=sum(map(sum, valid_per_level)) == 0,
     )
     return report, grads
+
+
+def _grid_pixels(grid: sampler.PixelGrid, pos: np.ndarray) -> sampler.PixelGrid:
+    """The pixels at positions pos of a level group's (1, N) grid row, as a
+    (1, n) row that still samples the group's own source stacks."""
+    def at(x):   # a per-pixel map's entries at pos, or a constant of the grid
+        return x[..., pos] if isinstance(x, np.ndarray) else x
+
+    return sampler.PixelGrid(*map(at, grid[:-1]), sampler.SampleLayout(*map(at, grid.layout)))
+
+
+class EntryTotals:
+    """Forward-only totals of parameter sets that each differ from one
+    parameter set, params, in a single depth-logit or mask-logit entry: the
+    finite-difference oracle's sets (gradcheck.central_differences).
+
+    Built once per params, which must not change while it is in use: the
+    base point is evaluated as total_loss does, keeping every (level,
+    source) row of photometric terms, validity and mask log-probabilities,
+    and each level's |second differences| of depth. A call recomputes only
+    what each set moves:
+
+    - a depth logit: the depth at its pixel; the pyramid block above it at
+      each level, as build_pyramid forms it, until a truncated odd row or
+      column has no parent; the at most 3 second differences per axis that
+      read the pixel; and the pixel's warp through each source, with the
+      set's own valid count. The changed pixels of a level group are warped
+      as one (1, n) row of its grid, identity shortcut included.
+    - a mask logit: the probability and log-probability of its one entry, in
+      its one (level, source) map.
+
+    Each set's rows are the base rows with those entries written in, reduced
+    by total_loss's own sums in its order (_level_sums): a base sum plus a
+    correction would round differently, and every total equals total_loss
+    of that parameter set bit for bit.
+    """
+
+    def __init__(self, snippet: Snippet, params: Params, config: LossConfig):
+        poses, batched = _check_params(snippet, params, config)
+        if batched:
+            raise ValueError("EntryTotals takes a single parameter set, not a batch")
+        self.snippet, self.params, self.config = snippet, params, config
+        L, S = snippet.num_levels, len(snippet.sources)
+        self.depth_pyr = build_pyramid(activate_depth(params.depth_logits), L)
+        masks = params.mask_logits if snippet.use_explainability else None
+        self.probs = [mask_probability(m) for m in masks] if masks else None
+        self.transforms = _source_transforms(poses)[0]
+        # [level] -> (S, 1, n_l) rows, one per source: the per-pixel error
+        # before masking, the warp's validity and view_synthesis_loss's terms.
+        self.errors, self.valid, self.terms = ([np.empty((S, 1, D.size), dtype)
+                                                for D in self.depth_pyr]
+                                               for dtype in (float, bool, float))
+        for group in snippet.groups:
+            depth = sampler.join_rows([self.depth_pyr[l] for l in group.levels])
+            P = geometry.points_at_depth(depth, group.grid.rays)
+            for s in range(S):
+                w = sampler.inverse_warp(group.sources[s], depth, self.transforms[s], group.grid,
+                                         want_grads=False, points=P)
+                e = _mean_channels(np.abs(w.warped - group.target))
+                probs = ([sampler.join_rows([self.probs[l][s]]) for l in group.levels]
+                         if masks else None)
+                for l, *rows in zip(group.levels, _split(e, group.spans),
+                                    _split(w.valid, group.spans),
+                                    _weighted_errors(e, w.valid, group.spans, probs)):
+                    for stack, row in zip((self.errors, self.valid, self.terms), rows):
+                        stack[l][s] = row
+        self.counts = [_count_hw(v) for v in self.valid]                # [level] -> (S,)
+        self.vs = [_mean_hw(t, n) for t, n in zip(self.terms, self.counts)]
+        # [level] -> (axis, |d2|) per axis, as smoothness_loss forms them
+        self.second_diffs = [[(axis, np.abs(d2)) for axis, _, d2 in _second_differences(D)]
+                             for D in self.depth_pyr]
+        self.smooth = [smoothness_loss(D, want_grads=False)[0] for D in self.depth_pyr]
+        # [level] -> (S, H_l, W_l) log-probabilities and their (S,) means
+        self.log_probs = ([_log_probability(m, p) for m, p in zip(masks, self.probs)]
+                          if masks else [])
+        self.log_prob_means = [_mean_hw(lp, lp[0].size) for lp in self.log_probs]
+        self.regs = [-m for m in self.log_prob_means] if masks else [[0.0] * S] * L
+
+    def __call__(self, array: np.ndarray, entries, values) -> np.ndarray:
+        """The (B,) totals of the sets that each set array's flat entry
+        entries[k] to values[k]; array is params' depth logits or one of its
+        mask levels, by identity."""
+        entries = np.asarray(entries)
+        values = np.asarray(values, dtype=float)
+        # [level] -> each source's term, (S,) or, once a set moves it, (S, B)
+        vs, smooth, regs = list(self.vs), list(self.smooth), list(self.regs)
+        if array is self.params.depth_logits:
+            self._depth_sets(entries, values, vs, smooth)
+        else:
+            l = next((l for l, m in enumerate(self.params.mask_logits or []) if m is array), None)
+            if l is None:
+                raise ValueError("array is not the depth logits or a mask level of params")
+            self._mask_sets(l, entries, values, vs, regs)
+        totals = np.empty(values.shape)
+        totals[:] = _level_sums(vs, smooth, regs, self.config)[0]
+        return totals
+
+    @staticmethod
+    def _rewritten(rows, means, B, ks, s, q, values, count) -> np.ndarray:
+        """The (S, B) means of B sets over (S, ...) rows whose base means are
+        `means`: set ks[m]'s row of source s[m] has its flat entry q[m] set
+        to values[m] and count[m] valid pixels, and every other row of a set
+        is the base one."""
+        copies = rows[s]
+        copies.reshape(len(ks), -1)[np.arange(len(ks)), q] = values
+        out = np.repeat(means[:, None], B, axis=1)
+        out[s, ks] = _mean_hw(copies, count)
+        return out
+
+    def _mask_sets(self, l, entries, values, vs, regs) -> None:
+        """Write level l's (S, B) photometric terms and mask regularizers of
+        the mask sets into vs and regs."""
+        B = len(values)
+        s, q = np.divmod(entries, self.log_probs[l][0].size)   # set k's source and entry
+        ks = np.arange(B)
+        p = mask_probability(values)
+        t, = _weighted_errors(self.errors[l][s, 0, q][None], self.valid[l][s, 0, q][None],
+                              [(0, B)], [p[None]])
+        vs[l] = self._rewritten(self.terms[l], self.vs[l], B, ks, s, q, t[0], self.counts[l][s])
+        regs[l] = -self._rewritten(self.log_probs[l], self.log_prob_means[l], B, ks, s, q,
+                                   _log_probability(values, p), self.log_probs[l][0].size)
+
+    def _depth_sets(self, entries, values, vs, smooth) -> None:
+        """Write the depth sets' photometric terms and smoothness into vs and
+        smooth, as (S, B) and (B,) arrays where the sets move them."""
+        B = len(values)
+        ks = np.arange(B)
+        i, j = np.divmod(entries, self.depth_pyr[0].shape[1])
+        d = activate_depth(values)
+        moved = []   # [level] -> (sets, row, column, new depth) of each set's pixel there
+        for l, D in enumerate(self.depth_pyr):
+            if l:
+                # Its pixel here is its 2x2 block of level l - 1, added as
+                # build_pyramid's (a00 + a01) + (a10 + a11), then / 4.
+                has = (i // 2 < D.shape[0]) & (j // 2 < D.shape[1])
+                ks, i, j, d = ks[has], i[has], j[has], d[has]
+                top, left = i - i % 2, j - j % 2
+                block = self.depth_pyr[l - 1][top[:, None] + [0, 0, 1, 1],
+                                              left[:, None] + [0, 1, 0, 1]]
+                block[np.arange(len(ks)), 2 * (i % 2) + j % 2] = d
+                d = ((block[:, 0] + block[:, 1]) + (block[:, 2] + block[:, 3])) / 4
+                i, j = i // 2, j // 2
+            if not len(ks):
+                break
+            moved.append((ks, i, j, d))
+            smooth[l] = self._smoothness(l, B, ks, i, j, d)
+        for group in self.snippet.groups:
+            parts = [(l, *moved[l]) for l in group.levels if l < len(moved)]
+            if parts:
+                self._warp_sets(group, parts, B, vs)
+
+    def _smoothness(self, l, B, ks, i, j, d):
+        """Level l's (B,) smoothness, where set ks[m] has depth d[m] at pixel
+        (i[m], j[m]): the base differences with the ones that read it
+        rewritten, summed as smoothness_loss sums them."""
+        D = self.depth_pyr[l]
+        smooth = 0.0
+        for axis, a in self.second_diffs[l]:
+            copies = np.repeat(a[None], B, axis=0)
+            # Along u a difference at (row, c) reads columns c..c+2 of its
+            # row; along v, the same with rows and columns swapped.
+            lines, at, Dt, out = ((i, j, D, copies) if axis == -1 else
+                                  (j, i, D.T, copies.swapaxes(-2, -1)))
+            # The pixel is the lo, mid or hi (o = 0, 1, 2) of the difference at c.
+            c = at[:, None] - np.arange(3)
+            k, o = np.nonzero((c >= 0) & (c <= Dt.shape[1] - 3))
+            c, line = c[k, o], lines[k]
+            t = Dt[line[:, None], c[:, None] + np.arange(3)]
+            t[np.arange(len(k)), o] = d[k]
+            out[ks[k], line, c] = np.abs(t[:, 0] - 2 * t[:, 1] + t[:, 2])
+            smooth += _mean_hw(copies, a.size)
+        return smooth
+
+    def _warp_sets(self, group: _LevelGroup, parts, B, vs) -> None:
+        """Warp the moved pixels of a level group's levels, parts of (level,
+        sets, row, column, depth), through each source as one row, and write
+        each level's (S, B) photometric terms into vs."""
+        S = len(self.transforms)
+        qs = [i * self.depth_pyr[l].shape[1] + j for l, _, i, j, _ in parts]   # in each level
+        starts = dict(zip(group.levels, (a for a, _ in group.spans)))
+        pos = np.concatenate([starts[l] + q for (l, *_), q in zip(parts, qs)])
+        stops = np.cumsum([len(q) for q in qs]).tolist()
+        spans = list(zip([0] + stops[:-1], stops))
+        depth = np.concatenate([d for *_, d in parts])[None]
+        grid = _grid_pixels(group.grid, pos)
+        P = geometry.points_at_depth(depth, grid.rays)
+        target = group.target[:, pos]
+        terms, valid = np.empty((S, len(pos))), np.empty((S, len(pos)), bool)
+        for s, transform in enumerate(self.transforms):
+            w = sampler._warp(group.sources[s], depth, transform, grid, False, P)
+            e = _mean_channels(np.abs(w.warped - target))
+            probs = ([self.probs[l][s].reshape(1, -1)[:, q] for (l, *_), q in zip(parts, qs)]
+                     if self.probs else None)
+            for (a, b), t in zip(spans, _weighted_errors(e, w.valid, spans, probs)):
+                terms[s, a:b] = t[0]
+            valid[s] = w.valid[0]
+        for (l, ks, *_), q, (a, b) in zip(parts, qs, spans):
+            # One row per (set, source) pair, sets first.
+            count = self.counts[l][:, None] - self.valid[l][:, 0, q] + valid[:, a:b]
+            vs[l] = self._rewritten(self.terms[l], self.vs[l], B, np.repeat(ks, S),
+                                    np.tile(np.arange(S), len(ks)), np.repeat(q, S),
+                                    terms[:, a:b].T.ravel(), count.T.ravel())

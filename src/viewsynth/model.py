@@ -56,11 +56,10 @@ def _keep_freed_memory() -> None:
     """Have the C allocator keep the memory one loss evaluation frees for the next.
 
     The setting is process-wide: it applies to every allocation of the
-    process, not only to this package's. `fit_snippet` and
-    `gradcheck.check_instance` apply it, once per process, before their
-    first loss evaluation. A fitting library may set it because this package
-    runs as an offline fitting job, the setting changes no result, and it
-    only decides when freed memory goes back to the kernel.
+    process, not only to this package's. `fit_snippet` applies it, once per
+    process, before its first loss evaluation. A fitting library may set it
+    because this package runs as an offline fitting job, the setting changes
+    no result, and it only decides when freed memory goes back to the kernel.
 
     Each loss evaluation frees its temporaries, which glibc's defaults hand
     back to the kernel to be faulted in anew (tests/test_cli.py and

@@ -252,11 +252,6 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
     set of a batch; an unbatched one is shared by the batch. The result then
     carries the batch axis, and each slice equals the unbatched warp bitwise
     (geometry.transform_points multiplies each transform on its own).
-    A forward-only warp of a depth stack through one 4x4 T warps element 0,
-    then only the (element, pixel) entries whose depth differs from element
-    0's, and copies element 0's values everywhere else: a pixel's warp
-    depends on its own depth alone, in any product. It forms only the points
-    of those entries and of element 0, and refuses `points`.
 
     points, when given, is geometry.points_at_depth(depth, grid.rays), the
     (3, ...) points on this grid, formed by a caller that warps several
@@ -277,35 +272,15 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
         raise ValueError(f"points shape {points.shape} is not (3,) + depth shape {depth.shape}")
     if points is None and np.any(depth <= 0):
         raise ValueError("depth must be positive")
-    if depth.ndim == 3 and T.ndim == 2 and not want_grads:
-        if points is not None:
-            raise ValueError("a forward-only depth stack forms its own points; pass none")
-        return _warp_depth_stack(src, depth, T, grid)
     if points is None:
         points = geometry.points_at_depth(depth, grid.rays)
     return _warp(src, depth, T, grid, want_grads, points)
 
 
-def _warp_depth_stack(src, depth, T, grid: PixelGrid) -> WarpResult:
-    """Forward-only inverse_warp of a depth stack through one transform:
-    element 0's warp, with the entries whose depth differs from element 0's
-    warped as one (1, n) row and written into copies of its maps."""
-    first = _warp(src, depth[0], T, grid, False, geometry.points_at_depth(depth[0], grid.rays))
-    out = [np.repeat(x[None], len(depth), axis=0) for x in (first.warped, first.valid)]
-    changed = np.nonzero(depth != depth[0])   # (elements, then the pixels)
-
-    def at(x):   # the changed pixels of a grid map as a row, or a grid constant
-        return x[(..., *changed[1:])][..., None, :] if isinstance(x, np.ndarray) else x
-
-    sub = PixelGrid(*map(at, grid[:-1]), SampleLayout(*map(at, grid.layout)))
-    sub_depth = depth[changed].reshape(1, -1)
-    part = _warp(src, sub_depth, T, sub, False, geometry.points_at_depth(sub_depth, sub.rays))
-    out[0][changed], out[1][changed] = part.warped[0], part.valid[0]
-    return WarpResult(warped=out[0], valid=out[1], d_du=None, d_dv=None, src_points=None)
-
-
 def _warp(src, depth, T, grid: PixelGrid, want_grads: bool, points) -> WarpResult:
-    """inverse_warp of checked arguments, with the points of depth on grid."""
+    """inverse_warp of checked arguments, with the points of depth on grid.
+    losses.EntryTotals also warps some pixels of a level group's grid here,
+    as a row whose layout still samples the group's whole source stack."""
     pts = geometry.transform_points(T, points)
     in_front = pts[2] > BEHIND_EPS
     us, vs = geometry.project_points(pts, grid, in_front)[:2]

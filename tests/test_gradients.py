@@ -170,8 +170,8 @@ def test_batched_report_holds_per_element_terms():
 @pytest.mark.parametrize("changes", ["none", "one", "few", "all"])
 @pytest.mark.parametrize("poses", ["generic", "identity", "outside", "behind"])
 def test_depth_batch_reports_equal_per_call_reports(levels, changes, poses):
-    # Only the depth is batched, so every source warps the batch through one
-    # transform and re-warps only the entries that differ from element 0's.
+    # Only the depth is batched, so every source warps every entry of the
+    # batch through one transform, from points formed once per level group.
     state, cfg = gradcheck.random_instance(9, levels=levels)
     if poses == "identity":
         state.poses[:] = 0.0
@@ -272,6 +272,54 @@ def test_check_instance_equals_per_coordinate_loop(seed, kwargs, monkeypatch):
                 assert np.array_equal(fd, ref_fds[name]), (name, chunk)
 
 
+# (height, width, levels, sources, masks, PARALLEL_MIN_ELEMENTS, poses, step)
+# on odd-sized frames, so some pixels fall in a truncated row or column. An
+# infinite PARALLEL_MIN_ELEMENTS joins every level in one group, 0 makes each
+# level a group of its own. "near" poses and a step of 2 move depth sets'
+# pixels out of a source image and behind a camera, so valid counts change.
+_ENTRY_CASES = {
+    "L1-S3-masks-joined": (9, 11, 1, 3, True, float("inf"), "generic", 1e-5),
+    "L2-S1-separate": (9, 11, 2, 1, False, 0, "generic", 1e-5),
+    "L3-S4-masks-separate-identity": (9, 11, 3, 4, True, 0, "identity", 1e-5),
+    "L4-S2-masks-joined-near": (17, 19, 4, 2, True, float("inf"), "near", 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENTRY_CASES))
+def test_central_differences_of_depth_and_mask_logits_equal_per_coordinate_loop(
+        case, monkeypatch):
+    height, width, levels, sources, masks, min_elements, poses, step = _ENTRY_CASES[case]
+    monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", min_elements)
+    state, cfg = gradcheck.random_instance(7, height=height, width=width, n_sources=sources,
+                                           levels=levels, use_masks=masks)
+    if poses == "identity":
+        state.poses[:] = 0.0
+    elif poses == "near":
+        state.poses[0, 3] = 0.3    # a depth of about 0.2 leaves the image
+        state.poses[1, 5] = -0.5   # and goes behind the camera
+        # A mask logit below -_LOG_MAX_FLOAT, where exp(-logit) overflows.
+        state.mask_logits[1][1, 2, 3] = -2 * losses._LOG_MAX_FLOAT
+        near = replace(state, depth_logits=state.depth_logits + step)
+        base, _ = losses.total_loss(state.snippet, state, cfg, want_grads=False)
+        moved, _ = losses.total_loss(state.snippet, near, cfg, want_grads=False)
+        assert all(moved.valid_per_level[0][s] < base.valid_per_level[0][s] for s in (0, 1))
+    expected = {name: fd.tobytes()
+                for name, fd in _per_coordinate_check(state, cfg, step)[1].items()}
+    params = dict(state.items())
+    mask_names = [name for name in params if name.startswith("mask_logits")]
+    lists = [["depth_logits"], *([name] for name in mask_names), mask_names,
+             ["depth_logits", "poses", *mask_names], ["poses", *mask_names[::-1]]]
+    for chunk in (7, gradcheck.FD_CHUNK):   # 7: chunk boundaries inside each level's sets
+        monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
+        for names in lists:
+            if not names:
+                continue
+            fds = gradcheck.central_differences(state.snippet, state, cfg,
+                                                [params[n] for n in names], step)
+            for name, fd in zip(names, fds, strict=True):
+                assert fd.tobytes() == expected[name], (name, chunk)
+
+
 @pytest.mark.parametrize("pick", [
     pytest.param(lambda st: [st.depth_logits.copy()], id="depth-copy"),
     pytest.param(lambda st: [st.poses[:1]], id="pose-view"),
@@ -325,31 +373,44 @@ def test_central_differences_refuses_a_bare_array():
         gradcheck.central_differences(state.snippet, state, cfg, state.poses, 1e-5)
 
 
-def test_check_instance_batches_mask_levels_with_an_unbatched_warp(monkeypatch):
-    # 8x12, S=2, L=2: one gradient call, then one forward-only call per kind
-    # of parameter. The 2 * 96 depth sets fit in one batch of up to
-    # 3 * FD_CHUNK = 192 with only the depth batched, the 2 * 12 pose sets in
-    # one of up to FD_CHUNK, and the 2 * (2 * 96 + 2 * 24) mask sets in one of
-    # up to 8 * FD_CHUNK, with depth and poses unbatched (one warp per source).
+def test_check_instance_batches_only_the_poses(monkeypatch):
+    # 8x12, S=2, L=2: one gradient total_loss call, then the 2 * 12 pose sets
+    # in forward-only calls of up to FD_CHUNK sets with only the poses
+    # batched. The 2 * 96 depth-logit and 2 * (2 * 96 + 2 * 24) mask-logit
+    # sets go to one EntryTotals per central_differences call, which gets the
+    # state's own arrays: no call holds a (B, ...) copy of their logits.
     state, cfg = gradcheck.random_instance(0)
-    assert gradcheck.FD_CHUNK == 64
-    calls = []
-    total_loss = losses.total_loss
-
-    def counting(snippet, params, config, want_grads=True):
-        calls.append((want_grads, np.shape(params.depth_logits), np.shape(params.poses),
-                      [np.shape(m) for m in params.mask_logits]))
-        return total_loss(snippet, params, config, want_grads)
-
-    monkeypatch.setattr(losses, "total_loss", counting)
-    gradcheck.check_instance(state, cfg)
     masks = [(2, 8, 12), (2, 4, 6)]
-    assert calls == [
-        (True, (8, 12), (2, 6), masks),
-        (False, (192, 8, 12), (2, 6), masks),
-        (False, (8, 12), (24, 2, 6), masks),
-        (False, (8, 12), (2, 6), [(480,) + m for m in masks]),
-    ]
+    names = {id(p): name for name, p in state.items()}
+    total_loss, entry_totals = losses.total_loss, losses.EntryTotals
+    for chunk, pose_sets, depth_sets, mask_sets in (
+            (gradcheck.FD_CHUNK, [24], [192], [[384], [96]]),
+            (100, [24], [100, 92], [[100, 100, 100, 84], [96]])):
+        monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
+        calls, entries = [], []
+
+        def counting(snippet, params, config, want_grads=True):
+            calls.append((want_grads, np.shape(params.depth_logits), np.shape(params.poses),
+                          [np.shape(m) for m in params.mask_logits]))
+            return total_loss(snippet, params, config, want_grads)
+
+        class Recording(entry_totals):
+            def __init__(self, snippet, params, config):
+                assert params is state
+                entries.append([])
+                super().__init__(snippet, params, config)
+
+            def __call__(self, array, keys, values):
+                entries[-1].append((names[id(array)], len(values)))
+                return super().__call__(array, keys, values)
+
+        monkeypatch.setattr(losses, "total_loss", counting)
+        monkeypatch.setattr(losses, "EntryTotals", Recording)
+        gradcheck.check_instance(state, cfg)
+        assert calls == [(True, (8, 12), (2, 6), masks)] + [
+            (False, (8, 12), (b, 2, 6), masks) for b in pose_sets]
+        assert entries == [[("depth_logits", b) for b in depth_sets],
+                           [(f"mask_logits_{l}", b) for l in (0, 1) for b in mask_sets[l]]]
 
 
 def test_projection_adjoint_matches_fd_over_a_two_level_group():

@@ -436,9 +436,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.parametrize("which, budget", [("fit", 300), ("check", 250)])
 def test_loops_reuse_the_memory_they_free(which, budget):
     # In a fresh process, the pages a second 30-iteration 64x48 fit or a
-    # second 8x12 FD check faults in. With glibc's default policy these were
-    # about 6.9k and 1.8k: each evaluation's freed temporaries went back to
-    # the kernel and were faulted in afresh by the next.
+    # second 8x12 FD check faults in. Under glibc's default policy a fit's
+    # freed temporaries go back to the kernel and are faulted in afresh by
+    # the next evaluation, so fit_snippet sets model._keep_freed_memory. The
+    # FD check runs under glibc's default policy: it evaluates each depth-
+    # and mask-logit set on small rows (losses.EntryTotals), which the heap
+    # keeps for the next check.
     package_root = os.path.dirname(os.path.dirname(model.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + sys.path))
     out = subprocess.run([sys.executable, "-c", _FAULTS_OF_SECOND_RUN.format(which=which)],

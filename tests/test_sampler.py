@@ -395,11 +395,10 @@ def test_forward_depth_batch_warp_of_one_changed_entry(step):
                 assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (i, b)
 
 
-def test_forward_depth_batch_warp_samples_element_0_and_the_changed_entries(monkeypatch):
+def test_forward_depth_batch_warp_samples_every_entry(monkeypatch):
     rng = np.random.default_rng(14)
     K = _camera(12, 8)
     depth = _depth_batch(rng.uniform(1.0, 3.0, (8, 12)), "few", rng)
-    changed = int(np.count_nonzero(depth != depth[0]))
     sampled = []
     bilinear_sample = sampler.bilinear_sample
 
@@ -409,19 +408,17 @@ def test_forward_depth_batch_warp_samples_element_0_and_the_changed_entries(monk
 
     monkeypatch.setattr(sampler, "bilinear_sample", counting)
     T = _TRANSFORMS["generic"]
-    sampler.inverse_warp(rng.random((8, 12, 1)), depth, T, K, want_grads=False)
-    assert sampled == [96, changed]
-    # Gradients, a batch of transforms or one depth map warp every entry.
-    sampled.clear()
-    sampler.inverse_warp(rng.random((8, 12, 1)), depth, np.stack([T] * 6), K, want_grads=False)
-    assert sampled == [6 * 96]
+    for transforms in (T, np.stack([T] * 6)):   # one transform, or one per element
+        sampled.clear()
+        sampler.inverse_warp(rng.random((8, 12, 1)), depth, transforms, K, want_grads=False)
+        assert sampled == [6 * 96]
 
 
 @pytest.mark.parametrize("changes", ["one", "few", "all"])
 def test_forward_depth_batch_warp_on_one_pixel_multiplies_each_point_alone(changes, monkeypatch):
-    # Element 0's one point and the changed entries' row go through
-    # transform_points, which must give every point of the row what it
-    # gives that point alone, so each element warps as it does on its own.
+    # The batch's points go through transform_points as one row, which must
+    # give every point what it gives that point alone, so each element warps
+    # as it does on its own.
     rng = np.random.default_rng(15)
     grid = sampler.pixel_grid(_camera(1, 1))
     src = rng.random((1, 1, 2))
@@ -438,8 +435,8 @@ def test_forward_depth_batch_warp_on_one_pixel_multiplies_each_point_alone(chang
     monkeypatch.setattr(geometry, "transform_points", recording)
     w = sampler.inverse_warp(src, depth, T, grid, want_grads=False)
     monkeypatch.undo()
-    changed = np.count_nonzero(depth != depth[0])
-    assert changed and [pts.shape for _, pts, _ in calls] == [(3, 1, 1), (3, 1, changed)]
+    assert np.count_nonzero(depth != depth[0])
+    assert [pts.shape for _, pts, _ in calls] == [(3, 6, 1, 1)]
     for T_, pts, out in calls:
         for k in range(pts.shape[-1]):
             alone = transform_points(T_, np.ascontiguousarray(pts[..., k:k + 1]))
@@ -450,13 +447,19 @@ def test_forward_depth_batch_warp_on_one_pixel_multiplies_each_point_alone(chang
             assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (b, name)
 
 
-def test_forward_depth_batch_warp_refuses_points():
-    # It forms only element 0's and the changed entries' points, so it would
-    # ignore points formed by its caller: they are refused instead.
+def test_forward_depth_batch_warp_reads_given_points(monkeypatch):
+    # A caller that warps several sources forms the stack's points once.
+    rng = np.random.default_rng(16)
     K = _camera(12, 8)
-    depth = np.ones((2, 8, 12))
+    src = rng.random((8, 12, 2))
+    depth = _depth_batch(rng.uniform(1.0, 3.0, (8, 12)), "few", rng)
     points = geometry.points_at_depth(depth, sampler.pixel_grid(K).rays)
-    assert points.shape == (3, 2, 8, 12)
-    with pytest.raises(ValueError, match="forms its own points"):
-        sampler.inverse_warp(np.ones((8, 12, 1)), depth, np.eye(4), K, want_grads=False,
-                             points=points)
+    assert points.shape == (3, 6, 8, 12)
+    T = _TRANSFORMS["generic"]
+    monkeypatch.setattr(geometry, "points_at_depth", None)   # forms none of its own
+    w = sampler.inverse_warp(src, depth, T, K, want_grads=False, points=points)
+    monkeypatch.undo()
+    for b, d in enumerate(depth):
+        one = sampler.inverse_warp(src, d, T, K, want_grads=False)
+        for name in ("warped", "valid"):
+            assert getattr(w, name)[b].tobytes() == getattr(one, name).tobytes(), (b, name)

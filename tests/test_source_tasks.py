@@ -339,9 +339,8 @@ def test_one_warp_per_source_and_group(monkeypatch):
 
 @pytest.mark.parametrize("min_elements", [SERIAL, PARALLEL])
 def test_points_formed_once_per_level_group(min_elements, monkeypatch):
-    # depth * rays is shared by every source's warp and the adjoint. A
-    # forward-only depth batch shares none: each source's warp forms the
-    # points of element 0 and, once, those of every entry that differs.
+    # depth * rays is shared by every source's warp and the adjoint, and a
+    # forward-only depth batch's (B, ...) points by every source's warp.
     state, cfg = gradcheck.random_instance(2, height=H, width=W, n_sources=3, levels=3)
     rng = np.random.default_rng(2)
     batch = replace(state, depth_logits=state.depth_logits
@@ -357,8 +356,8 @@ def test_points_formed_once_per_level_group(min_elements, monkeypatch):
     assert len(calls) == groups
     calls.clear()
     losses.total_loss(snippet, batch, cfg, False)
-    assert len(calls) == 2 * 3 * groups
-    assert all(len(shape) == 2 for shape in calls)   # no (4, ...) stack of points
+    assert len(calls) == groups
+    assert all(shape[0] == 4 for shape in calls)   # one (4, ...) stack of points per group
 
 
 # 17 x 26 pyramids have odd sizes (17 x 26, 8 x 13) and, at four levels, a
