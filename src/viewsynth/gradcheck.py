@@ -13,7 +13,7 @@ drawn from seeded generic configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,37 +70,32 @@ def check_instance(state: Instance, config: LossConfig, inject_bug: bool = False
     snippet.
 
     The relative error of a group is ||analytic - fd||_inf normalized by
-    max(||analytic||_inf, ||fd||_inf), with fd from central_differences at
-    FD_STEP: one call each for the depth logits, the poses and all mask
-    levels. inject_bug perturbs the analytic gradient (negative-control hook
-    for the CLI).
+    max(||analytic||_inf, ||fd||_inf), with the analytic gradients from one
+    total_loss call and fd from one central_differences call over all of
+    state's arrays (depth logits, poses and every mask level) at FD_STEP.
+    inject_bug perturbs the analytic gradient (negative-control hook for the
+    CLI).
     """
     _, grads = losses.total_loss(state.snippet, state, config)
     analytic = dict(grads.items())
     if inject_bug:
         analytic["poses"] = analytic["poses"] * 1.01
 
-    params = dict(state.items())
-    fds = {}
-    for names in (["depth_logits"], ["poses"],
-                  [name for name in params if name.startswith("mask_logits")]):
-        if names:
-            fds.update(zip(names, central_differences(
-                state.snippet, state, config, [params[name] for name in names], FD_STEP)))
+    names, arrays = zip(*state.items())
     errors = {}
-    for name, fd in fds.items():
+    for name, fd in zip(names, central_differences(state.snippet, state, config, list(arrays),
+                                                   FD_STEP)):
         a = analytic[name]
         scale = max(np.max(np.abs(a)), np.max(np.abs(fd)), 1e-12)
         errors[name] = float(np.max(np.abs(a - fd)) / scale)
     return errors
 
 
-# Perturbed parameter sets per evaluation: a batched total_loss call over
-# pose sets, or one losses.EntryTotals call over depth-logit or mask-logit
-# sets. Each set's total is bitwise independent of the batch size; larger
-# batches make fewer calls but keep more temporaries alive at once. One
-# value serves all three kinds: each parameter array of a screened 8x12
-# instance then fits one batch (measured in BENCH_72e385b.json).
+# Perturbed parameter sets per losses.EntryTotals call, of depth-logit, pose
+# or mask-logit sets alike. Each set's total is bitwise independent of the
+# batch size; larger batches make fewer calls but keep more temporaries
+# alive at once. Each parameter array of a screened 8x12 instance fits one
+# batch (measured in BENCH_72e385b.json).
 FD_CHUNK = 512
 
 
@@ -111,15 +106,14 @@ def central_differences(snippet: Snippet, params: Params, config: LossConfig, ar
     where f is total_loss over `snippet`; one array of differences per
     parameter array, shaped like it.
 
-    The 2 * n perturbed parameter sets of an array's n coordinates are
-    evaluated in batches of up to FD_CHUNK sets. A pose set moves every
-    pixel's warp, so pose batches go through forward-only total_loss calls
-    with only the poses batched. A depth-logit or mask-logit set moves a few
-    pixels, so those batches go to one losses.EntryTotals of params, which
-    evaluates the base point once and recomputes only what each set moves.
-    Each total equals the total_loss of perturbing the coordinate in place,
-    bit for bit. Every array of `arrays` must be one of params' own (by
-    identity), and step finite and > 0.
+    One losses.EntryTotals of params evaluates the base point once and
+    serves every array: the 2 * n perturbed parameter sets of an array's n
+    coordinates go to it in batches of up to FD_CHUNK sets, and it
+    recomputes only what each set moves (a few pixels for a depth or mask
+    logit, one source's warps for a pose entry). Each total equals the
+    total_loss of perturbing the coordinate in place, bit for bit. Every
+    array of `arrays` must be one of params' own (by identity), and step
+    finite and > 0.
     """
     if isinstance(arrays, np.ndarray):
         raise TypeError("arrays must be a list of parameter arrays")
@@ -130,27 +124,16 @@ def central_differences(snippet: Snippet, params: Params, config: LossConfig, ar
                              "of params (a copy or a view would stay unperturbed)")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
-    entry_totals = None
-
-    def pose_totals(entries, values):
-        batch = np.repeat(params.poses[None], len(values), axis=0)
-        batch.reshape(len(values), -1)[np.arange(len(values)), entries] = values
-        report, _ = losses.total_loss(snippet, replace(params, poses=batch), config,
-                                      want_grads=False)
-        return report.total
-
+    entry_totals = losses.EntryTotals(snippet, params, config)
     fds = []
     for p in arrays:
-        if p is not params.poses and entry_totals is None:
-            entry_totals = losses.EntryTotals(snippet, params, config)
         # Set k moves entry k // 2 by +step for even k and by -step for odd k.
         entries = np.repeat(np.arange(p.size), 2)
         values = np.stack([p.reshape(-1) + step, p.reshape(-1) - step], axis=1).reshape(-1)
         totals = np.empty(values.size)
         for start in range(0, values.size, FD_CHUNK):
             ks = slice(start, start + FD_CHUNK)
-            totals[ks] = (pose_totals(entries[ks], values[ks]) if p is params.poses else
-                          entry_totals(p, entries[ks], values[ks]))
+            totals[ks] = entry_totals(p, entries[ks], values[ks])
         fds.append(((totals[0::2] - totals[1::2]) / (2 * step)).reshape(p.shape))
     return fds
 

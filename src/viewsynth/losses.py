@@ -756,8 +756,7 @@ def total_loss(snippet: Snippet, params: Params, config: LossConfig, want_grads:
     snippet's use_explainability is; params must then hold one mask logit
     array per level, and none with masks off. Returns (LossReport, Params):
     the second holds the gradient of each parameter and is None when
-    want_grads is off (cheaper forward pass, used by the finite-difference
-    harness).
+    want_grads is off (a cheaper forward pass).
 
     The total is the paper's sum over levels of the photometric term,
     lambda_s / 2^level times the smoothness and lambda_e times the mask
@@ -931,16 +930,30 @@ def _grid_pixels(grid: sampler.PixelGrid, pos: np.ndarray) -> sampler.PixelGrid:
     return sampler.PixelGrid(*map(at, grid[:-1]), sampler.SampleLayout(*map(at, grid.layout)))
 
 
+def _source_rows(group: _LevelGroup, s: int, T: np.ndarray, depth, P, probs) -> tuple:
+    """(errors, valid, terms), each a list of one row per level, of a level
+    group's row of pixels at depth, with target-frame points P, warped
+    through source s under T, a 4x4 transform or a (B, 4, 4) stack of them:
+    the per-pixel error before masking, the warp's validity and
+    view_synthesis_loss's terms under probs, each level's mask probability
+    row of that source (None without masks), formed as total_loss forms them."""
+    w = sampler._warp(group.sources[s], depth, T, group.grid, False, P)
+    e = _mean_channels(np.abs(w.warped - group.target))
+    return (_split(e, group.spans), _split(w.valid, group.spans),
+            _weighted_errors(e, w.valid, group.spans, probs))
+
+
 class EntryTotals:
     """Forward-only totals of parameter sets that each differ from one
-    parameter set, params, in a single depth-logit or mask-logit entry: the
-    finite-difference oracle's sets (gradcheck.central_differences).
+    parameter set, params, in a single depth-logit, pose or mask-logit
+    entry: the finite-difference oracle's sets (gradcheck.central_differences).
 
     Built once per params, which must not change while it is in use: the
-    base point is evaluated as total_loss does, keeping every (level,
-    source) row of photometric terms, validity and mask log-probabilities,
-    and each level's |second differences| of depth. A call recomputes only
-    what each set moves:
+    base point is evaluated as total_loss does, keeping each level group's
+    depth row and target-frame points, every (level, source) row of
+    photometric terms, validity and mask log-probabilities, and each level's
+    |second differences| of depth. A call recomputes only what each set
+    moves:
 
     - a depth logit: the depth at its pixel; the pyramid block above it at
       each level, as build_pyramid forms it, until a truncated odd row or
@@ -948,6 +961,11 @@ class EntryTotals:
       read the pixel; and the pixel's warp through each source, with the
       set's own valid count. The changed pixels of a level group are warped
       as one (1, n) row of its grid, identity shortcut included.
+    - a pose entry: the warps of its one source, whose view-synthesis terms
+      alone read that pose. Each level group's base row, at the base points,
+      is warped through the transforms of all the sets that move the source
+      as one (B, 4, 4) stack, with each set's own valid count; smoothness
+      and the mask terms keep their base values.
     - a mask logit: the probability and log-probability of its one entry, in
       its one (level, source) map.
 
@@ -972,18 +990,13 @@ class EntryTotals:
         self.errors, self.valid, self.terms = ([np.empty((S, 1, D.size), dtype)
                                                 for D in self.depth_pyr]
                                                for dtype in (float, bool, float))
-        for group in snippet.groups:
+        # [group] -> its depth row and that row's target-frame points
+        self.points = []
+        for g, group in enumerate(snippet.groups):
             depth = sampler.join_rows([self.depth_pyr[l] for l in group.levels])
-            P = geometry.points_at_depth(depth, group.grid.rays)
+            self.points.append((depth, geometry.points_at_depth(depth, group.grid.rays)))
             for s in range(S):
-                w = sampler.inverse_warp(group.sources[s], depth, self.transforms[s], group.grid,
-                                         want_grads=False, points=P)
-                e = _mean_channels(np.abs(w.warped - group.target))
-                probs = ([sampler.join_rows([self.probs[l][s]]) for l in group.levels]
-                         if masks else None)
-                for l, *rows in zip(group.levels, _split(e, group.spans),
-                                    _split(w.valid, group.spans),
-                                    _weighted_errors(e, w.valid, group.spans, probs)):
+                for l, *rows in self._group_rows(g, s, self.transforms[s]):
                     for stack, row in zip((self.errors, self.valid, self.terms), rows):
                         stack[l][s] = row
         self.counts = [_count_hw(v) for v in self.valid]                # [level] -> (S,)
@@ -1000,18 +1013,21 @@ class EntryTotals:
 
     def __call__(self, array: np.ndarray, entries, values) -> np.ndarray:
         """The (B,) totals of the sets that each set array's flat entry
-        entries[k] to values[k]; array is params' depth logits or one of its
-        mask levels, by identity."""
+        entries[k] to values[k]; array is params' depth logits, its poses or
+        one of its mask levels, by identity, or a ValueError says it is not."""
         entries = np.asarray(entries)
         values = np.asarray(values, dtype=float)
         # [level] -> each source's term, (S,) or, once a set moves it, (S, B)
         vs, smooth, regs = list(self.vs), list(self.smooth), list(self.regs)
         if array is self.params.depth_logits:
             self._depth_sets(entries, values, vs, smooth)
+        elif array is self.params.poses:
+            self._pose_sets(entries, values, vs)
         else:
             l = next((l for l, m in enumerate(self.params.mask_logits or []) if m is array), None)
             if l is None:
-                raise ValueError("array is not the depth logits or a mask level of params")
+                raise ValueError("array is not the depth logits, the poses or a mask level "
+                                 "of params")
             self._mask_sets(l, entries, values, vs, regs)
         totals = np.empty(values.shape)
         totals[:] = _level_sums(vs, smooth, regs, self.config)[0]
@@ -1104,21 +1120,45 @@ class EntryTotals:
         stops = np.cumsum([len(q) for q in qs]).tolist()
         spans = list(zip([0] + stops[:-1], stops))
         depth = np.concatenate([d for *_, d in parts])[None]
-        grid = _grid_pixels(group.grid, pos)
-        P = geometry.points_at_depth(depth, grid.rays)
-        target = group.target[:, pos]
+        pixels = group._replace(levels=[l for l, *_ in parts], spans=spans,
+                                grid=_grid_pixels(group.grid, pos), target=group.target[:, pos])
+        P = geometry.points_at_depth(depth, pixels.grid.rays)
         terms, valid = np.empty((S, len(pos))), np.empty((S, len(pos)), bool)
         for s, transform in enumerate(self.transforms):
-            w = sampler._warp(group.sources[s], depth, transform, grid, False, P)
-            e = _mean_channels(np.abs(w.warped - target))
             probs = ([self.probs[l][s].reshape(1, -1)[:, q] for (l, *_), q in zip(parts, qs)]
                      if self.probs else None)
-            for (a, b), t in zip(spans, _weighted_errors(e, w.valid, spans, probs)):
-                terms[s, a:b] = t[0]
-            valid[s] = w.valid[0]
+            _, v, t = _source_rows(pixels, s, transform, depth, P, probs)
+            for (a, b), v_l, t_l in zip(spans, v, t):
+                terms[s, a:b], valid[s, a:b] = t_l[0], v_l[0]
         for (l, ks, *_), q, (a, b) in zip(parts, qs, spans):
             # One row per (set, source) pair, sets first.
             count = self.counts[l][:, None] - self.valid[l][:, 0, q] + valid[:, a:b]
             vs[l] = self._rewritten(self.terms[l], self.vs[l], B, np.repeat(ks, S),
                                     np.tile(np.arange(S), len(ks)), np.repeat(q, S),
                                     terms[:, a:b].T.ravel(), count.T.ravel())
+
+    def _pose_sets(self, entries, values, vs) -> None:
+        """Write the pose sets' (S, B) photometric terms into vs. A set moves
+        the pose of one source, entries // 6, so only that source's warps are
+        redone: each level group's row at its base points, through the
+        transforms of the sets that move it, with each set's own valid count."""
+        B = len(values)
+        poses = np.repeat(self.params.poses[None], B, axis=0)
+        poses.reshape(B, -1)[np.arange(B), entries] = values
+        vs[:] = [np.repeat(m[:, None], B, axis=1) for m in self.vs]
+        for s, T in enumerate(_source_transforms(poses)[0]):
+            ks = np.flatnonzero(entries // 6 == s)
+            if not len(ks):
+                continue
+            for g in range(len(self.points)):
+                for l, _, valid, terms in self._group_rows(g, s, T[ks]):
+                    vs[l][s, ks] = _mean_hw(terms, _count_hw(valid))
+
+    def _group_rows(self, g, s, T):
+        """(level, error, valid, term) of each level of level group g: its
+        base row through source s under T (_source_rows)."""
+        group = self.snippet.groups[g]
+        probs = ([sampler.join_rows([self.probs[l][s]]) for l in group.levels]
+                 if self.probs else None)
+        return zip(group.levels, *_source_rows(group, s, T, *self.points[g], probs))
+

@@ -279,8 +279,9 @@ def inverse_warp(src, depth, T: np.ndarray, K: Intrinsics | PixelGrid,
 
 def _warp(src, depth, T, grid: PixelGrid, want_grads: bool, points) -> WarpResult:
     """inverse_warp of checked arguments, with the points of depth on grid.
-    losses.EntryTotals also warps some pixels of a level group's grid here,
-    as a row whose layout still samples the group's whole source stack."""
+    losses.EntryTotals warps here: a level group's row, and some pixels of
+    its grid as a row whose layout still samples the group's whole source
+    stack."""
     pts = geometry.transform_points(T, points)
     in_front = pts[2] > BEHIND_EPS
     us, vs = geometry.project_points(pts, grid, in_front)[:2]

@@ -275,8 +275,10 @@ def test_check_instance_equals_per_coordinate_loop(seed, kwargs, monkeypatch):
 # (height, width, levels, sources, masks, PARALLEL_MIN_ELEMENTS, poses, step)
 # on odd-sized frames, so some pixels fall in a truncated row or column. An
 # infinite PARALLEL_MIN_ELEMENTS joins every level in one group, 0 makes each
-# level a group of its own. "near" poses and a step of 2 move depth sets'
-# pixels out of a source image and behind a camera, so valid counts change.
+# level a group of its own. "identity" poses make each pose set leave the
+# identity shortcut for its own source while the others keep it. "near"
+# poses and a step of 2 move depth sets' pixels and pose sets' warps out of a
+# source image and behind a camera, so valid counts change.
 _ENTRY_CASES = {
     "L1-S3-masks-joined": (9, 11, 1, 3, True, float("inf"), "generic", 1e-5),
     "L2-S1-separate": (9, 11, 2, 1, False, 0, "generic", 1e-5),
@@ -286,8 +288,7 @@ _ENTRY_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_ENTRY_CASES))
-def test_central_differences_of_depth_and_mask_logits_equal_per_coordinate_loop(
-        case, monkeypatch):
+def test_central_differences_of_every_array_equal_per_coordinate_loop(case, monkeypatch):
     height, width, levels, sources, masks, min_elements, poses, step = _ENTRY_CASES[case]
     monkeypatch.setattr(losses, "PARALLEL_MIN_ELEMENTS", min_elements)
     state, cfg = gradcheck.random_instance(7, height=height, width=width, n_sources=sources,
@@ -303,13 +304,21 @@ def test_central_differences_of_depth_and_mask_logits_equal_per_coordinate_loop(
         base, _ = losses.total_loss(state.snippet, state, cfg, want_grads=False)
         moved, _ = losses.total_loss(state.snippet, near, cfg, want_grads=False)
         assert all(moved.valid_per_level[0][s] < base.valid_per_level[0][s] for s in (0, 1))
+        # The pose sets that move tx of source 0 and tz of source 1 by the step.
+        for s, entry, sign in ((0, 3, 1), (1, 5, -1)):
+            near = replace(state, poses=state.poses.copy())
+            near.poses[s, entry] += sign * step
+            moved, _ = losses.total_loss(state.snippet, near, cfg, want_grads=False)
+            assert moved.valid_per_level[0][s] < base.valid_per_level[0][s]
+            assert moved.valid_per_level[0][1 - s] == base.valid_per_level[0][1 - s]
     expected = {name: fd.tobytes()
                 for name, fd in _per_coordinate_check(state, cfg, step)[1].items()}
     params = dict(state.items())
     mask_names = [name for name in params if name.startswith("mask_logits")]
-    lists = [["depth_logits"], *([name] for name in mask_names), mask_names,
+    lists = [["depth_logits"], ["poses"], *([name] for name in mask_names), mask_names,
              ["depth_logits", "poses", *mask_names], ["poses", *mask_names[::-1]]]
-    for chunk in (7, gradcheck.FD_CHUNK):   # 7: chunk boundaries inside each level's sets
+    # 7: chunk boundaries inside each level's sets and each source's pose sets.
+    for chunk in (7, gradcheck.FD_CHUNK):
         monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
         for names in lists:
             if not names:
@@ -373,21 +382,21 @@ def test_central_differences_refuses_a_bare_array():
         gradcheck.central_differences(state.snippet, state, cfg, state.poses, 1e-5)
 
 
-def test_check_instance_batches_only_the_poses(monkeypatch):
-    # 8x12, S=2, L=2: one gradient total_loss call, then the 2 * 12 pose sets
-    # in forward-only calls of up to FD_CHUNK sets with only the poses
-    # batched. The 2 * 96 depth-logit and 2 * (2 * 96 + 2 * 24) mask-logit
-    # sets go to one EntryTotals per central_differences call, which gets the
-    # state's own arrays: no call holds a (B, ...) copy of their logits.
+def test_check_instance_makes_one_gradient_call_and_one_entry_totals(monkeypatch):
+    # 8x12, S=2, L=2: one gradient total_loss call and no forward-only one.
+    # One EntryTotals, built on the state itself, takes the 2 * 96
+    # depth-logit, 2 * 12 pose and 2 * (2 * 96 + 2 * 24) mask-logit sets in
+    # batches of up to FD_CHUNK, with the state's own arrays: no call holds
+    # a (B, ...) copy of a parameter array.
     state, cfg = gradcheck.random_instance(0)
     masks = [(2, 8, 12), (2, 4, 6)]
     names = {id(p): name for name, p in state.items()}
     total_loss, entry_totals = losses.total_loss, losses.EntryTotals
-    for chunk, pose_sets, depth_sets, mask_sets in (
-            (gradcheck.FD_CHUNK, [24], [192], [[384], [96]]),
-            (100, [24], [100, 92], [[100, 100, 100, 84], [96]])):
+    for chunk, depth_sets, pose_sets, mask_sets in (
+            (gradcheck.FD_CHUNK, [192], [24], [[384], [96]]),
+            (100, [100, 92], [24], [[100, 100, 100, 84], [96]])):
         monkeypatch.setattr(gradcheck, "FD_CHUNK", chunk)
-        calls, entries = [], []
+        calls, built, entries = [], [], []
 
         def counting(snippet, params, config, want_grads=True):
             calls.append((want_grads, np.shape(params.depth_logits), np.shape(params.poses),
@@ -396,21 +405,36 @@ def test_check_instance_batches_only_the_poses(monkeypatch):
 
         class Recording(entry_totals):
             def __init__(self, snippet, params, config):
-                assert params is state
-                entries.append([])
+                assert params is state and snippet is state.snippet
+                built.append(params)
                 super().__init__(snippet, params, config)
 
             def __call__(self, array, keys, values):
-                entries[-1].append((names[id(array)], len(values)))
+                entries.append((names[id(array)], len(values)))
                 return super().__call__(array, keys, values)
 
         monkeypatch.setattr(losses, "total_loss", counting)
         monkeypatch.setattr(losses, "EntryTotals", Recording)
         gradcheck.check_instance(state, cfg)
-        assert calls == [(True, (8, 12), (2, 6), masks)] + [
-            (False, (8, 12), (b, 2, 6), masks) for b in pose_sets]
-        assert entries == [[("depth_logits", b) for b in depth_sets],
-                           [(f"mask_logits_{l}", b) for l in (0, 1) for b in mask_sets[l]]]
+        assert calls == [(True, (8, 12), (2, 6), masks)]
+        assert len(built) == 1
+        assert entries == ([("depth_logits", b) for b in depth_sets]
+                           + [("poses", b) for b in pose_sets]
+                           + [(f"mask_logits_{l}", b) for l in (0, 1) for b in mask_sets[l]])
+
+
+@pytest.mark.parametrize("pick", [
+    pytest.param(lambda st: st.depth_logits.copy(), id="depth-copy"),
+    pytest.param(lambda st: st.poses.copy(), id="pose-copy"),
+    pytest.param(lambda st: st.mask_logits[1].copy(), id="mask-copy"),
+])
+def test_entry_totals_refuses_an_array_not_of_its_params(pick):
+    # A copy is never perturbed in the base point's rows: its totals would
+    # all be the base total.
+    state, cfg = gradcheck.random_instance(0)
+    totals = losses.EntryTotals(state.snippet, state, cfg)
+    with pytest.raises(ValueError, match="not the depth logits, the poses or a mask level"):
+        totals(pick(state), [0, 0], [0.1, -0.1])
 
 
 def test_projection_adjoint_matches_fd_over_a_two_level_group():

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import platform
 import re
@@ -432,16 +433,21 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
-@pytest.mark.parametrize("which, budget", [("fit", 300), ("check", 250)])
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                    reason="counts page faults with the resource module")
+@pytest.mark.parametrize("which, budget", [
+    pytest.param("fit", 300, marks=pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")),
+    ("check", 250),
+])
 def test_loops_reuse_the_memory_they_free(which, budget):
     # In a fresh process, the pages a second 30-iteration 64x48 fit or a
     # second 8x12 FD check faults in. Under glibc's default policy a fit's
     # freed temporaries go back to the kernel and are faulted in afresh by
-    # the next evaluation, so fit_snippet sets model._keep_freed_memory. The
-    # FD check runs under glibc's default policy: it evaluates each depth-
-    # and mask-logit set on small rows (losses.EntryTotals), which the heap
-    # keeps for the next check.
+    # the next evaluation, so fit_snippet sets model._keep_freed_memory, and
+    # that case runs on glibc alone. The FD check sets no policy: it
+    # evaluates each depth-logit, pose and mask-logit set on small rows
+    # (losses.EntryTotals), which the heap keeps for the next check.
     package_root = os.path.dirname(os.path.dirname(model.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + sys.path))
     out = subprocess.run([sys.executable, "-c", _FAULTS_OF_SECOND_RUN.format(which=which)],
